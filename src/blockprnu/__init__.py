@@ -35,7 +35,8 @@ from .noise import (DenoiseConfig, NoiseResidual, Picture, denoise,
                     wiener_adaptive, write_yuv420, zero_mean_rows_cols)
 from .prnu import (Fingerprint, FingerprintAccumulator,
                    apply_inverse_transform, estimate_fingerprint, finalize,
-                   read_fingerprint, write_fingerprint)
+                   fingerprint_from_residuals, read_fingerprint,
+                   residual_extractor, write_fingerprint)
 from .simulator import (CodecConfig, EncodeResult, SensorModel, encode_block,
                         encode_sequence, oracle_weight_d, simulate_capture,
                         synthetic_clean_frames)

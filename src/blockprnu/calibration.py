@@ -22,8 +22,9 @@ import numpy as np
 from .errors import (EmptyBucket, InsufficientData, InsufficientFrames,
                      MissingAnchor)
 from .matching import PceConfig, pce
-from .noise import DenoiseConfig, NoiseResidual, Picture, extract_residual
-from .prnu import Fingerprint, estimate_fingerprint
+from .noise import DenoiseConfig, NoiseResidual, Picture
+from .prnu import (Fingerprint, fingerprint_from_residuals,
+                   residual_extractor)
 from .trace import MACROBLOCK, FrameBlockMap, TraceFile
 from .weighting import ANCHOR_LAMBDA_RATE, ANCHOR_QP, SchemeConfig, WeightTable
 
@@ -247,20 +248,22 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
     """
     scheme = SchemeConfig("conventional" if include_skip else "skip_eliminate")
     runs: dict[str, CalibrationRun] = {}
-    for video in videos:
-        if video.qp is None:
-            raise InsufficientData(f"video of camera {video.camera_id} has no "
-                                   f"fixed-QP condition")
-        if video.camera_id not in references:
-            raise InsufficientData(f"no reference fingerprint for camera "
-                                   f"{video.camera_id}")
-        fp = estimate_fingerprint(video.pictures, video.trace.frames(), scheme,
-                                  denoise_config=denoise_config, workers=workers)
-        match = pce(fp, references[video.camera_id], pce_config)
-        run = runs.setdefault(video.camera_id,
-                              CalibrationRun(camera_id=video.camera_id,
-                                             reference=references[video.camera_id]))
-        run.samples.append((float(video.qp), match.pce))
+    with residual_extractor(denoise_config, workers) as extract:
+        for video in videos:
+            if video.qp is None:
+                raise InsufficientData(f"video of camera {video.camera_id} "
+                                       f"has no fixed-QP condition")
+            if video.camera_id not in references:
+                raise InsufficientData(f"no reference fingerprint for camera "
+                                       f"{video.camera_id}")
+            residuals = extract(video.pictures)
+            fp = fingerprint_from_residuals(video.pictures, video.trace.frames(),
+                                            residuals, scheme)
+            match = pce(fp, references[video.camera_id], pce_config)
+            run = runs.setdefault(video.camera_id, CalibrationRun(
+                camera_id=video.camera_id,
+                reference=references[video.camera_id]))
+            run.samples.append((float(video.qp), match.pce))
     return build_qp_table(list(runs.values()), anchor_qp=anchor_qp,
                           scheme="qp_all" if include_skip else "qp_noskip")
 
@@ -272,7 +275,8 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
                           anchor_lr: float = ANCHOR_LAMBDA_RATE,
                           include_skip: bool = False,
                           denoise_config: DenoiseConfig = DenoiseConfig(),
-                          pce_config: PceConfig = PceConfig()) -> tuple[WeightTable, list[str]]:
+                          pce_config: PceConfig = PceConfig(),
+                          workers: int = 1) -> tuple[WeightTable, list[str]]:
     """Fit a lambda*rate weight table from encodes at assorted bitrates.
 
     Each video is spliced into cost-ranked frames; every spliced frame with
@@ -281,22 +285,24 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
     quantiles of the pooled means.
     """
     runs: dict[str, CalibrationRun] = {}
-    for video in videos:
-        if video.camera_id not in references:
-            raise InsufficientData(f"no reference fingerprint for camera "
-                                   f"{video.camera_id}")
-        residuals = [extract_residual(p, denoise_config) for p in video.pictures]
-        spliced = splice_by_lambda_rate(residuals, video.trace.frames(),
-                                        include_skip=include_skip)
-        ref = references[video.camera_id]
-        run = runs.setdefault(video.camera_id,
-                              CalibrationRun(camera_id=video.camera_id,
-                                             reference=ref))
-        for frame in spliced.frames:
-            if not np.isfinite(frame.mean_lambda_rate) or not np.any(frame.values):
-                continue
-            match = pce(frame.values, ref, pce_config)
-            run.samples.append((frame.mean_lambda_rate, match.pce))
+    with residual_extractor(denoise_config, workers) as extract:
+        for video in videos:
+            if video.camera_id not in references:
+                raise InsufficientData(f"no reference fingerprint for camera "
+                                       f"{video.camera_id}")
+            spliced = splice_by_lambda_rate(extract(video.pictures),
+                                            video.trace.frames(),
+                                            include_skip=include_skip)
+            ref = references[video.camera_id]
+            run = runs.setdefault(video.camera_id,
+                                  CalibrationRun(camera_id=video.camera_id,
+                                                 reference=ref))
+            for frame in spliced.frames:
+                if (not np.isfinite(frame.mean_lambda_rate)
+                        or not np.any(frame.values)):
+                    continue
+                match = pce(frame.values, ref, pce_config)
+                run.samples.append((frame.mean_lambda_rate, match.pce))
     all_samples = [lr for run in runs.values() for lr, _ in run.samples]
     if not all_samples:
         raise InsufficientData("no spliced frames produced observations")

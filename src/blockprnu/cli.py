@@ -287,20 +287,22 @@ def cmd_calibrate(args) -> int:
                                   (v.camera_id for v in videos))
     denoise = _denoise_config(args)
     pce_config = _pce_config(args, args.search)
+    workers = _resolve_workers(args.workers)
     if args.mode == "qp":
         table, report = calibrate_qp(videos, references,
                                      include_skip=args.include_skip,
                                      anchor_qp=args.anchor_qp,
                                      denoise_config=denoise,
                                      pce_config=pce_config,
-                                     workers=_resolve_workers(args.workers))
+                                     workers=workers)
     else:
         table, report = calibrate_lambda_rate(videos, references,
                                               n_buckets=args.buckets,
                                               anchor_lr=args.anchor_lambda_rate,
                                               include_skip=args.include_skip,
                                               denoise_config=denoise,
-                                              pce_config=pce_config)
+                                              pce_config=pce_config,
+                                              workers=workers)
     table.save(_outpath(args.out))
     if args.report:
         _outpath(args.report).write_text("\n".join(report) + "\n")

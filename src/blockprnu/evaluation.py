@@ -16,7 +16,8 @@ import numpy as np
 from .errors import BlockPrnuError, ConfigError, EmptyInput
 from .matching import DEFAULT_THRESHOLD, MatchReport, PceConfig, pce
 from .noise import DenoiseConfig, Picture
-from .prnu import Fingerprint, estimate_fingerprint
+from .prnu import (Fingerprint, fingerprint_from_residuals,
+                   residual_extractor)
 from .trace import TraceFile, bits_per_pixel, skipped_block_rate
 from .weighting import ALL_SCHEMES, SchemeConfig
 
@@ -51,7 +52,10 @@ def run_grid(videos: Sequence[GridVideo],
              workers: int = 1) -> ExperimentGrid:
     """Estimate and match every video under every scheme.
 
-    A failing cell stores its error and the rest of the grid proceeds.
+    Each video's residuals are extracted once, in one worker pool for the
+    whole grid, and shared by its schemes. A failing cell stores its error
+    and the rest of the grid proceeds; an error extracting a video's
+    residuals lands in every cell of that video.
     """
     schemes = [c.scheme for c in scheme_configs]
     if len(set(schemes)) != len(schemes):
@@ -63,18 +67,23 @@ def run_grid(videos: Sequence[GridVideo],
     if "loop_filter_only" in schemes:
         grid.notes.append("loop_filter_only duplicates conventional masks: "
                           "the simulator codec has no in-loop filter")
-    for video in videos:
-        frame_maps = video.trace.frames()
-        for config in scheme_configs:
-            key = (video.video_id, config.scheme)
+    with residual_extractor(denoise_config, workers) as extract:
+        for video in videos:
+            keys = [(video.video_id, s) for s in schemes]
+            frame_maps = video.trace.frames()
             try:
-                fp = estimate_fingerprint(video.pictures, frame_maps, config,
-                                          denoise_config=denoise_config,
-                                          workers=workers)
-                grid.cells[key] = pce(fp, references[video.camera_id],
-                                      pce_config, threshold)
+                residuals = extract(video.pictures)
             except BlockPrnuError as exc:
-                grid.cells[key] = exc
+                grid.cells.update(dict.fromkeys(keys, exc))
+                continue
+            for key, config in zip(keys, scheme_configs):
+                try:
+                    fp = fingerprint_from_residuals(video.pictures, frame_maps,
+                                                    residuals, config)
+                    grid.cells[key] = pce(fp, references[video.camera_id],
+                                          pce_config, threshold)
+                except BlockPrnuError as exc:
+                    grid.cells[key] = exc
     return grid
 
 

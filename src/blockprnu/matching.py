@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import (BlockPrnuError, DegenerateFingerprint, DimensionMismatch)
+from .errors import (BlockPrnuError, ConfigError, DegenerateFingerprint,
+                     DimensionMismatch)
 from .prnu import Fingerprint
 
 DEFAULT_THRESHOLD = 60.0
@@ -27,8 +28,11 @@ class PceConfig:
     search_window: str = "full"        # "full": all cyclic shifts; "zero": (0,0) only
 
     def __post_init__(self):
-        assert self.exclusion_half_width >= 0
-        assert self.search_window in ("full", "zero")
+        if self.exclusion_half_width < 0:
+            raise ConfigError(f"exclusion half width must be non-negative, "
+                              f"got {self.exclusion_half_width}")
+        if self.search_window not in ("full", "zero"):
+            raise ConfigError(f"unknown search window {self.search_window!r}")
 
 
 @dataclass(frozen=True)

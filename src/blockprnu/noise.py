@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import uniform_filter
+from scipy.ndimage import correlate1d, uniform_filter
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 
 # db4 analysis lowpass; highpass and synthesis follow from orthogonality
 _DEC_LO = np.array([
@@ -24,9 +24,8 @@ _DEC_LO = np.array([
     -0.18703481171888114, -0.02798376941698385, 0.6308807679295904,
     0.7148465705525415, 0.23037781330885523,
 ])
-_REC_LO = _DEC_LO[::-1].copy()
-_DEC_HI = _REC_LO * np.where(np.arange(_DEC_LO.size) % 2 == 0, -1.0, 1.0)
-_FILTER_LEN = _DEC_LO.size
+_DEC_HI = _DEC_LO[::-1] * np.where(np.arange(_DEC_LO.size) % 2 == 0, -1.0, 1.0)
+_HALF_LEN = _DEC_LO.size // 2
 
 WIENER_WINDOWS = (3, 5, 7, 9)
 SATURATION_HIGH = 250
@@ -67,9 +66,12 @@ class DenoiseConfig:
     levels: int = 4
 
     def __post_init__(self):
-        assert self.method in ("wavelet", "spatial")
-        assert self.noise_var > 0
-        assert self.levels >= 1
+        if self.method not in ("wavelet", "spatial"):
+            raise ConfigError(f"unknown denoise method {self.method!r}")
+        if not self.noise_var > 0:
+            raise ConfigError(f"noise variance must be positive: {self.noise_var}")
+        if self.levels < 1:
+            raise ConfigError(f"levels must be at least 1, got {self.levels}")
 
 
 # ---------------------------------------------------------------------------
@@ -77,30 +79,25 @@ class DenoiseConfig:
 # ---------------------------------------------------------------------------
 
 def _dwt_axis(x: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[axis]
-    assert n % 2 == 0
-    xm = np.moveaxis(x, axis, -1)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(_FILTER_LEN)[None, :]) % n
-    win = xm[..., idx]
-    lo = win @ _DEC_LO
-    hi = win @ _DEC_HI
-    return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
+    # band[k] = sum_m F[m] * x[(2k + m) % n]: a periodic correlation with
+    # tap 0 on the output sample, kept at even k
+    even = np.arange(0, x.shape[axis], 2)
+    return tuple(correlate1d(x, f, axis, mode="wrap", origin=-_HALF_LEN)
+                 .take(even, axis) for f in (_DEC_LO, _DEC_HI))
 
 
 def _idwt_axis(lo: np.ndarray, hi: np.ndarray, axis: int) -> np.ndarray:
-    # exact adjoint of _dwt_axis; orthogonality makes it the inverse
-    lom = np.moveaxis(lo, axis, -1)
-    him = np.moveaxis(hi, axis, -1)
-    n = 2 * lom.shape[-1]
-    up_lo = np.zeros(lom.shape[:-1] + (n,), dtype=np.float64)
-    up_hi = np.zeros_like(up_lo)
-    up_lo[..., ::2] = lom
-    up_hi[..., ::2] = him
-    out = np.zeros_like(up_lo)
-    for m in range(_FILTER_LEN):
-        out += _DEC_LO[m] * np.roll(up_lo, m, axis=-1)
-        out += _DEC_HI[m] * np.roll(up_hi, m, axis=-1)
-    return np.moveaxis(out, -1, axis)
+    # exact adjoint of _dwt_axis, so orthogonality makes it the inverse; in
+    # polyphase form on the half-length bands, output phase r is
+    #   out[2p + r] = sum_q F[2q + r] * band[(p - q) % (n/2)]
+    # (reversed phase filter, last tap on the output sample)
+    phases = [sum(correlate1d(band, f[r::2][::-1], axis, mode="wrap",
+                              origin=_HALF_LEN // 2 - 1)
+                  for band, f in ((lo, _DEC_LO), (hi, _DEC_HI)))
+              for r in (0, 1)]
+    shape = list(lo.shape)
+    shape[axis] *= 2
+    return np.stack(phases, axis=axis + 1).reshape(shape)
 
 
 def _dwt2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

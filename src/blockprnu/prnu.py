@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (AllMaskedOut, DimensionMismatch, EmptyAccumulator,
-                     SchemaError, UnsupportedTransform)
+from .errors import (AllMaskedOut, ConfigError, DimensionMismatch,
+                     EmptyAccumulator, SchemaError, UnsupportedTransform)
 from .noise import (DenoiseConfig, NoiseResidual, Picture, extract_residual,
                     saturation_mask)
 from .trace import FrameBlockMap
@@ -47,7 +49,9 @@ class FingerprintAccumulator:
     """Streaming sums for the aggregation ratio; mergeable across workers."""
 
     def __init__(self, height: int, width: int):
-        assert height > 0 and width > 0
+        if height <= 0 or width <= 0:
+            raise ConfigError(f"accumulator needs a positive shape, "
+                              f"got {height}x{width}")
         self.numerator = np.zeros((height, width), dtype=np.float64)
         self.denominator = np.zeros((height, width), dtype=np.float64)
         self.frames_ingested = 0
@@ -101,7 +105,9 @@ def finalize(acc: FingerprintAccumulator,
         if nonzero.size == 0:
             raise AllMaskedOut("denominator is zero everywhere")
         denominator_floor = DENOMINATOR_FLOOR_SCALE * float(nonzero.mean())
-    assert denominator_floor > 0
+    if not denominator_floor > 0:
+        raise ConfigError(f"denominator floor must be positive, "
+                          f"got {denominator_floor}")
     support = den >= denominator_floor
     if not support.any():
         raise AllMaskedOut("no pixel cleared the denominator floor")
@@ -183,9 +189,55 @@ def read_fingerprint(path: str | Path) -> Fingerprint:
 # end-to-end estimation pipeline
 # ---------------------------------------------------------------------------
 
-def _residual_job(args) -> np.ndarray:
-    picture, config = args
-    return extract_residual(picture, config).values
+@contextmanager
+def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
+                       workers: int = 1):
+    """Yield ``extract(pictures) -> list[NoiseResidual]``, in frame order.
+
+    With workers > 1 one process pool serves every call made inside the
+    with block, so a command that extracts several videos starts one pool.
+    Residuals are the same for any worker count.
+    """
+    job = partial(extract_residual, config=denoise_config)
+    if workers <= 1:
+        yield lambda pictures: [job(pic) for pic in pictures]
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield lambda pictures: list(pool.map(
+            job, pictures, chunksize=max(1, len(pictures) // workers)))
+
+
+def fingerprint_from_residuals(pictures: Sequence[Picture],
+                               frame_maps: Sequence[FrameBlockMap] | None,
+                               residuals: Sequence[NoiseResidual],
+                               scheme: SchemeConfig,
+                               denominator_floor: float | None = None,
+                               source_id: str = "") -> Fingerprint:
+    """Mask, accumulate in frame order and finalize precomputed residuals.
+
+    frame_maps may be None only for schemes that ignore block metadata
+    (conventional / loop_filter_only).
+    """
+    if not pictures:
+        raise EmptyAccumulator("no pictures to estimate from")
+    if frame_maps is None:
+        if scheme.scheme not in ("conventional", "loop_filter_only"):
+            raise DimensionMismatch(f"scheme {scheme.scheme} needs frame maps")
+        frame_maps = [None] * len(pictures)
+    if not len(frame_maps) == len(residuals) == len(pictures):
+        raise DimensionMismatch(f"{len(pictures)} pictures vs "
+                                f"{len(frame_maps)} frame maps vs "
+                                f"{len(residuals)} residuals")
+    h, w = pictures[0].luma.shape
+    acc = FingerprintAccumulator(h, w)
+    for pic, fmap, residual in zip(pictures, frame_maps, residuals):
+        if fmap is None:
+            mask = np.ones((h, w), dtype=np.float64)
+        else:
+            mask = build_mask(fmap, scheme, frame_shape=(h, w))
+        acc.accumulate(pic, residual, mask, saturation_mask(pic))
+    return finalize(acc, denominator_floor=denominator_floor,
+                    source_id=source_id)
 
 
 def estimate_fingerprint(pictures: Sequence[Picture],
@@ -197,35 +249,11 @@ def estimate_fingerprint(pictures: Sequence[Picture],
                          workers: int = 1) -> Fingerprint:
     """Estimate one fingerprint from decoded pictures and their trace.
 
-    frame_maps may be None only for schemes that ignore block metadata
-    (conventional / loop_filter_only). Residual extraction parallelizes
-    across pictures; accumulation always runs in frame order, so the result
-    is identical for any worker count.
+    Residual extraction parallelizes across pictures; accumulation always
+    runs in frame order, so the result is identical for any worker count.
     """
-    if not pictures:
-        raise EmptyAccumulator("no pictures to estimate from")
-    if frame_maps is None:
-        if scheme.scheme not in ("conventional", "loop_filter_only"):
-            raise DimensionMismatch(f"scheme {scheme.scheme} needs frame maps")
-        frame_maps = [None] * len(pictures)
-    if len(frame_maps) != len(pictures):
-        raise DimensionMismatch(f"{len(pictures)} pictures vs "
-                                f"{len(frame_maps)} frame maps")
-    h, w = pictures[0].luma.shape
-    jobs = [(pic, denoise_config) for pic in pictures]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            residual_values = list(pool.map(_residual_job, jobs,
-                                            chunksize=max(1, len(jobs) // workers)))
-    else:
-        residual_values = [_residual_job(job) for job in jobs]
-    acc = FingerprintAccumulator(h, w)
-    for pic, fmap, values in zip(pictures, frame_maps, residual_values):
-        if fmap is None:
-            mask = np.ones((h, w), dtype=np.float64)
-        else:
-            mask = build_mask(fmap, scheme, frame_shape=(h, w))
-        acc.accumulate(pic, NoiseResidual(values=values, frame_idx=pic.frame_idx),
-                       mask, saturation_mask(pic))
-    return finalize(acc, denominator_floor=denominator_floor,
-                    source_id=source_id)
+    with residual_extractor(denoise_config, workers) as extract:
+        residuals = extract(pictures)
+    return fingerprint_from_residuals(pictures, frame_maps, residuals, scheme,
+                                      denominator_floor=denominator_floor,
+                                      source_id=source_id)

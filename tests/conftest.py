@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockprnu import prnu
 from blockprnu import (BlockRecord, CodecConfig, SensorModel, TraceFile,
                        encode_sequence, simulate_capture,
                        synthetic_clean_frames)
@@ -45,3 +46,17 @@ def rate_encode(moving_capture):
     result = encode_sequence(captured, CodecConfig(target_bits_per_frame=1500,
                                                    start_qp=34))
     return result
+
+
+@pytest.fixture
+def pool_spawns(monkeypatch):
+    """Count the worker pools blockprnu creates during one test."""
+    spawns = []
+
+    class CountingPool(prnu.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            spawns.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(prnu, "ProcessPoolExecutor", CountingPool)
+    return spawns

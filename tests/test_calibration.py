@@ -288,3 +288,19 @@ def test_calibrate_lambda_rate_end_to_end(camera_setup):
 
     with pytest.raises(InsufficientData):
         calibrate_lambda_rate(videos, {}, n_buckets=3)
+
+
+def test_calibrate_lambda_rate_worker_invariance(camera_setup, pool_spawns,
+                                                 tmp_path):
+    model, clean, reference = camera_setup
+    videos = [video_at_qp(model, clean, 10, 36),
+              video_at_qp(model, clean, 25, 37)]
+    outputs = []
+    for workers in (1, 2):
+        table, report = calibrate_lambda_rate(videos, {"cam": reference},
+                                              n_buckets=3, workers=workers)
+        path = tmp_path / f"w{workers}.wt"
+        table.save(path)
+        outputs.append((path.read_bytes(), report))
+    assert outputs[0] == outputs[1]
+    assert pool_spawns == [2]  # one pool for both videos, none at workers=1

@@ -191,6 +191,17 @@ def test_exit_codes_for_bad_inputs(sim, tmp_path, capsys):
                "--workers", 0) == 2
 
 
+def test_out_of_domain_values_exit_2(sim, tmp_path, capsys):
+    common = ("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
+              "--scheme", "conventional", "--out", tmp_path / "x.bpf",
+              "--workers", 1)
+    assert run(*common, "--floor", 0) == 2
+    assert "floor" in capsys.readouterr().err
+    assert run(*common, "--noise-var", 0) == 2
+    assert "noise variance" in capsys.readouterr().err
+    assert not (tmp_path / "x.bpf").exists()
+
+
 def test_degenerate_inputs_exit_4(tmp_path):
     flat = [Picture(luma=np.full((64, 64), 128, dtype=np.uint8))] * 4
     write_yuv420(flat, tmp_path / "flat.yuv")

@@ -6,6 +6,7 @@ import pytest
 from blockprnu import (
     CodecConfig,
     ConfigError,
+    EmptyAccumulator,
     EmptyInput,
     ExperimentGrid,
     GridVideo,
@@ -21,6 +22,7 @@ from blockprnu import (
     format_ratio,
     group_labels_for_edges,
     improvement_ratios,
+    pce,
     roc,
     run_grid,
     sbr_summary,
@@ -92,6 +94,40 @@ def test_run_grid_all_schemes(eval_setup):
     conv = grid.cells[("v0", "conventional")].pce
     assert grid.cells[("v0", "loop_filter_only")].pce == pytest.approx(conv)
     assert grid.cells[("v0", "qp_all")].pce == pytest.approx(conv, rel=1e-9)
+
+
+def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
+    # residuals are shared across schemes and videos come through one
+    # pool, yet every cell is exactly what a lone estimate would give
+    video, references = eval_setup
+    twin = GridVideo(video_id="v1", camera_id="cam",
+                     pictures=video.pictures, trace=video.trace)
+    configs = [
+        SchemeConfig("conventional"),
+        SchemeConfig("skip_eliminate"),
+        SchemeConfig("qp_noskip", neutral_qp_table("qp_noskip")),
+        SchemeConfig("lambda_r", neutral_lr_table()),
+    ]
+    grid = run_grid([video, twin], configs, references, workers=2)
+    assert pool_spawns == [2]
+    for config in configs:
+        fp = estimate_fingerprint(video.pictures, video.trace.frames(), config)
+        expected = pce(fp, references["cam"])
+        assert grid.cells[("v0", config.scheme)] == expected
+        assert grid.cells[("v1", config.scheme)] == expected
+
+
+def test_run_grid_video_error_lands_in_every_cell(eval_setup):
+    video, references = eval_setup
+    empty = GridVideo(video_id="e", camera_id="cam", pictures=[],
+                      trace=video.trace)
+    grid = run_grid([empty, video], [SchemeConfig("conventional"),
+                                     SchemeConfig("skip_eliminate")],
+                    references)
+    assert all(isinstance(grid.cells[("e", s)], EmptyAccumulator)
+               for s in grid.schemes)
+    assert all(isinstance(grid.cells[("v0", s)], MatchReport)
+               for s in grid.schemes)
 
 
 def test_run_grid_rejects_duplicate_schemes(eval_setup):

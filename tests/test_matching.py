@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockprnu import (
+    ConfigError,
     DegenerateFingerprint,
     DimensionMismatch,
     Fingerprint,
@@ -142,3 +143,10 @@ def test_batch_match_isolates_failures():
     first = lines[0].split(",")
     assert float(first[2]) == pytest.approx(matrix[0][0].pce)
     assert (int(first[3]), int(first[4])) == matrix[0][0].peak_offset
+
+
+def test_pce_config_validation():
+    with pytest.raises(ConfigError):
+        PceConfig(exclusion_half_width=-1)
+    with pytest.raises(ConfigError):
+        PceConfig(search_window="half")

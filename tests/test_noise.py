@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprnu import (
+    ConfigError,
     DenoiseConfig,
     Picture,
     SchemaError,
@@ -13,7 +16,53 @@ from blockprnu import (
     write_yuv420,
     zero_mean_rows_cols,
 )
-from blockprnu.noise import wavedec2, waverec2
+from blockprnu.noise import (_DEC_HI, _DEC_LO, _dwt_axis, _idwt_axis,
+                             wavedec2, waverec2)
+
+
+def reference_dwt_axis(x, axis):
+    """Periodized analysis by explicit gather: band[k] = sum_m F[m] x[2k+m]."""
+    n = x.shape[axis]
+    xm = np.moveaxis(x, axis, -1)
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(_DEC_LO.size)[None, :]) % n
+    win = xm[..., idx]
+    return (np.moveaxis(win @ _DEC_LO, -1, axis),
+            np.moveaxis(win @ _DEC_HI, -1, axis))
+
+
+def reference_idwt_axis(lo, hi, axis):
+    """Adjoint of reference_dwt_axis: upsample by zeros, then cyclic shifts."""
+    lom = np.moveaxis(lo, axis, -1)
+    him = np.moveaxis(hi, axis, -1)
+    n = 2 * lom.shape[-1]
+    up_lo = np.zeros(lom.shape[:-1] + (n,))
+    up_hi = np.zeros_like(up_lo)
+    up_lo[..., ::2] = lom
+    up_hi[..., ::2] = him
+    out = np.zeros_like(up_lo)
+    for m in range(_DEC_LO.size):
+        out += _DEC_LO[m] * np.roll(up_lo, m, axis=-1)
+        out += _DEC_HI[m] * np.roll(up_hi, m, axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half=st.integers(1, 32), other=st.integers(1, 12),
+       axis=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
+def test_dwt_kernels_match_reference(half, other, axis, seed):
+    # even transform lengths 2-64, shorter and longer than the 8-tap filter,
+    # on either axis of a non-square array
+    rng = np.random.default_rng(seed)
+    shape = (2 * half, other) if axis == 0 else (other, 2 * half)
+    x = rng.normal(size=shape)
+    for got, want in zip(_dwt_axis(x, axis), reference_dwt_axis(x, axis)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+    lo, hi = rng.normal(size=(2,) + want.shape)
+    got = _idwt_axis(lo, hi, axis)
+    want = reference_idwt_axis(lo, hi, axis)
+    assert got.shape == want.shape == shape
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_constant_frame_gives_degenerate_zero_residual():
@@ -168,9 +217,10 @@ def test_yuv420_size_mismatch_rejected(tmp_path):
 
 
 def test_denoise_config_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConfigError):
         DenoiseConfig(method="median")
-    with pytest.raises(AssertionError):
-        DenoiseConfig(noise_var=0.0)
-    with pytest.raises(AssertionError):
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            DenoiseConfig(noise_var=bad)
+    with pytest.raises(ConfigError):
         DenoiseConfig(levels=0)

@@ -5,6 +5,7 @@ import pytest
 
 from blockprnu import (
     AllMaskedOut,
+    ConfigError,
     DimensionMismatch,
     EmptyAccumulator,
     Fingerprint,
@@ -17,6 +18,7 @@ from blockprnu import (
     apply_inverse_transform,
     estimate_fingerprint,
     finalize,
+    fingerprint_from_residuals,
     read_fingerprint,
     simulate_capture,
     write_fingerprint,
@@ -94,11 +96,21 @@ def test_accumulator_shape_checks():
         ingest(acc, np.full((4, 4), 100), np.zeros((8, 8)), np.ones((8, 8)))
     with pytest.raises(DimensionMismatch):
         acc.merge(FingerprintAccumulator(4, 4))
+    with pytest.raises(ConfigError):
+        FingerprintAccumulator(0, 8)
 
 
 def test_finalize_without_frames_rejected():
     with pytest.raises(EmptyAccumulator):
         finalize(FingerprintAccumulator(8, 8))
+
+
+def test_finalize_rejects_nonpositive_floor():
+    acc = FingerprintAccumulator(8, 8)
+    ingest(acc, np.full((8, 8), 100), np.ones((8, 8)), np.ones((8, 8)))
+    for floor in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            finalize(acc, denominator_floor=floor)
 
 
 def test_all_masked_out():
@@ -155,6 +167,8 @@ def test_estimate_fingerprint_argument_checks():
         estimate_fingerprint(pics, None, SchemeConfig("skip_eliminate"))
     with pytest.raises(DimensionMismatch):
         estimate_fingerprint(pics, [], SchemeConfig("conventional"))
+    with pytest.raises(DimensionMismatch):
+        fingerprint_from_residuals(pics, None, [], SchemeConfig("conventional"))
 
 
 def test_estimate_worker_count_does_not_change_result():
