@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import (BitstreamExhausted, MalformedStream, MissingParameterSet,
-                     SchemaError, TruncatedUnit, UnsupportedProfile)
+                     RangeError, SchemaError, TruncatedUnit,
+                     UnsupportedProfile)
 from .trace import BlockRecord, TraceFile
 
 START_CODE = b"\x00\x00\x01"
@@ -83,7 +84,8 @@ class BitWriter:
             self.write_bit((value >> i) & 1)
 
     def write_ue(self, value: int) -> None:
-        assert value >= 0
+        if value < 0:
+            raise RangeError(f"ue(v) codes non-negative values, got {value}")
         code = value + 1
         n = code.bit_length()
         self.write_bits(0, n - 1)

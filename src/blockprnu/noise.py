@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import correlate1d, uniform_filter
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, DimensionMismatch, SchemaError
 
 # db4 analysis lowpass; highpass and synthesis follow from orthogonality
 _DEC_LO = np.array([
@@ -39,8 +39,10 @@ class Picture:
     frame_idx: int = 0
 
     def __post_init__(self):
-        assert self.luma.ndim == 2, "luma must be 2-D"
-        assert self.luma.dtype == np.uint8, "luma must be uint8"
+        if self.luma.ndim != 2:
+            raise DimensionMismatch(f"luma must be 2-D, got {self.luma.ndim}-D")
+        if self.luma.dtype != np.uint8:
+            raise ConfigError(f"luma must be uint8, got {self.luma.dtype}")
 
     @property
     def height(self) -> int:

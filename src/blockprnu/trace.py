@@ -93,7 +93,9 @@ class FrameBlockMap:
 
     def __init__(self, frame_idx: int, grid_w: int, grid_h: int,
                  records: Sequence[BlockRecord]):
-        assert grid_w > 0 and grid_h > 0
+        if grid_w <= 0 or grid_h <= 0:
+            raise SchemaError(f"macroblock grid must be positive, "
+                              f"got {grid_w}x{grid_h}")
         self.frame_idx = frame_idx
         self.grid_w = grid_w
         self.grid_h = grid_h

@@ -193,5 +193,6 @@ def build_mask(fmap: FrameBlockMap, config: SchemeConfig,
     if config.scheme == "qp_noskip":
         return mask_qp(fmap, config.table, exclude_skip=True,
                        frame_shape=frame_shape)
-    assert config.scheme == "lambda_r"
+    if config.scheme != "lambda_r":
+        raise ConfigError(f"unknown scheme {config.scheme!r}")
     return mask_lambda_rate(fmap, config.table, frame_shape)

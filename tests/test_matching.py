@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import fft
 
 from blockprnu import (
     ConfigError,
@@ -14,7 +17,12 @@ from blockprnu import (
     crosscorr,
     format_report_records,
     pce,
+    read_fingerprint,
+    write_fingerprint,
 )
+from blockprnu import matching
+from blockprnu.cli import main
+from blockprnu.matching import _peak
 
 
 def unit_noise(shape, seed):
@@ -87,13 +95,16 @@ def test_unrelated_noise_statistics():
 
 def test_crosscorr_definition():
     rng = np.random.default_rng(6)
-    a = rng.normal(size=(8, 8))
-    b = rng.normal(size=(8, 8))
-    c = crosscorr(a, b)
-    # spot-check one lag against the direct cyclic sum
-    dy, dx = 3, 5
-    direct = (a * np.roll(b, (-dy, -dx), axis=(0, 1))).sum()
-    assert c[dy, dx] == pytest.approx(direct, abs=1e-10)
+    # every lag against the direct cyclic sum, odd widths included
+    for shape in [(8, 8), (7, 9), (5, 6), (6, 11)]:
+        a = rng.normal(size=shape)
+        b = rng.normal(size=shape)
+        c = crosscorr(a, b)
+        assert c.shape == shape
+        for dy in range(shape[0]):
+            for dx in range(shape[1]):
+                direct = (a * np.roll(b, (-dy, -dx), axis=(0, 1))).sum()
+                assert c[dy, dx] == pytest.approx(direct, abs=1e-10)
 
 
 def test_matching_error_cases():
@@ -150,3 +161,180 @@ def test_pce_config_validation():
         PceConfig(exclusion_half_width=-1)
     with pytest.raises(ConfigError):
         PceConfig(search_window="half")
+
+
+# ---------------------------------------------------------------------------
+# the complex-FFT, |c| and boolean-mask PCE, kept as the reference
+# ---------------------------------------------------------------------------
+
+def reference_pce(test, reference, config=PceConfig(), threshold=60.0):
+    """(pce, peak_offset, decision, plane) computed the direct way: full
+    complex spectra, an |c| plane for the peak and a boolean exclusion mask."""
+    a = np.asarray(test, dtype=np.float64)
+    b = np.asarray(reference, dtype=np.float64)
+    h, w = a.shape
+    half = config.exclusion_half_width
+    c = np.real(fft.ifft2(np.conj(fft.fft2(a)) * fft.fft2(b)))
+    if config.search_window == "zero":
+        py, px = 0, 0
+    else:
+        py, px = np.unravel_index(int(np.abs(c).argmax()), c.shape)
+    peak = float(c[py, px])
+    dy = np.abs(np.arange(h) - py)
+    dy = np.minimum(dy, h - dy)
+    dx = np.abs(np.arange(w) - px)
+    dx = np.minimum(dx, w - dx)
+    excluded = (dy[:, None] <= half) & (dx[None, :] <= half)
+    rest = c[~excluded]
+    value = float(np.sign(peak) * peak * peak / (rest * rest).mean())
+    return value, (int(px), int(py)), value > threshold, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(3, 40), w=st.integers(3, 40), half=st.integers(0, 5),
+       kind=st.sampled_from(["shifted", "unrelated", "delta"]),
+       shift=st.tuples(st.integers(0, 39), st.integers(0, 39)),
+       search=st.sampled_from(["full", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pce_matches_reference(h, w, half, kind, shift, search, seed):
+    # odd and even sizes; planes narrower or shorter than the window, where
+    # it wraps onto itself; peaks anywhere up to the border
+    assume((2 * half + 1) ** 2 < h * w)
+    rng = np.random.default_rng(seed)
+    sy, sx = shift[0] % h, shift[1] % w
+    if kind == "delta":
+        # peak-dominated: off-peak energy is 1e-18 of the peak's
+        a = 1e-9 * rng.normal(size=(h, w))
+        b = 1e-9 * rng.normal(size=(h, w))
+        a[0, 0] += 1.0
+        b[sy, sx] += 1.0
+    else:
+        a = rng.normal(size=(h, w))
+        b = rng.normal(size=(h, w))
+        if kind == "shifted":
+            b = np.roll(a, (sy, sx), axis=(0, 1)) + 0.5 * b
+    config = PceConfig(exclusion_half_width=half, search_window=search)
+    report = pce(a, b, config)
+    value, offset, decision, c = reference_pce(a, b, config)
+    # Both paths round every cell by about eps * log2(n) * max|c|. Relative
+    # to the chosen peak and to the off-peak rms that is negligible on
+    # ordinary planes, but on a peak-dominated one (PCE ~ 1e18) either path
+    # is ~1e-8 from an exact direct sum, so the bound widens there. A
+    # cancelling energy sum would be off by ~1e2 and still fail.
+    peak = c[offset[1], offset[0]]
+    rms = abs(peak) / np.sqrt(abs(value))
+    rounding = np.log2(h * w) * np.finfo(float).eps * np.abs(c).max()
+    bound = 1e-9 + 2 * rounding * (1 / abs(peak) + 1 / rms)
+    assert report.pce == pytest.approx(value, rel=bound)
+    assert report.peak_offset == offset
+    assert report.decision == decision
+    if kind != "unrelated" and search == "full":
+        assert report.peak_offset == (sx, sy)
+
+
+def test_peak_tie_goes_to_first_flat_index():
+    c = np.zeros((4, 5))
+    c[1, 2] = -3.0
+    c[2, 4] = 3.0
+    assert _peak(c) == (1, 2)
+    assert _peak(-c) == (1, 2)
+    c[0, 3] = 3.0
+    assert _peak(c) == (0, 3)
+    for plane in (c, -c, np.full((3, 3), 2.0), np.full((3, 3), -2.0)):
+        assert _peak(plane) == np.unravel_index(np.abs(plane).argmax(),
+                                                plane.shape)
+
+
+def test_non_finite_fingerprint_is_degenerate(tmp_path):
+    x = unit_noise((32, 32), 14)
+    bad = x.copy()
+    bad[5, 7] = np.nan
+    for args in ((bad, x), (x, bad), (np.where(bad == bad, x, np.inf), x)):
+        with pytest.raises(DegenerateFingerprint):
+            pce(*args)
+    matrix = batch_match([x, bad], [x, bad])
+    assert isinstance(matrix[0][0], MatchReport)
+    assert [type(cell) for cell in (matrix[0][1], *matrix[1])] == \
+        [DegenerateFingerprint] * 3
+    assert format_report_records(matrix, ["t0", "t1"], ["r0", "r1"])[1] == \
+        "t0,r1,nan,0,0,error:DegenerateFingerprint"
+
+    # a .bpf holding a NaN reads back, but matching it is a degenerate result
+    support = np.ones((32, 32), bool)
+    write_fingerprint(Fingerprint(bad, support, "bad"), tmp_path / "bad.bpf")
+    write_fingerprint(Fingerprint(x, support, "good"), tmp_path / "good.bpf")
+    assert np.isnan(read_fingerprint(tmp_path / "bad.bpf").k_values[5, 7])
+    rc = main(["match", "--test", str(tmp_path / "bad.bpf"),
+               "--reference", str(tmp_path / "good.bpf")])
+    assert rc == 4
+
+
+def test_batch_match_cells_equal_standalone_pce():
+    tests = [unit_noise((24, 30), 20 + i) for i in range(3)]
+    refs = [np.roll(tests[0], (2, 5), axis=(0, 1)), unit_noise((24, 30), 30)]
+    config = PceConfig(exclusion_half_width=3)
+    matrix = batch_match(tests, refs, config, threshold=50.0)
+    for t, row in zip(tests, matrix):
+        for r, cell in zip(refs, row):
+            assert cell == pce(t, r, config, threshold=50.0)  # bit-identical
+    assert matrix[0][0].peak_offset == (5, 2)
+
+
+def test_batch_match_error_types_and_precedence():
+    good = unit_noise((32, 32), 15)
+    zero = np.zeros((32, 32))
+    small = unit_noise((16, 16), 16)
+    tiny = unit_noise((8, 8), 17)
+    matrix = batch_match([good, zero, tiny, np.zeros((8, 8))],
+                         [good, small, tiny, zero])
+    expected = [
+        [MatchReport, DimensionMismatch, DimensionMismatch, DegenerateFingerprint],
+        # a degenerate test still reports a shape mismatch first
+        [DegenerateFingerprint, DimensionMismatch, DimensionMismatch,
+         DegenerateFingerprint],
+        # the 11x11 window covers an 8x8 plane
+        [DimensionMismatch, DimensionMismatch, DimensionMismatch,
+         DimensionMismatch],
+        # degeneracy is checked before the window size
+        [DimensionMismatch, DimensionMismatch, DegenerateFingerprint,
+         DimensionMismatch],
+    ]
+    assert [[type(cell) for cell in row] for row in matrix] == expected
+    for t, row in zip([good, zero, tiny, np.zeros((8, 8))], matrix):
+        for r, cell in zip([good, small, tiny, zero], row):
+            if isinstance(cell, Exception):
+                with pytest.raises(type(cell)):
+                    pce(t, r)
+    # every error cell is its own exception object
+    assert matrix[1][0] is not matrix[1][3]
+
+
+class CountingFft:
+    """Wraps the FFT module `matching` uses and counts forward transforms."""
+
+    def __init__(self, module):
+        self.module = module
+        self.forward = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.module, name)
+        if name not in ("fft2", "rfft2", "fftn", "rfftn"):
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.forward += 1
+            return attr(x, *args, **kwargs)
+        return counted
+
+
+def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
+    counter = CountingFft(matching.sfft)
+    monkeypatch.setattr(matching, "sfft", counter)
+    tests = [unit_noise((20, 24), 40 + i) for i in range(3)]
+    refs = [unit_noise((20, 24), 50 + i) for i in range(4)]
+    matrix = batch_match(tests, refs)
+    assert all(isinstance(cell, MatchReport) for row in matrix for cell in row)
+    assert counter.forward == 3 + 3 * 4
+    counter.forward = 0
+    pce(tests[0], refs[0])
+    assert counter.forward == 2
