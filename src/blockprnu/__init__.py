@@ -22,7 +22,7 @@ from .errors import (AllMaskedOut, BitstreamExhausted, BlockPrnuError,
                      EmptyInput, InsufficientData, InsufficientFrames,
                      MalformedStream, MissingAnchor, MissingKey,
                      MissingParameterSet, RangeError, SchemaError,
-                     TruncatedUnit, UnsupportedProfile, UnsupportedTransform)
+                     TruncatedUnit, UnsupportedProfile)
 from .evaluation import (BPP_GROUP_EDGES, ExperimentGrid, GridVideo,
                          RocCurve, ThresholdTable, format_ratio,
                          group_labels_for_edges, improvement_ratios, roc,
@@ -33,19 +33,32 @@ from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
 from .noise import (DenoiseConfig, NoiseResidual, Picture, denoise,
                     extract_residual, read_yuv420, saturation_mask,
                     wiener_adaptive, write_yuv420, zero_mean_rows_cols)
-from .prnu import (Fingerprint, FingerprintAccumulator,
-                   apply_inverse_transform, estimate_fingerprint, finalize,
-                   fingerprint_from_residuals, read_fingerprint,
+from .prnu import (Fingerprint, FingerprintAccumulator, estimate_fingerprint,
+                   finalize, fingerprint_from_residuals, read_fingerprint,
                    residual_extractor, write_fingerprint)
-from .simulator import (CodecConfig, EncodeResult, SensorModel, encode_block,
-                        encode_sequence, oracle_weight_d, simulate_capture,
-                        synthetic_clean_frames)
 from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, FrameBlockMap,
-                    RdCost, TraceFile, bits_per_pixel, lambda_grid,
-                    lambda_of_qp, lambda_rate, skipped_block_rate)
+                    TraceFile, bits_per_pixel, lambda_grid, lambda_of_qp,
+                    lambda_rate, skipped_block_rate)
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP,
                         TABLE_SCHEMES, SchemeConfig, WeightTable, build_mask,
                         mask_lambda_rate, mask_qp, mask_skip_eliminate,
                         paint_blocks)
 
 __version__ = "0.1.0"
+
+# The simulator is the one module that needs scipy. Its names resolve on
+# first use, so the analysis path imports on numpy alone.
+_SIMULATOR_NAMES = ("CodecConfig", "EncodeResult", "SensorModel",
+                    "encode_block", "encode_sequence", "oracle_weight_d",
+                    "simulate_capture", "synthetic_clean_frames")
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATOR_NAMES))

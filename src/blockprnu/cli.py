@@ -28,7 +28,7 @@ from .errors import (AllMaskedOut, BitstreamExhausted, ConfigError,
                      InsufficientData, InsufficientFrames, MalformedStream,
                      MissingAnchor, MissingKey, MissingParameterSet,
                      RangeError, SchemaError, TruncatedUnit,
-                     UnsupportedProfile, UnsupportedTransform)
+                     UnsupportedProfile)
 from .evaluation import (BPP_GROUP_EDGES, GridVideo, format_ratio,
                          improvement_ratios, run_grid, scheme_mean_pce,
                          threshold_table)
@@ -37,8 +37,6 @@ from .matching import (DEFAULT_THRESHOLD, PceConfig, format_report_records,
 from .noise import DenoiseConfig, read_yuv420, write_yuv420
 from .prnu import (Fingerprint, estimate_fingerprint, read_fingerprint,
                    write_fingerprint)
-from .simulator import (CodecConfig, SensorModel, encode_sequence,
-                        simulate_capture, synthetic_clean_frames)
 from .trace import (BLOCK_TYPES, TraceFile, bits_per_pixel,
                     skipped_block_rate)
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP,
@@ -50,8 +48,7 @@ EXIT_DEGENERATE = 4
 
 _INPUT_ERRORS = (SchemaError, CoverageGap, RangeError, MalformedStream,
                  TruncatedUnit, BitstreamExhausted, MissingParameterSet,
-                 UnsupportedProfile, MissingKey, DimensionMismatch,
-                 UnsupportedTransform, OSError)
+                 UnsupportedProfile, MissingKey, DimensionMismatch, OSError)
 _DEGENERATE_ERRORS = (EmptyInput, EmptyAccumulator, AllMaskedOut,
                       DegenerateFingerprint, MissingAnchor, InsufficientData,
                       InsufficientFrames, EmptyBucket)
@@ -85,6 +82,10 @@ def _resolve_workers(value: int | None) -> int:
         if value < 1:
             raise ConfigError("BLOCKPRNU_WORKERS must be at least 1")
         return value
+    # the CPUs this process may run on, not the host's, under taskset or
+    # a cpuset; sched_getaffinity is missing on macOS and Windows
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -226,6 +227,9 @@ def cmd_match(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported here: the simulator is the only module that needs scipy
+    from .simulator import (CodecConfig, SensorModel, encode_sequence,
+                            simulate_capture, synthetic_clean_frames)
     if (args.qp is None) == (args.target_bits is None):
         raise ConfigError("set exactly one of --qp / --target-bits")
     model = SensorModel.random(args.height, args.width,

@@ -64,10 +64,6 @@ class AllMaskedOut(BlockPrnuError):
     """No pixel survived masking; there is nothing to estimate."""
 
 
-class UnsupportedTransform(BlockPrnuError):
-    """Only the identity geometric transform is implemented."""
-
-
 # ---------- matching ----------
 
 class DegenerateFingerprint(BlockPrnuError):

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AllMaskedOut, ConfigError, DimensionMismatch,
-                     EmptyAccumulator, SchemaError, UnsupportedTransform)
+                     EmptyAccumulator, SchemaError)
 from .noise import (DenoiseConfig, NoiseResidual, Picture, extract_residual,
                     saturation_mask)
 from .trace import FrameBlockMap
@@ -119,24 +119,6 @@ def finalize(acc: FingerprintAccumulator,
         if energy > 0:
             k /= energy
     return Fingerprint(k_values=k, support=support, source_id=source_id)
-
-
-def apply_inverse_transform(values: np.ndarray, transform) -> np.ndarray:
-    """Undo a geometric transform before matching.
-
-    Only the identity is implemented; anything else (stabilization, affine
-    warps) is deliberately out of scope and rejected.
-    """
-    if transform is None or (isinstance(transform, str) and transform == "identity"):
-        return values
-    if isinstance(transform, np.ndarray):
-        if transform.shape == (2, 3) and np.array_equal(
-                transform, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])):
-            return values
-        if transform.shape == (3, 3) and np.array_equal(transform, np.eye(3)):
-            return values
-    raise UnsupportedTransform(f"only the identity transform is supported, "
-                               f"got {transform!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,20 +47,6 @@ class BlockRecord:
                              f"{self.frame_idx} block ({self.mb_x},{self.mb_y})")
 
 
-@dataclass(frozen=True)
-class RdCost:
-    """Rate-distortion cost parts for one block.
-
-    distortion and j_value are only known on the encoder side (the
-    simulator); a decoder sees rate and lambda only.
-    """
-    lambda_value: float
-    rate_bits: int
-    lambda_rate: float
-    distortion: float | None = None
-    j_value: float | None = None
-
-
 def lambda_of_qp(qp: int | float) -> float:
     """Lagrange multiplier for a quantization parameter.
 

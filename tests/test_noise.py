@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import correlate1d, uniform_filter
 
 from blockprnu import (
     ConfigError,
@@ -13,11 +14,12 @@ from blockprnu import (
     extract_residual,
     read_yuv420,
     saturation_mask,
+    wiener_adaptive,
     write_yuv420,
     zero_mean_rows_cols,
 )
 from blockprnu.noise import (_DEC_HI, _DEC_LO, _dwt_axis, _idwt_axis,
-                             wavedec2, waverec2)
+                             wavedec2, waverec2, wiener_spatial)
 
 
 def reference_dwt_axis(x, axis):
@@ -63,6 +65,100 @@ def test_dwt_kernels_match_reference(half, other, axis, seed):
     want = reference_idwt_axis(lo, hi, axis)
     assert got.shape == want.shape == shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# The scipy.ndimage kernels the package used before its numpy ones. They
+# stay here as oracles: the package itself imports no scipy.
+
+def scipy_dwt_axis(x, axis):
+    even = np.arange(0, x.shape[axis], 2)
+    return tuple(correlate1d(x, f, axis, mode="wrap", origin=-4).take(even, axis)
+                 for f in (_DEC_LO, _DEC_HI))
+
+
+def scipy_idwt_axis(lo, hi, axis):
+    phases = [sum(correlate1d(band, f[r::2][::-1], axis, mode="wrap", origin=1)
+                  for band, f in ((lo, _DEC_LO), (hi, _DEC_HI)))
+              for r in (0, 1)]
+    shape = list(lo.shape)
+    shape[axis] *= 2
+    return np.stack(phases, axis=axis + 1).reshape(shape)
+
+
+def scipy_wiener_adaptive(coeffs, noise_var, windows=(3, 5, 7, 9)):
+    signal_var = None
+    sq = coeffs * coeffs
+    for w in windows:
+        est = np.maximum(uniform_filter(sq, w, mode="reflect") - noise_var, 0.0)
+        signal_var = est if signal_var is None else np.minimum(signal_var, est)
+    return coeffs * signal_var / (signal_var + noise_var)
+
+
+def scipy_wiener_spatial(x, noise_var, size=3):
+    local_mean = uniform_filter(x, size, mode="reflect")
+    local_sq = uniform_filter(x * x, size, mode="reflect")
+    local_var = np.maximum(local_sq - local_mean * local_mean, 0.0)
+    signal_var = np.maximum(local_var - noise_var, 0.0)
+    return local_mean + (x - local_mean) * signal_var / (signal_var + noise_var)
+
+
+def scipy_residual(luma, noise_var=3.0, levels=4):
+    """extract_residual of the wavelet path, built from the scipy kernels."""
+    x = luma.astype(np.float64)
+    cur, details = x, []
+    for _ in range(levels):
+        if cur.shape[0] % 2 or cur.shape[1] % 2:
+            break
+        lo, hi = scipy_dwt_axis(cur, 1)
+        cur, lh = scipy_dwt_axis(lo, 0)
+        hl, hh = scipy_dwt_axis(hi, 0)
+        details.append(tuple(scipy_wiener_adaptive(b, noise_var)
+                             for b in (lh, hl, hh)))
+    noise = np.zeros_like(cur)
+    for lh, hl, hh in reversed(details):
+        lo = scipy_idwt_axis(noise, lh, 0)
+        hi = scipy_idwt_axis(hl, hh, 0)
+        noise = scipy_idwt_axis(lo, hi, 1)
+    return zero_mean_rows_cols(x - (x - noise))
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(1, 40), w=st.integers(1, 40), stack=st.integers(1, 3),
+       scale=st.sampled_from([0.1, 1.0, 3.0, 30.0]),
+       windows=st.sampled_from([(3, 5, 7, 9), (3,), (1, 9), (5, 11)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_wiener_filters_match_uniform_filter_oracle(h, w, stack, scale,
+                                                    windows, seed):
+    # every plane size from 1x1 up, including planes smaller than the 9x9
+    # window, where the reflection wraps more than once; one call on a
+    # stack of subbands equals one call per subband
+    rng = np.random.default_rng(seed)
+    coeffs = scale * rng.normal(size=(stack, h, w))
+    got = wiener_adaptive(coeffs, 3.0, windows)
+    assert got.shape == coeffs.shape
+    for band, out in zip(coeffs, got):
+        want = scipy_wiener_adaptive(band, 3.0, windows)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(band))
+    pixels = np.clip(128 + scale * 4 * rng.normal(size=(h, w)), 0, 255)
+    want = scipy_wiener_spatial(pixels, 3.0)
+    assert np.max(np.abs(wiener_spatial(pixels, 3.0) - want)) <= 1e-12 * 255
+
+
+def test_wiener_rejects_even_windows():
+    with pytest.raises(ConfigError):
+        wiener_adaptive(np.ones((8, 8)), 3.0, (3, 4))
+    with pytest.raises(ConfigError):
+        wiener_spatial(np.ones((8, 8)), 3.0, size=2)
+
+
+def test_720p_residual_matches_scipy_kernels():
+    rng = np.random.default_rng(12)
+    yy, xx = np.mgrid[0:720, 0:1280]
+    scene = 128 + 60 * np.sin(xx / 97.0) * np.cos(yy / 61.0)
+    luma = np.clip(np.rint(scene + 6 * rng.normal(size=scene.shape)), 0, 255)
+    luma = luma.astype(np.uint8)
+    got = extract_residual(Picture(luma=luma)).values
+    assert np.max(np.abs(got - scipy_residual(luma))) <= 1e-12
 
 
 def test_constant_frame_gives_degenerate_zero_residual():

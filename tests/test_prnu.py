@@ -14,8 +14,6 @@ from blockprnu import (
     Picture,
     SchemeConfig,
     SensorModel,
-    UnsupportedTransform,
-    apply_inverse_transform,
     estimate_fingerprint,
     finalize,
     fingerprint_from_residuals,
@@ -182,20 +180,6 @@ def test_estimate_worker_count_does_not_change_result():
                                workers=2)
     assert np.array_equal(one.k_values, two.k_values)
     assert np.array_equal(one.support, two.support)
-
-
-def test_inverse_transform_identity_only():
-    x = np.arange(12.0).reshape(3, 4)
-    assert apply_inverse_transform(x, None) is x
-    assert apply_inverse_transform(x, "identity") is x
-    assert apply_inverse_transform(
-        x, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])) is x
-    assert apply_inverse_transform(x, np.eye(3)) is x
-    with pytest.raises(UnsupportedTransform):
-        apply_inverse_transform(x, "affine")
-    with pytest.raises(UnsupportedTransform):
-        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        apply_inverse_transform(x, rot)
 
 
 def test_fingerprint_file_round_trip(tmp_path):

@@ -1,12 +1,17 @@
 """Checks that run the package in a fresh interpreter: validation under
-`python -O`, and the demos that exercise matching."""
+`python -O`, the demos that exercise matching, and an analysis path that
+imports no scipy."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from blockprnu.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,3 +67,118 @@ def test_matching_demo_runs(demo):
                           cwd=ROOT, env=_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+SIMULATOR_NAMES = ["CodecConfig", "EncodeResult", "SensorModel",
+                   "encode_block", "encode_sequence", "oracle_weight_d",
+                   "simulate_capture", "synthetic_clean_frames"]
+
+SCIPY_MODULES = ("sorted(m for m in sys.modules "
+                 "if m.partition('.')[0] == 'scipy')")
+
+
+def _python(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args], env=_env(),
+                          capture_output=True, text=True, timeout=300,
+                          check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    out = _python(f"import sys, blockprnu.cli; print({SCIPY_MODULES})")
+    assert out.strip() == "[]"
+
+
+# Runs `python -m blockprnu.cli ARGS` once per argument list in argv[1],
+# in one interpreter, then prints the scipy modules that got loaded.
+ANALYSIS_RUNS = f"""
+import json, runpy, sys
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["blockprnu"] + argv
+    try:
+        runpy.run_module("blockprnu.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code in (0, None), (argv, exc.code)
+print({SCIPY_MODULES})
+"""
+
+
+def test_analysis_commands_run_without_scipy(tmp_path):
+    # the simulator (which needs scipy) runs here; every analysis command
+    # then runs in a fresh interpreter that must never import scipy
+    for name, seed, qp in (("ref", 1, 18), ("v15", 2, 15), ("v28", 3, 28)):
+        assert main(["simulate", "--width", "64", "--height", "64",
+                     "--frames", "6", "--seed", "5", "--content-seed",
+                     str(seed), "--qp", str(qp),
+                     "--out-prefix", str(tmp_path / name)]) == 0
+    (tmp_path / "calib.csv").write_text("cam,v15.yuv,v15.trace,15\n"
+                                        "cam,v28.yuv,v28.trace,28\n")
+    (tmp_path / "eval.csv").write_text("v15,cam,v15.yuv,v15.trace\n"
+                                       "v28,cam,v28.yuv,v28.trace\n")
+    t = str(tmp_path)
+    runs = [
+        ["inspect", f"{t}/ref.trace", "--out", f"{t}/inspect.txt"],
+        ["estimate", "--frames", f"{t}/ref.yuv", "--trace", f"{t}/ref.trace",
+         "--scheme", "conventional", "--source-id", "cam",
+         "--out", f"{t}/refs/cam.bpf", "--workers", "1"],
+        ["match", "--test", f"{t}/ref.true.bpf",
+         "--reference", f"{t}/refs/cam.bpf", "--out", f"{t}/match.txt"],
+        ["calibrate", "--mode", "qp", "--manifest", f"{t}/calib.csv",
+         "--references", f"{t}/refs", "--out", f"{t}/qp.wt",
+         "--workers", "1"],
+        ["evaluate", "--manifest", f"{t}/eval.csv", "--references",
+         f"{t}/refs", "--schemes", "conventional,qp_noskip",
+         "--qp-noskip-table", f"{t}/qp.wt", "--out-prefix", f"{t}/grid",
+         "--workers", "1"],
+    ]
+    out = _python(ANALYSIS_RUNS, json.dumps(runs))
+    assert out.strip() == "[]"
+    for name in ("inspect.txt", "match.txt", "qp.wt", "grid.table.txt"):
+        assert (tmp_path / name).stat().st_size > 0
+
+
+def test_simulator_names_resolve_on_first_use():
+    out = _python(f"""
+import sys
+import blockprnu
+def scipy_loaded():
+    return bool({SCIPY_MODULES})
+names = {SIMULATOR_NAMES!r}
+print(scipy_loaded(), all(n in dir(blockprnu) for n in names))
+from blockprnu import SensorModel
+from blockprnu import simulator
+print(scipy_loaded(), SensorModel is simulator.SensorModel,
+      all(getattr(blockprnu, n) is getattr(simulator, n) for n in names))
+try:
+    blockprnu.no_such_name
+except AttributeError as exc:
+    print(type(exc).__name__)
+""")
+    assert out.split() == ["False", "True", "True", "True", "True",
+                           "AttributeError"]
+
+
+# sha256 of what `simulate` wrote before the simulator import moved into
+# cmd_simulate; the simulator itself did not change
+SIMULATE_DIGESTS = {
+    "q.yuv": "1675f69ab7e1884e08a92d6ece81c8d67e0b7a89518ed2760adf4df59fae0a74",
+    "q.trace": "b4da9d11b6d7d5f0d0e898a03cc474ccbc91a8cc052c3e07c6000888ee9abf6f",
+    "q.true.bpf": "975ed2a79c72f8ea6f023f6ba74130bac579191dda29dfc1630204b7b2f9c78b",
+    "q.out": "acceb28c0d9a9623833a3129a3c52cb952359133afa9ec5abb2eb106db9cf505",
+    "r.yuv": "f74240a5e040451613c5792a5de5f8386fa47ea7300237f5a992df8c092fc353",
+    "r.trace": "d3cc65d3107374f98629de929b7ede4e0809fc0672e28ad156dbeabc077039a6",
+    "r.true.bpf": "c77b59a37235687792130353665e9d40a229813883eafca067c87399a8503e36",
+    "r.out": "1da668a389473be2e8c6a2943fc2f656504d0cf8df4e798bef7f4518f0dcb8ae",
+}
+
+
+def test_simulate_writes_the_pinned_bytes(tmp_path):
+    common = ["simulate", "--width", "48", "--height", "32", "--frames", "6"]
+    assert main(common + ["--seed", "3", "--qp", "30", "--out-prefix",
+                          str(tmp_path / "q"), "--out",
+                          str(tmp_path / "q.out")]) == 0
+    assert main(common + ["--seed", "4", "--target-bits", "900", "--gop",
+                          "3", "--out-prefix", str(tmp_path / "r"), "--out",
+                          str(tmp_path / "r.out")]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in SIMULATE_DIGESTS}
+    assert got == SIMULATE_DIGESTS
