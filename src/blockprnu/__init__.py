@@ -35,7 +35,7 @@ from .noise import (DenoiseConfig, NoiseResidual, Picture, denoise,
                     wiener_adaptive, write_yuv420, zero_mean_rows_cols)
 from .prnu import (Fingerprint, FingerprintAccumulator, estimate_fingerprint,
                    finalize, fingerprint_from_residuals, read_fingerprint,
-                   residual_extractor, write_fingerprint)
+                   residual_extractor, resolve_workers, write_fingerprint)
 from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, FrameBlockMap,
                     TraceFile, bits_per_pixel, lambda_grid, lambda_of_qp,
                     lambda_rate, skipped_block_rate)

@@ -76,13 +76,19 @@ def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
         raise InsufficientFrames(f"{n} residuals vs {len(frame_maps)} maps")
     gh, gw = frame_maps[0].grid_h, frame_maps[0].grid_w
     h, w = gh * MACROBLOCK, gw * MACROBLOCK
+    # spliced frames keep the frame's shape: a ceil-sized grid's partial
+    # blocks are padded with zeros and cropped again, and pixels beyond a
+    # floor-sized grid stay zero, as in the masks
+    rh, rw = residuals[0].values.shape
+    ch, cw = min(h, rh), min(w, rw)
 
     lr = np.stack([m.lambda_rate for m in frame_maps])            # (n, gh, gw)
     if not include_skip:
         skip = np.stack([m.skip for m in frame_maps])
         lr = np.where(skip, np.inf, lr)
     blocks = np.stack([
-        r.values[:h, :w].reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
+        np.pad(r.values[:ch, :cw], ((0, h - ch), (0, w - cw)))
+        .reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
         for r in residuals
     ])                                                            # (n, gh, gw, 16, 16)
 
@@ -95,7 +101,8 @@ def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
 
     frames = []
     for j in range(n):
-        values = sorted_blocks[j].swapaxes(1, 2).reshape(h, w)
+        values = np.pad(sorted_blocks[j].swapaxes(1, 2).reshape(h, w)[:ch, :cw],
+                        ((0, rh - ch), (0, rw - cw)))
         fill_j = filled[j]
         mean_lr = float(sorted_lr[j][fill_j].mean()) if fill_j.any() else float("nan")
         frames.append(SplicedFrame(values=values, filled=fill_j,

@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .matching import (DEFAULT_THRESHOLD, PceConfig, format_report_records,
                        pce)
 from .noise import DenoiseConfig, read_yuv420, write_yuv420
 from .prnu import (Fingerprint, estimate_fingerprint, read_fingerprint,
-                   write_fingerprint)
+                   resolve_workers, write_fingerprint)
 from .trace import (BLOCK_TYPES, TraceFile, bits_per_pixel,
                     skipped_block_rate)
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP,
@@ -66,27 +65,6 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         _outpath(path).write_text(text)
-
-
-def _resolve_workers(value: int | None) -> int:
-    if value is not None:
-        if value < 1:
-            raise ConfigError("workers must be at least 1")
-        return value
-    env = os.environ.get("BLOCKPRNU_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"BLOCKPRNU_WORKERS={env!r} is not an integer") from exc
-        if value < 1:
-            raise ConfigError("BLOCKPRNU_WORKERS must be at least 1")
-        return value
-    # the CPUs this process may run on, not the host's, under taskset or
-    # a cpuset; sched_getaffinity is missing on macOS and Windows
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _denoise_config(args) -> DenoiseConfig:
@@ -194,7 +172,7 @@ def cmd_estimate(args, parser) -> int:
                               denoise_config=_denoise_config(args),
                               denominator_floor=args.floor,
                               source_id=source_id,
-                              workers=_resolve_workers(args.workers))
+                              workers=resolve_workers(args.workers))
     write_fingerprint(fp, _outpath(args.out))
     meta = {
         "denoise": args.denoise,
@@ -291,7 +269,7 @@ def cmd_calibrate(args) -> int:
                                   (v.camera_id for v in videos))
     denoise = _denoise_config(args)
     pce_config = _pce_config(args, args.search)
-    workers = _resolve_workers(args.workers)
+    workers = resolve_workers(args.workers)
     if args.mode == "qp":
         table, report = calibrate_qp(videos, references,
                                      include_skip=args.include_skip,
@@ -346,7 +324,7 @@ def cmd_evaluate(args, parser) -> int:
                     denoise_config=_denoise_config(args),
                     pce_config=_pce_config(args, args.search),
                     threshold=args.threshold,
-                    workers=_resolve_workers(args.workers))
+                    workers=resolve_workers(args.workers))
 
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -6,11 +6,19 @@ real-FFT product; PCE is the signed squared peak against the mean squared
 correlation outside an exclusion neighborhood around the peak. The ratio
 is invariant to scaling either input, so fingerprints never need to be
 re-normalized for matching.
+
+The plane is never held whole. The product spectrum is inverse-transformed
+along columns in place, then along rows one chunk of CHUNK_ROWS rows at a
+time; the peak and the per-row energies are read chunk by chunk, and the
+few rows of the exclusion window are transformed again once the peak is
+known. Every buffer lives in a per-thread `_Workspace` that serves all the
+pairs the thread computes.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 # one module-level FFT name, so that counters can wrap every transform
@@ -18,9 +26,10 @@ from numpy import fft as sfft
 
 from .errors import (BlockPrnuError, ConfigError, DegenerateFingerprint,
                      DimensionMismatch)
-from .prnu import Fingerprint
+from .prnu import Fingerprint, resolve_workers
 
 DEFAULT_THRESHOLD = 60.0
+CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,8 @@ class MatchReport:
 
 
 def _values(fp) -> np.ndarray:
-    return fp.k_values if isinstance(fp, Fingerprint) else np.asarray(fp, dtype=np.float64)
+    return np.asarray(fp.k_values if isinstance(fp, Fingerprint) else fp,
+                      dtype=np.float64)
 
 
 def _check_plane(a: np.ndarray) -> None:
@@ -58,19 +68,63 @@ def _check_plane(a: np.ndarray) -> None:
         raise DegenerateFingerprint("zero-energy fingerprint")
 
 
+class _Workspace:
+    """One thread's buffers for correlating planes of one shape: the
+    conjugated test spectrum, one product spectrum, a chunk of correlation
+    rows and the per-row energies. They are reallocated only when the
+    shape changes, so no pair allocates anything the size of a plane."""
+
+    def __init__(self):
+        self.shape = None
+
+    def fit(self, shape: tuple[int, int]) -> None:
+        if shape != self.shape:
+            h, w = shape
+            self.conj = np.empty((h, w // 2 + 1), dtype=np.complex128)
+            self.product = np.empty_like(self.conj)
+            self.chunk = np.empty((min(h, CHUNK_ROWS), w))
+            self.row_energy = np.empty(h)
+            self.shape = shape
+
+    def chunks(self):
+        """Yield (first row, rows) of the correlation plane, top to bottom.
+        Every chunk overwrites the one before."""
+        h, w = self.shape
+        step = len(self.chunk)
+        for r0 in range(0, h, step):
+            rows = self.chunk[:min(step, h - r0)]
+            # n= restores an odd width that the half spectrum cannot encode
+            sfft.irfft(self.product[r0:r0 + len(rows)], n=w, axis=1, out=rows)
+            yield r0, rows
+
+    def band(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """c[rows][:, cols], transforming only the given rows again."""
+        out = np.empty((rows.size, cols.size))
+        step = len(self.chunk)
+        for i in range(0, rows.size, step):
+            part = rows[i:i + step]
+            block = self.chunk[:part.size]
+            sfft.irfft(self.product[part], n=self.shape[1], axis=1, out=block)
+            out[i:i + part.size] = block[:, cols]
+        return out
+
+
 class _TestSpectrum:
     """A test plane, validated once, and its conjugated real spectrum.
 
     `batch_match` builds one per row and passes it to `pce` in place of
     the array, so a test is transformed once however many references it
-    meets. The spectrum is computed on the first correlation. A failed
-    validation is kept and raised anew by `pce` after its shape check, so
-    every cell keeps the error precedence of a standalone call.
+    meets. The spectrum is computed on the first correlation, into the
+    workspace given, which must not serve another test until this one is
+    done. A failed validation is kept and raised anew by `pce` after its
+    shape check, so every cell keeps the error precedence of a standalone
+    call.
     """
-    def __init__(self, test):
+    def __init__(self, test, workspace: _Workspace | None = None):
         self._values = _values(test)
         self.shape = self._values.shape
-        self._conj = None
+        self._workspace = _Workspace() if workspace is None else workspace
+        self._transformed = False
         try:
             _check_plane(self._values)
             self._error = None
@@ -81,28 +135,54 @@ class _TestSpectrum:
         if self._error is not None:
             raise type(self._error)(*self._error.args)
 
-    def correlate(self, reference: np.ndarray) -> np.ndarray:
-        if self._conj is None:
-            spectrum = sfft.rfft2(self._values)
-            self._conj = np.conjugate(spectrum, out=spectrum)
-        product = sfft.rfft2(reference)
-        product *= self._conj
-        # s= restores an odd width that the half spectrum cannot encode
-        return sfft.irfft2(product, s=self.shape)
+    def correlate(self, reference: np.ndarray) -> _Workspace:
+        """Leave the product spectrum with `reference`, inverse-transformed
+        along columns, in the workspace, ready for `chunks` and `band`."""
+        ws = self._workspace
+        if not self._transformed:
+            ws.fit(self.shape)
+            sfft.rfft2(self._values, out=ws.conj)
+            np.conjugate(ws.conj, out=ws.conj)
+            self._transformed = True
+        sfft.rfft2(reference, out=ws.product)
+        ws.product *= ws.conj
+        sfft.ifft(ws.product, axis=0, out=ws.product)
+        return ws
 
 
 def crosscorr(test: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """c[dy, dx] = sum_x test(x) * reference(x + (dy, dx)), cyclic."""
-    return _TestSpectrum(test).correlate(_values(reference))
+    ws = _TestSpectrum(test).correlate(_values(reference))
+    c = np.empty(ws.shape)
+    for r0, rows in ws.chunks():
+        c[r0:r0 + len(rows)] = rows
+    return c
 
 
-def _peak(c: np.ndarray) -> tuple[int, int]:
-    """(row, col) of the largest |c|, the first in flat order on a tie,
-    found from the extremes so no |c| plane is built."""
-    hi, lo = int(c.argmax()), int(c.argmin())
-    a_hi, a_lo = abs(c.flat[hi]), abs(c.flat[lo])
-    return divmod(hi if a_hi > a_lo or (a_hi == a_lo and hi < lo) else lo,
-                  c.shape[1])
+class _Peak:
+    """The largest |c| over the chunks of a plane, read from the extremes
+    so no |c| plane is built. The first maximum and the first minimum in
+    flat order are kept (strict > and < across chunks); of the two, the
+    larger magnitude wins, and the earlier one on a tie."""
+
+    def __init__(self):
+        self.hi = self.lo = None        # (value, flat index)
+
+    def update(self, rows: np.ndarray, start: int) -> None:
+        """Take in a chunk whose first cell has flat index `start`."""
+        i, j = int(rows.argmax()), int(rows.argmin())
+        if self.hi is None or rows.flat[i] > self.hi[0]:
+            self.hi = (rows.flat[i], start + i)
+        if self.lo is None or rows.flat[j] < self.lo[0]:
+            self.lo = (rows.flat[j], start + j)
+
+    def result(self) -> tuple[float, int]:
+        """(value, flat index) of the peak."""
+        (v_hi, i_hi), (v_lo, i_lo) = self.hi, self.lo
+        a_hi, a_lo = abs(v_hi), abs(v_lo)
+        if a_hi > a_lo or (a_hi == a_lo and i_hi < i_lo):
+            return float(v_hi), i_hi
+        return float(v_lo), i_lo
 
 
 def _window(center: int, half: int, n: int) -> np.ndarray:
@@ -112,22 +192,22 @@ def _window(center: int, half: int, n: int) -> np.ndarray:
     return (center + np.arange(-half, half + 1)) % n
 
 
-def _off_peak_energy(c: np.ndarray, py: int, px: int, half: int) -> float:
+def _off_peak_energy(ws: _Workspace, py: int, px: int, half: int) -> float:
     """Mean of c^2 outside the cyclic (2*half+1)^2 window around the peak.
 
-    Whole rows outside the window come from per-row sums of squares; the
-    window's rows contribute only their columns outside it. Only squares
-    outside the window are ever added, so a dominant peak cannot cancel
-    the off-peak energy away.
+    Whole rows outside the window come from the per-row sums of squares;
+    the window's rows, transformed again, contribute only their columns
+    outside it. Only squares outside the window are ever added, so a
+    dominant peak cannot cancel the off-peak energy away.
     """
-    h, w = c.shape
+    h, w = ws.shape
     rows, cols = _window(py, half, h), _window(px, half, w)
     keep_rows = np.ones(h, dtype=bool)
     keep_rows[rows] = False
     keep_cols = np.ones(w, dtype=bool)
     keep_cols[cols] = False
-    band = c[np.ix_(rows, np.flatnonzero(keep_cols))]
-    total = (np.einsum("ij,ij->i", c, c)[keep_rows].sum()
+    band = ws.band(rows, np.flatnonzero(keep_cols))
+    total = (ws.row_energy[keep_rows].sum()
              + np.einsum("ij,ij->", band, band))
     return float(total / (h * w - rows.size * cols.size))
 
@@ -149,10 +229,19 @@ def pce(test, reference, config: PceConfig = PceConfig(),
     half = config.exclusion_half_width
     if (2 * half + 1) ** 2 >= b.size:
         raise DimensionMismatch("exclusion neighborhood covers the whole plane")
-    c = t.correlate(b)
-    py, px = (0, 0) if config.search_window == "zero" else _peak(c)
-    peak = float(c[py, px])
-    energy = _off_peak_energy(c, py, px, half)
+    ws = t.correlate(b)
+    w = b.shape[1]
+    full = config.search_window == "full"
+    found = _Peak()
+    for r0, rows in ws.chunks():
+        np.einsum("ij,ij->i", rows, rows, out=ws.row_energy[r0:r0 + len(rows)])
+        if full:
+            found.update(rows, r0 * w)
+        elif r0 == 0:
+            origin = float(rows[0, 0])
+    peak, flat = found.result() if full else (origin, 0)
+    py, px = divmod(flat, w)
+    energy = _off_peak_energy(ws, py, px, half)
     if energy == 0.0:
         raise DegenerateFingerprint("flat correlation plane")
     value = float(np.sign(peak) * peak * peak / energy)
@@ -161,25 +250,44 @@ def pce(test, reference, config: PceConfig = PceConfig(),
                        threshold=threshold)
 
 
-def batch_match(tests: Sequence, references: Sequence,
+def batch_match(tests: Iterable, references: Iterable,
                 config: PceConfig = PceConfig(),
-                threshold: float = DEFAULT_THRESHOLD) -> list[list]:
+                threshold: float = DEFAULT_THRESHOLD,
+                workers: int | None = None) -> list[list]:
     """All-pairs matching; a failing pair stores its error in the matrix
     instead of aborting the rest.
 
     Each test is validated and transformed once for its whole row, so
-    T tests against R references take T + T*R forward FFTs.
+    T tests against R references take T + T*R forward FFTs. With n
+    workers (the argument, else BLOCKPRNU_WORKERS, else the CPUs this
+    process may run on) thread k takes rows k, k+n, ... with a workspace
+    of its own; numpy's FFTs and reductions release the GIL. The matrix
+    is the same at any worker count, and no thread outlives the call.
     """
-    matrix: list[list] = []
-    for t in tests:
-        spectrum = _TestSpectrum(t)
-        row = []
-        for r in references:
-            try:
-                row.append(pce(spectrum, r, config, threshold))
-            except BlockPrnuError as exc:
-                row.append(exc)
-        matrix.append(row)
+    n = resolve_workers(workers)
+    tests, references = list(tests), list(references)
+    n = max(1, min(n, len(tests)))
+
+    def rows(k: int) -> list[list]:
+        ws = _Workspace()
+        out = []
+        for t in tests[k::n]:
+            spectrum = _TestSpectrum(t, ws)
+            row = []
+            for r in references:
+                try:
+                    row.append(pce(spectrum, r, config, threshold))
+                except BlockPrnuError as exc:
+                    row.append(exc)
+            out.append(row)
+        return out
+
+    if n == 1:
+        return rows(0)
+    matrix: list[list] = [[] for _ in tests]
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        for k, part in enumerate(pool.map(rows, range(n))):
+            matrix[k::n] = part
     return matrix
 
 

@@ -12,6 +12,7 @@ evidence and are dropped from the support.
 """
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -170,6 +171,29 @@ def read_fingerprint(path: str | Path) -> Fingerprint:
 # ---------------------------------------------------------------------------
 # end-to-end estimation pipeline
 # ---------------------------------------------------------------------------
+
+def resolve_workers(value: int | None = None) -> int:
+    """Worker count: an explicit value, else BLOCKPRNU_WORKERS, else the
+    CPUs this process may run on."""
+    if value is not None:
+        if value < 1:
+            raise ConfigError("workers must be at least 1")
+        return value
+    env = os.environ.get("BLOCKPRNU_WORKERS")
+    if env:
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"BLOCKPRNU_WORKERS={env!r} is not an integer") from exc
+        if value < 1:
+            raise ConfigError("BLOCKPRNU_WORKERS must be at least 1")
+        return value
+    # the CPUs this process may run on, not the host's, under taskset or
+    # a cpuset; sched_getaffinity is missing on macOS and Windows
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 @contextmanager
 def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),

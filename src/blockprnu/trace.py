@@ -130,9 +130,24 @@ class FrameBlockMap:
         return out
 
 
+def _grid_extent(pixels: int, positions: Iterable[int]) -> int:
+    """Blocks along one axis: the whole blocks, plus the partial one at
+    the edge when the records reach into it, as a decoder logs it
+    (1080 rows give 68 macroblock rows)."""
+    whole = pixels // MACROBLOCK
+    if pixels % MACROBLOCK and max(positions, default=-1) >= whole:
+        return whole + 1
+    return whole
+
+
 @dataclass
 class TraceFile:
-    """Whole-video trace: pixel geometry plus every block record."""
+    """Whole-video trace: pixel geometry plus every block record.
+
+    The grid is floor-sized, or ceil-sized when the frame size is not a
+    multiple of 16 and the records cover the partial blocks; either way
+    every frame must cover it completely.
+    """
     width: int
     height: int
     frame_count: int
@@ -140,11 +155,11 @@ class TraceFile:
 
     @property
     def grid_w(self) -> int:
-        return self.width // MACROBLOCK
+        return _grid_extent(self.width, (r.mb_x for r in self.records))
 
     @property
     def grid_h(self) -> int:
-        return self.height // MACROBLOCK
+        return _grid_extent(self.height, (r.mb_y for r in self.records))
 
     def frames(self) -> list[FrameBlockMap]:
         """Split records into per-frame dense maps, validating coverage."""
@@ -154,7 +169,8 @@ class TraceFile:
                 raise SchemaError(f"record frame {rec.frame_idx} outside "
                                   f"0..{self.frame_count - 1}")
             buckets[rec.frame_idx].append(rec)
-        return [FrameBlockMap(i, self.grid_w, self.grid_h, b)
+        grid_w, grid_h = self.grid_w, self.grid_h
+        return [FrameBlockMap(i, grid_w, grid_h, b)
                 for i, b in enumerate(buckets)]
 
 

@@ -304,3 +304,34 @@ def test_calibrate_lambda_rate_worker_invariance(camera_setup, pool_spawns,
         outputs.append((path.read_bytes(), report))
     assert outputs[0] == outputs[1]
     assert pool_spawns == [2]  # one pool for both videos, none at workers=1
+
+
+def test_spliced_frames_keep_the_frame_shape():
+    # 24x40 frames: a 2x3 grid rounded up has a partial last block row and
+    # column, padded for the ranking and cropped again; a 1x2 floor grid
+    # leaves the pixels beyond it zero, so spliced frames still match a
+    # full-size reference
+    costs = [[[30, 5, 7], [1, 2, 3]], [[10, 50, 9], [3, 2, 1]]]
+    residuals = [NoiseResidual(values=residual_of([[t + 1.0] * 3] * 2)
+                               .values[:24, :40], frame_idx=t)
+                 for t in range(2)]
+
+    def maps(gh, gw):
+        return [FrameBlockMap(t, gw, gh,
+                              [BlockRecord(t, x, y, "P", 12, costs[t][y][x])
+                               for y in range(gh) for x in range(gw)])
+                for t in range(2)]
+
+    first = splice_by_lambda_rate(residuals, maps(2, 3)).frames[0].values
+    assert first.shape == (24, 40)
+    # rank 0 takes frame 1 at (0, 0) and (1, 2), frame 0 elsewhere
+    assert np.all(first[:16, :16] == 2.0)
+    assert np.all(first[16:, 32:] == 2.0)
+    assert np.all(first[16:, :16] == 1.0)
+    assert np.all(first[:16, 32:] == 1.0)
+
+    first = splice_by_lambda_rate(residuals, maps(1, 2)).frames[0].values
+    assert first.shape == (24, 40)
+    assert np.all(first[:16, :16] == 2.0)
+    assert np.all(first[:16, 16:32] == 1.0)
+    assert not first[16:].any() and not first[:, 32:].any()

@@ -246,17 +246,17 @@ def test_workers_env_var(sim, tmp_path, monkeypatch):
 def test_default_workers_follow_cpu_affinity(monkeypatch):
     # under taskset or a cpuset the affinity mask, not the host, sets the
     # default; platforms without sched_getaffinity fall back to cpu_count
-    from blockprnu.cli import _resolve_workers
+    from blockprnu.prnu import resolve_workers
     monkeypatch.delenv("BLOCKPRNU_WORKERS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
                         raising=False)
-    assert _resolve_workers(None) == 2
-    assert _resolve_workers(5) == 5
+    assert resolve_workers(None) == 2
+    assert resolve_workers(5) == 5
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _resolve_workers(None) == 64
+    assert resolve_workers(None) == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _resolve_workers(None) == 1
+    assert resolve_workers(None) == 1
 
 
 @pytest.fixture(scope="module")

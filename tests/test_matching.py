@@ -1,5 +1,11 @@
 """Peak-to-correlation-energy matching."""
 
+import os
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +28,7 @@ from blockprnu import (
 )
 from blockprnu import matching
 from blockprnu.cli import main
-from blockprnu.matching import _peak
+from blockprnu.matching import _Peak
 
 
 def unit_noise(shape, seed):
@@ -232,17 +238,28 @@ def test_pce_matches_reference(h, w, half, kind, shift, search, seed):
         assert report.peak_offset == (sx, sy)
 
 
+def peak_of(plane, chunk_rows):
+    """(row, col) of the peak, fed to the tracker chunk_rows rows at a time."""
+    found = _Peak()
+    w = plane.shape[1]
+    for r0 in range(0, plane.shape[0], chunk_rows):
+        found.update(plane[r0:r0 + chunk_rows], r0 * w)
+    return divmod(found.result()[1], w)
+
+
 def test_peak_tie_goes_to_first_flat_index():
-    c = np.zeros((4, 5))
-    c[1, 2] = -3.0
-    c[2, 4] = 3.0
-    assert _peak(c) == (1, 2)
-    assert _peak(-c) == (1, 2)
-    c[0, 3] = 3.0
-    assert _peak(c) == (0, 3)
-    for plane in (c, -c, np.full((3, 3), 2.0), np.full((3, 3), -2.0)):
-        assert _peak(plane) == np.unravel_index(np.abs(plane).argmax(),
-                                                plane.shape)
+    # one row per chunk puts each extreme of a tie in a chunk of its own
+    for chunk_rows in (1, 2, 4):
+        c = np.zeros((4, 5))
+        c[1, 2] = -3.0
+        c[2, 4] = 3.0
+        assert peak_of(c, chunk_rows) == (1, 2)
+        assert peak_of(-c, chunk_rows) == (1, 2)
+        c[0, 3] = 3.0
+        assert peak_of(c, chunk_rows) == (0, 3)
+        for plane in (c, -c, np.full((3, 3), 2.0), np.full((3, 3), -2.0)):
+            assert peak_of(plane, chunk_rows) == np.unravel_index(
+                np.abs(plane).argmax(), plane.shape)
 
 
 def test_non_finite_fingerprint_is_degenerate(tmp_path):
@@ -310,11 +327,14 @@ def test_batch_match_error_types_and_precedence():
 
 
 class CountingFft:
-    """Wraps the FFT module `matching` uses and counts forward transforms."""
+    """Wraps the FFT module `matching` uses and counts forward transforms.
+    The count is locked: `+=` on an attribute can lose a count between
+    threads."""
 
     def __init__(self, module):
         self.module = module
         self.forward = 0
+        self.lock = threading.Lock()
 
     def __getattr__(self, name):
         attr = getattr(self.module, name)
@@ -322,7 +342,8 @@ class CountingFft:
             return attr
 
         def counted(x, *args, **kwargs):
-            self.forward += 1
+            with self.lock:
+                self.forward += 1
             return attr(x, *args, **kwargs)
         return counted
 
@@ -336,5 +357,164 @@ def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
     assert all(isinstance(cell, MatchReport) for row in matrix for cell in row)
     assert counter.forward == 3 + 3 * 4
     counter.forward = 0
+    assert batch_match(tests, refs, workers=2) == matrix
+    assert counter.forward == 3 + 3 * 4
+    counter.forward = 0
     pce(tests[0], refs[0])
     assert counter.forward == 2
+
+
+# ---------------------------------------------------------------------------
+# the chunked core and the threaded batch
+# ---------------------------------------------------------------------------
+
+def assert_batch_is_standalone(tests, refs, config):
+    """batch_match at 1, 2 and 3 workers equals standalone pce, bit for bit,
+    and errors keep their types."""
+    expected = []
+    for t in tests:
+        row = []
+        for r in refs:
+            try:
+                row.append(pce(t, r, config))
+            except (DimensionMismatch, DegenerateFingerprint) as exc:
+                row.append(type(exc))
+        expected.append(row)
+    for workers in (1, 2, 3):
+        matrix = batch_match(tests, refs, config, workers=workers)
+        assert [[type(c) if isinstance(c, Exception) else c for c in row]
+                for row in matrix] == expected
+    return expected
+
+
+@pytest.mark.parametrize("shape", [(1, 31), (63, 37), (64, 33), (65, 45),
+                                   (130, 29)])
+@pytest.mark.parametrize("search", ["full", "zero"])
+def test_batch_match_equals_pce_across_workers_and_chunks(shape, search):
+    # peaks in the first, a middle and the last chunk of 64 rows; windows
+    # that straddle a chunk boundary (rows 59-69) and wrap across the plane
+    # edge, which puts the window rows in the first and the last chunk
+    h, w = shape
+    half = 1 if h == 1 else 5
+    config = PceConfig(exclusion_half_width=half, search_window=search)
+    t0, t1 = unit_noise(shape, 60), unit_noise(shape, 61)
+    shifts = sorted({(dy % h, dx % w) for dy, dx in
+                     [(0, 0), (64, 3), (h - 1, w - 2), (h - 2, 1), (1, w // 2)]})
+    refs = [np.roll(t0, s, axis=(0, 1)) + 0.3 * unit_noise(shape, 62 + i)
+            for i, s in enumerate(shifts)] + [unit_noise(shape, 70)]
+    expected = assert_batch_is_standalone([t0, t1, -t0, t0[::-1]], refs,
+                                          config)
+    if search == "full":
+        assert [cell.peak_offset for cell in expected[0][:len(shifts)]] == \
+            [(dx, dy) for dy, dx in shifts]
+        assert [cell.pce < 0 for cell in expected[2][:len(shifts)]] == \
+            [True] * len(shifts)
+    else:
+        assert all(cell.peak_offset == (0, 0) for cell in expected[0])
+
+
+def test_pce_tie_across_chunks_goes_to_first_flat_index():
+    # a delta test makes the plane the reference itself: +3 and -3 in the
+    # first and the second chunk of 64 rows, exactly tied
+    test = np.zeros((130, 29))
+    test[0, 0] = 1.0
+    ref = np.zeros((130, 29))
+    ref[100, 9] = 0.5
+    for first, second in ((3.0, -3.0), (-3.0, 3.0)):
+        ref[2, 4], ref[70, 4] = first, second
+        c = crosscorr(test, ref)
+        assert c.max() == -c.min()            # the tie survives the FFT
+        expected = assert_batch_is_standalone([test], [ref], PceConfig())
+        assert expected[0][0].peak_offset == (4, 2)
+        assert np.sign(expected[0][0].pce) == np.sign(first)
+
+
+def test_batch_match_errors_at_any_worker_count():
+    good = unit_noise((32, 32), 15)
+    zero = np.zeros((32, 32))
+    tests = [good, zero, unit_noise((8, 8), 17), np.zeros((8, 8)), good]
+    refs = [good, unit_noise((16, 16), 16), unit_noise((8, 8), 17), zero]
+    first = batch_match(tests, refs, workers=1)
+    errors = [cell for row in first for cell in row
+              if isinstance(cell, Exception)]
+    assert len(errors) == 18
+    for workers in (2, 3):
+        matrix = batch_match(tests, refs, workers=workers)
+        assert [[type(c) for c in row] for row in matrix] == \
+            [[type(c) for c in row] for row in first]
+        cells = [cell for row in matrix for cell in row]
+        # every error cell is its own exception object
+        assert len({id(c) for c in cells}) == len(cells)
+        assert [str(c) for c in cells] == [str(c) for row in first for c in row]
+
+
+def test_batch_match_threads_under_fast_switching():
+    # more threads than cores, switching every microsecond: a workspace or
+    # a row shared between threads would show as a changed cell
+    tests = [unit_noise((70, 33), 100 + i) for i in range(6)]
+    refs = [np.roll(tests[i], (i, 2 * i), axis=(0, 1)) for i in range(3)]
+    expected = batch_match(tests, refs, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert batch_match(tests, refs, workers=4) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_batch_match_worker_count(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(matching, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.delenv("BLOCKPRNU_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    tests = [unit_noise((24, 30), 90 + i) for i in range(5)]
+    refs = [np.roll(tests[1], (3, 4), axis=(0, 1)), unit_noise((24, 30), 99)]
+    threads = threading.active_count()
+
+    expected = batch_match(tests, refs, workers=1)
+    assert pools == []                          # one worker runs inline
+    assert batch_match(tests, refs) == expected
+    assert pools == [3]                         # the affinity mask
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "2")
+    assert batch_match(tests, refs) == expected
+    assert pools == [3, 2]
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
+    assert batch_match(tests, refs) == expected
+    assert pools == [3, 2]
+    # an explicit count wins, and no more threads than rows are started
+    assert batch_match((t for t in tests), iter(refs), workers=9) == expected
+    assert pools == [3, 2, 5]
+    assert threading.active_count() == threads  # no thread outlives a call
+
+    with pytest.raises(ConfigError):
+        batch_match(tests, refs, workers=0)
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "0")
+    with pytest.raises(ConfigError):
+        batch_match(tests, refs)
+
+
+def test_no_pair_allocates_a_plane():
+    h, w = 256, 250
+    plane = 8 * h * w
+    workspace = 2 * 16 * h * (w // 2 + 1) + 8 * 64 * w + 8 * h
+    tests = [unit_noise((h, w), 80), unit_noise((h, w), 81)]
+    refs = [unit_noise((h, w), 82 + i) for i in range(4)]
+    batch_match(tests, refs[:1], workers=2)     # FFT plans and thread start-up
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            batch_match(tests, refs, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one workspace per thread; a plane-sized array per pair would add
+        # at least `plane` on top
+        assert peak < workers * workspace + plane // 2

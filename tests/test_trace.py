@@ -6,9 +6,11 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from blockprnu import (BlockRecord, FrameBlockMap, TraceFile, bits_per_pixel,
+from blockprnu import (ALL_SCHEMES, BlockRecord, FrameBlockMap, SchemeConfig,
+                       TraceFile, WeightTable, bits_per_pixel, build_mask,
                        lambda_grid, lambda_of_qp, lambda_rate,
                        skipped_block_rate)
+from blockprnu.bitstream import load_trace_text, serialize_trace
 from blockprnu.errors import CoverageGap, EmptyInput, RangeError, SchemaError
 from conftest import grid_records
 
@@ -158,3 +160,71 @@ def test_bits_per_pixel_fixture_four_tenths():
     tf = TraceFile(width=128, height=128, frame_count=2, records=recs)
     assert sum(r.bits for r in tf.records) == 13107
     assert abs(bits_per_pixel(tf) - 0.4) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# floor- and ceil-sized macroblock grids
+# ---------------------------------------------------------------------------
+
+def trace_text(width, height, grid_w, grid_h, frames=1, skip_row=None):
+    """Full coverage of a grid_w x grid_h grid; row skip_row is all SKIP."""
+    lines = [f"#w={width} h={height} mb=16 frames={frames}"]
+    for f in range(frames):
+        for y in range(grid_h):
+            for x in range(grid_w):
+                skip = y == skip_row and x % 2 == 0
+                lines.append(f"{f},{x},{y},{'SKIP' if skip else 'P'},20,"
+                             f"{1 if skip else 100 + x}")
+    return "\n".join(lines) + "\n"
+
+
+def test_decoder_grid_rounded_up_loads_and_masks_at_frame_size():
+    # a real 1080p decoder logs ceil(1080 / 16) = 68 macroblock rows
+    tf = load_trace_text(trace_text(1920, 1080, 120, 68, skip_row=67))
+    assert (tf.grid_w, tf.grid_h) == (120, 68)
+    (fmap,) = tf.frames()
+    assert fmap.qp.shape == (68, 120)
+    assert bits_per_pixel(tf) == sum(r.bits for r in tf.records) / (1920 * 1080)
+    tables = {
+        "qp_all": WeightTable("qp_all", [15, 20], [1.0, 0.8], 15.0),
+        "qp_noskip": WeightTable("qp_noskip", [15, 20], [1.0, 0.8], 15.0),
+        "lambda_r": WeightTable("lambda_r", [1.0, 60.0, 3000.0],
+                                [0.5, 1.0, 1.5], 60.0),
+    }
+    for scheme in ALL_SCHEMES:
+        mask = build_mask(fmap, SchemeConfig(scheme, tables.get(scheme)),
+                          (1080, 1920))
+        assert mask.shape == (1080, 1920)
+        # the partial last row is painted from row 67, cropped at 1080
+        assert np.all(mask[1072:, 16:32] == mask[1072, 16])
+        assert mask[1079, 16] > 0.0
+        assert np.all(mask[1072:, :16] == (0.0 if scheme in
+                                           ("skip_eliminate", "qp_noskip",
+                                            "lambda_r") else mask[1079, 0]))
+
+
+def test_floor_sized_grid_still_loads():
+    text = trace_text(1920, 1080, 120, 67)
+    tf = load_trace_text(text)
+    assert (tf.grid_w, tf.grid_h) == (120, 67)
+    assert tf.frames()[0].qp.shape == (67, 120)
+    assert serialize_trace(tf) == text
+    # both axes rounded up, and both floor-sized, on a 40x24 frame
+    assert load_trace_text(trace_text(40, 24, 3, 2)).frames()[0].qp.shape == \
+        (2, 3)
+    assert load_trace_text(trace_text(40, 24, 2, 1)).frames()[0].qp.shape == \
+        (1, 2)
+
+
+def test_grid_one_row_too_many_or_mixed_is_rejected():
+    with pytest.raises(SchemaError):
+        load_trace_text(trace_text(1920, 1080, 120, 69))
+    with pytest.raises(SchemaError):
+        load_trace_text(trace_text(40, 24, 4, 2))
+    with pytest.raises(SchemaError):      # a multiple of 16 has no partial row
+        load_trace_text(trace_text(32, 32, 2, 3))
+    # one frame covers the rounded-up grid, the other only the floor grid
+    mixed = trace_text(40, 24, 3, 2, frames=2).splitlines()
+    mixed = [line for line in mixed if not line.startswith("1,2,")]
+    with pytest.raises(CoverageGap):
+        load_trace_text("\n".join(mixed) + "\n")
