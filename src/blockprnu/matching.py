@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 # one module-level FFT name, so that counters can wrap every transform
@@ -252,19 +252,18 @@ def pce(test, reference, config: PceConfig = PceConfig(),
 
 def batch_match(tests: Iterable, references: Iterable,
                 config: PceConfig = PceConfig(),
-                threshold: float = DEFAULT_THRESHOLD,
-                workers: int | None = None) -> list[list]:
+                threshold: float = DEFAULT_THRESHOLD) -> list[list]:
     """All-pairs matching; a failing pair stores its error in the matrix
     instead of aborting the rest.
 
     Each test is validated and transformed once for its whole row, so
     T tests against R references take T + T*R forward FFTs. With n
-    workers (the argument, else BLOCKPRNU_WORKERS, else the CPUs this
-    process may run on) thread k takes rows k, k+n, ... with a workspace
-    of its own; numpy's FFTs and reductions release the GIL. The matrix
-    is the same at any worker count, and no thread outlives the call.
+    workers (BLOCKPRNU_WORKERS, else the CPUs this process may run on)
+    thread k takes rows k, k+n, ... with a workspace of its own; numpy's
+    FFTs and reductions release the GIL. The matrix is the same at any
+    worker count, and no thread outlives the call.
     """
-    n = resolve_workers(workers)
+    n = resolve_workers()
     tests, references = list(tests), list(references)
     n = max(1, min(n, len(tests)))
 

@@ -349,6 +349,7 @@ class CountingFft:
 
 
 def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
     counter = CountingFft(matching.sfft)
     monkeypatch.setattr(matching, "sfft", counter)
     tests = [unit_noise((20, 24), 40 + i) for i in range(3)]
@@ -357,7 +358,8 @@ def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
     assert all(isinstance(cell, MatchReport) for row in matrix for cell in row)
     assert counter.forward == 3 + 3 * 4
     counter.forward = 0
-    assert batch_match(tests, refs, workers=2) == matrix
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "2")
+    assert batch_match(tests, refs) == matrix
     assert counter.forward == 3 + 3 * 4
     counter.forward = 0
     pce(tests[0], refs[0])
@@ -368,7 +370,15 @@ def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
 # the chunked core and the threaded batch
 # ---------------------------------------------------------------------------
 
-def assert_batch_is_standalone(tests, refs, config):
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the worker count that batch_match reads from BLOCKPRNU_WORKERS."""
+    def set_workers(n: int) -> None:
+        monkeypatch.setenv("BLOCKPRNU_WORKERS", str(n))
+    return set_workers
+
+
+def assert_batch_is_standalone(tests, refs, config, workers):
     """batch_match at 1, 2 and 3 workers equals standalone pce, bit for bit,
     and errors keep their types."""
     expected = []
@@ -380,8 +390,9 @@ def assert_batch_is_standalone(tests, refs, config):
             except (DimensionMismatch, DegenerateFingerprint) as exc:
                 row.append(type(exc))
         expected.append(row)
-    for workers in (1, 2, 3):
-        matrix = batch_match(tests, refs, config, workers=workers)
+    for n in (1, 2, 3):
+        workers(n)
+        matrix = batch_match(tests, refs, config)
         assert [[type(c) if isinstance(c, Exception) else c for c in row]
                 for row in matrix] == expected
     return expected
@@ -390,7 +401,8 @@ def assert_batch_is_standalone(tests, refs, config):
 @pytest.mark.parametrize("shape", [(1, 31), (63, 37), (64, 33), (65, 45),
                                    (130, 29)])
 @pytest.mark.parametrize("search", ["full", "zero"])
-def test_batch_match_equals_pce_across_workers_and_chunks(shape, search):
+def test_batch_match_equals_pce_across_workers_and_chunks(shape, search,
+                                                          workers):
     # peaks in the first, a middle and the last chunk of 64 rows; windows
     # that straddle a chunk boundary (rows 59-69) and wrap across the plane
     # edge, which puts the window rows in the first and the last chunk
@@ -403,7 +415,7 @@ def test_batch_match_equals_pce_across_workers_and_chunks(shape, search):
     refs = [np.roll(t0, s, axis=(0, 1)) + 0.3 * unit_noise(shape, 62 + i)
             for i, s in enumerate(shifts)] + [unit_noise(shape, 70)]
     expected = assert_batch_is_standalone([t0, t1, -t0, t0[::-1]], refs,
-                                          config)
+                                          config, workers)
     if search == "full":
         assert [cell.peak_offset for cell in expected[0][:len(shifts)]] == \
             [(dx, dy) for dy, dx in shifts]
@@ -413,7 +425,7 @@ def test_batch_match_equals_pce_across_workers_and_chunks(shape, search):
         assert all(cell.peak_offset == (0, 0) for cell in expected[0])
 
 
-def test_pce_tie_across_chunks_goes_to_first_flat_index():
+def test_pce_tie_across_chunks_goes_to_first_flat_index(workers):
     # a delta test makes the plane the reference itself: +3 and -3 in the
     # first and the second chunk of 64 rows, exactly tied
     test = np.zeros((130, 29))
@@ -424,22 +436,25 @@ def test_pce_tie_across_chunks_goes_to_first_flat_index():
         ref[2, 4], ref[70, 4] = first, second
         c = crosscorr(test, ref)
         assert c.max() == -c.min()            # the tie survives the FFT
-        expected = assert_batch_is_standalone([test], [ref], PceConfig())
+        expected = assert_batch_is_standalone([test], [ref], PceConfig(),
+                                              workers)
         assert expected[0][0].peak_offset == (4, 2)
         assert np.sign(expected[0][0].pce) == np.sign(first)
 
 
-def test_batch_match_errors_at_any_worker_count():
+def test_batch_match_errors_at_any_worker_count(workers):
     good = unit_noise((32, 32), 15)
     zero = np.zeros((32, 32))
     tests = [good, zero, unit_noise((8, 8), 17), np.zeros((8, 8)), good]
     refs = [good, unit_noise((16, 16), 16), unit_noise((8, 8), 17), zero]
-    first = batch_match(tests, refs, workers=1)
+    workers(1)
+    first = batch_match(tests, refs)
     errors = [cell for row in first for cell in row
               if isinstance(cell, Exception)]
     assert len(errors) == 18
-    for workers in (2, 3):
-        matrix = batch_match(tests, refs, workers=workers)
+    for n in (2, 3):
+        workers(n)
+        matrix = batch_match(tests, refs)
         assert [[type(c) for c in row] for row in matrix] == \
             [[type(c) for c in row] for row in first]
         cells = [cell for row in matrix for cell in row]
@@ -448,17 +463,19 @@ def test_batch_match_errors_at_any_worker_count():
         assert [str(c) for c in cells] == [str(c) for row in first for c in row]
 
 
-def test_batch_match_threads_under_fast_switching():
+def test_batch_match_threads_under_fast_switching(workers):
     # more threads than cores, switching every microsecond: a workspace or
     # a row shared between threads would show as a changed cell
     tests = [unit_noise((70, 33), 100 + i) for i in range(6)]
     refs = [np.roll(tests[i], (i, 2 * i), axis=(0, 1)) for i in range(3)]
-    expected = batch_match(tests, refs, workers=1)
+    workers(1)
+    expected = batch_match(tests, refs)
+    workers(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert batch_match(tests, refs, workers=4) == expected
+            assert batch_match(tests, refs) == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -479,42 +496,41 @@ def test_batch_match_worker_count(monkeypatch):
     refs = [np.roll(tests[1], (3, 4), axis=(0, 1)), unit_noise((24, 30), 99)]
     threads = threading.active_count()
 
-    expected = batch_match(tests, refs, workers=1)
-    assert pools == []                          # one worker runs inline
-    assert batch_match(tests, refs) == expected
+    expected = batch_match(tests, refs)
     assert pools == [3]                         # the affinity mask
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
+    assert batch_match(tests, refs) == expected
+    assert pools == [3]                         # one worker runs inline
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "2")
     assert batch_match(tests, refs) == expected
     assert pools == [3, 2]
-    monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
-    assert batch_match(tests, refs) == expected
-    assert pools == [3, 2]
-    # an explicit count wins, and no more threads than rows are started
-    assert batch_match((t for t in tests), iter(refs), workers=9) == expected
+    # no more threads than rows are started
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "9")
+    assert batch_match((t for t in tests), iter(refs)) == expected
     assert pools == [3, 2, 5]
     assert threading.active_count() == threads  # no thread outlives a call
 
-    with pytest.raises(ConfigError):
-        batch_match(tests, refs, workers=0)
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "0")
     with pytest.raises(ConfigError):
         batch_match(tests, refs)
 
 
-def test_no_pair_allocates_a_plane():
+def test_no_pair_allocates_a_plane(workers):
     h, w = 256, 250
     plane = 8 * h * w
     workspace = 2 * 16 * h * (w // 2 + 1) + 8 * 64 * w + 8 * h
     tests = [unit_noise((h, w), 80), unit_noise((h, w), 81)]
     refs = [unit_noise((h, w), 82 + i) for i in range(4)]
-    batch_match(tests, refs[:1], workers=2)     # FFT plans and thread start-up
-    for workers in (1, 2):
+    workers(2)
+    batch_match(tests, refs[:1])                # FFT plans and thread start-up
+    for n in (1, 2):
+        workers(n)
         tracemalloc.start()
         try:
-            batch_match(tests, refs, workers=workers)
+            batch_match(tests, refs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one workspace per thread; a plane-sized array per pair would add
         # at least `plane` on top
-        assert peak < workers * workspace + plane // 2
+        assert peak < n * workspace + plane // 2
