@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (BitstreamExhausted, MalformedStream, MissingParameterSet,
                      RangeError, SchemaError, TruncatedUnit,
                      UnsupportedProfile)
-from .trace import BlockRecord, TraceFile
+from .trace import BLOCK_TYPES, BlockColumns, BlockRecord, TraceFile
 
 START_CODE = b"\x00\x00\x01"
 NAL_SLICE = 1
@@ -537,9 +539,105 @@ def parse_annexb(stream: bytes) -> tuple[list[SliceHeaderInfo], ParameterSetCont
 # ---------------------------------------------------------------------------
 
 _TRACE_HEADER = re.compile(r"^#w=(\d+) h=(\d+) mb=(\d+) frames=(\d+)$")
+_TRACE_FIELDS = 6
+# integer fields of a trace row; field 3 is the block type
+_INT_FIELDS = (0, 1, 2, 4, 5)
+# a run of at most this many ASCII digits fits int64 whatever its digits
+_PLAIN_DIGITS = 18
+_INT64 = np.iinfo(np.int64)
+
+
+def _row_record(lineno: int, line: str) -> BlockRecord:
+    """One trace row as a record, unchecked; raises SchemaError when it
+    does not have six fields or an integer field is not an integer."""
+    parts = line.split(",")
+    if len(parts) != _TRACE_FIELDS:
+        raise SchemaError(f"line {lineno}: expected {_TRACE_FIELDS} fields, "
+                          f"got {len(parts)}")
+    try:
+        return BlockRecord(frame_idx=int(parts[0]), mb_x=int(parts[1]),
+                           mb_y=int(parts[2]), block_type=parts[3],
+                           qp=int(parts[4]), bits=int(parts[5]))
+    except ValueError as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from exc
+
+
+def _trace_columns(lines: list[str]) -> tuple[BlockColumns, int, np.ndarray]:
+    """Parse trace rows into columns with array passes over their bytes.
+
+    Blank lines are dropped. Returns the columns of the rows before the
+    first one that cannot be stored (wrong field count, a field that `int`
+    rejects, or a bit count beyond int64), that row's index (the number of
+    rows when there is none), and the index in `lines` of every row.
+    Fields of up to 18 ASCII digits are read here; any other field is given
+    to `int`, so a field parses exactly as `int` parses it. Other values
+    beyond int64 are clamped, which keeps them out of range for every check.
+    """
+    if not lines:
+        return BlockColumns(*np.zeros((6, 0), dtype=np.int64)), 0, np.arange(0)
+    # padded, so that reading a few bytes past any field stays in bounds
+    text = "\n".join(lines) + "\0" * _PLAIN_DIGITS
+    data = np.frombuffer(text.encode(errors="surrogatepass"), dtype=np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    # token k spans data[ends[k - 1] + 1:ends[k]]
+    ends = np.concatenate(([-1], seps, [data.size - _PLAIN_DIGITS]))
+    fields = np.diff(np.flatnonzero(np.append(data[seps] == ord("\n"), True)),
+                     prepend=-1)
+    # a blank line has no comma, so only one-field lines need a closer look
+    blank = [i for i in np.flatnonzero(fields == 1) if not lines[i].strip()]
+    if blank:
+        rows = np.delete(np.arange(len(lines)), blank)
+        cols, stop, kept = _trace_columns([lines[i] for i in rows])
+        return cols, stop, rows[kept]
+    miscounted = np.flatnonzero(fields != _TRACE_FIELDS)
+    stop = int(miscounted[0]) if miscounted.size else len(lines)
+    n = _TRACE_FIELDS * stop
+
+    def field(c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Start and size of field c of the first `stop` rows."""
+        first = ends[c:n:_TRACE_FIELDS] + 1
+        return first, ends[c + 1:n + 1:_TRACE_FIELDS] - first
+
+    columns, plain = [], []
+    for c in _INT_FIELDS:
+        first, size = field(c)
+        value = np.zeros(stop, dtype=np.int64)
+        digits = (size > 0) & (size <= _PLAIN_DIGITS)
+        for k in range(min(int(size.max(initial=0)), _PLAIN_DIGITS)):
+            more = size > k
+            digit = data[first + k] - np.uint8(ord("0"))
+            digits &= ~more | (digit <= 9)
+            value = np.where(more, value * 10 + digit, value)
+        columns.append(value)
+        plain.append(digits)
+    code = np.full(stop, -1, dtype=np.int64)
+    first, size = field(3)
+    for i, name in enumerate(BLOCK_TYPES):
+        hit = size == len(name)
+        for k, b in enumerate(name.encode()):
+            hit &= data[first + k] == b
+        code[hit] = i
+
+    for r, j in zip(*np.nonzero(~np.stack(plain, axis=1))):
+        try:
+            v = int(lines[r].split(",")[_INT_FIELDS[j]])
+        except ValueError:
+            stop = int(r)
+            break
+        if not _INT64.min <= v <= _INT64.max and _INT_FIELDS[j] == 5:
+            stop = int(r)       # a bit count that cannot be stored
+            break
+        columns[j][r] = min(max(v, _INT64.min), _INT64.max)
+    frame, x, y, qp, bits = (col[:stop] for col in columns)
+    return BlockColumns(frame, x, y, code[:stop], qp, bits), stop, np.arange(len(lines))
 
 
 def load_trace_text(text: str) -> TraceFile:
+    """Parse and fully validate trace text.
+
+    Blank lines are skipped and rows may come in any order. Errors name the
+    first faulty row in file order, then the first faulty frame.
+    """
     lines = text.splitlines()
     if not lines:
         raise SchemaError("empty trace")
@@ -551,25 +649,15 @@ def load_trace_text(text: str) -> TraceFile:
         raise SchemaError(f"unsupported macroblock size {mb}")
     if width < 16 or height < 16:
         raise SchemaError("trace smaller than one macroblock")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise SchemaError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            rec = BlockRecord(frame_idx=int(parts[0]), mb_x=int(parts[1]),
-                              mb_y=int(parts[2]), block_type=parts[3],
-                              qp=int(parts[4]), bits=int(parts[5]))
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from exc
-        rec.validate()
-        records.append(rec)
-    tf = TraceFile(width=width, height=height, frame_count=frame_count,
-                   records=records)
-    tf.frames()  # full-coverage validation
-    return tf
+    cols, stop, rows = _trace_columns(lines[1:])
+
+    def record(i: int) -> BlockRecord:
+        return _row_record(int(rows[i]) + 2, lines[rows[i] + 1])
+
+    if stop < len(rows):
+        cols.check(record)
+        record(stop).validate()
+    return TraceFile.from_columns(width, height, frame_count, cols, record)
 
 
 def load_trace(path: str | Path) -> TraceFile:
@@ -578,11 +666,13 @@ def load_trace(path: str | Path) -> TraceFile:
 
 
 def serialize_trace(tf: TraceFile) -> str:
-    """Canonical text form: header, then records sorted by frame, y, x."""
-    out = [f"#w={tf.width} h={tf.height} mb=16 frames={tf.frame_count}"]
-    for r in sorted(tf.records, key=lambda r: (r.frame_idx, r.mb_y, r.mb_x)):
-        out.append(f"{r.frame_idx},{r.mb_x},{r.mb_y},{r.block_type},{r.qp},{r.bits}")
-    return "\n".join(out) + "\n"
+    """Canonical text form: header, then blocks in (frame, y, x) order."""
+    frame, y, x = (a.ravel().tolist() for a in np.indices(tf.type_code.shape))
+    rows = map("{},{},{},{},{},{}".format, frame, x, y,
+               np.array(BLOCK_TYPES)[tf.type_code.ravel()].tolist(),
+               tf.qp.ravel().tolist(), tf.bits.ravel().tolist())
+    header = f"#w={tf.width} h={tf.height} mb=16 frames={tf.frame_count}"
+    return "\n".join([header, *rows]) + "\n"
 
 
 def save_trace(tf: TraceFile, path: str | Path) -> None:
@@ -605,9 +695,9 @@ def validate_against_slices(tf: TraceFile,
     base_by_frame: dict[int, int] = {}
     for s in slices:
         base_by_frame.setdefault(s.frame_index, s.base_qp)
-    for rec in tf.records:
-        base = base_by_frame.get(rec.frame_idx)
-        if base is not None and abs(rec.qp - base) > 26:
-            warnings.append(f"frame {rec.frame_idx} block ({rec.mb_x},{rec.mb_y}) "
-                            f"qp {rec.qp} far from slice base {base}")
+    for f, base in sorted(base_by_frame.items()):
+        if 0 <= f < tf.frame_count:
+            for y, x in np.argwhere(np.abs(tf.qp[f] - base) > 26):
+                warnings.append(f"frame {f} block ({x},{y}) qp {tf.qp[f, y, x]} "
+                                f"far from slice base {base}")
     return warnings

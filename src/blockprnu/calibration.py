@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (EmptyBucket, InsufficientData, InsufficientFrames,
                      MissingAnchor)
-from .matching import PceConfig, pce
+from .matching import PceConfig, ReferenceSpectrum, pce
 from .noise import DenoiseConfig, NoiseResidual, Picture
 from .prnu import (Fingerprint, fingerprint_from_residuals,
                    residual_extractor)
@@ -304,11 +304,12 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
             run = runs.setdefault(video.camera_id,
                                   CalibrationRun(camera_id=video.camera_id,
                                                  reference=ref))
+            spectrum = ReferenceSpectrum(ref)
             for frame in spliced.frames:
                 if (not np.isfinite(frame.mean_lambda_rate)
                         or not np.any(frame.values)):
                     continue
-                match = pce(frame.values, ref, pce_config)
+                match = pce(frame.values, spectrum, pce_config)
                 run.samples.append((frame.mean_lambda_rate, match.pce))
     all_samples = [lr for run in runs.values() for lr, _ in run.samples]
     if not all_samples:

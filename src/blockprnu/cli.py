@@ -143,19 +143,16 @@ def _table_for_scheme(parser: argparse.ArgumentParser, scheme: str,
 
 def cmd_inspect(args) -> int:
     trace = load_trace(args.trace)
-    frames = trace.frames()
-    counts = {t: 0 for t in BLOCK_TYPES}
-    for rec in trace.records:
-        counts[rec.block_type] += 1
+    counts = np.bincount(trace.type_code.ravel(), minlength=len(BLOCK_TYPES))
     lines = [
         f"width={trace.width}",
         f"height={trace.height}",
         f"frames={trace.frame_count}",
-        f"blocks={len(trace.records)}",
+        f"blocks={trace.type_code.size}",
     ]
-    lines += [f"count_{t}={counts[t]}" for t in BLOCK_TYPES]
+    lines += [f"count_{t}={n}" for t, n in zip(BLOCK_TYPES, counts)]
     lines += [
-        f"skipped_block_rate={skipped_block_rate(frames)!r}",
+        f"skipped_block_rate={skipped_block_rate(trace.frames())!r}",
         f"bits_per_pixel={bits_per_pixel(trace)!r}",
     ]
     _emit("\n".join(lines) + "\n", args.out)

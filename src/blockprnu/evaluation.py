@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockPrnuError, ConfigError, EmptyInput
-from .matching import DEFAULT_THRESHOLD, MatchReport, PceConfig, pce
+from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
+                       ReferenceSpectrum, pce)
 from .noise import DenoiseConfig, Picture
 from .prnu import (Fingerprint, fingerprint_from_residuals,
                    residual_extractor)
@@ -53,7 +54,8 @@ def run_grid(videos: Sequence[GridVideo],
     """Estimate and match every video under every scheme.
 
     Each video's residuals are extracted once, in one worker pool for the
-    whole grid, and shared by its schemes. A failing cell stores its error
+    whole grid, and shared by its schemes, which also share one transform
+    of the video's camera reference. A failing cell stores its error
     and the rest of the grid proceeds; an error extracting a video's
     residuals lands in every cell of that video.
     """
@@ -76,12 +78,12 @@ def run_grid(videos: Sequence[GridVideo],
             except BlockPrnuError as exc:
                 grid.cells.update(dict.fromkeys(keys, exc))
                 continue
+            reference = ReferenceSpectrum(references[video.camera_id])
             for key, config in zip(keys, scheme_configs):
                 try:
                     fp = fingerprint_from_residuals(video.pictures, frame_maps,
                                                     residuals, config)
-                    grid.cells[key] = pce(fp, references[video.camera_id],
-                                          pce_config, threshold)
+                    grid.cells[key] = pce(fp, reference, pce_config, threshold)
                 except BlockPrnuError as exc:
                     grid.cells[key] = exc
     return grid

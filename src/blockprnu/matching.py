@@ -109,24 +109,16 @@ class _Workspace:
         return out
 
 
-class _TestSpectrum:
-    """A test plane, validated once, and its conjugated real spectrum.
+class _Plane:
+    """A fingerprint plane, validated once. A failed validation is kept
+    and raised anew by `check`, which `pce` calls where a standalone call
+    validates, so every cell keeps the error precedence of one."""
 
-    `batch_match` builds one per row and passes it to `pce` in place of
-    the array, so a test is transformed once however many references it
-    meets. The spectrum is computed on the first correlation, into the
-    workspace given, which must not serve another test until this one is
-    done. A failed validation is kept and raised anew by `pce` after its
-    shape check, so every cell keeps the error precedence of a standalone
-    call.
-    """
-    def __init__(self, test, workspace: _Workspace | None = None):
-        self._values = _values(test)
-        self.shape = self._values.shape
-        self._workspace = _Workspace() if workspace is None else workspace
-        self._transformed = False
+    def __init__(self, plane):
+        self.values = _values(plane)
+        self.shape = self.values.shape
         try:
-            _check_plane(self._values)
+            _check_plane(self.values)
             self._error = None
         except BlockPrnuError as exc:
             self._error = exc
@@ -135,16 +127,48 @@ class _TestSpectrum:
         if self._error is not None:
             raise type(self._error)(*self._error.args)
 
-    def correlate(self, reference: np.ndarray) -> _Workspace:
+    def transform_into(self, out: np.ndarray) -> None:
+        """Write the plane's real spectrum into `out`."""
+        sfft.rfft2(self.values, out=out)
+
+
+class ReferenceSpectrum(_Plane):
+    """A reference plane and its real spectrum, computed on the first
+    correlation. Drivers that match many fingerprints against one camera
+    pass one to `pce` in place of the array, so the reference is
+    transformed once; holding one at a time keeps one spectrum alive."""
+    _spectrum = None
+
+    def transform_into(self, out: np.ndarray) -> None:
+        if self._spectrum is None:
+            self._spectrum = sfft.rfft2(self.values)
+        np.copyto(out, self._spectrum)
+
+
+class _TestSpectrum(_Plane):
+    """A test plane and its conjugated real spectrum.
+
+    `batch_match` builds one per row and passes it to `pce` in place of
+    the array, so a test is transformed once however many references it
+    meets. The spectrum is computed on the first correlation, into the
+    workspace given, which must not serve another test until this one is
+    done.
+    """
+    def __init__(self, test, workspace: _Workspace | None = None):
+        super().__init__(test)
+        self._workspace = _Workspace() if workspace is None else workspace
+        self._transformed = False
+
+    def correlate(self, reference: _Plane) -> _Workspace:
         """Leave the product spectrum with `reference`, inverse-transformed
         along columns, in the workspace, ready for `chunks` and `band`."""
         ws = self._workspace
         if not self._transformed:
             ws.fit(self.shape)
-            sfft.rfft2(self._values, out=ws.conj)
+            self.transform_into(ws.conj)
             np.conjugate(ws.conj, out=ws.conj)
             self._transformed = True
-        sfft.rfft2(reference, out=ws.product)
+        reference.transform_into(ws.product)
         ws.product *= ws.conj
         sfft.ifft(ws.product, axis=0, out=ws.product)
         return ws
@@ -152,7 +176,7 @@ class _TestSpectrum:
 
 def crosscorr(test: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """c[dy, dx] = sum_x test(x) * reference(x + (dy, dx)), cyclic."""
-    ws = _TestSpectrum(test).correlate(_values(reference))
+    ws = _TestSpectrum(test).correlate(_Plane(reference))
     c = np.empty(ws.shape)
     for r0, rows in ws.chunks():
         c[r0:r0 + len(rows)] = rows
@@ -221,16 +245,16 @@ def pce(test, reference, config: PceConfig = PceConfig(),
     negative PCE instead of masquerading as matches.
     """
     t = test if isinstance(test, _TestSpectrum) else _TestSpectrum(test)
-    b = _values(reference)
-    if t.shape != b.shape:
-        raise DimensionMismatch(f"{t.shape} vs {b.shape}")
+    r = reference if isinstance(reference, _Plane) else _Plane(reference)
+    if t.shape != r.shape:
+        raise DimensionMismatch(f"{t.shape} vs {r.shape}")
     t.check()
-    _check_plane(b)
+    r.check()
     half = config.exclusion_half_width
-    if (2 * half + 1) ** 2 >= b.size:
+    h, w = r.shape
+    if (2 * half + 1) ** 2 >= h * w:
         raise DimensionMismatch("exclusion neighborhood covers the whole plane")
-    ws = t.correlate(b)
-    w = b.shape[1]
+    ws = t.correlate(r)
     full = config.search_window == "full"
     found = _Peak()
     for r0, rows in ws.chunks():

@@ -310,9 +310,14 @@ def saturation_mask(picture: Picture) -> np.ndarray:
 # raw planar 4:2:0 I/O (luma is all the pipeline consumes)
 # ---------------------------------------------------------------------------
 
+def _chroma_bytes(width: int, height: int) -> int:
+    """Both 4:2:0 chroma planes: each is ceil(w/2) x ceil(h/2)."""
+    return 2 * ((width + 1) // 2) * ((height + 1) // 2)
+
+
 def read_yuv420(path: str | Path, width: int, height: int) -> list[Picture]:
     data = Path(path).read_bytes()
-    frame_bytes = width * height + 2 * (width // 2) * (height // 2)
+    frame_bytes = width * height + _chroma_bytes(width, height)
     if frame_bytes == 0 or len(data) % frame_bytes:
         raise SchemaError(f"{path}: size {len(data)} is not a whole number of "
                           f"{width}x{height} 4:2:0 frames")
@@ -329,5 +334,5 @@ def write_yuv420(pictures: list[Picture], path: str | Path) -> None:
     chunks = []
     for pic in pictures:
         chunks.append(pic.luma.tobytes())
-        chunks.append(bytes([128]) * (2 * (pic.width // 2) * (pic.height // 2)))
+        chunks.append(bytes([128]) * _chroma_bytes(pic.width, pic.height))
     Path(path).write_bytes(b"".join(chunks))

@@ -22,7 +22,7 @@ from scipy.ndimage import uniform_filter
 
 from .errors import ConfigError
 from .noise import Picture
-from .trace import MACROBLOCK, BlockRecord, TraceFile, lambda_of_qp
+from .trace import BLOCK_TYPES, MACROBLOCK, SKIP, TraceFile, lambda_of_qp
 from .weighting import paint_blocks
 
 _HEADER_BITS = 8
@@ -207,6 +207,39 @@ def _controller_step(qp: int, frame_bits: float, target: float) -> int:
     return int(np.clip(qp, 0, 51))
 
 
+def _encode_intra(orig: np.ndarray, qp: int) -> tuple[np.ndarray, ...]:
+    """Code every block of an intra frame: (decoded frame, distortion, rate).
+
+    A block's predictor is the mean of the decoded row above it and the
+    decoded column left of it (128 when it has neither), so the blocks of
+    one anti-diagonal of the grid depend only on earlier diagonals and are
+    coded in one call.
+    """
+    h, w = orig.shape
+    gh, gw = h // MACROBLOCK, w // MACROBLOCK
+    dec = np.zeros((h, w))
+    distortion, rate = np.zeros((gh, gw)), np.zeros((gh, gw))
+    orig_blocks = orig.reshape(gh, MACROBLOCK, gw, MACROBLOCK)
+    dec_blocks = dec.reshape(gh, MACROBLOCK, gw, MACROBLOCK)
+    span = np.arange(MACROBLOCK)
+    for diagonal in range(gh + gw - 1):
+        by = np.arange(max(0, diagonal - gw + 1), min(gh, diagonal + 1))
+        bx = diagonal - by
+        y0, x0 = by[:, None] * MACROBLOCK, bx[:, None] * MACROBLOCK
+        # decoded pixels are whole numbers, so these sums are exact
+        top = np.where(by > 0, dec[y0 - 1, x0 + span].sum(axis=1), 0.0)
+        left = np.where(bx > 0, dec[y0 + span, x0 - 1].sum(axis=1), 0.0)
+        count = MACROBLOCK * ((by > 0).astype(np.int64) + (bx > 0))
+        pred = np.divide(top + left, count, out=np.full(by.size, 128.0),
+                         where=count > 0)[:, None, None]
+        block = orig_blocks[by, :, bx, :]
+        rec_res, rate[by, bx] = code_candidate(block - pred, qp)
+        recon = np.clip(np.rint(pred + rec_res), 0, 255)
+        distortion[by, bx] = ((block - recon) ** 2).sum(axis=(-2, -1))
+        dec_blocks[by, :, bx, :] = recon
+    return dec, distortion, rate
+
+
 def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
                     config: CodecConfig) -> EncodeResult:
     """Encode a sequence with per-frame QP and zero-motion references.
@@ -214,7 +247,7 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
     Frame 0 and every gop-th frame are intra coded (CODE only, predictor =
     mean of decoded left/top neighbor pixels, 128 when there are none).
     Other frames predict from the co-located block of the previous decoded
-    frame and may SKIP. Skip trace rows inherit the QP of their reference
+    frame and may SKIP. Skip blocks inherit the QP of their reference
     block and record the single signaling bit.
     """
     lumas = [f.luma if isinstance(f, Picture) else np.asarray(f) for f in frames]
@@ -230,13 +263,13 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
     rate = np.zeros((n, gh, gw))
     cost = np.zeros((n, gh, gw))
     lam_grid = np.zeros((n, gh, gw))
+    type_code = np.zeros((n, gh, gw), dtype=np.int8)
+    qps = np.zeros((n, gh, gw), dtype=np.int64)
     qp_per_frame: list[int] = []
-    records: list[BlockRecord] = []
     pictures: list[Picture] = []
 
     qp = config.qp if config.qp is not None else config.start_qp
     prev_dec: np.ndarray | None = None
-    prev_qp_grid = np.zeros((gh, gw), dtype=np.int64)
 
     for t, luma in enumerate(lumas):
         if luma.shape != (h, w):
@@ -244,28 +277,12 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
         orig = luma.astype(np.float64)
         lam = lambda_of_qp(qp)
         intra = t % config.gop == 0 or prev_dec is None
-        dec = np.zeros((h, w), dtype=np.float64)
-        qp_grid = np.full((gh, gw), qp, dtype=np.int64)
 
         if intra:
-            for by in range(gh):
-                for bx in range(gw):
-                    y0, x0 = by * MACROBLOCK, bx * MACROBLOCK
-                    neighbors = []
-                    if by > 0:
-                        neighbors.append(dec[y0 - 1, x0:x0 + MACROBLOCK])
-                    if bx > 0:
-                        neighbors.append(dec[y0:y0 + MACROBLOCK, x0 - 1])
-                    pred = (np.concatenate(neighbors).mean()
-                            if neighbors else 128.0)
-                    ref = np.full((MACROBLOCK, MACROBLOCK), pred)
-                    block = orig[y0:y0 + MACROBLOCK, x0:x0 + MACROBLOCK]
-                    out = encode_block(block, ref, qp, lam, allow_skip=False)
-                    dec[y0:y0 + MACROBLOCK, x0:x0 + MACROBLOCK] = out["recon"]
-                    distortion[t, by, bx] = out["d"]
-                    rate[t, by, bx] = out["r"]
-                    cost[t, by, bx] = out["j"]
-                    records.append(BlockRecord(t, bx, by, "I", qp, int(out["r"])))
+            dec, distortion[t], rate[t] = _encode_intra(orig, qp)
+            cost[t] = distortion[t] + lam * rate[t]
+            type_code[t] = BLOCK_TYPES.index("I")
+            qps[t] = qp
         else:
             ref = prev_dec.astype(np.float64)
             orig_blocks = orig.reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
@@ -282,26 +299,19 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
             distortion[t] = np.where(use_skip, d_skip, d_code)
             rate[t] = np.where(use_skip, _SKIP_BITS, rate_c)
             cost[t] = np.where(use_skip, j_skip, j_code)
-            qp_grid = np.where(use_skip, prev_qp_grid, qp)
-            for by in range(gh):
-                for bx in range(gw):
-                    if use_skip[by, bx]:
-                        records.append(BlockRecord(t, bx, by, "SKIP",
-                                                   int(qp_grid[by, bx]), _SKIP_BITS))
-                    else:
-                        records.append(BlockRecord(t, bx, by, "P", qp,
-                                                   int(rate[t, by, bx])))
+            type_code[t] = np.where(use_skip, SKIP, BLOCK_TYPES.index("P"))
+            qps[t] = np.where(use_skip, qps[t - 1], qp)
 
         lam_grid[t] = lam
         qp_per_frame.append(qp)
         pictures.append(Picture(luma=dec.astype(np.uint8), frame_idx=t))
         prev_dec = dec
-        prev_qp_grid = qp_grid
         if config.target_bits_per_frame is not None:
             qp = _controller_step(qp, float(rate[t].sum()),
                                   config.target_bits_per_frame)
 
-    trace = TraceFile(width=w, height=h, frame_count=n, records=records)
+    trace = TraceFile(width=w, height=h, frame_count=n, type_code=type_code,
+                      qp=qps, bits=rate.astype(np.int64))
     return EncodeResult(pictures=pictures, trace=trace, distortion=distortion,
                         rate=rate, cost=cost, lam=lam_grid,
                         qp_per_frame=qp_per_frame)

@@ -2,15 +2,19 @@
 Block-level coding metadata and the scalar quantities derived from it.
 
 A trace is the per-macroblock view of one coded video: for every frame and
-every 16x16 grid position there is exactly one record carrying the block
-type (I, P, B or SKIP), the quantization parameter and the bits spent.
-SKIP records carry the QP inherited from their reference block and only
-the few signaling bits actually emitted.
+every 16x16 grid position there is exactly one block carrying its type
+(I, P, B or SKIP), the quantization parameter and the bits spent. SKIP
+blocks carry the QP inherited from their reference block and only the few
+signaling bits actually emitted.
+
+A `TraceFile` keeps the blocks as three (frames, grid_h, grid_w) arrays and
+`FrameBlockMap` is a view of one frame. `BlockRecord` lists convert to and
+from them, for traces built by hand.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,9 +22,11 @@ from .errors import CoverageGap, EmptyInput, RangeError, SchemaError
 
 MACROBLOCK = 16
 BLOCK_TYPES = ("I", "P", "B", "SKIP")
+SKIP = BLOCK_TYPES.index("SKIP")
 QP_MIN = 0
 QP_MAX = 51
 SKIP_BITS_CEILING = 64  # a skip block is signaling only; anything bigger is not a skip
+BITS_LIMIT = 2 ** 63    # bit counts are stored as int64
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,9 @@ class BlockRecord:
         if self.block_type == "SKIP" and self.bits >= SKIP_BITS_CEILING:
             raise RangeError(f"skip block with {self.bits} bits at frame "
                              f"{self.frame_idx} block ({self.mb_x},{self.mb_y})")
+        if self.bits >= BITS_LIMIT:
+            raise RangeError(f"bit count {self.bits} does not fit 64 bits at "
+                             f"frame {self.frame_idx} block ({self.mb_x},{self.mb_y})")
 
 
 def lambda_of_qp(qp: int | float) -> float:
@@ -70,47 +79,150 @@ def lambda_rate(record: BlockRecord) -> float:
     return lambda_of_qp(record.qp) * record.bits
 
 
-class FrameBlockMap:
-    """Dense macroblock grid for one frame.
+class BlockColumns(NamedTuple):
+    """Blocks in the order they were given, one int64 array per field.
 
-    Grids are indexed [mb_y, mb_x]. Construction rejects duplicate and
-    missing positions so downstream code can rely on full coverage.
+    `code` indexes BLOCK_TYPES and is -1 for an unknown type. The checks
+    below find the first defect with array passes; the message comes from
+    a `record(i)` callable that gives block i as a BlockRecord, so it names
+    the block as it was given.
+    """
+    frame: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    code: np.ndarray
+    qp: np.ndarray
+    bits: np.ndarray
+
+    @classmethod
+    def of_records(cls, records: Sequence[BlockRecord]) -> "BlockColumns":
+        codes = {t: i for i, t in enumerate(BLOCK_TYPES)}
+        rows = [(r.frame_idx, r.mb_x, r.mb_y, codes.get(r.block_type, -1),
+                 r.qp, r.bits) for r in records]
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 6).T)
+
+    @classmethod
+    def of_arrays(cls, type_code, qp, bits) -> "BlockColumns":
+        """Blocks of (frames, grid_h, grid_w) grids, in (frame, y, x) order."""
+        f, y, x = np.indices(np.shape(qp)).reshape(3, -1)
+        return cls(f, x, y, *(np.ravel(a).astype(np.int64)
+                              for a in (type_code, qp, bits)))
+
+    def check(self, record: Callable[[int], BlockRecord]) -> None:
+        """Raise for the first block whose type, QP or bits is invalid."""
+        bad = ((self.code < 0) | (self.code >= len(BLOCK_TYPES))
+               | (self.qp < QP_MIN) | (self.qp > QP_MAX)
+               | (self.bits < 0)
+               | ((self.code == SKIP) & (self.bits >= SKIP_BITS_CEILING)))
+        if bad.any():
+            record(int(np.argmax(bad))).validate()
+
+    def record(self, i: int) -> BlockRecord:
+        """Block i as the columns hold it."""
+        code = int(self.code[i])
+        return BlockRecord(int(self.frame[i]), int(self.x[i]), int(self.y[i]),
+                           BLOCK_TYPES[code] if 0 <= code < len(BLOCK_TYPES)
+                           else f"code {code}", int(self.qp[i]), int(self.bits[i]))
+
+    def lay_out(self, record: Callable[[int], BlockRecord], first: int,
+                count: int, grid_w: int, grid_h: int) -> tuple[np.ndarray, ...]:
+        """(type code, QP, bits) arrays of shape (count, grid_h, grid_w) for
+        frames first .. first + count - 1, which every block lies in.
+
+        Frames are checked in order. In the first faulty one, the first
+        block outside the grid or on a position taken before it is raised;
+        a frame without such a block but with an empty position raises
+        CoverageGap for the first one in row-major order.
+        """
+        if grid_w <= 0 or grid_h <= 0:
+            raise SchemaError(f"macroblock grid must be positive, "
+                              f"got {grid_w}x{grid_h}")
+        cells = grid_h * grid_w
+        slot = self.frame - first
+        outside = ((self.x < 0) | (self.x >= grid_w)
+                   | (self.y < 0) | (self.y >= grid_h))
+        key = np.where(outside, -1, (slot * grid_h + self.y) * grid_w + self.x)
+        order = np.argsort(key, kind="stable")
+        ranked = key[order]
+        repeat = np.zeros(key.size, dtype=bool)
+        repeat[order[1:]] = (ranked[1:] == ranked[:-1]) & (ranked[1:] >= 0)
+        wrong = outside | repeat
+        # frames past the first one without blocks cannot hold the first
+        # defect, so a header that claims many frames allocates nothing
+        scanned = min(count, int(slot.max(initial=-1)) + 2)
+        covered = np.zeros(scanned * cells, dtype=bool)
+        covered[key[~outside]] = True
+        gaps = np.flatnonzero(~covered)
+        if wrong.any() or gaps.size:
+            wrong_frame = slot[wrong].min() if wrong.any() else count
+            if not gaps.size or wrong_frame <= gaps[0] // cells:
+                i = int(np.argmax(wrong & (slot == wrong_frame)))
+                rec = record(i)
+                if outside[i]:
+                    raise SchemaError(f"block ({rec.mb_x},{rec.mb_y}) outside "
+                                      f"{grid_w}x{grid_h} grid in frame {rec.frame_idx}")
+                raise SchemaError(f"duplicate block (frame {rec.frame_idx}, "
+                                  f"{rec.mb_x}, {rec.mb_y})")
+            f, y, x = np.unravel_index(gaps[0], (count, grid_h, grid_w))
+            raise CoverageGap(f"no record for (frame {first + f}, {x}, {y})")
+        arrays = []
+        for values, dtype in ((self.code, np.int8), (self.qp, np.int64),
+                              (self.bits, np.int64)):
+            grid = np.empty(count * cells, dtype=dtype)
+            grid[key] = values
+            grid.flags.writeable = False
+            arrays.append(grid.reshape(count, grid_h, grid_w))
+        return tuple(arrays)
+
+
+def _grid_extent(pixels: int, positions: np.ndarray) -> int:
+    """Blocks along one axis: the whole blocks, plus the partial one at the
+    edge when the blocks reach into it, as a decoder logs it (1080 rows
+    give 68 macroblock rows)."""
+    whole = pixels // MACROBLOCK
+    if pixels % MACROBLOCK and positions.size and positions.max() >= whole:
+        return whole + 1
+    return whole
+
+
+class FrameBlockMap:
+    """Dense macroblock grid for one frame, indexed [mb_y, mb_x].
+
+    `type_code` (int8 index into BLOCK_TYPES), `qp` and `bits` are read-only
+    views of a checked trace, so downstream code can rely on full coverage.
+    Built from records, the map checks them as a trace does and rejects
+    duplicate and missing positions.
     """
 
     def __init__(self, frame_idx: int, grid_w: int, grid_h: int,
                  records: Sequence[BlockRecord]):
-        if grid_w <= 0 or grid_h <= 0:
-            raise SchemaError(f"macroblock grid must be positive, "
-                              f"got {grid_w}x{grid_h}")
+        records = list(records)
+        cols = BlockColumns.of_records(records)
+        cols.check(records.__getitem__)
+        foreign = np.flatnonzero(cols.frame != frame_idx)
+        if foreign.size:
+            raise SchemaError(f"record for frame {records[foreign[0]].frame_idx} "
+                              f"given to map of frame {frame_idx}")
+        blocks = cols.lay_out(records.__getitem__, frame_idx, 1, grid_w, grid_h)
+        self._view_of(frame_idx, *(a[0] for a in blocks))
+
+    @classmethod
+    def _view(cls, frame_idx: int, type_code: np.ndarray, qp: np.ndarray,
+              bits: np.ndarray) -> "FrameBlockMap":
+        """A map over grids that are already checked; nothing is copied."""
+        fmap = cls.__new__(cls)
+        fmap._view_of(frame_idx, type_code, qp, bits)
+        return fmap
+
+    def _view_of(self, frame_idx, type_code, qp, bits) -> None:
         self.frame_idx = frame_idx
-        self.grid_w = grid_w
-        self.grid_h = grid_h
-        self.qp = np.zeros((grid_h, grid_w), dtype=np.int64)
-        self.bits = np.zeros((grid_h, grid_w), dtype=np.int64)
-        self.type_code = np.full((grid_h, grid_w), -1, dtype=np.int8)
-        for rec in records:
-            rec.validate()
-            if rec.frame_idx != frame_idx:
-                raise SchemaError(f"record for frame {rec.frame_idx} "
-                                  f"given to map of frame {frame_idx}")
-            if not (0 <= rec.mb_x < grid_w and 0 <= rec.mb_y < grid_h):
-                raise SchemaError(f"block ({rec.mb_x},{rec.mb_y}) outside "
-                                  f"{grid_w}x{grid_h} grid in frame {frame_idx}")
-            if self.type_code[rec.mb_y, rec.mb_x] != -1:
-                raise SchemaError(f"duplicate block (frame {frame_idx}, "
-                                  f"{rec.mb_x}, {rec.mb_y})")
-            self.type_code[rec.mb_y, rec.mb_x] = BLOCK_TYPES.index(rec.block_type)
-            self.qp[rec.mb_y, rec.mb_x] = rec.qp
-            self.bits[rec.mb_y, rec.mb_x] = rec.bits
-        gap = np.argwhere(self.type_code < 0)
-        if gap.size:
-            y, x = gap[0]
-            raise CoverageGap(f"no record for (frame {frame_idx}, {x}, {y})")
+        self.grid_h, self.grid_w = qp.shape
+        self.type_code, self.qp, self.bits = type_code, qp, bits
 
     @property
     def skip(self) -> np.ndarray:
         """Boolean grid, True where the block is a SKIP."""
-        return self.type_code == BLOCK_TYPES.index("SKIP")
+        return self.type_code == SKIP
 
     @property
     def lambda_rate(self) -> np.ndarray:
@@ -121,57 +233,94 @@ class FrameBlockMap:
         return BLOCK_TYPES[self.type_code[mb_y, mb_x]]
 
     def records(self) -> list[BlockRecord]:
-        out = []
-        for y in range(self.grid_h):
-            for x in range(self.grid_w):
-                out.append(BlockRecord(self.frame_idx, x, y,
-                                       BLOCK_TYPES[self.type_code[y, x]],
-                                       int(self.qp[y, x]), int(self.bits[y, x])))
-        return out
+        return [BlockRecord(self.frame_idx, x, y, BLOCK_TYPES[self.type_code[y, x]],
+                            int(self.qp[y, x]), int(self.bits[y, x]))
+                for y in range(self.grid_h) for x in range(self.grid_w)]
 
 
-def _grid_extent(pixels: int, positions: Iterable[int]) -> int:
-    """Blocks along one axis: the whole blocks, plus the partial one at
-    the edge when the records reach into it, as a decoder logs it
-    (1080 rows give 68 macroblock rows)."""
-    whole = pixels // MACROBLOCK
-    if pixels % MACROBLOCK and max(positions, default=-1) >= whole:
-        return whole + 1
-    return whole
-
-
-@dataclass
 class TraceFile:
-    """Whole-video trace: pixel geometry plus every block record.
+    """Whole-video trace: pixel geometry plus every block, as three
+    read-only (frames, grid_h, grid_w) arrays: `type_code` (int8 index into
+    BLOCK_TYPES), `qp` and `bits` (int64).
 
     The grid is floor-sized, or ceil-sized when the frame size is not a
-    multiple of 16 and the records cover the partial blocks; either way
-    every frame must cover it completely.
+    multiple of 16 and the blocks cover the partial ones; either way every
+    frame must cover it completely. Arrays are checked, and copied, when
+    given. A trace given as records is checked, and turned into arrays, on
+    the first use of its blocks, such as its first `frames()` call.
     """
-    width: int
-    height: int
-    frame_count: int
-    records: list[BlockRecord]
+
+    def __init__(self, width: int, height: int, frame_count: int,
+                 records: Iterable[BlockRecord] | None = None, *,
+                 type_code: np.ndarray | None = None,
+                 qp: np.ndarray | None = None, bits: np.ndarray | None = None):
+        self.width, self.height, self.frame_count = width, height, frame_count
+        self._records = None if records is None else list(records)
+        self._blocks = None
+        if self._records is None:
+            cols = BlockColumns.of_arrays(type_code, qp, bits)
+            self._blocks = self._lay_out(cols, cols.record)
+
+    @classmethod
+    def from_columns(cls, width: int, height: int, frame_count: int,
+                     cols: BlockColumns,
+                     record: Callable[[int], BlockRecord]) -> "TraceFile":
+        """Check blocks given in any order and lay them out."""
+        trace = cls.__new__(cls)
+        trace.width, trace.height, trace.frame_count = width, height, frame_count
+        trace._records = None
+        trace._blocks = trace._lay_out(cols, record)
+        return trace
+
+    def _lay_out(self, cols: BlockColumns,
+                 record: Callable[[int], BlockRecord]) -> tuple[np.ndarray, ...]:
+        cols.check(record)
+        stray = (cols.frame < 0) | (cols.frame >= self.frame_count)
+        if stray.any():
+            raise SchemaError(f"record frame {record(int(np.argmax(stray))).frame_idx} "
+                              f"outside 0..{self.frame_count - 1}")
+        return cols.lay_out(record, 0, self.frame_count,
+                            _grid_extent(self.width, cols.x),
+                            _grid_extent(self.height, cols.y))
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            self._blocks = self._lay_out(BlockColumns.of_records(self._records),
+                                         self._records.__getitem__)
+        return self._blocks
+
+    @property
+    def type_code(self) -> np.ndarray:
+        return self._arrays()[0]
+
+    @property
+    def qp(self) -> np.ndarray:
+        return self._arrays()[1]
+
+    @property
+    def bits(self) -> np.ndarray:
+        return self._arrays()[2]
 
     @property
     def grid_w(self) -> int:
-        return _grid_extent(self.width, (r.mb_x for r in self.records))
+        return self.type_code.shape[2]
 
     @property
     def grid_h(self) -> int:
-        return _grid_extent(self.height, (r.mb_y for r in self.records))
+        return self.type_code.shape[1]
+
+    @property
+    def records(self) -> list[BlockRecord]:
+        """The blocks as records: as given, or in (frame, mb_y, mb_x) order."""
+        if self._records is not None:
+            return self._records
+        return [rec for fmap in self.frames() for rec in fmap.records()]
 
     def frames(self) -> list[FrameBlockMap]:
-        """Split records into per-frame dense maps, validating coverage."""
-        buckets: list[list[BlockRecord]] = [[] for _ in range(self.frame_count)]
-        for rec in self.records:
-            if not (0 <= rec.frame_idx < self.frame_count):
-                raise SchemaError(f"record frame {rec.frame_idx} outside "
-                                  f"0..{self.frame_count - 1}")
-            buckets[rec.frame_idx].append(rec)
-        grid_w, grid_h = self.grid_w, self.grid_h
-        return [FrameBlockMap(i, grid_w, grid_h, b)
-                for i, b in enumerate(buckets)]
+        """One view per frame; the blocks are checked only once."""
+        type_code, qp, bits = self._arrays()
+        return [FrameBlockMap._view(i, type_code[i], qp[i], bits[i])
+                for i in range(self.frame_count)]
 
 
 def skipped_block_rate(frames: Iterable[FrameBlockMap]) -> float:
@@ -191,4 +340,4 @@ def bits_per_pixel(trace: TraceFile) -> float:
     pixels = trace.width * trace.height * trace.frame_count
     if pixels == 0:
         raise EmptyInput("bits per pixel of an empty video")
-    return sum(r.bits for r in trace.records) / pixels
+    return int(trace.bits.sum()) / pixels

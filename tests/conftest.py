@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,25 @@ def pool_spawns(monkeypatch):
 
     monkeypatch.setattr(prnu, "ProcessPoolExecutor", CountingPool)
     return spawns
+
+
+class CountingFft:
+    """Wraps the FFT module `matching` uses and counts forward transforms.
+    The count is locked: `+=` on an attribute can lose a count between
+    threads."""
+
+    def __init__(self, module):
+        self.module = module
+        self.forward = 0
+        self.lock = threading.Lock()
+
+    def __getattr__(self, name):
+        attr = getattr(self.module, name)
+        if name not in ("fft2", "rfft2", "fftn", "rfftn"):
+            return attr
+
+        def counted(x, *args, **kwargs):
+            with self.lock:
+                self.forward += 1
+            return attr(x, *args, **kwargs)
+        return counted

@@ -2,12 +2,14 @@
 NAL framing, exp-Golomb coding, parameter-set and slice-header parsing,
 trace text files.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockprnu import BlockRecord, TraceFile
+from blockprnu import BLOCK_TYPES, BlockRecord, TraceFile
 from blockprnu.bitstream import (BitReader, BitWriter, NalUnit,
                                  ParameterSetContext, escape_payload,
                                  load_trace_text, parse_annexb,
@@ -402,6 +404,177 @@ def test_trace_row_errors():
         load_trace_text(head + "0,0,0,I,20,10\n0,0,0,P,20,10\n")
     with pytest.raises(SchemaError):
         load_trace_text(head + "3,0,0,I,20,10\n")
+
+
+def per_line_load(text):
+    """The per-line parser and per-frame checks that `load_trace_text`
+    replaced, kept as its oracle: the (frames, grid_h, grid_w) type code,
+    QP and bits stacks, or the error it raises."""
+    lines = text.splitlines()
+    if not lines:
+        raise SchemaError("empty trace")
+    m = re.match(r"^#w=(\d+) h=(\d+) mb=(\d+) frames=(\d+)$", lines[0])
+    if not m:
+        raise SchemaError(f"bad trace header: {lines[0]!r}")
+    width, height, mb, frame_count = (int(g) for g in m.groups())
+    if mb != 16:
+        raise SchemaError(f"unsupported macroblock size {mb}")
+    if width < 16 or height < 16:
+        raise SchemaError("trace smaller than one macroblock")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise SchemaError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+        try:
+            rec = BlockRecord(frame_idx=int(parts[0]), mb_x=int(parts[1]),
+                              mb_y=int(parts[2]), block_type=parts[3],
+                              qp=int(parts[4]), bits=int(parts[5]))
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from exc
+        rec.validate()
+        records.append(rec)
+    buckets = [[] for _ in range(frame_count)]
+    for rec in records:
+        if not (0 <= rec.frame_idx < frame_count):
+            raise SchemaError(f"record frame {rec.frame_idx} outside "
+                              f"0..{frame_count - 1}")
+        buckets[rec.frame_idx].append(rec)
+
+    def extent(pixels, positions):
+        whole = pixels // 16
+        if pixels % 16 and max(positions, default=-1) >= whole:
+            return whole + 1
+        return whole
+
+    gw = extent(width, [r.mb_x for r in records])
+    gh = extent(height, [r.mb_y for r in records])
+    type_code = np.full((frame_count, gh, gw), -1, dtype=np.int8)
+    qp = np.zeros((frame_count, gh, gw), dtype=np.int64)
+    bits = np.zeros((frame_count, gh, gw), dtype=np.int64)
+    for f, bucket in enumerate(buckets):
+        for rec in bucket:
+            if not (0 <= rec.mb_x < gw and 0 <= rec.mb_y < gh):
+                raise SchemaError(f"block ({rec.mb_x},{rec.mb_y}) outside "
+                                  f"{gw}x{gh} grid in frame {f}")
+            if type_code[f, rec.mb_y, rec.mb_x] != -1:
+                raise SchemaError(f"duplicate block (frame {f}, "
+                                  f"{rec.mb_x}, {rec.mb_y})")
+            type_code[f, rec.mb_y, rec.mb_x] = BLOCK_TYPES.index(rec.block_type)
+            qp[f, rec.mb_y, rec.mb_x] = rec.qp
+            bits[f, rec.mb_y, rec.mb_x] = rec.bits
+        gap = np.argwhere(type_code[f] < 0)
+        if gap.size:
+            y, x = gap[0]
+            raise CoverageGap(f"no record for (frame {f}, {x}, {y})")
+    return type_code, qp, bits
+
+
+ODD_TOKENS = ["zero", "1.5", "", " 7", "7 ", "+7", "-3", "1_0", "0x1", "0007",
+              "٣", "\ud800", "99999999999999999999", "-99999999999999999999",
+              "1234567890123456789", "SKIP", "I", "skip", " P"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text around a valid trace, possibly damaged: shuffled, blank
+    lines, rounded-up or mixed grids, gaps, duplicates, wrong field counts,
+    odd tokens and out-of-range values."""
+    width, height = draw(st.integers(16, 72)), draw(st.integers(16, 72))
+    frames = draw(st.integers(0, 3))
+    gw = -(-width // 16) if draw(st.booleans()) else width // 16
+    gh = -(-height // 16) if draw(st.booleans()) else height // 16
+    rows = []
+    for f in range(frames):
+        for y in range(gh):
+            for x in range(gw):
+                kind = draw(st.sampled_from(BLOCK_TYPES))
+                bits = draw(st.integers(0, 63) if kind == "SKIP"
+                            else st.integers(0, 5000))
+                rows.append([f, x, y, kind, draw(st.integers(0, 51)), bits])
+    if rows and draw(st.booleans()):    # one frame covers only the floor grid
+        f = draw(st.integers(0, frames - 1))
+        rows = [r for r in rows if r[0] != f or (r[1] < width // 16
+                                                 and r[2] < height // 16)]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        what = draw(st.sampled_from(["gap", "duplicate", "move", "field",
+                                     "qp", "bits", "frame", "position"]))
+        row = list(rows[i])
+        if what == "gap":
+            del rows[i]
+            continue
+        if what == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), row)
+            continue
+        if what == "move":
+            j = draw(st.integers(0, len(rows) - 1))
+            row[:3] = rows[j][:3]
+        elif what == "field":
+            row[draw(st.integers(0, 5))] = draw(st.sampled_from(ODD_TOKENS))
+        elif what == "qp":
+            row[4] = draw(st.sampled_from([-1, 52, 63, 10 ** 20]))
+        elif what == "bits":
+            row[5] = draw(st.sampled_from([-1, 64, 10 ** 6, 2 ** 63, 10 ** 30]))
+        elif what == "frame":
+            row[0] = draw(st.sampled_from([-1, frames, frames + 5, 10 ** 20]))
+        else:
+            row[draw(st.integers(1, 2))] = draw(st.sampled_from(
+                [-1, gw, gh, gw + 1, 10 ** 20, -10 ** 20]))
+        rows[i] = row
+    lines = [",".join(map(str, r)) for r in rows]
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.sampled_from(["", "   ", "\t", "\u3000", "\x1f ", "1,2,3",
+                                     "0,0,0,P,20", "0,0,0,P,20,10,1", ",,,,,"]))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+    return end.join([f"#w={width} h={height} mb=16 frames={frames}", *lines, ""])
+
+
+def outcome(load, text):
+    """The (type code, QP, bits) stacks a loader returns, or its error."""
+    try:
+        result = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, TraceFile):
+        result = (result.type_code, result.qp, result.bits)
+    return [(a.dtype, a.shape, a.tolist()) for a in result]
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace_texts())
+def test_trace_parser_matches_per_line_oracle(text):
+    assert outcome(load_trace_text, text) == outcome(per_line_load, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_texts())
+def test_serialize_inverts_load_on_canonical_text(text):
+    try:
+        tf = load_trace_text(text)
+    except BlockPrnuError:
+        return
+    canonical = serialize_trace(tf)
+    again = load_trace_text(canonical)
+    assert serialize_trace(again) == canonical
+    for name in ("type_code", "qp", "bits"):
+        assert np.array_equal(getattr(again, name), getattr(tf, name))
+
+
+def test_bit_count_beyond_int64_is_a_range_error():
+    # the per-line parser let this escape as a bare OverflowError
+    head = "#w=16 h=16 mb=16 frames=1\n"
+    with pytest.raises(RangeError, match="does not fit 64 bits"):
+        load_trace_text(head + f"0,0,0,P,20,{2 ** 63}\n")
+    tf = load_trace_text(head + f"0,0,0,P,20,{2 ** 63 - 1}\n")
+    assert tf.bits[0, 0, 0] == 2 ** 63 - 1
 
 
 def test_validate_against_slices():

@@ -27,6 +27,8 @@ from blockprnu import (
     splice_by_lambda_rate,
     synthetic_clean_frames,
 )
+from blockprnu import calibration, matching
+from conftest import CountingFft
 
 MB = 16
 
@@ -304,6 +306,28 @@ def test_calibrate_lambda_rate_worker_invariance(camera_setup, pool_spawns,
         outputs.append((path.read_bytes(), report))
     assert outputs[0] == outputs[1]
     assert pool_spawns == [2]  # one pool for both videos, none at workers=1
+
+
+def test_calibrate_lambda_rate_transforms_each_reference_once_per_video(
+        camera_setup, monkeypatch):
+    model, clean, reference = camera_setup
+    videos = [video_at_qp(model, clean, 10, 36),
+              video_at_qp(model, clean, 25, 37)]
+    counter = CountingFft(matching.sfft)
+    monkeypatch.setattr(matching, "sfft", counter)
+    table, report = calibrate_lambda_rate(videos, {"cam": reference},
+                                          n_buckets=3)
+    matches = counter.forward - len(videos)
+    assert matches >= len(videos)
+    # the table is that of matching every spliced frame against the array
+    monkeypatch.setattr(calibration, "ReferenceSpectrum", lambda r: r)
+    counter.forward = 0
+    again, again_report = calibrate_lambda_rate(videos, {"cam": reference},
+                                                n_buckets=3)
+    assert counter.forward == 2 * matches
+    assert again_report == report
+    assert np.array_equal(again.keys, table.keys)
+    assert np.array_equal(again.weights, table.weights)
 
 
 def test_spliced_frames_keep_the_frame_shape():

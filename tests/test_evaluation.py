@@ -31,7 +31,8 @@ from blockprnu import (
     synthetic_clean_frames,
     threshold_table,
 )
-from conftest import grid_records, uniform_trace
+from blockprnu import evaluation, matching
+from conftest import CountingFft, grid_records, uniform_trace
 
 
 def report(value, decision=None):
@@ -115,6 +116,24 @@ def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
         expected = pce(fp, references["cam"])
         assert grid.cells[("v0", config.scheme)] == expected
         assert grid.cells[("v1", config.scheme)] == expected
+
+
+def test_run_grid_transforms_each_reference_once_per_video(eval_setup,
+                                                          monkeypatch):
+    video, references = eval_setup
+    twin = GridVideo(video_id="v1", camera_id="cam",
+                     pictures=video.pictures, trace=video.trace)
+    configs = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate"),
+               SchemeConfig("lambda_r", neutral_lr_table())]
+    counter = CountingFft(matching.sfft)
+    monkeypatch.setattr(matching, "sfft", counter)
+    grid = run_grid([video, twin], configs, references)
+    assert counter.forward == 2 * (len(configs) + 1)
+    # the cells are those of matching every fingerprint against the array
+    monkeypatch.setattr(evaluation, "ReferenceSpectrum", lambda r: r)
+    counter.forward = 0
+    assert run_grid([video, twin], configs, references).cells == grid.cells
+    assert counter.forward == 2 * 2 * len(configs)
 
 
 def test_run_grid_video_error_lands_in_every_cell(eval_setup):

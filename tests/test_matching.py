@@ -1,6 +1,7 @@
 """Peak-to-correlation-energy matching."""
 
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -28,7 +29,8 @@ from blockprnu import (
 )
 from blockprnu import matching
 from blockprnu.cli import main
-from blockprnu.matching import _Peak
+from blockprnu.matching import ReferenceSpectrum, _Peak
+from conftest import CountingFft
 
 
 def unit_noise(shape, seed):
@@ -326,28 +328,6 @@ def test_batch_match_error_types_and_precedence():
     assert matrix[1][0] is not matrix[1][3]
 
 
-class CountingFft:
-    """Wraps the FFT module `matching` uses and counts forward transforms.
-    The count is locked: `+=` on an attribute can lose a count between
-    threads."""
-
-    def __init__(self, module):
-        self.module = module
-        self.forward = 0
-        self.lock = threading.Lock()
-
-    def __getattr__(self, name):
-        attr = getattr(self.module, name)
-        if name not in ("fft2", "rfft2", "fftn", "rfftn"):
-            return attr
-
-        def counted(x, *args, **kwargs):
-            with self.lock:
-                self.forward += 1
-            return attr(x, *args, **kwargs)
-        return counted
-
-
 def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
     counter = CountingFft(matching.sfft)
@@ -364,6 +344,34 @@ def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
     counter.forward = 0
     pce(tests[0], refs[0])
     assert counter.forward == 2
+
+
+def test_reference_spectrum_is_transformed_once(monkeypatch):
+    counter = CountingFft(matching.sfft)
+    monkeypatch.setattr(matching, "sfft", counter)
+    ref = unit_noise((20, 24), 60)
+    spectrum = ReferenceSpectrum(ref)
+    tests = [unit_noise((20, 24), 61 + i) for i in range(3)]
+    tests.append(np.roll(ref, (3, 5), axis=(0, 1)))
+    for t in tests:
+        assert pce(t, spectrum) == pce(t, ref)
+        assert pce(t, spectrum, PceConfig(search_window="zero")) == \
+            pce(t, ref, PceConfig(search_window="zero"))
+    # 8 calls on the spectrum transform their tests and the reference once,
+    # 8 on the array transform both every time
+    assert counter.forward == (8 + 1) + 2 * 8
+    # a reference error is raised by every call, where a call on the array
+    # raises it, each time as its own exception
+    for bad in (np.zeros((20, 24)), np.full((20, 24), np.nan)):
+        spectrum = ReferenceSpectrum(bad)
+        errors = []
+        for t in (tests[0], np.zeros((20, 24)), unit_noise((8, 8), 1)):
+            with pytest.raises(Exception) as want:
+                pce(t, bad)
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))) as got:
+                pce(t, spectrum)
+            errors.append(got.value)
+        assert errors[0] is not errors[1]
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,18 @@ def test_yuv420_round_trip(tmp_path):
         assert np.array_equal(a.luma, b.luma)
 
 
+def test_yuv420_round_trip_at_odd_size(tmp_path):
+    # each chroma plane of a 33x17 frame is 17x9, not 16x8
+    rng = np.random.default_rng(11)
+    frames = [Picture(luma=rng.integers(0, 256, size=(17, 33), dtype=np.uint8))
+              for _ in range(2)]
+    path = tmp_path / "odd.yuv"
+    write_yuv420(frames, path)
+    assert path.stat().st_size == 2 * (33 * 17 + 2 * 17 * 9)
+    back = read_yuv420(path, width=33, height=17)
+    assert [b.luma.tolist() for b in back] == [f.luma.tolist() for f in frames]
+
+
 def test_yuv420_size_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.yuv"
     path.write_bytes(b"\x80" * 100)

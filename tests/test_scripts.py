@@ -1,6 +1,5 @@
 """Checks that run the package in a fresh interpreter: validation under
-`python -O`, the demos that exercise matching, and an analysis path that
-imports no scipy."""
+`python -O`, every demo, and an analysis path that imports no scipy."""
 
 import hashlib
 import json
@@ -59,7 +58,11 @@ def test_validation_survives_python_O():
                            "RangeError", "ConfigError"]
 
 
-@pytest.mark.parametrize("demo", ["03_fingerprints_and_matching.py",
+@pytest.mark.parametrize("demo", ["01_bitstream_parsing.py",
+                                  "02_noise_residuals.py",
+                                  "03_fingerprints_and_matching.py",
+                                  "04_weighting_schemes.py",
+                                  "05_calibration_splicing.py",
                                   "06_evaluation_grid.py",
                                   "07_cli_walkthrough.py"])
 def test_matching_demo_runs(demo):

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprnu import (
+    BlockRecord,
     CodecConfig,
     ConfigError,
     SensorModel,
+    TraceFile,
     encode_block,
     encode_sequence,
     lambda_of_qp,
@@ -15,7 +19,8 @@ from blockprnu import (
     skipped_block_rate,
     synthetic_clean_frames,
 )
-from blockprnu.simulator import _controller_step, _qstep, code_candidate
+from blockprnu.simulator import (_SKIP_BITS, _controller_step, _qstep,
+                                 code_candidate)
 
 
 def flat_model(value=0.0, sigma=0.0, size=16):
@@ -235,3 +240,112 @@ def test_codec_config_validation():
     with pytest.raises(ConfigError):
         encode_sequence([np.zeros((20, 20), dtype=np.uint8)],
                         CodecConfig(qp=20))
+
+
+# ---------------------------------------------------------------------------
+# the wavefront encoder against the per-block loop
+# ---------------------------------------------------------------------------
+
+def encode_per_block(lumas, config):
+    """The block-by-block encoder that `encode_sequence` replaced: intra
+    blocks coded one at a time in raster order, one record per block.
+    Returns (decoded lumas, distortion, rate, cost, lam, qp per frame,
+    records)."""
+    h, w = lumas[0].shape
+    gh, gw = h // 16, w // 16
+    n = len(lumas)
+    distortion, rate, cost, lam_grid = (np.zeros((n, gh, gw)) for _ in range(4))
+    qp_per_frame, records, decoded = [], [], []
+    qp = config.qp if config.qp is not None else config.start_qp
+    prev_dec = None
+    prev_qp_grid = np.zeros((gh, gw), dtype=np.int64)
+    for t, luma in enumerate(lumas):
+        orig = luma.astype(np.float64)
+        lam = lambda_of_qp(qp)
+        dec = np.zeros((h, w))
+        qp_grid = np.full((gh, gw), qp, dtype=np.int64)
+        if t % config.gop == 0 or prev_dec is None:
+            for by in range(gh):
+                for bx in range(gw):
+                    y0, x0 = by * 16, bx * 16
+                    neighbors = []
+                    if by > 0:
+                        neighbors.append(dec[y0 - 1, x0:x0 + 16])
+                    if bx > 0:
+                        neighbors.append(dec[y0:y0 + 16, x0 - 1])
+                    pred = (np.concatenate(neighbors).mean()
+                            if neighbors else 128.0)
+                    ref = np.full((16, 16), pred)
+                    out = encode_block(orig[y0:y0 + 16, x0:x0 + 16], ref, qp,
+                                       lam, allow_skip=False)
+                    dec[y0:y0 + 16, x0:x0 + 16] = out["recon"]
+                    distortion[t, by, bx] = out["d"]
+                    rate[t, by, bx] = out["r"]
+                    cost[t, by, bx] = out["j"]
+                    records.append(BlockRecord(t, bx, by, "I", qp, int(out["r"])))
+        else:
+            blocks = orig.reshape(gh, 16, gw, 16).swapaxes(1, 2)
+            refs = prev_dec.reshape(gh, 16, gw, 16).swapaxes(1, 2)
+            rec_res, rate_c = code_candidate(blocks - refs, qp)
+            recon_c = np.clip(np.rint(refs + rec_res), 0, 255)
+            d_code = ((blocks - recon_c) ** 2).sum(axis=(-2, -1))
+            j_code = d_code + lam * rate_c
+            d_skip = ((blocks - refs) ** 2).sum(axis=(-2, -1))
+            j_skip = d_skip + lam * _SKIP_BITS
+            use_skip = j_skip < j_code
+            recon = np.where(use_skip[..., None, None], refs, recon_c)
+            dec = recon.swapaxes(1, 2).reshape(h, w)
+            distortion[t] = np.where(use_skip, d_skip, d_code)
+            rate[t] = np.where(use_skip, _SKIP_BITS, rate_c)
+            cost[t] = np.where(use_skip, j_skip, j_code)
+            qp_grid = np.where(use_skip, prev_qp_grid, qp)
+            for by in range(gh):
+                for bx in range(gw):
+                    skip = bool(use_skip[by, bx])
+                    records.append(BlockRecord(
+                        t, bx, by, "SKIP" if skip else "P",
+                        int(qp_grid[by, bx]), _SKIP_BITS if skip else int(rate[t, by, bx])))
+        lam_grid[t] = lam
+        qp_per_frame.append(qp)
+        decoded.append(dec.astype(np.uint8))
+        prev_dec, prev_qp_grid = dec, qp_grid
+        if config.target_bits_per_frame is not None:
+            qp = _controller_step(qp, float(rate[t].sum()),
+                                  config.target_bits_per_frame)
+    return decoded, distortion, rate, cost, lam_grid, qp_per_frame, records
+
+
+@settings(max_examples=60, deadline=None)
+@given(gh=st.integers(1, 6), gw=st.integers(1, 6), count=st.integers(1, 4),
+       content=st.sampled_from(["constant", "noise", "synthetic"]),
+       qp=st.integers(0, 51), rate_controlled=st.booleans(),
+       bits_per_pixel=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+       gop=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_encode_sequence_equals_per_block_loop(gh, gw, count, content, qp,
+                                               rate_controlled, bits_per_pixel,
+                                               gop, seed):
+    h, w = 16 * gh, 16 * gw
+    rng = np.random.default_rng(seed)
+    if content == "constant":
+        frames = [np.full((h, w), int(rng.integers(0, 256)), dtype=np.uint8)] * count
+    elif content == "noise":
+        frames = list(rng.integers(0, 256, size=(count, h, w), dtype=np.uint8))
+    else:
+        frames = synthetic_clean_frames(h, w, count, seed=seed, motion=3)
+    if rate_controlled:
+        config = CodecConfig(target_bits_per_frame=bits_per_pixel * h * w,
+                             start_qp=qp, gop=gop)
+    else:
+        config = CodecConfig(qp=qp, gop=gop)
+    got = encode_sequence(frames, config)
+    decoded, distortion, rate, cost, lam, qps, records = \
+        encode_per_block([np.asarray(f) for f in frames], config)
+    assert all(np.array_equal(p.luma, d) for p, d in zip(got.pictures, decoded))
+    for name, want in (("distortion", distortion), ("rate", rate),
+                       ("cost", cost), ("lam", lam)):
+        assert np.array_equal(getattr(got, name), want), name
+    assert got.qp_per_frame == qps
+    oracle = TraceFile(w, h, count, records)
+    for name in ("type_code", "qp", "bits"):
+        assert np.array_equal(getattr(got.trace, name), getattr(oracle, name)), name
+    assert got.trace.records == records

@@ -228,3 +228,44 @@ def test_grid_one_row_too_many_or_mixed_is_rejected():
     mixed = [line for line in mixed if not line.startswith("1,2,")]
     with pytest.raises(CoverageGap):
         load_trace_text("\n".join(mixed) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# the trace as arrays
+# ---------------------------------------------------------------------------
+
+def test_frames_are_read_only_views_of_the_trace_arrays():
+    tf = load_trace_text(trace_text(40, 24, 3, 2, frames=2, skip_row=1))
+    assert tf.type_code.shape == tf.qp.shape == tf.bits.shape == (2, 2, 3)
+    assert (tf.type_code.dtype, tf.qp.dtype, tf.bits.dtype) == \
+        (np.int8, np.int64, np.int64)
+    fmap = tf.frames()[1]
+    for name in ("type_code", "qp", "bits"):
+        grid = getattr(fmap, name)
+        assert np.shares_memory(grid, getattr(tf, name))
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0
+    assert fmap.records() == [r for r in tf.records if r.frame_idx == 1]
+
+
+def test_trace_from_arrays_is_checked_like_records():
+    grid = np.ones((1, 1, 2), dtype=np.int64)
+    tf = TraceFile(32, 16, 1, type_code=grid, qp=20 * grid, bits=9 * grid)
+    assert tf.records == [BlockRecord(0, 0, 0, "P", 20, 9),
+                          BlockRecord(0, 1, 0, "P", 20, 9)]
+    with pytest.raises(SchemaError, match="unknown block type 'code 7'"):
+        TraceFile(32, 16, 1, type_code=7 * grid, qp=20 * grid, bits=grid)
+    with pytest.raises(RangeError):
+        TraceFile(32, 16, 1, type_code=grid, qp=60 * grid, bits=grid)
+    with pytest.raises(SchemaError, match="outside 2x1 grid"):
+        TraceFile(32, 16, 1, type_code=np.ones((1, 2, 2)), qp=20 * np.ones((1, 2, 2)),
+                  bits=np.ones((1, 2, 2)))
+    with pytest.raises(CoverageGap):
+        TraceFile(48, 16, 1, type_code=grid, qp=20 * grid, bits=grid)
+
+
+def test_header_claiming_many_frames_fails_at_the_first_empty_one():
+    # only the frames up to the first one without blocks are laid out
+    with pytest.raises(CoverageGap, match=r"\(frame 1, 0, 0\)"):
+        load_trace_text("#w=1920 h=1080 mb=16 frames=1000000000\n" +
+                        trace_text(1920, 1080, 120, 68).split("\n", 1)[1])
