@@ -19,9 +19,9 @@ from .calibration import (CalibrationRun, CalibrationVideo, SplicedFrame,
 from .errors import (AllMaskedOut, BitstreamExhausted, BlockPrnuError,
                      ConfigError, CoverageGap, DegenerateFingerprint,
                      DimensionMismatch, EmptyAccumulator, EmptyBucket,
-                     EmptyInput, InsufficientData, InsufficientFrames,
-                     MalformedStream, MissingAnchor, MissingKey,
-                     MissingParameterSet, RangeError, SchemaError,
+                     EmptyInput, InputError, InsufficientData,
+                     InsufficientFrames, MalformedStream, MissingAnchor,
+                     MissingKey, MissingParameterSet, RangeError, SchemaError,
                      TruncatedUnit, UnsupportedProfile)
 from .evaluation import (BPP_GROUP_EDGES, ExperimentGrid, GridVideo,
                          RocCurve, ThresholdTable, format_ratio,
@@ -39,7 +39,7 @@ from .prnu import (Fingerprint, FingerprintAccumulator, estimate_fingerprint,
 from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, FrameBlockMap,
                     TraceFile, bits_per_pixel, lambda_grid, lambda_of_qp,
                     lambda_rate, skipped_block_rate)
-from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP,
+from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP, SCHEMES,
                         TABLE_SCHEMES, SchemeConfig, WeightTable, build_mask,
                         mask_lambda_rate, mask_qp, mask_skip_eliminate,
                         paint_blocks)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (BitstreamExhausted, MalformedStream, MissingParameterSet,
                      RangeError, SchemaError, TruncatedUnit,
-                     UnsupportedProfile)
+                     UnsupportedProfile, decode_text)
 from .trace import BLOCK_TYPES, BlockColumns, BlockRecord, TraceFile
 
 START_CODE = b"\x00\x00\x01"
@@ -662,7 +662,7 @@ def load_trace_text(text: str) -> TraceFile:
 
 def load_trace(path: str | Path) -> TraceFile:
     """Load and fully validate a trace file."""
-    return load_trace_text(Path(path).read_text())
+    return load_trace_text(decode_text(Path(path).read_bytes(), path))
 
 
 def serialize_trace(tf: TraceFile) -> str:

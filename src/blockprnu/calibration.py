@@ -24,7 +24,7 @@ from .errors import (EmptyBucket, InsufficientData, InsufficientFrames,
 from .matching import PceConfig, ReferenceSpectrum, pce
 from .noise import DenoiseConfig, NoiseResidual, Picture
 from .prnu import (Fingerprint, fingerprint_from_residuals,
-                   residual_extractor)
+                   require_references, residual_extractor)
 from .trace import MACROBLOCK, FrameBlockMap, TraceFile
 from .weighting import ANCHOR_LAMBDA_RATE, ANCHOR_QP, SchemeConfig, WeightTable
 
@@ -41,7 +41,6 @@ class CalibrationRun:
     """
     camera_id: str
     samples: list[tuple[float, float]] = field(default_factory=list)
-    reference: Fingerprint | None = None
 
 
 @dataclass
@@ -164,8 +163,8 @@ def _bucket_index(edges: np.ndarray, values) -> np.ndarray:
 
 def build_lambda_rate_table(runs: Sequence[CalibrationRun],
                             bucket_edges: np.ndarray,
-                            anchor_lr: float = ANCHOR_LAMBDA_RATE,
-                            scheme: str = "lambda_r") -> tuple[WeightTable, list[str]]:
+                            anchor_lr: float = ANCHOR_LAMBDA_RATE
+                            ) -> tuple[WeightTable, list[str]]:
     """Bucket (mean lambda*rate, PCE) samples, normalize at the anchor bucket,
     average across cameras, take the square root.
 
@@ -222,7 +221,7 @@ def build_lambda_rate_table(runs: Sequence[CalibrationRun],
         pos = int(np.searchsorted(keys, anchor_lr))
         keys = np.insert(keys, pos, anchor_lr)
         weights = np.insert(weights, pos, 1.0)
-    table = WeightTable(scheme=scheme, keys=keys, weights=weights,
+    table = WeightTable(scheme="lambda_r", keys=keys, weights=weights,
                         anchor_key=float(anchor_lr))
     return table, report
 
@@ -255,21 +254,18 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
     """
     scheme = SchemeConfig("conventional" if include_skip else "skip_eliminate")
     runs: dict[str, CalibrationRun] = {}
+    require_references((v.camera_id for v in videos), references)
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
             if video.qp is None:
                 raise InsufficientData(f"video of camera {video.camera_id} "
                                        f"has no fixed-QP condition")
-            if video.camera_id not in references:
-                raise InsufficientData(f"no reference fingerprint for camera "
-                                       f"{video.camera_id}")
             residuals = extract(video.pictures)
             fp = fingerprint_from_residuals(video.pictures, video.trace.frames(),
                                             residuals, scheme)
             match = pce(fp, references[video.camera_id], pce_config)
-            run = runs.setdefault(video.camera_id, CalibrationRun(
-                camera_id=video.camera_id,
-                reference=references[video.camera_id]))
+            run = runs.setdefault(video.camera_id,
+                                  CalibrationRun(camera_id=video.camera_id))
             run.samples.append((float(video.qp), match.pce))
     return build_qp_table(list(runs.values()), anchor_qp=anchor_qp,
                           scheme="qp_all" if include_skip else "qp_noskip")
@@ -277,7 +273,6 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
 
 def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
                           references: dict[str, Fingerprint],
-                          bucket_edges: np.ndarray | None = None,
                           n_buckets: int = 20,
                           anchor_lr: float = ANCHOR_LAMBDA_RATE,
                           include_skip: bool = False,
@@ -288,23 +283,19 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
 
     Each video is spliced into cost-ranked frames; every spliced frame with
     any filled position yields one (mean lambda*rate, PCE) sample against
-    its camera's reference. Bucket edges default to equal-population
-    quantiles of the pooled means.
+    its camera's reference. Bucket edges are equal-population quantiles of
+    the pooled means.
     """
     runs: dict[str, CalibrationRun] = {}
+    require_references((v.camera_id for v in videos), references)
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
-            if video.camera_id not in references:
-                raise InsufficientData(f"no reference fingerprint for camera "
-                                       f"{video.camera_id}")
             spliced = splice_by_lambda_rate(extract(video.pictures),
                                             video.trace.frames(),
                                             include_skip=include_skip)
-            ref = references[video.camera_id]
             run = runs.setdefault(video.camera_id,
-                                  CalibrationRun(camera_id=video.camera_id,
-                                                 reference=ref))
-            spectrum = ReferenceSpectrum(ref)
+                                  CalibrationRun(camera_id=video.camera_id))
+            spectrum = ReferenceSpectrum(references[video.camera_id])
             for frame in spliced.frames:
                 if (not np.isfinite(frame.mean_lambda_rate)
                         or not np.any(frame.values)):
@@ -314,7 +305,6 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
     all_samples = [lr for run in runs.values() for lr, _ in run.samples]
     if not all_samples:
         raise InsufficientData("no spliced frames produced observations")
-    if bucket_edges is None:
-        bucket_edges = quantile_bucket_edges(all_samples, n_buckets)
-    return build_lambda_rate_table(list(runs.values()), bucket_edges,
+    return build_lambda_rate_table(list(runs.values()),
+                                   quantile_bucket_edges(all_samples, n_buckets),
                                    anchor_lr=anchor_lr)

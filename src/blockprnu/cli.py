@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -21,16 +22,11 @@ import numpy as np
 from .bitstream import load_trace, save_trace
 from .calibration import (CalibrationVideo, calibrate_lambda_rate,
                           calibrate_qp)
-from .errors import (AllMaskedOut, BitstreamExhausted, ConfigError,
-                     CoverageGap, DegenerateFingerprint, DimensionMismatch,
-                     EmptyAccumulator, EmptyBucket, EmptyInput,
-                     InsufficientData, InsufficientFrames, MalformedStream,
-                     MissingAnchor, MissingKey, MissingParameterSet,
-                     RangeError, SchemaError, TruncatedUnit,
-                     UnsupportedProfile)
+from .errors import (BlockPrnuError, ConfigError, DimensionMismatch,
+                     InputError, SchemaError, decode_text)
 from .evaluation import (BPP_GROUP_EDGES, GridVideo, format_ratio,
-                         improvement_ratios, run_grid, scheme_mean_pce,
-                         threshold_table)
+                         group_labels_for_edges, improvement_ratios,
+                         run_grid, scheme_mean_pce, threshold_table)
 from .matching import (DEFAULT_THRESHOLD, PceConfig, format_report_records,
                        pce)
 from .noise import DenoiseConfig, read_yuv420, write_yuv420
@@ -39,18 +35,7 @@ from .prnu import (Fingerprint, estimate_fingerprint, read_fingerprint,
 from .trace import (BLOCK_TYPES, TraceFile, bits_per_pixel,
                     skipped_block_rate)
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP,
-                        TABLE_SCHEMES, SchemeConfig, WeightTable)
-
-EXIT_USAGE = 2
-EXIT_INPUT = 3
-EXIT_DEGENERATE = 4
-
-_INPUT_ERRORS = (SchemaError, CoverageGap, RangeError, MalformedStream,
-                 TruncatedUnit, BitstreamExhausted, MissingParameterSet,
-                 UnsupportedProfile, MissingKey, DimensionMismatch, OSError)
-_DEGENERATE_ERRORS = (EmptyInput, EmptyAccumulator, AllMaskedOut,
-                      DegenerateFingerprint, MissingAnchor, InsufficientData,
-                      InsufficientFrames, EmptyBucket)
+                        SchemeConfig, WeightTable)
 
 
 def _outpath(path: str | Path) -> Path:
@@ -92,24 +77,25 @@ def _read_manifest(path: str, fields: tuple[str, ...],
     """CSV rows of the named fields; relative paths resolve against the
     manifest's directory. '#' lines and blank lines are skipped."""
     base = Path(path).parent
+    text = decode_text(Path(path).read_bytes(), path)
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            row = [c.strip() for c in row]
-            if not any(row):
-                continue
-            want = len(fields)
-            if len(row) < want or len(row) > want + len(optional):
-                raise SchemaError(f"{path}:{lineno}: expected "
-                                  f"{want}-{want + len(optional)} fields, "
-                                  f"got {len(row)}")
-            rec = dict(zip(fields + optional, row))
-            for key in rec:
-                if key.endswith("_path"):
-                    rec[key] = str(base / rec[key])
-            rows.append(rec)
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")),
+                                 start=1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        row = [c.strip() for c in row]
+        if not any(row):
+            continue
+        want = len(fields)
+        if len(row) < want or len(row) > want + len(optional):
+            raise SchemaError(f"{path}:{lineno}: expected "
+                              f"{want}-{want + len(optional)} fields, "
+                              f"got {len(row)}")
+        rec = dict(zip(fields + optional, row))
+        for key in rec:
+            if key.endswith("_path"):
+                rec[key] = str(base / rec[key])
+        rows.append(rec)
     if not rows:
         raise SchemaError(f"{path}: empty manifest")
     return rows
@@ -122,19 +108,19 @@ def _load_references(directory: str, camera_ids) -> dict[str, Fingerprint]:
     return refs
 
 
-def _table_for_scheme(parser: argparse.ArgumentParser, scheme: str,
-                      path: str | None) -> WeightTable | None:
-    if scheme not in TABLE_SCHEMES or scheme == "skip_eliminate":
-        if path is not None:
-            parser.error(f"scheme {scheme} does not take a weight table")
-        return None
-    if path is None:
-        parser.error(f"scheme {scheme} needs a weight table")
-    table = WeightTable.load(path)
-    if table.scheme != scheme:
+def _scheme_config(parser: argparse.ArgumentParser, scheme: str,
+                   path: str | None) -> SchemeConfig:
+    """The scheme with the table at `path`; an unknown scheme, or a table
+    missing or given where the scheme takes none, is a usage error."""
+    table = None if path is None else WeightTable.load(path)
+    try:
+        config = SchemeConfig(scheme, table)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    if table is not None and table.scheme != scheme:
         raise SchemaError(f"{path} holds a {table.scheme} table, "
                           f"not {scheme}")
-    return table
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +146,9 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_estimate(args, parser) -> int:
-    table = _table_for_scheme(parser, args.scheme, args.table)
+    scheme = _scheme_config(parser, args.scheme, args.table)
     trace = load_trace(args.trace)
     pictures = _load_pictures(args.frames, trace)
-    scheme = SchemeConfig(args.scheme, table)
     source_id = args.source_id if args.source_id else Path(args.out).stem
     fp = estimate_fingerprint(pictures, trace.frames(), scheme,
                               denoise_config=_denoise_config(args),
@@ -292,16 +277,15 @@ def cmd_evaluate(args, parser) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         parser.error("no schemes requested")
-    for s in schemes:
-        if s not in ALL_SCHEMES:
-            parser.error(f"unknown scheme {s!r}")
-    table_paths = {"qp_all": args.qp_all_table,
-                   "qp_noskip": args.qp_noskip_table,
-                   "lambda_r": args.lambda_table}
-    configs = []
-    for s in schemes:
-        configs.append(SchemeConfig(s, _table_for_scheme(
-            parser, s, table_paths.get(s))))
+    # a table scheme reads its table from its --<scheme>-table option
+    configs = [_scheme_config(parser, s, getattr(args, f"{s}_table", None))
+               for s in schemes]
+    try:
+        edges = tuple(float(e) for e in args.edges.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--edges {args.edges!r} is not a comma-separated "
+                          f"list of numbers") from exc
+    group_labels_for_edges(edges)   # checks the edges before the grid runs
 
     rows = _read_manifest(args.manifest,
                           ("video_id", "camera_id", "frames_path",
@@ -316,7 +300,6 @@ def cmd_evaluate(args, parser) -> int:
                                 trace=trace))
     references = _load_references(args.references,
                                   (v.camera_id for v in videos))
-    edges = tuple(float(e) for e in args.edges.split(","))
     grid = run_grid(videos, configs, references,
                     denoise_config=_denoise_config(args),
                     pce_config=_pce_config(args, args.search),
@@ -475,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated scheme list (default: all)")
     p.add_argument("--qp-all-table", default=None)
     p.add_argument("--qp-noskip-table", default=None)
-    p.add_argument("--lambda-table", default=None)
+    p.add_argument("--lambda-table", dest="lambda_r_table", default=None)
     p.add_argument("--edges", default=",".join(str(e) for e in BPP_GROUP_EDGES),
                    help="bits-per-pixel group edges for the detection table")
     p.add_argument("--out-prefix", required=True,
@@ -494,15 +477,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (BlockPrnuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _DEGENERATE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        # a file that cannot be read is an input error
+        return getattr(exc, "exit_code", InputError.exit_code)
 
 
 if __name__ == "__main__":

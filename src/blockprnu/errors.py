@@ -1,48 +1,56 @@
 """
 Exception taxonomy shared by all modules.
 
-Everything raised on purpose derives from BlockPrnuError so callers (and the
-CLI exit-code mapping) can tell deliberate rejections from genuine bugs.
+Everything raised on purpose derives from BlockPrnuError so callers can tell
+deliberate rejections from genuine bugs. Each class carries its CLI exit
+code: 2 for ConfigError, 3 for malformed input (InputError and its
+subclasses) and 4 for a degenerate computation (the rest).
 """
 
 
 class BlockPrnuError(Exception):
     """Base class for all deliberate errors raised by this package."""
+    exit_code = 4
+
+
+class InputError(BlockPrnuError):
+    """An input file or value does not have the documented form."""
+    exit_code = 3
 
 
 # ---------- bitstream / parsing ----------
 
-class MalformedStream(BlockPrnuError):
+class MalformedStream(InputError):
     """Byte stream is not a valid Annex-B elementary stream."""
 
 
-class TruncatedUnit(BlockPrnuError):
+class TruncatedUnit(InputError):
     """Stream ended in the middle of a NAL unit."""
 
 
-class BitstreamExhausted(BlockPrnuError):
+class BitstreamExhausted(InputError):
     """A read ran past the end of the available bits."""
 
 
-class MissingParameterSet(BlockPrnuError):
+class MissingParameterSet(InputError):
     """Slice references an SPS/PPS id that was never seen."""
 
 
-class UnsupportedProfile(BlockPrnuError):
+class UnsupportedProfile(InputError):
     """Syntax requires features outside the supported Baseline/Main subset."""
 
 
 # ---------- trace / tabular inputs ----------
 
-class SchemaError(BlockPrnuError):
+class SchemaError(InputError):
     """A line or header does not match the documented format."""
 
 
-class CoverageGap(BlockPrnuError):
+class CoverageGap(InputError):
     """A trace does not cover the full macroblock grid."""
 
 
-class RangeError(BlockPrnuError):
+class RangeError(InputError):
     """A numeric field is outside its allowed range."""
 
 
@@ -52,7 +60,7 @@ class EmptyInput(BlockPrnuError):
 
 # ---------- fingerprint estimation ----------
 
-class DimensionMismatch(BlockPrnuError):
+class DimensionMismatch(InputError):
     """Arrays that must share a shape do not."""
 
 
@@ -72,7 +80,7 @@ class DegenerateFingerprint(BlockPrnuError):
 
 # ---------- weighting / calibration ----------
 
-class MissingKey(BlockPrnuError):
+class MissingKey(InputError):
     """A weight table has no entry for the requested key."""
 
 
@@ -96,3 +104,13 @@ class EmptyBucket(BlockPrnuError):
 
 class ConfigError(BlockPrnuError):
     """A configuration value is out of its domain or inconsistent."""
+    exit_code = 2
+
+
+def decode_text(data: bytes, source) -> str:
+    """Outside bytes as UTF-8 text, or a SchemaError that names `source`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{source}: not UTF-8 ({exc.reason} at byte "
+                          f"{exc.start})") from exc

@@ -18,9 +18,9 @@ from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
                        ReferenceSpectrum, pce)
 from .noise import DenoiseConfig, Picture
 from .prnu import (Fingerprint, fingerprint_from_residuals,
-                   residual_extractor)
+                   require_references, residual_extractor)
 from .trace import TraceFile, bits_per_pixel, skipped_block_rate
-from .weighting import ALL_SCHEMES, SchemeConfig
+from .weighting import SchemeConfig
 
 BPP_GROUP_EDGES = (0.024, 0.052, 0.084, 0.172)
 
@@ -62,6 +62,7 @@ def run_grid(videos: Sequence[GridVideo],
     schemes = [c.scheme for c in scheme_configs]
     if len(set(schemes)) != len(schemes):
         raise ConfigError("duplicate schemes in grid")
+    require_references((v.camera_id for v in videos), references)
     grid = ExperimentGrid(video_ids=[v.video_id for v in videos],
                           schemes=schemes,
                           bpp={v.video_id: bits_per_pixel(v.trace) for v in videos},
@@ -157,6 +158,13 @@ class ThresholdTable:
 
 
 def group_labels_for_edges(edges: Sequence[float]) -> list[str]:
+    """Labels of the bits-per-pixel groups; ConfigError unless the edges
+    are finite and increasing."""
+    edges = np.asarray(edges, dtype=np.float64)
+    if not (edges.ndim == 1 and edges.size and np.isfinite(edges).all()
+            and np.all(np.diff(edges) > 0)):
+        raise ConfigError(f"bits-per-pixel group edges must be finite and "
+                          f"increasing, got {edges.tolist()}")
     labels = [f"<{e:g}" for e in edges]
     labels.append(f">{edges[-1]:g}")
     return labels

@@ -24,11 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AllMaskedOut, ConfigError, DimensionMismatch,
-                     EmptyAccumulator, SchemaError)
+                     EmptyAccumulator, InsufficientData, SchemaError,
+                     decode_text)
 from .noise import (DenoiseConfig, NoiseResidual, Picture, extract_residual,
                     saturation_mask)
 from .trace import FrameBlockMap
-from .weighting import SchemeConfig, build_mask
+from .weighting import SCHEMES, SchemeConfig, build_mask
 
 _MAGIC = b"BPFP\x01"
 DENOMINATOR_FLOOR_SCALE = 1e-3
@@ -150,7 +151,7 @@ def read_fingerprint(path: str | Path) -> Fingerprint:
     off += 12
     if len(data) < off + sid_len:
         raise SchemaError(f"{path}: truncated source id")
-    sid = data[off:off + sid_len].decode("utf-8")
+    sid = decode_text(data[off:off + sid_len], f"{path}: source id")
     off += sid_len
     n = w * h
     if n == 0:
@@ -195,6 +196,14 @@ def resolve_workers(value: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def require_references(camera_ids, references: dict[str, Fingerprint]) -> None:
+    """InsufficientData for the first camera without a reference
+    fingerprint; calibration and grids check it before any extraction."""
+    for cam in camera_ids:
+        if cam not in references:
+            raise InsufficientData(f"no reference fingerprint for camera {cam}")
+
+
 @contextmanager
 def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
                        workers: int = 1):
@@ -222,12 +231,12 @@ def fingerprint_from_residuals(pictures: Sequence[Picture],
     """Mask, accumulate in frame order and finalize precomputed residuals.
 
     frame_maps may be None only for schemes that ignore block metadata
-    (conventional / loop_filter_only).
+    (neither a table nor zeroed skips in `SCHEMES`).
     """
     if not pictures:
         raise EmptyAccumulator("no pictures to estimate from")
     if frame_maps is None:
-        if scheme.scheme not in ("conventional", "loop_filter_only"):
+        if SCHEMES[scheme.scheme].lookup or SCHEMES[scheme.scheme].zero_skip:
             raise DimensionMismatch(f"scheme {scheme.scheme} needs frame maps")
         frame_maps = [None] * len(pictures)
     if not len(frame_maps) == len(residuals) == len(pictures):

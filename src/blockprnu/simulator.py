@@ -156,34 +156,36 @@ def code_candidate(residual: np.ndarray, qp: int) -> tuple[np.ndarray, np.ndarra
 def encode_block(block: np.ndarray, reference: np.ndarray, qp: int,
                  lam: float | None = None,
                  allow_skip: bool = True) -> dict:
-    """Rate-distortion mode decision for one macroblock.
+    """Rate-distortion mode decision for one macroblock, or for each block
+    of a (..., 16, 16) stack against a reference that broadcasts to it.
 
     Returns a dict with the chosen mode ("CODE"/"SKIP"), the decoded block,
-    and (d, r, j) for the choice plus both candidates. Ties go to CODE.
+    and (d, r, j) for the choice plus both candidates, each of the stack's
+    leading shape. Ties go to CODE.
     """
     if lam is None:
         lam = lambda_of_qp(qp)
     block = np.asarray(block, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
-    rec_res, rate_c = code_candidate(block - reference, qp)
-    recon_c = np.clip(np.rint(reference + rec_res), 0, 255)
-    d_code = float(((block - recon_c) ** 2).sum())
-    r_code = float(rate_c)
+    rec_res, r_code = code_candidate(block - reference, qp)
+    recon = np.clip(np.rint(reference + rec_res), 0, 255)
+    d_code = ((block - recon) ** 2).sum(axis=(-2, -1))
     j_code = d_code + lam * r_code
     candidates = {"CODE": (d_code, r_code, j_code)}
-    choice = "CODE"
-    recon = recon_c
-    d, r, j = d_code, r_code, j_code
+    skip = np.zeros(np.shape(j_code), dtype=bool)
+    d, r, j = candidates["CODE"]
     if allow_skip:
         recon_s = np.clip(np.rint(reference), 0, 255)
-        d_skip = float(((block - recon_s) ** 2).sum())
+        d_skip = ((block - recon_s) ** 2).sum(axis=(-2, -1))
         j_skip = d_skip + lam * _SKIP_BITS
         candidates["SKIP"] = (d_skip, float(_SKIP_BITS), j_skip)
-        if j_skip < j_code:
-            choice, recon = "SKIP", recon_s
-            d, r, j = d_skip, float(_SKIP_BITS), j_skip
-    return {"mode": choice, "recon": recon, "d": d, "r": r, "j": j,
-            "lam": lam, "candidates": candidates}
+        skip = j_skip < j_code
+        recon = np.where(skip[..., None, None], recon_s, recon)
+        # [()] turns a single block's 0-d results into scalars
+        d, r, j = (np.where(skip, s, c)[()] for s, c in
+                   zip(candidates["SKIP"], candidates["CODE"]))
+    return {"mode": np.where(skip, "SKIP", "CODE")[()], "recon": recon,
+            "d": d, "r": r, "j": j, "lam": lam, "candidates": candidates}
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +234,10 @@ def _encode_intra(orig: np.ndarray, qp: int) -> tuple[np.ndarray, ...]:
         count = MACROBLOCK * ((by > 0).astype(np.int64) + (bx > 0))
         pred = np.divide(top + left, count, out=np.full(by.size, 128.0),
                          where=count > 0)[:, None, None]
-        block = orig_blocks[by, :, bx, :]
-        rec_res, rate[by, bx] = code_candidate(block - pred, qp)
-        recon = np.clip(np.rint(pred + rec_res), 0, 255)
-        distortion[by, bx] = ((block - recon) ** 2).sum(axis=(-2, -1))
-        dec_blocks[by, :, bx, :] = recon
+        out = encode_block(orig_blocks[by, :, bx, :], pred, qp,
+                           allow_skip=False)
+        distortion[by, bx], rate[by, bx] = out["d"], out["r"]
+        dec_blocks[by, :, bx, :] = out["recon"]
     return dec, distortion, rate
 
 
@@ -284,21 +285,12 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
             type_code[t] = BLOCK_TYPES.index("I")
             qps[t] = qp
         else:
-            ref = prev_dec.astype(np.float64)
-            orig_blocks = orig.reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
-            ref_blocks = ref.reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
-            rec_res, rate_c = code_candidate(orig_blocks - ref_blocks, qp)
-            recon_c = np.clip(np.rint(ref_blocks + rec_res), 0, 255)
-            d_code = ((orig_blocks - recon_c) ** 2).sum(axis=(-2, -1))
-            j_code = d_code + lam * rate_c
-            d_skip = ((orig_blocks - ref_blocks) ** 2).sum(axis=(-2, -1))
-            j_skip = d_skip + lam * _SKIP_BITS
-            use_skip = j_skip < j_code
-            recon = np.where(use_skip[..., None, None], ref_blocks, recon_c)
-            dec = recon.swapaxes(1, 2).reshape(h, w)
-            distortion[t] = np.where(use_skip, d_skip, d_code)
-            rate[t] = np.where(use_skip, _SKIP_BITS, rate_c)
-            cost[t] = np.where(use_skip, j_skip, j_code)
+            blocks = [a.reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
+                      for a in (orig, prev_dec)]
+            out = encode_block(*blocks, qp, lam)
+            dec = out["recon"].swapaxes(1, 2).reshape(h, w)
+            distortion[t], rate[t], cost[t] = out["d"], out["r"], out["j"]
+            use_skip = out["mode"] == "SKIP"
             type_code[t] = np.where(use_skip, SKIP, BLOCK_TYPES.index("P"))
             qps[t] = np.where(use_skip, qps[t - 1], qp)
 

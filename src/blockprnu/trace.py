@@ -56,22 +56,19 @@ class BlockRecord:
                              f"frame {self.frame_idx} block ({self.mb_x},{self.mb_y})")
 
 
+def lambda_grid(qp) -> np.ndarray:
+    """Lagrange multiplier of each quantization parameter, strictly
+    decreasing in qp; every qp must lie in [0, 51]."""
+    qp = np.asarray(qp, dtype=np.float64)
+    bad = ~((qp >= QP_MIN) & (qp <= QP_MAX))
+    if bad.any():
+        raise RangeError(f"qp {qp[bad].flat[0]:g} outside [{QP_MIN}, {QP_MAX}]")
+    return 0.852 ** ((qp - 12.0) / 3.0)
+
+
 def lambda_of_qp(qp: int | float) -> float:
-    """Lagrange multiplier for a quantization parameter.
-
-    Strictly decreasing in qp; qp must lie in [0, 51].
-    """
-    if not (QP_MIN <= qp <= QP_MAX):
-        raise RangeError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
-    return 0.852 ** ((qp - 12) / 3.0)
-
-
-def lambda_grid(qp: np.ndarray) -> np.ndarray:
-    """Vectorized lambda_of_qp over an integer grid."""
-    qp = np.asarray(qp)
-    if qp.size and (qp.min() < QP_MIN or qp.max() > QP_MAX):
-        raise RangeError("qp grid has values outside [0, 51]")
-    return 0.852 ** ((qp.astype(np.float64) - 12.0) / 3.0)
+    """lambda_grid of one quantization parameter."""
+    return float(lambda_grid(qp))
 
 
 def lambda_rate(record: BlockRecord) -> float:
@@ -245,21 +242,21 @@ class TraceFile:
 
     The grid is floor-sized, or ceil-sized when the frame size is not a
     multiple of 16 and the blocks cover the partial ones; either way every
-    frame must cover it completely. Arrays are checked, and copied, when
-    given. A trace given as records is checked, and turned into arrays, on
-    the first use of its blocks, such as its first `frames()` call.
+    frame must cover it completely. Blocks are checked, and copied into the
+    arrays, when the trace is built, whether given as records or arrays.
     """
 
     def __init__(self, width: int, height: int, frame_count: int,
                  records: Iterable[BlockRecord] | None = None, *,
                  type_code: np.ndarray | None = None,
                  qp: np.ndarray | None = None, bits: np.ndarray | None = None):
-        self.width, self.height, self.frame_count = width, height, frame_count
-        self._records = None if records is None else list(records)
-        self._blocks = None
-        if self._records is None:
+        if records is None:
             cols = BlockColumns.of_arrays(type_code, qp, bits)
-            self._blocks = self._lay_out(cols, cols.record)
+            self._lay_out(width, height, frame_count, cols, cols.record)
+        else:
+            records = list(records)
+            self._lay_out(width, height, frame_count,
+                          BlockColumns.of_records(records), records.__getitem__)
 
     @classmethod
     def from_columns(cls, width: int, height: int, frame_count: int,
@@ -267,59 +264,30 @@ class TraceFile:
                      record: Callable[[int], BlockRecord]) -> "TraceFile":
         """Check blocks given in any order and lay them out."""
         trace = cls.__new__(cls)
-        trace.width, trace.height, trace.frame_count = width, height, frame_count
-        trace._records = None
-        trace._blocks = trace._lay_out(cols, record)
+        trace._lay_out(width, height, frame_count, cols, record)
         return trace
 
-    def _lay_out(self, cols: BlockColumns,
-                 record: Callable[[int], BlockRecord]) -> tuple[np.ndarray, ...]:
+    def _lay_out(self, width: int, height: int, frame_count: int,
+                 cols: BlockColumns, record: Callable[[int], BlockRecord]) -> None:
+        self.width, self.height, self.frame_count = width, height, frame_count
         cols.check(record)
-        stray = (cols.frame < 0) | (cols.frame >= self.frame_count)
+        stray = (cols.frame < 0) | (cols.frame >= frame_count)
         if stray.any():
             raise SchemaError(f"record frame {record(int(np.argmax(stray))).frame_idx} "
-                              f"outside 0..{self.frame_count - 1}")
-        return cols.lay_out(record, 0, self.frame_count,
-                            _grid_extent(self.width, cols.x),
-                            _grid_extent(self.height, cols.y))
-
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        if self._blocks is None:
-            self._blocks = self._lay_out(BlockColumns.of_records(self._records),
-                                         self._records.__getitem__)
-        return self._blocks
-
-    @property
-    def type_code(self) -> np.ndarray:
-        return self._arrays()[0]
-
-    @property
-    def qp(self) -> np.ndarray:
-        return self._arrays()[1]
-
-    @property
-    def bits(self) -> np.ndarray:
-        return self._arrays()[2]
-
-    @property
-    def grid_w(self) -> int:
-        return self.type_code.shape[2]
-
-    @property
-    def grid_h(self) -> int:
-        return self.type_code.shape[1]
+                              f"outside 0..{frame_count - 1}")
+        self.type_code, self.qp, self.bits = cols.lay_out(
+            record, 0, frame_count, _grid_extent(width, cols.x),
+            _grid_extent(height, cols.y))
+        self.grid_h, self.grid_w = self.qp.shape[1:]
 
     @property
     def records(self) -> list[BlockRecord]:
-        """The blocks as records: as given, or in (frame, mb_y, mb_x) order."""
-        if self._records is not None:
-            return self._records
+        """The blocks as records, in (frame, mb_y, mb_x) order."""
         return [rec for fmap in self.frames() for rec in fmap.records()]
 
     def frames(self) -> list[FrameBlockMap]:
-        """One view per frame; the blocks are checked only once."""
-        type_code, qp, bits = self._arrays()
-        return [FrameBlockMap._view(i, type_code[i], qp[i], bits[i])
+        """One view per frame; nothing is copied or checked again."""
+        return [FrameBlockMap._view(i, self.type_code[i], self.qp[i], self.bits[i])
                 for i in range(self.frame_count)]
 
 

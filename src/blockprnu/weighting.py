@@ -2,24 +2,21 @@
 Per-pixel contribution masks driven by block-level codec metadata.
 
 A mask is a plane of non-negative weights, constant within each 16x16
-macroblock footprint. Four schemes are derived from trace data: binary
-skip elimination, a QP-keyed table applied to every block, the same table
-with skips zeroed, and a lambda*rate-keyed table (interpolated) with skips
-zeroed. Tables come from calibration and are normalized to weight 1.0 at
-their anchor key.
+macroblock footprint. `SCHEMES` declares every scheme once: the block key
+its weight table is looked up by (none, QP or lambda*rate) and whether skip
+blocks weigh 0. Tables come from calibration and are normalized to weight
+1.0 at their anchor key.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, MissingKey, SchemaError
+from .errors import ConfigError, MissingKey, SchemaError, decode_text
 from .trace import MACROBLOCK, FrameBlockMap
-
-TABLE_SCHEMES = ("skip_eliminate", "qp_all", "qp_noskip", "lambda_r")
-ALL_SCHEMES = ("conventional", "loop_filter_only") + TABLE_SCHEMES
 
 ANCHOR_QP = 15
 ANCHOR_LAMBDA_RATE = 60.0
@@ -42,6 +39,9 @@ class WeightTable:
             raise ConfigError("keys and weights must be equal-length vectors")
         if self.keys.size == 0:
             raise ConfigError("empty weight table")
+        if not (np.isfinite(self.keys).all() and np.isfinite(self.weights).all()
+                and np.isfinite(self.anchor_key)):
+            raise ConfigError("table keys, weights and anchor key must be finite")
         if np.any(np.diff(self.keys) <= 0):
             raise ConfigError("table keys must be strictly increasing")
         if np.any(self.weights < 0):
@@ -104,7 +104,7 @@ class WeightTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "WeightTable":
-        return cls.from_text(Path(path).read_text())
+        return cls.from_text(decode_text(Path(path).read_bytes(), path))
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,12 @@ class SchemeConfig:
     table: WeightTable | None = None
 
     def __post_init__(self):
-        if self.scheme not in ALL_SCHEMES:
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.scheme in ("qp_all", "qp_noskip", "lambda_r") and self.table is None:
-            raise ConfigError(f"scheme {self.scheme} needs a weight table")
+        if (SCHEMES[self.scheme].lookup is None) != (self.table is None):
+            raise ConfigError(f"scheme {self.scheme} " + (
+                "needs a weight table" if self.table is None
+                else "does not take a weight table"))
 
 
 def paint_blocks(block_weights: np.ndarray,
@@ -138,61 +140,70 @@ def paint_blocks(block_weights: np.ndarray,
     return out
 
 
+def _qp_weights(fmap: FrameBlockMap, table: WeightTable) -> np.ndarray:
+    """Table weight at each block's QP. QP tables are dense by construction,
+    so a missing entry is an error, not a cue to interpolate."""
+    lut = np.full(52, np.nan)       # table weights are finite
+    for k, w in zip(table.keys, table.weights):
+        if k == int(k) and 0 <= k <= 51:
+            lut[int(k)] = w
+    weights = lut[fmap.qp]
+    missing = np.isnan(weights)
+    if missing.any():
+        raise MissingKey(f"table has no weight for qp {fmap.qp[missing].min()}")
+    return weights
+
+
+class Scheme(NamedTuple):
+    """How a scheme weighs a block: `lookup` gives the block weights from
+    the scheme's table, keyed by QP or lambda*rate (None: the scheme takes
+    no table and every block weighs 1); with `zero_skip` skips weigh 0."""
+    lookup: Callable[[FrameBlockMap, WeightTable], np.ndarray] | None
+    zero_skip: bool
+
+
+# loop_filter_only has no block-metadata effect of its own; in grids fed by
+# the simulator (which has no in-loop filter) it equals conventional
+SCHEMES = {
+    "conventional": Scheme(None, False),
+    "loop_filter_only": Scheme(None, False),
+    "skip_eliminate": Scheme(None, True),
+    "qp_all": Scheme(_qp_weights, False),
+    "qp_noskip": Scheme(_qp_weights, True),
+    "lambda_r": Scheme(lambda fmap, table: table.weight_interp(fmap.lambda_rate),
+                       True),
+}
+ALL_SCHEMES = tuple(SCHEMES)
+TABLE_SCHEMES = tuple(s for s, rule in SCHEMES.items() if rule.lookup)
+
+
 def mask_skip_eliminate(fmap: FrameBlockMap,
                         frame_shape: tuple[int, int] | None = None) -> np.ndarray:
     """0 on skip-block footprints, 1 elsewhere."""
-    return paint_blocks((~fmap.skip).astype(np.float64), frame_shape)
+    return build_mask(fmap, SchemeConfig("skip_eliminate"), frame_shape)
 
 
 def mask_qp(fmap: FrameBlockMap, table: WeightTable, exclude_skip: bool,
             frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Table weight at each block's QP; optionally zero on skips.
-
-    QP tables are dense by construction, so a missing entry is an error,
-    not a cue to interpolate.
-    """
-    lut = np.empty(52, dtype=np.float64)
-    present = np.zeros(52, dtype=bool)
-    for k, w in zip(table.keys, table.weights):
-        if k == int(k) and 0 <= int(k) <= 51:
-            lut[int(k)] = w
-            present[int(k)] = True
-    used = np.unique(fmap.qp)
-    missing = [int(q) for q in used if not present[q]]
-    if missing:
-        raise MissingKey(f"table has no weight for qp {missing[0]}")
-    weights = lut[fmap.qp]
-    if exclude_skip:
-        weights = np.where(fmap.skip, 0.0, weights)
-    return paint_blocks(weights, frame_shape)
+    """Table weight at each block's QP; optionally zero on skips."""
+    return build_mask(fmap, SchemeConfig("qp_noskip" if exclude_skip
+                                         else "qp_all", table), frame_shape)
 
 
 def mask_lambda_rate(fmap: FrameBlockMap, table: WeightTable,
                      frame_shape: tuple[int, int] | None = None) -> np.ndarray:
     """Interpolated table weight at each block's lambda*rate; skips get 0."""
-    weights = table.weight_interp(fmap.lambda_rate)
-    weights = np.where(fmap.skip, 0.0, weights)
-    return paint_blocks(weights, frame_shape)
+    return build_mask(fmap, SchemeConfig("lambda_r", table), frame_shape)
 
 
 def build_mask(fmap: FrameBlockMap, config: SchemeConfig,
                frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Mask for one frame under the given scheme.
-
-    loop_filter_only has no block-metadata effect of its own; in grids fed
-    by the simulator (which has no in-loop filter) it behaves exactly like
-    the conventional all-ones mask.
-    """
-    if config.scheme in ("conventional", "loop_filter_only"):
-        return paint_blocks(np.ones((fmap.grid_h, fmap.grid_w)), frame_shape)
-    if config.scheme == "skip_eliminate":
-        return mask_skip_eliminate(fmap, frame_shape)
-    if config.scheme == "qp_all":
-        return mask_qp(fmap, config.table, exclude_skip=False,
-                       frame_shape=frame_shape)
-    if config.scheme == "qp_noskip":
-        return mask_qp(fmap, config.table, exclude_skip=True,
-                       frame_shape=frame_shape)
-    if config.scheme != "lambda_r":
+    """Mask for one frame under the given scheme, as `SCHEMES` declares it."""
+    rule = SCHEMES.get(config.scheme)
+    if rule is None:
         raise ConfigError(f"unknown scheme {config.scheme!r}")
-    return mask_lambda_rate(fmap, config.table, frame_shape)
+    weights = (np.ones(fmap.qp.shape) if rule.lookup is None
+               else rule.lookup(fmap, config.table))
+    if rule.zero_skip:
+        weights = np.where(fmap.skip, 0.0, weights)
+    return paint_blocks(weights, frame_shape)

@@ -14,6 +14,7 @@ from blockprnu import (
     skipped_block_rate,
     write_yuv420,
 )
+from blockprnu import cli, errors
 from blockprnu.bitstream import load_trace, save_trace
 from blockprnu.cli import main
 from conftest import uniform_trace
@@ -365,3 +366,111 @@ def test_main_requires_subcommand():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit codes carried by the error classes
+# ---------------------------------------------------------------------------
+
+EXIT_CODES = {
+    "ConfigError": 2,
+    "InputError": 3, "SchemaError": 3, "CoverageGap": 3, "RangeError": 3,
+    "MalformedStream": 3, "TruncatedUnit": 3, "BitstreamExhausted": 3,
+    "MissingParameterSet": 3, "UnsupportedProfile": 3, "MissingKey": 3,
+    "DimensionMismatch": 3,
+    "EmptyInput": 4, "EmptyAccumulator": 4, "AllMaskedOut": 4,
+    "DegenerateFingerprint": 4, "MissingAnchor": 4, "InsufficientData": 4,
+    "InsufficientFrames": 4, "EmptyBucket": 4,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_keeps_its_exit_code():
+    found = {cls.__name__: cls.exit_code
+             for cls in _subclasses(errors.BlockPrnuError)
+             if cls.__module__ == errors.__name__}
+    assert found == EXIT_CODES
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_main_exits_with_the_code_of_the_class(name, monkeypatch, capsys):
+    def fail(args):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "cmd_inspect", fail)
+    assert run("inspect", "any.trace") == EXIT_CODES[name]
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+# ---------------------------------------------------------------------------
+# outside text that is not UTF-8: exit 3 with one error line
+# ---------------------------------------------------------------------------
+
+def _one_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    for word in ("not UTF-8",) + words:
+        assert word in err, err
+
+
+def test_inspect_trace_ending_in_0xff(sim, tmp_path, capsys):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(sim["trace"].read_bytes().rstrip(b"\n")[:-1] + b"\xff")
+    assert run("inspect", bad) == 3
+    _one_error_line(capsys, "bad.trace")
+
+
+def test_evaluate_manifest_holding_0xff(calib, tmp_path, capsys):
+    root, _, refs = calib
+    manifest = root / "bad_eval.csv"
+    manifest.write_bytes(b"v15,cam\xff,v15.yuv,v15.trace\n")
+    assert run("evaluate", "--manifest", manifest, "--references", refs,
+               "--schemes", "conventional", "--out-prefix", tmp_path / "o",
+               "--workers", 1) == 3
+    _one_error_line(capsys, "bad_eval.csv")
+
+
+def test_weight_table_holding_0xff(sim, tmp_path, capsys):
+    table = tmp_path / "bad.wt"
+    table.write_bytes(b"#scheme=lambda_r anchor_key=60.0\n60.0,1.0\xff\n")
+    assert run("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
+               "--scheme", "lambda_r", "--table", table,
+               "--out", tmp_path / "x.bpf", "--workers", 1) == 3
+    _one_error_line(capsys, "bad.wt")
+    assert not (tmp_path / "x.bpf").exists()
+
+
+def test_fingerprint_source_id_not_utf8(reference, tmp_path, capsys):
+    data = bytearray(reference.read_bytes())
+    sid = len(b"BPFP\x01") + 12                 # the source id "cam" follows
+    assert data[sid:sid + 3] == b"cam"
+    data[sid] = 0xff
+    bad = tmp_path / "bad.bpf"
+    bad.write_bytes(bytes(data))
+    assert run("match", "--test", bad, "--reference", reference) == 3
+    _one_error_line(capsys, "bad.bpf", "source id")
+
+
+# ---------------------------------------------------------------------------
+# bits-per-pixel group edges
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("edges", ["", "0.1,x", "0.1,,0.2", "0.8,0.4",
+                                   "0.4,0.4", "nan", "0.1,inf"])
+def test_evaluate_bad_edges_exit_2_before_the_grid(calib, tmp_path, capsys,
+                                                   monkeypatch, edges):
+    root, _, refs = calib
+    manifest = root / "eval.csv"
+    manifest.write_text("v15,cam,v15.yuv,v15.trace\n")
+    monkeypatch.setattr(cli, "run_grid", None)      # never reached
+    assert run("evaluate", "--manifest", manifest, "--references", refs,
+               "--schemes", "conventional", "--edges", edges,
+               "--out-prefix", tmp_path / "o", "--workers", 1) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "o.table.txt").exists()

@@ -10,6 +10,7 @@ from blockprnu import (
     EmptyInput,
     ExperimentGrid,
     GridVideo,
+    InsufficientData,
     MatchReport,
     MissingKey,
     SchemeConfig,
@@ -289,3 +290,27 @@ def test_sbr_summary_rows():
     assert rows[1] == "uniform,0.5,0.5,0.5,0.5,0.5"
     with pytest.raises(EmptyInput):
         sbr_summary({"empty": []})
+
+
+@pytest.mark.parametrize("edges", [(), (float("nan"),), (0.1, float("inf")),
+                                   (0.8, 0.4), (0.4, 0.4)])
+def test_threshold_table_rejects_bad_edges(edges):
+    with pytest.raises(ConfigError, match="finite and increasing"):
+        threshold_table(fake_grid(), edges)
+    with pytest.raises(ConfigError):
+        group_labels_for_edges(edges)
+
+
+def test_run_grid_missing_reference_fails_before_any_extraction(eval_setup,
+                                                                monkeypatch):
+    video, references = eval_setup
+    stranger = GridVideo(video_id="s", camera_id="nocam",
+                         pictures=video.pictures, trace=video.trace)
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("residuals extracted before the check")
+
+    monkeypatch.setattr(evaluation, "residual_extractor", no_extraction)
+    with pytest.raises(InsufficientData, match="nocam"):
+        run_grid([video, stranger], [SchemeConfig("conventional")],
+                 references)

@@ -126,6 +126,29 @@ def test_encode_block_uses_qp_lambda_by_default():
     assert out["lam"] == lambda_of_qp(33)
 
 
+def test_encode_block_on_a_stack_equals_one_block_at_a_time():
+    rng = np.random.default_rng(4)
+    blocks = rng.integers(0, 256, size=(3, 5, 16, 16)).astype(np.float64)
+    refs = blocks + rng.integers(-3, 4, size=blocks.shape)
+    refs[0, 0] = blocks[0, 0]                   # a sure skip
+    refs = np.clip(refs, 0, 255)
+    for allow_skip in (True, False):
+        out = encode_block(blocks, refs, qp=30, allow_skip=allow_skip)
+        assert out["mode"].shape == out["d"].shape == (3, 5)
+        for i in range(3):
+            for k in range(5):
+                one = encode_block(blocks[i, k], refs[i, k], qp=30,
+                                   allow_skip=allow_skip)
+                assert one["mode"] == out["mode"][i, k]
+                assert np.array_equal(one["recon"], out["recon"][i, k])
+                for key in ("d", "r", "j"):
+                    assert one[key] == out[key][i, k]
+                for mode, values in one["candidates"].items():
+                    for got, want in zip(values, out["candidates"][mode]):
+                        assert got == np.broadcast_to(want, (3, 5))[i, k]
+        assert (out["mode"] == "SKIP").any() == allow_skip
+
+
 def test_near_lossless_at_qp_1():
     rng = np.random.default_rng(3)
     frame = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)

@@ -46,6 +46,17 @@ def test_lambda_of_qp_domain():
             lambda_of_qp(qp)
 
 
+def test_lambda_of_qp_is_lambda_grid_of_one_value():
+    for qp in range(52):
+        assert lambda_of_qp(qp) == float(lambda_grid(qp))
+        assert lambda_of_qp(qp) == 0.852 ** ((qp - 12) / 3.0)
+    for qp in (float("nan"), -0.5, 51.5):
+        with pytest.raises(RangeError):
+            lambda_of_qp(qp)
+    with pytest.raises(RangeError, match="qp nan"):
+        lambda_grid(np.array([20.0, float("nan")]))
+
+
 def test_lambda_grid_matches_scalar():
     # vectorized and scalar pow may differ in the last ulp
     qps = np.arange(52).reshape(4, 13)
@@ -121,9 +132,8 @@ def test_trace_gap_names_the_block():
     recs = grid_records(0, [["I", "I"], ["I", "I"]]) + \
         grid_records(1, [["P", "P"], ["P", "P"]])
     recs = [r for r in recs if not (r.frame_idx, r.mb_x, r.mb_y) == (1, 0, 1)]
-    tf = TraceFile(width=32, height=32, frame_count=2, records=recs)
     with pytest.raises(CoverageGap) as err:
-        tf.frames()
+        TraceFile(width=32, height=32, frame_count=2, records=recs)
     assert "(frame 1, 0, 1)" in str(err.value)
 
 
@@ -269,3 +279,17 @@ def test_header_claiming_many_frames_fails_at_the_first_empty_one():
     with pytest.raises(CoverageGap, match=r"\(frame 1, 0, 0\)"):
         load_trace_text("#w=1920 h=1080 mb=16 frames=1000000000\n" +
                         trace_text(1920, 1080, 120, 68).split("\n", 1)[1])
+
+
+def test_records_are_checked_when_the_trace_is_built():
+    recs = grid_records(0, [["I", "I"], ["I", "I"]])
+    bad_qp = recs[:3] + [BlockRecord(0, 1, 1, "I", 60, 100)]
+    with pytest.raises(RangeError):
+        TraceFile(width=32, height=32, frame_count=1, records=bad_qp)
+    with pytest.raises(SchemaError, match="duplicate"):
+        TraceFile(width=32, height=32, frame_count=1, records=recs + recs[:1])
+    # records come back in (frame, y, x) order whatever order they came in
+    tf = TraceFile(width=32, height=32, frame_count=1,
+                   records=list(reversed(recs)))
+    assert tf.records == recs
+    assert (tf.grid_w, tf.grid_h) == (2, 2)

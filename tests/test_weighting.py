@@ -218,3 +218,66 @@ def test_build_mask_dispatch():
                           mask_qp(fmap, table, exclude_skip=True))
     assert np.array_equal(build_mask(fmap, SchemeConfig("lambda_r", lr_table)),
                           mask_lambda_rate(fmap, lr_table))
+
+
+# ---------------------------------------------------------------------------
+# each scheme declared once
+# ---------------------------------------------------------------------------
+
+def test_schemes_table_derives_the_scheme_lists():
+    from blockprnu import ALL_SCHEMES, SCHEMES, TABLE_SCHEMES
+    assert ALL_SCHEMES == ("conventional", "loop_filter_only", "skip_eliminate",
+                           "qp_all", "qp_noskip", "lambda_r")
+    assert TABLE_SCHEMES == ("qp_all", "qp_noskip", "lambda_r")
+    assert [s for s in ALL_SCHEMES if SCHEMES[s].zero_skip] == \
+        ["skip_eliminate", "qp_noskip", "lambda_r"]
+
+
+def test_scheme_config_rejects_a_table_the_scheme_cannot_use():
+    table = qp_table([10, 15, 20], [0.7, 1.0, 0.4])
+    for scheme in ("conventional", "loop_filter_only", "skip_eliminate"):
+        with pytest.raises(ConfigError, match="does not take a weight table"):
+            SchemeConfig(scheme, table)
+
+
+def test_skip_eliminate_tables_no_longer_load():
+    with pytest.raises(ConfigError):
+        WeightTable("skip_eliminate", [15.0], [1.0], 15.0)
+    with pytest.raises(SchemaError):
+        WeightTable.from_text("#scheme=skip_eliminate anchor_key=15.0\n"
+                              "15.0,1.0\n")
+
+
+# ---------------------------------------------------------------------------
+# non-finite tables
+# ---------------------------------------------------------------------------
+
+NON_FINITE_TABLES = {
+    "nan key": ([10.0, float("nan"), 60.0], [0.5, 0.7, 1.0], 60.0),
+    "inf key": ([10.0, 60.0, float("inf")], [0.5, 1.0, 2.0], 60.0),
+    "nan weight": ([10.0, 60.0, 90.0], [float("nan"), 1.0, 2.0], 60.0),
+    "inf weight": ([10.0, 60.0, 90.0], [0.5, 1.0, float("inf")], 60.0),
+    "nan anchor weight": ([10.0, 60.0], [0.5, float("nan")], 60.0),
+    "nan anchor": ([10.0, 60.0], [0.5, 1.0], float("nan")),
+    "inf anchor": ([10.0, float("inf")], [0.5, 1.0], float("inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_TABLES))
+def test_non_finite_tables_are_rejected(case, tmp_path):
+    keys, weights, anchor = NON_FINITE_TABLES[case]
+    with pytest.raises(ConfigError, match="finite"):
+        WeightTable("lambda_r", keys, weights, anchor)
+    lines = [f"#scheme=lambda_r anchor_key={anchor!r}"]
+    lines += [f"{k!r},{w!r}" for k, w in zip(keys, weights)]
+    path = tmp_path / "t.wt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError):
+        WeightTable.load(path)
+
+
+def test_weight_table_file_must_be_utf8(tmp_path):
+    path = tmp_path / "t.wt"
+    path.write_bytes(b"#scheme=lambda_r anchor_key=60.0\n60.0,1.0\xff\n")
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        WeightTable.load(path)
