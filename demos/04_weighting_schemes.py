@@ -55,9 +55,8 @@ for i in range(4):
     res = encode_sequence(captured(model, 220 + i),
                           CodecConfig(target_bits_per_frame=1500, gop=4,
                                       start_qp=28))
-    frames = list(res.trace.frames())
     for cfg in schemes:
-        est = estimate_fingerprint(res.pictures, frames, cfg)
+        est = estimate_fingerprint(res.pictures, res.trace, cfg)
         scores[cfg.scheme].append(pce(est, truth_ref).pce)
 
 print(f"\nmean PCE across {len(scores['conventional'])} cameras "

@@ -6,8 +6,8 @@ blocks of one cost rank.
 """
 import numpy as np
 
-from blockprnu import (BlockRecord, CalibrationRun, FrameBlockMap,
-                       NoiseResidual, build_qp_table, lambda_of_qp,
+from blockprnu import (BlockRecord, CalibrationRun, NoiseResidual,
+                       TraceFile, build_qp_table, lambda_of_qp,
                        splice_by_lambda_rate)
 
 # --- the QP table recipe, on hand-checkable numbers ---------------------------
@@ -34,18 +34,19 @@ rng = np.random.default_rng(3)
 residuals = [NoiseResidual(values=rng.normal(size=(32, 32)), frame_idx=t)
              for t in range(3)]
 
-def fmap(t, types, bits):
-    recs = [BlockRecord(t, x, y, types[y][x], 20, bits[y][x])
+def frame(t, types, bits):
+    return [BlockRecord(t, x, y, types[y][x], 20, bits[y][x])
             for y in range(2) for x in range(2)]
-    return FrameBlockMap(frame_idx=t, grid_w=2, grid_h=2, records=recs)
 
-maps = [fmap(0, [["P", "P"], ["P", "P"]], [[100, 400], [250, 30]]),
-        fmap(1, [["P", "SKIP"], ["P", "P"]], [[300, 1], [50, 90]]),
-        fmap(2, [["P", "P"], ["SKIP", "P"]], [[20, 160], [1, 500]])]
+# the trace holds every frame's blocks as (frames, grid_h, grid_w) arrays
+trace = TraceFile(32, 32, 3,
+                  frame(0, [["P", "P"], ["P", "P"]], [[100, 400], [250, 30]])
+                  + frame(1, [["P", "SKIP"], ["P", "P"]], [[300, 1], [50, 90]])
+                  + frame(2, [["P", "P"], ["SKIP", "P"]], [[20, 160], [1, 500]]))
 
 lam = lambda_of_qp(20)
 print(f"\nlambda(20) = {lam:.4f}; per-position costs (frame: cost):")
-spliced = splice_by_lambda_rate(residuals, maps)
+spliced = splice_by_lambda_rate(residuals, trace)
 for j, frame in enumerate(spliced.frames):
     filled = int(frame.filled.sum())
     print(f"  rank {j}: {filled}/4 positions filled, "
@@ -55,6 +56,6 @@ for j, frame in enumerate(spliced.frames):
 # whose cheap slots were skips stay unfilled in the last ranks.
 cheapest = spliced.frames[0]
 assert cheapest.filled.all()
-with_skips = splice_by_lambda_rate(residuals, maps, include_skip=True)
+with_skips = splice_by_lambda_rate(residuals, trace, include_skip=True)
 assert all(f.filled.all() for f in with_skips.frames)
 print("with include_skip=True every rank fills (skips rank cheapest)")

@@ -63,7 +63,7 @@ for scheme in grid.schemes:
 cfg = DenoiseConfig()
 matching, non_matching = [], []
 for video in videos:
-    est = estimate_fingerprint(video.pictures, video.trace.frames(),
+    est = estimate_fingerprint(video.pictures, video.trace,
                                SchemeConfig("conventional"),
                                denoise_config=cfg)
     own = int(video.camera_id[-1])

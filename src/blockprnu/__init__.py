@@ -36,12 +36,11 @@ from .noise import (DenoiseConfig, NoiseResidual, Picture, denoise,
 from .prnu import (Fingerprint, FingerprintAccumulator, estimate_fingerprint,
                    finalize, fingerprint_from_residuals, read_fingerprint,
                    residual_extractor, resolve_workers, write_fingerprint)
-from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, FrameBlockMap,
-                    TraceFile, bits_per_pixel, lambda_grid, lambda_of_qp,
-                    lambda_rate, skipped_block_rate)
+from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, TraceFile,
+                    bits_per_pixel, lambda_grid, lambda_of_qp, lambda_rate,
+                    skipped_block_rate)
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP, SCHEMES,
                         TABLE_SCHEMES, SchemeConfig, WeightTable, build_mask,
-                        mask_lambda_rate, mask_qp, mask_skip_eliminate,
                         paint_blocks)
 
 __version__ = "0.1.0"

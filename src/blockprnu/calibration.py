@@ -20,12 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (EmptyBucket, InsufficientData, InsufficientFrames,
-                     MissingAnchor)
+                     MissingAnchor, RangeError)
 from .matching import PceConfig, ReferenceSpectrum, pce
 from .noise import DenoiseConfig, NoiseResidual, Picture
 from .prnu import (Fingerprint, fingerprint_from_residuals,
                    require_references, residual_extractor)
-from .trace import MACROBLOCK, FrameBlockMap, TraceFile
+from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
 from .weighting import ANCHOR_LAMBDA_RATE, ANCHOR_QP, SchemeConfig, WeightTable
 
 PCE_FLOOR = 1e-3
@@ -58,7 +58,7 @@ class SplicedFrameSet:
 
 
 def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
-                          frame_maps: Sequence[FrameBlockMap],
+                          trace: TraceFile,
                           include_skip: bool = False) -> SplicedFrameSet:
     """Regroup residual blocks by per-position lambda*rate rank.
 
@@ -71,9 +71,10 @@ def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
     n = len(residuals)
     if n < 2:
         raise InsufficientFrames(f"splicing needs at least 2 frames, got {n}")
-    if len(frame_maps) != n:
-        raise InsufficientFrames(f"{n} residuals vs {len(frame_maps)} maps")
-    gh, gw = frame_maps[0].grid_h, frame_maps[0].grid_w
+    if trace.frame_count != n:
+        raise InsufficientFrames(f"{n} residuals vs {trace.frame_count} "
+                                 f"trace frames")
+    gh, gw = trace.grid_h, trace.grid_w
     h, w = gh * MACROBLOCK, gw * MACROBLOCK
     # spliced frames keep the frame's shape: a ceil-sized grid's partial
     # blocks are padded with zeros and cropped again, and pixels beyond a
@@ -81,10 +82,9 @@ def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
     rh, rw = residuals[0].values.shape
     ch, cw = min(h, rh), min(w, rw)
 
-    lr = np.stack([m.lambda_rate for m in frame_maps])            # (n, gh, gw)
+    lr = trace.lambda_rate                                        # (n, gh, gw)
     if not include_skip:
-        skip = np.stack([m.skip for m in frame_maps])
-        lr = np.where(skip, np.inf, lr)
+        lr = np.where(trace.skip, np.inf, lr)
     blocks = np.stack([
         np.pad(r.values[:ch, :cw], ((0, h - ch), (0, w - cw)))
         .reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
@@ -238,6 +238,11 @@ class CalibrationVideo:
     trace: TraceFile
     qp: int | None = None     # the fixed-QP condition, when applicable
 
+    def __post_init__(self):
+        if self.qp is not None and not QP_MIN <= self.qp <= QP_MAX:
+            raise RangeError(f"fixed qp {self.qp} of camera {self.camera_id} "
+                             f"outside [{QP_MIN}, {QP_MAX}]")
+
 
 def calibrate_qp(videos: Sequence[CalibrationVideo],
                  references: dict[str, Fingerprint],
@@ -255,13 +260,14 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
     scheme = SchemeConfig("conventional" if include_skip else "skip_eliminate")
     runs: dict[str, CalibrationRun] = {}
     require_references((v.camera_id for v in videos), references)
+    for video in videos:
+        if video.qp is None:
+            raise InsufficientData(f"video of camera {video.camera_id} "
+                                   f"has no fixed-QP condition")
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
-            if video.qp is None:
-                raise InsufficientData(f"video of camera {video.camera_id} "
-                                       f"has no fixed-QP condition")
             residuals = extract(video.pictures)
-            fp = fingerprint_from_residuals(video.pictures, video.trace.frames(),
+            fp = fingerprint_from_residuals(video.pictures, video.trace,
                                             residuals, scheme)
             match = pce(fp, references[video.camera_id], pce_config)
             run = runs.setdefault(video.camera_id,
@@ -291,7 +297,7 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
             spliced = splice_by_lambda_rate(extract(video.pictures),
-                                            video.trace.frames(),
+                                            video.trace,
                                             include_skip=include_skip)
             run = runs.setdefault(video.camera_id,
                                   CalibrationRun(camera_id=video.camera_id))

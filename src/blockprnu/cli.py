@@ -74,8 +74,9 @@ def _load_pictures(frames_path: str, trace: TraceFile):
 
 def _read_manifest(path: str, fields: tuple[str, ...],
                    optional: tuple[str, ...] = ()) -> list[dict]:
-    """CSV rows of the named fields; relative paths resolve against the
-    manifest's directory. '#' lines and blank lines are skipped."""
+    """CSV rows of the named fields, each of which must be non-empty;
+    relative paths resolve against the manifest's directory. '#' lines and
+    blank lines are skipped."""
     base = Path(path).parent
     text = decode_text(Path(path).read_bytes(), path)
     rows = []
@@ -92,6 +93,9 @@ def _read_manifest(path: str, fields: tuple[str, ...],
                               f"{want}-{want + len(optional)} fields, "
                               f"got {len(row)}")
         rec = dict(zip(fields + optional, row))
+        empty = [key for key in fields if not rec[key]]
+        if empty:
+            raise SchemaError(f"{path}:{lineno}: empty {empty[0]} field")
         for key in rec:
             if key.endswith("_path"):
                 rec[key] = str(base / rec[key])
@@ -138,7 +142,7 @@ def cmd_inspect(args) -> int:
     ]
     lines += [f"count_{t}={n}" for t, n in zip(BLOCK_TYPES, counts)]
     lines += [
-        f"skipped_block_rate={skipped_block_rate(trace.frames())!r}",
+        f"skipped_block_rate={skipped_block_rate(trace)!r}",
         f"bits_per_pixel={bits_per_pixel(trace)!r}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
@@ -150,7 +154,7 @@ def cmd_estimate(args, parser) -> int:
     trace = load_trace(args.trace)
     pictures = _load_pictures(args.frames, trace)
     source_id = args.source_id if args.source_id else Path(args.out).stem
-    fp = estimate_fingerprint(pictures, trace.frames(), scheme,
+    fp = estimate_fingerprint(pictures, trace, scheme,
                               denoise_config=_denoise_config(args),
                               denominator_floor=args.floor,
                               source_id=source_id,
@@ -215,11 +219,10 @@ def cmd_simulate(args) -> int:
                                   support=np.ones_like(k, dtype=bool),
                                   source_id="true"),
                       f"{prefix}.true.bpf")
-    frames = result.trace.frames()
     summary = [
         f"frames={args.frames}",
         f"qp_last={result.qp_per_frame[-1]}",
-        f"skipped_block_rate={skipped_block_rate(frames)!r}",
+        f"skipped_block_rate={skipped_block_rate(result.trace)!r}",
         f"bits_per_pixel={bits_per_pixel(result.trace)!r}",
     ]
     _emit("\n".join(summary) + "\n", args.out)

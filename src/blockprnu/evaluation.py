@@ -73,7 +73,6 @@ def run_grid(videos: Sequence[GridVideo],
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
             keys = [(video.video_id, s) for s in schemes]
-            frame_maps = video.trace.frames()
             try:
                 residuals = extract(video.pictures)
             except BlockPrnuError as exc:
@@ -82,7 +81,7 @@ def run_grid(videos: Sequence[GridVideo],
             reference = ReferenceSpectrum(references[video.camera_id])
             for key, config in zip(keys, scheme_configs):
                 try:
-                    fp = fingerprint_from_residuals(video.pictures, frame_maps,
+                    fp = fingerprint_from_residuals(video.pictures, video.trace,
                                                     residuals, config)
                     grid.cells[key] = pce(fp, reference, pce_config, threshold)
                 except BlockPrnuError as exc:
@@ -240,7 +239,7 @@ def sbr_summary(traces_by_group: dict[str, Sequence[TraceFile]]) -> list[str]:
     """
     rows = []
     for label in traces_by_group:
-        values = [skipped_block_rate(tf.frames()) for tf in traces_by_group[label]]
+        values = [skipped_block_rate(tf) for tf in traces_by_group[label]]
         if not values:
             raise EmptyInput(f"group {label} has no traces")
         q = np.percentile(values, [0, 25, 50, 75, 100])

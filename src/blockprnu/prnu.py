@@ -16,7 +16,7 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -28,8 +28,8 @@ from .errors import (AllMaskedOut, ConfigError, DimensionMismatch,
                      decode_text)
 from .noise import (DenoiseConfig, NoiseResidual, Picture, extract_residual,
                     saturation_mask)
-from .trace import FrameBlockMap
-from .weighting import SCHEMES, SchemeConfig, build_mask
+from .trace import TraceFile
+from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
 _MAGIC = b"BPFP\x01"
 DENOMINATOR_FLOOR_SCALE = 1e-3
@@ -48,7 +48,7 @@ class Fingerprint:
 
 
 class FingerprintAccumulator:
-    """Streaming sums for the aggregation ratio; mergeable across workers."""
+    """Streaming sums for the aggregation ratio, fed in frame order."""
 
     def __init__(self, height: int, width: int):
         if height <= 0 or width <= 0:
@@ -77,14 +77,6 @@ class FingerprintAccumulator:
         self.numerator += luma * residual.values * m
         self.denominator += luma * luma * m
         self.frames_ingested += 1
-
-    def merge(self, other: "FingerprintAccumulator") -> None:
-        """Fold another accumulator in (parallel pipelines reduce this way)."""
-        if other.shape != self.shape:
-            raise DimensionMismatch(f"cannot merge {other.shape} into {self.shape}")
-        self.numerator += other.numerator
-        self.denominator += other.denominator
-        self.frames_ingested += other.frames_ingested
 
 
 def finalize(acc: FingerprintAccumulator,
@@ -223,40 +215,43 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
 
 
 def fingerprint_from_residuals(pictures: Sequence[Picture],
-                               frame_maps: Sequence[FrameBlockMap] | None,
+                               trace: TraceFile | None,
                                residuals: Sequence[NoiseResidual],
                                scheme: SchemeConfig,
                                denominator_floor: float | None = None,
                                source_id: str = "") -> Fingerprint:
     """Mask, accumulate in frame order and finalize precomputed residuals.
 
-    frame_maps may be None only for schemes that ignore block metadata
-    (neither a table nor zeroed skips in `SCHEMES`).
+    The block weights of every frame are built before the first frame is
+    accumulated; each frame's mask is painted from them in turn. trace may
+    be None only for schemes that ignore block metadata (neither a table
+    nor zeroed skips in `SCHEMES`), and then every mask is all ones.
     """
     if not pictures:
         raise EmptyAccumulator("no pictures to estimate from")
-    if frame_maps is None:
-        if SCHEMES[scheme.scheme].lookup or SCHEMES[scheme.scheme].zero_skip:
-            raise DimensionMismatch(f"scheme {scheme.scheme} needs frame maps")
-        frame_maps = [None] * len(pictures)
-    if not len(frame_maps) == len(residuals) == len(pictures):
+    if trace is None and (SCHEMES[scheme.scheme].lookup
+                          or SCHEMES[scheme.scheme].zero_skip):
+        raise DimensionMismatch(f"scheme {scheme.scheme} needs a trace")
+    frames = len(pictures) if trace is None else trace.frame_count
+    if not frames == len(residuals) == len(pictures):
         raise DimensionMismatch(f"{len(pictures)} pictures vs "
-                                f"{len(frame_maps)} frame maps vs "
+                                f"{frames} trace frames vs "
                                 f"{len(residuals)} residuals")
+    weights = None if trace is None else build_mask(trace, scheme)
     h, w = pictures[0].luma.shape
     acc = FingerprintAccumulator(h, w)
-    for pic, fmap, residual in zip(pictures, frame_maps, residuals):
-        if fmap is None:
-            mask = np.ones((h, w), dtype=np.float64)
-        else:
-            mask = build_mask(fmap, scheme, frame_shape=(h, w))
+    for i, (pic, residual) in enumerate(zip(pictures, residuals)):
+        # one frame painted at a time: a painted stack would hold the
+        # whole video's masks at once
+        mask = (np.ones((h, w), dtype=np.float64) if weights is None
+                else paint_blocks(weights[i], (h, w)))
         acc.accumulate(pic, residual, mask, saturation_mask(pic))
     return finalize(acc, denominator_floor=denominator_floor,
                     source_id=source_id)
 
 
 def estimate_fingerprint(pictures: Sequence[Picture],
-                         frame_maps: Sequence[FrameBlockMap] | None,
+                         trace: TraceFile | None,
                          scheme: SchemeConfig,
                          denoise_config: DenoiseConfig = DenoiseConfig(),
                          denominator_floor: float | None = None,
@@ -269,6 +264,6 @@ def estimate_fingerprint(pictures: Sequence[Picture],
     """
     with residual_extractor(denoise_config, workers) as extract:
         residuals = extract(pictures)
-    return fingerprint_from_residuals(pictures, frame_maps, residuals, scheme,
+    return fingerprint_from_residuals(pictures, trace, residuals, scheme,
                                       denominator_floor=denominator_floor,
                                       source_id=source_id)

@@ -13,7 +13,7 @@ same block-level metadata (type, QP, bits) with known ground truth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

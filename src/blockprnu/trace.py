@@ -7,9 +7,10 @@ every 16x16 grid position there is exactly one block carrying its type
 blocks carry the QP inherited from their reference block and only the few
 signaling bits actually emitted.
 
-A `TraceFile` keeps the blocks as three (frames, grid_h, grid_w) arrays and
-`FrameBlockMap` is a view of one frame. `BlockRecord` lists convert to and
-from them, for traces built by hand.
+A `TraceFile` keeps the blocks as three (frames, grid_h, grid_w) arrays,
+and every consumer reads them, or the `skip` and `lambda_rate` stacks
+derived from them, a whole video at a time. `BlockRecord` lists convert to
+and from them, for traces built by hand.
 """
 from __future__ import annotations
 
@@ -121,10 +122,10 @@ class BlockColumns(NamedTuple):
                            BLOCK_TYPES[code] if 0 <= code < len(BLOCK_TYPES)
                            else f"code {code}", int(self.qp[i]), int(self.bits[i]))
 
-    def lay_out(self, record: Callable[[int], BlockRecord], first: int,
-                count: int, grid_w: int, grid_h: int) -> tuple[np.ndarray, ...]:
+    def lay_out(self, record: Callable[[int], BlockRecord], count: int,
+                grid_w: int, grid_h: int) -> tuple[np.ndarray, ...]:
         """(type code, QP, bits) arrays of shape (count, grid_h, grid_w) for
-        frames first .. first + count - 1, which every block lies in.
+        frames 0 .. count - 1, which every block lies in.
 
         Frames are checked in order. In the first faulty one, the first
         block outside the grid or on a position taken before it is raised;
@@ -135,10 +136,9 @@ class BlockColumns(NamedTuple):
             raise SchemaError(f"macroblock grid must be positive, "
                               f"got {grid_w}x{grid_h}")
         cells = grid_h * grid_w
-        slot = self.frame - first
         outside = ((self.x < 0) | (self.x >= grid_w)
                    | (self.y < 0) | (self.y >= grid_h))
-        key = np.where(outside, -1, (slot * grid_h + self.y) * grid_w + self.x)
+        key = np.where(outside, -1, (self.frame * grid_h + self.y) * grid_w + self.x)
         order = np.argsort(key, kind="stable")
         ranked = key[order]
         repeat = np.zeros(key.size, dtype=bool)
@@ -146,14 +146,14 @@ class BlockColumns(NamedTuple):
         wrong = outside | repeat
         # frames past the first one without blocks cannot hold the first
         # defect, so a header that claims many frames allocates nothing
-        scanned = min(count, int(slot.max(initial=-1)) + 2)
+        scanned = min(count, int(self.frame.max(initial=-1)) + 2)
         covered = np.zeros(scanned * cells, dtype=bool)
         covered[key[~outside]] = True
         gaps = np.flatnonzero(~covered)
         if wrong.any() or gaps.size:
-            wrong_frame = slot[wrong].min() if wrong.any() else count
+            wrong_frame = self.frame[wrong].min() if wrong.any() else count
             if not gaps.size or wrong_frame <= gaps[0] // cells:
-                i = int(np.argmax(wrong & (slot == wrong_frame)))
+                i = int(np.argmax(wrong & (self.frame == wrong_frame)))
                 rec = record(i)
                 if outside[i]:
                     raise SchemaError(f"block ({rec.mb_x},{rec.mb_y}) outside "
@@ -161,7 +161,7 @@ class BlockColumns(NamedTuple):
                 raise SchemaError(f"duplicate block (frame {rec.frame_idx}, "
                                   f"{rec.mb_x}, {rec.mb_y})")
             f, y, x = np.unravel_index(gaps[0], (count, grid_h, grid_w))
-            raise CoverageGap(f"no record for (frame {first + f}, {x}, {y})")
+            raise CoverageGap(f"no record for (frame {f}, {x}, {y})")
         arrays = []
         for values, dtype in ((self.code, np.int8), (self.qp, np.int64),
                               (self.bits, np.int64)):
@@ -180,59 +180,6 @@ def _grid_extent(pixels: int, positions: np.ndarray) -> int:
     if pixels % MACROBLOCK and positions.size and positions.max() >= whole:
         return whole + 1
     return whole
-
-
-class FrameBlockMap:
-    """Dense macroblock grid for one frame, indexed [mb_y, mb_x].
-
-    `type_code` (int8 index into BLOCK_TYPES), `qp` and `bits` are read-only
-    views of a checked trace, so downstream code can rely on full coverage.
-    Built from records, the map checks them as a trace does and rejects
-    duplicate and missing positions.
-    """
-
-    def __init__(self, frame_idx: int, grid_w: int, grid_h: int,
-                 records: Sequence[BlockRecord]):
-        records = list(records)
-        cols = BlockColumns.of_records(records)
-        cols.check(records.__getitem__)
-        foreign = np.flatnonzero(cols.frame != frame_idx)
-        if foreign.size:
-            raise SchemaError(f"record for frame {records[foreign[0]].frame_idx} "
-                              f"given to map of frame {frame_idx}")
-        blocks = cols.lay_out(records.__getitem__, frame_idx, 1, grid_w, grid_h)
-        self._view_of(frame_idx, *(a[0] for a in blocks))
-
-    @classmethod
-    def _view(cls, frame_idx: int, type_code: np.ndarray, qp: np.ndarray,
-              bits: np.ndarray) -> "FrameBlockMap":
-        """A map over grids that are already checked; nothing is copied."""
-        fmap = cls.__new__(cls)
-        fmap._view_of(frame_idx, type_code, qp, bits)
-        return fmap
-
-    def _view_of(self, frame_idx, type_code, qp, bits) -> None:
-        self.frame_idx = frame_idx
-        self.grid_h, self.grid_w = qp.shape
-        self.type_code, self.qp, self.bits = type_code, qp, bits
-
-    @property
-    def skip(self) -> np.ndarray:
-        """Boolean grid, True where the block is a SKIP."""
-        return self.type_code == SKIP
-
-    @property
-    def lambda_rate(self) -> np.ndarray:
-        """lambda * bits per block."""
-        return lambda_grid(self.qp) * self.bits.astype(np.float64)
-
-    def block_type(self, mb_x: int, mb_y: int) -> str:
-        return BLOCK_TYPES[self.type_code[mb_y, mb_x]]
-
-    def records(self) -> list[BlockRecord]:
-        return [BlockRecord(self.frame_idx, x, y, BLOCK_TYPES[self.type_code[y, x]],
-                            int(self.qp[y, x]), int(self.bits[y, x]))
-                for y in range(self.grid_h) for x in range(self.grid_w)]
 
 
 class TraceFile:
@@ -276,31 +223,32 @@ class TraceFile:
             raise SchemaError(f"record frame {record(int(np.argmax(stray))).frame_idx} "
                               f"outside 0..{frame_count - 1}")
         self.type_code, self.qp, self.bits = cols.lay_out(
-            record, 0, frame_count, _grid_extent(width, cols.x),
+            record, frame_count, _grid_extent(width, cols.x),
             _grid_extent(height, cols.y))
         self.grid_h, self.grid_w = self.qp.shape[1:]
 
     @property
+    def skip(self) -> np.ndarray:
+        """True where the block is a SKIP."""
+        return self.type_code == SKIP
+
+    @property
+    def lambda_rate(self) -> np.ndarray:
+        """lambda * bits per block."""
+        return lambda_grid(self.qp) * self.bits.astype(np.float64)
+
+    @property
     def records(self) -> list[BlockRecord]:
         """The blocks as records, in (frame, mb_y, mb_x) order."""
-        return [rec for fmap in self.frames() for rec in fmap.records()]
-
-    def frames(self) -> list[FrameBlockMap]:
-        """One view per frame; nothing is copied or checked again."""
-        return [FrameBlockMap._view(i, self.type_code[i], self.qp[i], self.bits[i])
-                for i in range(self.frame_count)]
+        cols = BlockColumns.of_arrays(self.type_code, self.qp, self.bits)
+        return [cols.record(i) for i in range(cols.qp.size)]
 
 
-def skipped_block_rate(frames: Iterable[FrameBlockMap]) -> float:
-    """Fraction of blocks that are SKIP across the given frames."""
-    total = 0
-    skipped = 0
-    for fmap in frames:
-        total += fmap.type_code.size
-        skipped += int(fmap.skip.sum())
-    if total == 0:
+def skipped_block_rate(trace: TraceFile) -> float:
+    """Fraction of the trace's blocks that are SKIP."""
+    if trace.type_code.size == 0:
         raise EmptyInput("skip rate over zero blocks")
-    return skipped / total
+    return int(trace.skip.sum()) / trace.type_code.size
 
 
 def bits_per_pixel(trace: TraceFile) -> float:

@@ -2,8 +2,10 @@
 Per-pixel contribution masks driven by block-level codec metadata.
 
 A mask is a plane of non-negative weights, constant within each 16x16
-macroblock footprint. `SCHEMES` declares every scheme once: the block key
-its weight table is looked up by (none, QP or lambda*rate) and whether skip
+macroblock footprint. `build_mask` gives the block weights of a whole trace
+as one (frames, grid_h, grid_w) stack and `paint_blocks` expands one frame
+of it to pixels. `SCHEMES` declares every scheme once: the block key its
+weight table is looked up by (none, QP or lambda*rate) and whether skip
 blocks weigh 0. Tables come from calibration and are normalized to weight
 1.0 at their anchor key.
 """
@@ -16,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, MissingKey, SchemaError, decode_text
-from .trace import MACROBLOCK, FrameBlockMap
+from .trace import MACROBLOCK, TraceFile
 
 ANCHOR_QP = 15
 ANCHOR_LAMBDA_RATE = 60.0
@@ -140,17 +142,17 @@ def paint_blocks(block_weights: np.ndarray,
     return out
 
 
-def _qp_weights(fmap: FrameBlockMap, table: WeightTable) -> np.ndarray:
+def _qp_weights(trace: TraceFile, table: WeightTable) -> np.ndarray:
     """Table weight at each block's QP. QP tables are dense by construction,
     so a missing entry is an error, not a cue to interpolate."""
     lut = np.full(52, np.nan)       # table weights are finite
     for k, w in zip(table.keys, table.weights):
         if k == int(k) and 0 <= k <= 51:
             lut[int(k)] = w
-    weights = lut[fmap.qp]
+    weights = lut[trace.qp]
     missing = np.isnan(weights)
     if missing.any():
-        raise MissingKey(f"table has no weight for qp {fmap.qp[missing].min()}")
+        raise MissingKey(f"table has no weight for qp {trace.qp[missing].min()}")
     return weights
 
 
@@ -158,7 +160,7 @@ class Scheme(NamedTuple):
     """How a scheme weighs a block: `lookup` gives the block weights from
     the scheme's table, keyed by QP or lambda*rate (None: the scheme takes
     no table and every block weighs 1); with `zero_skip` skips weigh 0."""
-    lookup: Callable[[FrameBlockMap, WeightTable], np.ndarray] | None
+    lookup: Callable[[TraceFile, WeightTable], np.ndarray] | None
     zero_skip: bool
 
 
@@ -170,40 +172,21 @@ SCHEMES = {
     "skip_eliminate": Scheme(None, True),
     "qp_all": Scheme(_qp_weights, False),
     "qp_noskip": Scheme(_qp_weights, True),
-    "lambda_r": Scheme(lambda fmap, table: table.weight_interp(fmap.lambda_rate),
+    "lambda_r": Scheme(lambda trace, table: table.weight_interp(trace.lambda_rate),
                        True),
 }
 ALL_SCHEMES = tuple(SCHEMES)
 TABLE_SCHEMES = tuple(s for s, rule in SCHEMES.items() if rule.lookup)
 
 
-def mask_skip_eliminate(fmap: FrameBlockMap,
-                        frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """0 on skip-block footprints, 1 elsewhere."""
-    return build_mask(fmap, SchemeConfig("skip_eliminate"), frame_shape)
-
-
-def mask_qp(fmap: FrameBlockMap, table: WeightTable, exclude_skip: bool,
-            frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Table weight at each block's QP; optionally zero on skips."""
-    return build_mask(fmap, SchemeConfig("qp_noskip" if exclude_skip
-                                         else "qp_all", table), frame_shape)
-
-
-def mask_lambda_rate(fmap: FrameBlockMap, table: WeightTable,
-                     frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Interpolated table weight at each block's lambda*rate; skips get 0."""
-    return build_mask(fmap, SchemeConfig("lambda_r", table), frame_shape)
-
-
-def build_mask(fmap: FrameBlockMap, config: SchemeConfig,
-               frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Mask for one frame under the given scheme, as `SCHEMES` declares it."""
+def build_mask(trace: TraceFile, config: SchemeConfig) -> np.ndarray:
+    """Block weights of every frame of the trace under the given scheme, as
+    `SCHEMES` declares it: a (frames, grid_h, grid_w) stack."""
     rule = SCHEMES.get(config.scheme)
     if rule is None:
         raise ConfigError(f"unknown scheme {config.scheme!r}")
-    weights = (np.ones(fmap.qp.shape) if rule.lookup is None
-               else rule.lookup(fmap, config.table))
+    weights = (np.ones(trace.qp.shape) if rule.lookup is None
+               else rule.lookup(trace, config.table))
     if rule.zero_skip:
-        weights = np.where(fmap.skip, 0.0, weights)
-    return paint_blocks(weights, frame_shape)
+        weights = np.where(trace.skip, 0.0, weights)
+    return weights

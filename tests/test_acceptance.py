@@ -17,12 +17,12 @@ from blockprnu import (
     CodecConfig,
     Fingerprint,
     FingerprintAccumulator,
-    FrameBlockMap,
     NoiseResidual,
     PceConfig,
     Picture,
     SchemeConfig,
     SensorModel,
+    TraceFile,
     WeightTable,
     build_qp_table,
     calibrate_lambda_rate,
@@ -271,7 +271,7 @@ def test_criterion_06_static_content_skip_rates():
         captured = simulate_capture(model, clean, seed=3200 + i)
         for q in qps:
             res = encode_sequence(captured, CodecConfig(qp=q, gop=12))
-            sbr[q].append(skipped_block_rate(res.trace.frames()))
+            sbr[q].append(skipped_block_rate(res.trace))
             bpp[q].append(float(res.rate.sum()) / (24 * SIZE * SIZE))
     medians = [float(np.median(sbr[q])) for q in qps]
     mean_bpp = [float(np.mean(bpp[q])) for q in qps]
@@ -284,16 +284,15 @@ def test_criterion_06_static_content_skip_rates():
 # 7. rate-cost splicing against a per-position sort oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_splice(residuals, maps, include_skip):
+def _oracle_splice(residuals, trace, include_skip):
     count = len(residuals)
-    gh, gw = maps[0].grid_h, maps[0].grid_w
+    gh, gw = trace.grid_h, trace.grid_w
     h, w = residuals[0].values.shape
     costs = np.full((count, gh, gw), np.inf)
-    for t, fmap in enumerate(maps):
-        for rec in fmap.records():
-            if rec.block_type == "SKIP" and not include_skip:
-                continue
-            costs[t, rec.mb_y, rec.mb_x] = lambda_of_qp(rec.qp) * rec.bits
+    for rec in trace.records:
+        if rec.block_type == "SKIP" and not include_skip:
+            continue
+        costs[rec.frame_idx, rec.mb_y, rec.mb_x] = lambda_of_qp(rec.qp) * rec.bits
     frames = [np.zeros((h, w)) for _ in range(count)]
     filled = [np.zeros((gh, gw), dtype=bool) for _ in range(count)]
     placed = [[] for _ in range(count)]
@@ -317,9 +316,8 @@ def _random_instance(rng):
     gh, gw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     residuals = [NoiseResidual(values=rng.normal(size=(16 * gh, 16 * gw)),
                                frame_idx=t) for t in range(count)]
-    maps = []
+    records = []
     for t in range(count):
-        records = []
         for by in range(gh):
             for bx in range(gw):
                 if rng.random() < 0.3:
@@ -329,19 +327,19 @@ def _random_instance(rng):
                     records.append(BlockRecord(t, bx, by, "P",
                                                int(rng.integers(10, 46)),
                                                int(rng.integers(1, 500))))
-        maps.append(FrameBlockMap(frame_idx=t, grid_w=gw, grid_h=gh,
-                                  records=records))
-    return residuals, maps, count, gh, gw
+    trace = TraceFile(width=16 * gw, height=16 * gh, frame_count=count,
+                      records=records)
+    return residuals, trace, count, gh, gw
 
 
 def test_criterion_07_splice_sort_oracle_and_conservation():
     rng = np.random.default_rng(17)
     for case in range(100):
-        residuals, maps, count, gh, gw = _random_instance(rng)
+        residuals, trace, count, gh, gw = _random_instance(rng)
         for include_skip in (False, True):
-            spliced = splice_by_lambda_rate(residuals, maps,
+            spliced = splice_by_lambda_rate(residuals, trace,
                                             include_skip=include_skip)
-            frames, filled, means = _oracle_splice(residuals, maps,
+            frames, filled, means = _oracle_splice(residuals, trace,
                                                    include_skip)
             assert len(spliced.frames) == count
             for j in range(count):
@@ -354,7 +352,7 @@ def test_criterion_07_splice_sort_oracle_and_conservation():
                     assert got == pytest.approx(means[j], rel=1e-9)
 
         # with skips admitted every block is placed exactly once
-        spliced = splice_by_lambda_rate(residuals, maps, include_skip=True)
+        spliced = splice_by_lambda_rate(residuals, trace, include_skip=True)
         assert all(f.filled.all() for f in spliced.frames)
         for by in range(gh):
             for bx in range(gw):

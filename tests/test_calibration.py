@@ -9,13 +9,14 @@ from blockprnu import (
     CalibrationVideo,
     CodecConfig,
     EmptyBucket,
-    FrameBlockMap,
     InsufficientData,
     InsufficientFrames,
     MissingAnchor,
     NoiseResidual,
+    RangeError,
     SchemeConfig,
     SensorModel,
+    TraceFile,
     build_lambda_rate_table,
     build_qp_table,
     calibrate_lambda_rate,
@@ -27,7 +28,7 @@ from blockprnu import (
     splice_by_lambda_rate,
     synthetic_clean_frames,
 )
-from blockprnu import calibration, matching
+from blockprnu import calibration, matching, prnu
 from conftest import CountingFft
 
 MB = 16
@@ -41,26 +42,34 @@ def residual_of(grid_values):
 
 
 def map_with_bits(frame_idx, bits_row, types_row=None):
-    """1 x len(bits_row) grid at qp 12 so lambda*rate equals the bit count."""
+    """Records of a 1 x len(bits_row) grid at qp 12 so lambda*rate equals
+    the bit count."""
     types_row = types_row or ["P"] * len(bits_row)
-    recs = [BlockRecord(frame_idx, x, 0, t, 12, b)
+    return [BlockRecord(frame_idx, x, 0, t, 12, b)
             for x, (t, b) in enumerate(zip(types_row, bits_row))]
-    return FrameBlockMap(frame_idx, len(bits_row), 1, recs)
+
+
+def trace_of(maps):
+    """Trace whose frame t holds the records maps[t], 16 pixels per block."""
+    grid_w = 1 + max(r.mb_x for r in maps[0])
+    grid_h = 1 + max(r.mb_y for r in maps[0])
+    return TraceFile(grid_w * MB, grid_h * MB, len(maps),
+                     [r for recs in maps for r in recs])
 
 
 def test_splice_needs_two_frames():
     res = residual_of([[1.0]])
     fmap = map_with_bits(0, [10])
     with pytest.raises(InsufficientFrames):
-        splice_by_lambda_rate([res], [fmap])
+        splice_by_lambda_rate([res], trace_of([fmap]))
     with pytest.raises(InsufficientFrames):
-        splice_by_lambda_rate([res, res], [fmap])
+        splice_by_lambda_rate([res, res], trace_of([fmap]))
 
 
 def test_splice_ties_keep_frame_order():
     residuals = [residual_of([[float(t + 1), float(t + 1)]]) for t in range(3)]
     maps = [map_with_bits(t, [40, 40]) for t in range(3)]
-    spliced = splice_by_lambda_rate(residuals, maps)
+    spliced = splice_by_lambda_rate(residuals, trace_of(maps))
     assert spliced.grid_h == 1 and spliced.grid_w == 2
     for j, frame in enumerate(spliced.frames):
         assert np.all(frame.values == j + 1.0)
@@ -74,7 +83,7 @@ def test_splice_hand_grid_matches_per_position_sort():
     costs = [[30, 5], [10, 50], [20, 40]]
     residuals = [residual_of([[10.0 * t, 10.0 * t + 1]]) for t in range(3)]
     maps = [map_with_bits(t, costs[t]) for t in range(3)]
-    spliced = splice_by_lambda_rate(residuals, maps)
+    spliced = splice_by_lambda_rate(residuals, trace_of(maps))
 
     def block(frame, pos):
         v = frame.values[0:MB, pos * MB:(pos + 1) * MB]
@@ -99,14 +108,15 @@ def test_splice_skip_exclusion_leaves_holes():
         map_with_bits(1, [1], ["SKIP"]),
         map_with_bits(2, [20]),
     ]
-    spliced = splice_by_lambda_rate(residuals, maps, include_skip=False)
+    spliced = splice_by_lambda_rate(residuals, trace_of(maps),
+                                    include_skip=False)
     assert spliced.frames[0].values[0, 0] == 3.0   # frame 2, cheaper coded block
     assert spliced.frames[1].values[0, 0] == 1.0
     assert not spliced.frames[2].filled.any()      # only two coded contributions
     assert np.all(spliced.frames[2].values == 0.0)
     assert np.isnan(spliced.frames[2].mean_lambda_rate)
 
-    kept = splice_by_lambda_rate(residuals, maps, include_skip=True)
+    kept = splice_by_lambda_rate(residuals, trace_of(maps), include_skip=True)
     # the skip block's lambda*rate is tiny, so it ranks first
     assert kept.frames[0].values[0, 0] == 2.0
     assert kept.frames[2].filled.all()
@@ -121,8 +131,9 @@ def test_splice_conserves_blocks_and_orders_costs():
     for t in range(n):
         recs = [BlockRecord(t, x, y, "P", 12, int(rng.integers(8, 500)))
                 for y in range(gh) for x in range(gw)]
-        maps.append(FrameBlockMap(t, gw, gh, recs))
-    spliced = splice_by_lambda_rate(residuals, maps, include_skip=True)
+        maps.append(recs)
+    spliced = splice_by_lambda_rate(residuals, trace_of(maps),
+                                    include_skip=True)
     total_in = sum(r.values for r in residuals)
     total_out = sum(f.values for f in spliced.frames)
     assert np.allclose(total_in, total_out, atol=1e-12)
@@ -273,6 +284,30 @@ def test_calibrate_qp_input_checks(camera_setup):
         calibrate_qp([bare], {"cam": reference}, include_skip=False)
 
 
+def test_calibrate_qp_checks_every_condition_before_extracting(
+        camera_setup, monkeypatch):
+    model, clean, reference = camera_setup
+    video = video_at_qp(model, clean, 15, 35)
+    bare = CalibrationVideo(camera_id="cam", pictures=video.pictures,
+                            trace=video.trace, qp=None)
+    extracted = []
+    monkeypatch.setattr(prnu, "extract_residual",
+                        lambda pic, config: extracted.append(pic))
+    with pytest.raises(InsufficientData, match="no fixed-QP condition"):
+        calibrate_qp([video, bare], {"cam": reference}, include_skip=False)
+    assert extracted == []
+
+
+def test_calibration_video_qp_must_be_a_valid_qp(camera_setup):
+    model, clean, _ = camera_setup
+    video = video_at_qp(model, clean, 15, 35)
+    for qp in (0, 51, None):
+        CalibrationVideo("cam", video.pictures, video.trace, qp=qp)
+    for qp in (-1, 52, 99):
+        with pytest.raises(RangeError, match=f"qp {qp} "):
+            CalibrationVideo("cam", video.pictures, video.trace, qp=qp)
+
+
 def test_calibrate_lambda_rate_end_to_end(camera_setup):
     model, clean, reference = camera_setup
     videos = [video_at_qp(model, clean, 10, 36),
@@ -341,10 +376,10 @@ def test_spliced_frames_keep_the_frame_shape():
                  for t in range(2)]
 
     def maps(gh, gw):
-        return [FrameBlockMap(t, gw, gh,
-                              [BlockRecord(t, x, y, "P", 12, costs[t][y][x])
-                               for y in range(gh) for x in range(gw)])
-                for t in range(2)]
+        return TraceFile(40, 24, 2,
+                         [BlockRecord(t, x, y, "P", 12, costs[t][y][x])
+                          for t in range(2) for y in range(gh)
+                          for x in range(gw)])
 
     first = splice_by_lambda_rate(residuals, maps(2, 3)).frames[0].values
     assert first.shape == (24, 40)

@@ -104,7 +104,7 @@ def test_inspect_agrees_with_library(sim, capsys):
     assert int(out["blocks"]) == len(trace.records) == 8 * 16
     type_total = sum(int(out[f"count_{t}"]) for t in ("I", "P", "B", "SKIP"))
     assert type_total == len(trace.records)
-    assert float(out["skipped_block_rate"]) == skipped_block_rate(trace.frames())
+    assert float(out["skipped_block_rate"]) == skipped_block_rate(trace)
     assert float(out["bits_per_pixel"]) == bits_per_pixel(trace)
 
 
@@ -316,6 +316,43 @@ def test_calibrate_missing_reference_exit_4(calib, tmp_path):
              "--references", tmp_path / "emptyrefs", "--out",
              tmp_path / "t.wt", "--workers", 1)
     assert rc == 3  # unreadable reference file is an input problem
+
+
+def _calibrate_bad_manifest(calib, tmp_path, capsys, rows):
+    """Exit code and the one stderr line of a qp calibration whose manifest
+    holds the given rows; no table may be written."""
+    root, _, refs = calib
+    manifest = root / "bad_calib.csv"
+    manifest.write_text(rows)
+    capsys.readouterr()
+    rc = run("calibrate", "--mode", "qp", "--manifest", manifest,
+             "--references", refs, "--out", tmp_path / "t.wt",
+             "--workers", 1)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not (tmp_path / "t.wt").exists()
+    return rc, err
+
+
+def test_calibrate_qp_outside_range_exit_3(calib, tmp_path, capsys):
+    rc, err = _calibrate_bad_manifest(calib, tmp_path, capsys,
+                                      "cam,v15.yuv,v15.trace,15\n"
+                                      "cam,v28.yuv,v28.trace,99\n")
+    assert rc == 3
+    assert "qp 99" in err
+
+
+def test_calibrate_empty_qp_field_exit_3(calib, tmp_path, capsys,
+                                         monkeypatch):
+    loaded = []
+    monkeypatch.setattr(cli, "load_trace",
+                        lambda path: loaded.append(path) or load_trace(path))
+    rc, err = _calibrate_bad_manifest(calib, tmp_path, capsys,
+                                      "cam,v15.yuv,v15.trace,15\n"
+                                      "cam,v28.yuv,v28.trace,\n")
+    assert rc == 3
+    assert "bad_calib.csv:2: empty qp field" in err
+    assert loaded == []         # the manifest is checked before any trace
 
 
 def test_evaluate_cli(calib):

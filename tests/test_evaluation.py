@@ -113,7 +113,7 @@ def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
     grid = run_grid([video, twin], configs, references, workers=2)
     assert pool_spawns == [2]
     for config in configs:
-        fp = estimate_fingerprint(video.pictures, video.trace.frames(), config)
+        fp = estimate_fingerprint(video.pictures, video.trace, config)
         expected = pce(fp, references["cam"])
         assert grid.cells[("v0", config.scheme)] == expected
         assert grid.cells[("v1", config.scheme)] == expected

@@ -4,23 +4,35 @@ import numpy as np
 import pytest
 
 from blockprnu import (
+    SCHEMES,
     AllMaskedOut,
+    BlockRecord,
     ConfigError,
     DimensionMismatch,
     EmptyAccumulator,
     Fingerprint,
     FingerprintAccumulator,
+    MissingKey,
     NoiseResidual,
     Picture,
     SchemeConfig,
     SensorModel,
+    TraceFile,
+    WeightTable,
     estimate_fingerprint,
     finalize,
     fingerprint_from_residuals,
+    lambda_grid,
+    paint_blocks,
     read_fingerprint,
+    saturation_mask,
     simulate_capture,
+    skipped_block_rate,
     write_fingerprint,
 )
+from blockprnu import prnu
+from blockprnu.trace import SKIP
+from conftest import uniform_trace
 
 
 def ingest(acc, luma, residual, mask):
@@ -65,35 +77,12 @@ def test_two_frames_match_direct_ratio():
     assert np.allclose(fp.k_values, num / den, atol=1e-12)
 
 
-def test_merge_equals_sequential_ingest():
-    # integer-valued terms add exactly, so the two orders agree bit for bit
-    rng = np.random.default_rng(3)
-    frames = [(rng.integers(1, 250, size=(8, 8)),
-               rng.integers(-6, 7, size=(8, 8)).astype(np.float64),
-               rng.integers(0, 3, size=(8, 8)).astype(np.float64))
-              for _ in range(6)]
-    whole = FingerprintAccumulator(8, 8)
-    for luma, res, mask in frames:
-        ingest(whole, luma, res, mask)
-    left, right = FingerprintAccumulator(8, 8), FingerprintAccumulator(8, 8)
-    for luma, res, mask in frames[:3]:
-        ingest(left, luma, res, mask)
-    for luma, res, mask in frames[3:]:
-        ingest(right, luma, res, mask)
-    left.merge(right)
-    assert np.array_equal(left.numerator, whole.numerator)
-    assert np.array_equal(left.denominator, whole.denominator)
-    assert left.frames_ingested == whole.frames_ingested == 6
-
-
 def test_accumulator_shape_checks():
     acc = FingerprintAccumulator(8, 8)
     with pytest.raises(DimensionMismatch):
         ingest(acc, np.full((8, 8), 100), np.zeros((4, 4)), np.ones((8, 8)))
     with pytest.raises(DimensionMismatch):
         ingest(acc, np.full((4, 4), 100), np.zeros((8, 8)), np.ones((8, 8)))
-    with pytest.raises(DimensionMismatch):
-        acc.merge(FingerprintAccumulator(4, 4))
     with pytest.raises(ConfigError):
         FingerprintAccumulator(0, 8)
 
@@ -164,7 +153,8 @@ def test_estimate_fingerprint_argument_checks():
     with pytest.raises(DimensionMismatch):
         estimate_fingerprint(pics, None, SchemeConfig("skip_eliminate"))
     with pytest.raises(DimensionMismatch):
-        estimate_fingerprint(pics, [], SchemeConfig("conventional"))
+        estimate_fingerprint(pics, uniform_trace(2, 2, 2),
+                             SchemeConfig("conventional"))
     with pytest.raises(DimensionMismatch):
         fingerprint_from_residuals(pics, None, [], SchemeConfig("conventional"))
 
@@ -221,3 +211,112 @@ def test_fingerprint_file_errors(tmp_path):
         p.write_bytes(data)
         with pytest.raises(SchemaError):
             read_fingerprint(p)
+
+
+# ---------------------------------------------------------------------------
+# the stacked mask path against the per-frame loop it replaced
+# ---------------------------------------------------------------------------
+
+def _per_frame_fingerprint(pictures, trace, residuals, config):
+    """Oracle: each frame's block weights from that frame's grids alone,
+    painted, accumulated in frame order and finalized; no trace gives
+    masks of ones."""
+    h, w = pictures[0].luma.shape
+    rule = SCHEMES[config.scheme]
+    acc = FingerprintAccumulator(h, w)
+    for i, (pic, residual) in enumerate(zip(pictures, residuals)):
+        if trace is None:
+            mask = np.ones((h, w))
+        else:
+            qp, bits = trace.qp[i], trace.bits[i].astype(np.float64)
+            if rule.lookup is None:
+                weights = np.ones(qp.shape)
+            elif config.scheme == "lambda_r":
+                weights = config.table.weight_interp(lambda_grid(qp) * bits)
+            else:
+                weights = np.array([[config.table.weight_exact(q) for q in row]
+                                    for row in qp])
+            if rule.zero_skip:
+                weights = np.where(trace.type_code[i] == SKIP, 0.0, weights)
+            mask = paint_blocks(weights, (h, w))
+        acc.accumulate(pic, residual, mask, saturation_mask(pic))
+    return finalize(acc)
+
+
+def _skipped_trace(rng, frames, qp_of=None):
+    """40x24 frames on a ceil-sized 3x2 grid, with skips, QPs 20..30."""
+    records = []
+    for f in range(frames):
+        for y in range(2):
+            for x in range(3):
+                qp = int(rng.integers(20, 31)) if qp_of is None else qp_of(f, x, y)
+                if rng.random() < 0.3:
+                    records.append(BlockRecord(f, x, y, "SKIP", qp, 1))
+                else:
+                    records.append(BlockRecord(f, x, y, "P", qp,
+                                               int(rng.integers(20, 900))))
+    return TraceFile(40, 24, frames, records)
+
+
+def _pictures_and_residuals(rng, frames):
+    pictures = [Picture(luma=rng.integers(0, 256, size=(24, 40)).astype(np.uint8))
+                for _ in range(frames)]
+    residuals = [NoiseResidual(values=rng.normal(size=(24, 40)), frame_idx=i)
+                 for i in range(frames)]
+    return pictures, residuals
+
+
+def _tables(rng):
+    keys = np.arange(20.0, 31.0)
+    weights = rng.uniform(0.2, 1.5, size=keys.size)
+    weights[keys == 25.0] = 1.0
+    return {
+        "qp_all": WeightTable("qp_all", keys, weights, 25.0),
+        "qp_noskip": WeightTable("qp_noskip", keys, weights, 25.0),
+        "lambda_r": WeightTable("lambda_r", [10.0, 60.0, 300.0, 900.0],
+                                [0.3, 1.0, 1.4, 1.7], 60.0),
+    }
+
+
+def test_stacked_masks_match_the_per_frame_loop_for_every_scheme():
+    rng = np.random.default_rng(41)
+    trace = _skipped_trace(rng, 5)
+    assert (trace.grid_h, trace.grid_w) == (2, 3) and trace.skip.any()
+    pictures, residuals = _pictures_and_residuals(rng, 5)
+    tables = _tables(rng)
+    for scheme in SCHEMES:
+        config = SchemeConfig(scheme, tables.get(scheme))
+        got = fingerprint_from_residuals(pictures, trace, residuals, config)
+        want = _per_frame_fingerprint(pictures, trace, residuals, config)
+        assert np.array_equal(got.k_values, want.k_values), scheme
+        assert np.array_equal(got.support, want.support), scheme
+        if SCHEMES[scheme].lookup is None and not SCHEMES[scheme].zero_skip:
+            got = fingerprint_from_residuals(pictures, None, residuals, config)
+            want = _per_frame_fingerprint(pictures, None, residuals, config)
+            assert np.array_equal(got.k_values, want.k_values), scheme
+            assert np.array_equal(got.support, want.support), scheme
+
+
+def test_skipped_block_rate_matches_the_per_frame_loop():
+    trace = _skipped_trace(np.random.default_rng(42), 7)
+    total = skipped = 0
+    for i in range(trace.frame_count):
+        total += trace.type_code[i].size
+        skipped += int((trace.type_code[i] == SKIP).sum())
+    assert skipped_block_rate(trace) == skipped / total
+
+
+def test_missing_qp_is_raised_before_any_frame_is_accumulated(monkeypatch):
+    rng = np.random.default_rng(43)
+    # frame 1 holds qp 35 and frame 3 qp 32, both missing from the table
+    missing = {(1, 2, 0): 35, (3, 0, 1): 32}
+    trace = _skipped_trace(rng, 4, lambda f, x, y: missing.get((f, x, y), 25))
+    pictures, residuals = _pictures_and_residuals(rng, 4)
+    accumulated = []
+    monkeypatch.setattr(prnu.FingerprintAccumulator, "accumulate",
+                        lambda self, *args: accumulated.append(args))
+    for scheme in ("qp_all", "qp_noskip"):
+        config = SchemeConfig(scheme, _tables(rng)[scheme])
+        with pytest.raises(MissingKey, match="qp 32$"):
+            fingerprint_from_residuals(pictures, trace, residuals, config)
+    assert accumulated == []

@@ -28,7 +28,7 @@ OPTIMIZED_CASES = """
 import numpy as np
 from blockprnu import Picture, SchemeConfig
 from blockprnu.bitstream import BitWriter
-from blockprnu.trace import BlockRecord, FrameBlockMap
+from blockprnu.trace import BlockRecord, TraceFile
 from blockprnu.weighting import build_mask
 
 scheme = SchemeConfig("conventional")
@@ -36,9 +36,9 @@ object.__setattr__(scheme, "scheme", "bogus")
 cases = [
     lambda: Picture(luma=np.zeros(16, dtype=np.uint8)),
     lambda: Picture(luma=np.zeros((16, 16), dtype=np.float64)),
-    lambda: FrameBlockMap(0, 0, 3, []),
+    lambda: TraceFile(0, 48, 1, []),
     lambda: BitWriter().write_ue(-1),
-    lambda: build_mask(FrameBlockMap(0, 1, 1, [BlockRecord(0, 0, 0, "P", 20, 9)]),
+    lambda: build_mask(TraceFile(16, 16, 1, [BlockRecord(0, 0, 0, "P", 20, 9)]),
                        scheme),
 ]
 for case in cases:

@@ -221,7 +221,7 @@ def test_static_scene_low_rate_skips_heavily():
     frames = synthetic_clean_frames(64, 64, 10, seed=6, motion=0)
     frames = [np.clip(np.rint(f), 0, 255).astype(np.uint8) for f in frames]
     result = encode_sequence(frames, CodecConfig(qp=30))
-    assert skipped_block_rate(result.trace.frames()) >= 0.7
+    assert skipped_block_rate(result.trace) >= 0.7
 
 
 def test_oracle_weight_decreases_with_distortion():

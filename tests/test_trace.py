@@ -1,14 +1,14 @@
 """
-Lambda math, block records and per-frame grids.
+Lambda math, block records and the trace's block grids.
 """
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from blockprnu import (ALL_SCHEMES, BlockRecord, FrameBlockMap, SchemeConfig,
+from blockprnu import (ALL_SCHEMES, BLOCK_TYPES, BlockRecord, SchemeConfig,
                        TraceFile, WeightTable, bits_per_pixel, build_mask,
-                       lambda_grid, lambda_of_qp, lambda_rate,
+                       lambda_grid, lambda_of_qp, lambda_rate, paint_blocks,
                        skipped_block_rate)
 from blockprnu.bitstream import load_trace_text, serialize_trace
 from blockprnu.errors import CoverageGap, EmptyInput, RangeError, SchemaError
@@ -98,24 +98,24 @@ def test_frame_map_grids():
             BlockRecord(0, 1, 0, "P", 20, 60),
             BlockRecord(0, 0, 1, "SKIP", 30, 1),
             BlockRecord(0, 1, 1, "B", 40, 70)]
-    fmap = FrameBlockMap(0, 2, 2, recs)
-    assert fmap.qp[0, 1] == 20          # indexed [mb_y, mb_x]
-    assert fmap.qp[1, 0] == 30
-    assert fmap.bits[1, 1] == 70
-    assert fmap.skip.tolist() == [[False, False], [True, False]]
-    expected_lr = lambda_grid(fmap.qp) * fmap.bits
-    assert np.array_equal(fmap.lambda_rate, expected_lr)
-    assert fmap.block_type(0, 1) == "SKIP"
+    tf = TraceFile(32, 32, 1, recs)
+    assert tf.qp[0, 0, 1] == 20         # indexed [frame, mb_y, mb_x]
+    assert tf.qp[0, 1, 0] == 30
+    assert tf.bits[0, 1, 1] == 70
+    assert tf.skip.tolist() == [[[False, False], [True, False]]]
+    expected_lr = lambda_grid(tf.qp) * tf.bits
+    assert np.array_equal(tf.lambda_rate, expected_lr)
+    assert BLOCK_TYPES[tf.type_code[0, 1, 0]] == "SKIP"
 
 
 def test_frame_map_rejects_duplicates_and_gaps():
     recs = grid_records(0, [["P", "P"], ["P", "P"]])
     with pytest.raises(SchemaError):
-        FrameBlockMap(0, 2, 2, recs + [recs[0]])
+        TraceFile(32, 32, 1, recs + [recs[0]])
     with pytest.raises(CoverageGap):
-        FrameBlockMap(0, 2, 2, recs[:-1])
+        TraceFile(32, 32, 1, recs[:-1])
     with pytest.raises(SchemaError):
-        FrameBlockMap(0, 2, 2, recs + [BlockRecord(0, 2, 0, "P", 20, 10)])
+        TraceFile(32, 32, 1, recs + [BlockRecord(0, 2, 0, "P", 20, 10)])
 
 
 def test_trace_file_two_frames():
@@ -123,9 +123,8 @@ def test_trace_file_two_frames():
         grid_records(1, [["P", "SKIP"], ["P", "P"]])
     tf = TraceFile(width=32, height=32, frame_count=2, records=recs)
     assert len(tf.records) == 8
-    frames = tf.frames()
-    assert len(frames) == 2
-    assert frames[1].block_type(1, 0) == "SKIP"
+    assert tf.type_code.shape[0] == 2
+    assert BLOCK_TYPES[tf.type_code[1, 0, 1]] == "SKIP"
 
 
 def test_trace_gap_names_the_block():
@@ -138,16 +137,16 @@ def test_trace_gap_names_the_block():
 
 
 def test_skipped_block_rate():
-    all_skip = [FrameBlockMap(0, 2, 2, grid_records(0, [["SKIP"] * 2] * 2))]
+    all_skip = TraceFile(32, 32, 1, grid_records(0, [["SKIP"] * 2] * 2))
     assert skipped_block_rate(all_skip) == 1.0
-    none = [FrameBlockMap(0, 2, 2, grid_records(0, [["P"] * 2] * 2))]
+    none = TraceFile(32, 32, 1, grid_records(0, [["P"] * 2] * 2))
     assert skipped_block_rate(none) == 0.0
     mixed = TraceFile(width=32, height=32, frame_count=2, records=(
         grid_records(0, [["SKIP", "SKIP"], ["SKIP", "P"]]) +
         grid_records(1, [["P", "P"], ["P", "P"]])))
-    assert skipped_block_rate(mixed.frames()) == 0.375
+    assert skipped_block_rate(mixed) == 0.375
     with pytest.raises(EmptyInput):
-        skipped_block_rate([])
+        skipped_block_rate(TraceFile(32, 32, 0, []))
 
 
 def test_bits_per_pixel():
@@ -192,8 +191,7 @@ def test_decoder_grid_rounded_up_loads_and_masks_at_frame_size():
     # a real 1080p decoder logs ceil(1080 / 16) = 68 macroblock rows
     tf = load_trace_text(trace_text(1920, 1080, 120, 68, skip_row=67))
     assert (tf.grid_w, tf.grid_h) == (120, 68)
-    (fmap,) = tf.frames()
-    assert fmap.qp.shape == (68, 120)
+    assert tf.qp.shape == (1, 68, 120)
     assert bits_per_pixel(tf) == sum(r.bits for r in tf.records) / (1920 * 1080)
     tables = {
         "qp_all": WeightTable("qp_all", [15, 20], [1.0, 0.8], 15.0),
@@ -202,8 +200,8 @@ def test_decoder_grid_rounded_up_loads_and_masks_at_frame_size():
                                 [0.5, 1.0, 1.5], 60.0),
     }
     for scheme in ALL_SCHEMES:
-        mask = build_mask(fmap, SchemeConfig(scheme, tables.get(scheme)),
-                          (1080, 1920))
+        (weights,) = build_mask(tf, SchemeConfig(scheme, tables.get(scheme)))
+        mask = paint_blocks(weights, (1080, 1920))
         assert mask.shape == (1080, 1920)
         # the partial last row is painted from row 67, cropped at 1080
         assert np.all(mask[1072:, 16:32] == mask[1072, 16])
@@ -217,13 +215,11 @@ def test_floor_sized_grid_still_loads():
     text = trace_text(1920, 1080, 120, 67)
     tf = load_trace_text(text)
     assert (tf.grid_w, tf.grid_h) == (120, 67)
-    assert tf.frames()[0].qp.shape == (67, 120)
+    assert tf.qp.shape == (1, 67, 120)
     assert serialize_trace(tf) == text
     # both axes rounded up, and both floor-sized, on a 40x24 frame
-    assert load_trace_text(trace_text(40, 24, 3, 2)).frames()[0].qp.shape == \
-        (2, 3)
-    assert load_trace_text(trace_text(40, 24, 2, 1)).frames()[0].qp.shape == \
-        (1, 2)
+    assert load_trace_text(trace_text(40, 24, 3, 2)).qp.shape == (1, 2, 3)
+    assert load_trace_text(trace_text(40, 24, 2, 1)).qp.shape == (1, 1, 2)
 
 
 def test_grid_one_row_too_many_or_mixed_is_rejected():
@@ -249,13 +245,15 @@ def test_frames_are_read_only_views_of_the_trace_arrays():
     assert tf.type_code.shape == tf.qp.shape == tf.bits.shape == (2, 2, 3)
     assert (tf.type_code.dtype, tf.qp.dtype, tf.bits.dtype) == \
         (np.int8, np.int64, np.int64)
-    fmap = tf.frames()[1]
     for name in ("type_code", "qp", "bits"):
-        grid = getattr(fmap, name)
+        grid = getattr(tf, name)[1]
         assert np.shares_memory(grid, getattr(tf, name))
         with pytest.raises(ValueError):
             grid[0, 0] = 0
-    assert fmap.records() == [r for r in tf.records if r.frame_idx == 1]
+    frame_records = [BlockRecord(1, x, y, BLOCK_TYPES[tf.type_code[1, y, x]],
+                                 int(tf.qp[1, y, x]), int(tf.bits[1, y, x]))
+                     for y in range(tf.grid_h) for x in range(tf.grid_w)]
+    assert frame_records == [r for r in tf.records if r.frame_idx == 1]
 
 
 def test_trace_from_arrays_is_checked_like_records():

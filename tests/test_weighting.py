@@ -6,15 +6,12 @@ import pytest
 from blockprnu import (
     BlockRecord,
     ConfigError,
-    FrameBlockMap,
     MissingKey,
     SchemaError,
     SchemeConfig,
+    TraceFile,
     WeightTable,
     build_mask,
-    mask_lambda_rate,
-    mask_qp,
-    mask_skip_eliminate,
     paint_blocks,
 )
 
@@ -22,13 +19,18 @@ MB = 16
 
 
 def make_map(types, qps=None, bits=None):
-    """2x2 grid from row-major lists."""
+    """One-frame trace of a 2x2 grid from row-major lists."""
     qps = qps or [20] * 4
     bits = bits if bits is not None else [100] * 4
     recs = []
     for i, (t, q, b) in enumerate(zip(types, qps, bits)):
         recs.append(BlockRecord(0, i % 2, i // 2, t, q, b))
-    return FrameBlockMap(0, 2, 2, recs)
+    return TraceFile(32, 32, 1, recs)
+
+
+def painted(trace, config, frame_shape=None):
+    """The first frame's block weights painted at pixel resolution."""
+    return paint_blocks(build_mask(trace, config)[0], frame_shape)
 
 
 def qp_table(keys, weights):
@@ -55,13 +57,13 @@ def test_paint_blocks_zeros_beyond_grid():
 
 def test_skip_eliminate_examples():
     all_coded = make_map(["P", "P", "P", "P"])
-    assert np.all(mask_skip_eliminate(all_coded) == 1.0)
+    assert np.all(painted(all_coded, SchemeConfig("skip_eliminate")) == 1.0)
 
     all_skip = make_map(["SKIP"] * 4, bits=[1] * 4)
-    assert np.all(mask_skip_eliminate(all_skip) == 0.0)
+    assert np.all(painted(all_skip, SchemeConfig("skip_eliminate")) == 0.0)
 
     one_skip = make_map(["P", "SKIP", "P", "P"], bits=[100, 1, 100, 100])
-    mask = mask_skip_eliminate(one_skip)
+    mask = painted(one_skip, SchemeConfig("skip_eliminate"))
     assert np.all(mask[0:MB, MB:2 * MB] == 0.0)
     assert mask.sum() == 3 * MB * MB
 
@@ -69,13 +71,13 @@ def test_skip_eliminate_examples():
 def test_mask_qp_all_anchor_is_ones():
     table = qp_table([10, 15, 20], [0.7, 1.0, 0.4])
     fmap = make_map(["P"] * 4, qps=[15] * 4)
-    assert np.all(mask_qp(fmap, table, exclude_skip=False) == 1.0)
+    assert np.all(painted(fmap, SchemeConfig("qp_all", table)) == 1.0)
 
 
 def test_mask_qp_two_distinct_weights():
     table = qp_table([10, 15, 20], [0.7, 1.0, 0.4])
     fmap = make_map(["P", "P", "P", "P"], qps=[10, 20, 10, 20])
-    mask = mask_qp(fmap, table, exclude_skip=False)
+    mask = painted(fmap, SchemeConfig("qp_all", table))
     assert set(np.unique(mask)) == {0.4, 0.7}
     assert np.all(mask[:MB, :MB] == 0.7)
     assert np.all(mask[:MB, MB:] == 0.4)
@@ -85,9 +87,9 @@ def test_mask_qp_skip_handling():
     table = qp_table([10, 15, 20], [0.7, 1.0, 0.4])
     fmap = make_map(["P", "SKIP", "P", "P"], qps=[10, 20, 10, 10],
                     bits=[100, 1, 100, 100])
-    keep = mask_qp(fmap, table, exclude_skip=False)
+    keep = painted(fmap, SchemeConfig("qp_all", table))
     assert np.all(keep[:MB, MB:] == 0.4)  # skip keeps its qp weight
-    drop = mask_qp(fmap, table, exclude_skip=True)
+    drop = painted(fmap, SchemeConfig("qp_noskip", table))
     assert np.all(drop[:MB, MB:] == 0.0)
     assert np.all(drop[:MB, :MB] == 0.7)
 
@@ -96,7 +98,7 @@ def test_mask_qp_missing_entry_is_an_error():
     table = qp_table([10, 15, 20], [0.7, 1.0, 0.4])
     fmap = make_map(["P"] * 4, qps=[25] * 4)
     with pytest.raises(MissingKey, match="qp 25"):
-        mask_qp(fmap, table, exclude_skip=False)
+        painted(fmap, SchemeConfig("qp_all", table))
 
 
 def test_mask_lambda_rate_interpolates():
@@ -105,7 +107,7 @@ def test_mask_lambda_rate_interpolates():
     # qp 12 makes lambda exactly 1, so lambda*rate equals the bit count
     fmap = make_map(["P", "P", "P", "SKIP"], qps=[12] * 4,
                     bits=[60, 80, 200, 1])
-    mask = mask_lambda_rate(fmap, table)
+    mask = painted(fmap, SchemeConfig("lambda_r", table))
     assert np.all(mask[:MB, :MB] == 1.0)
     assert np.all(mask[:MB, MB:] == pytest.approx(0.625))  # midway 60..100
     assert np.all(mask[MB:, :MB] == 0.25)  # clamped above
@@ -116,7 +118,7 @@ def test_mask_lambda_rate_clamps_below():
     table = WeightTable(scheme="lambda_r", keys=np.array([20.0, 60.0]),
                         weights=np.array([0.5, 1.0]), anchor_key=60.0)
     fmap = make_map(["P"] * 4, qps=[12] * 4, bits=[5, 5, 5, 5])
-    assert np.all(mask_lambda_rate(fmap, table) == 0.5)
+    assert np.all(painted(fmap, SchemeConfig("lambda_r", table)) == 0.5)
 
 
 def test_weight_table_validation():
@@ -205,19 +207,21 @@ def test_build_mask_dispatch():
     fmap = make_map(["P", "SKIP", "P", "P"], qps=[10, 20, 10, 20],
                     bits=[100, 1, 100, 100])
 
-    conv = build_mask(fmap, SchemeConfig("conventional"), frame_shape=(40, 33))
+    conv = painted(fmap, SchemeConfig("conventional"), frame_shape=(40, 33))
     assert conv.shape == (40, 33)
     assert np.all(conv[:32, :32] == 1.0) and np.all(conv[32:, :] == 0.0)
     assert np.array_equal(build_mask(fmap, SchemeConfig("loop_filter_only")),
                           build_mask(fmap, SchemeConfig("conventional")))
-    assert np.array_equal(build_mask(fmap, SchemeConfig("skip_eliminate")),
-                          mask_skip_eliminate(fmap))
-    assert np.array_equal(build_mask(fmap, SchemeConfig("qp_all", table)),
-                          mask_qp(fmap, table, exclude_skip=False))
-    assert np.array_equal(build_mask(fmap, SchemeConfig("qp_noskip", table)),
-                          mask_qp(fmap, table, exclude_skip=True))
-    assert np.array_equal(build_mask(fmap, SchemeConfig("lambda_r", lr_table)),
-                          mask_lambda_rate(fmap, lr_table))
+    # block weights of every frame, as a (frames, grid_h, grid_w) stack
+    expected = [
+        (SchemeConfig("skip_eliminate"), [[1.0, 0.0], [1.0, 1.0]]),
+        (SchemeConfig("qp_all", table), [[0.7, 0.4], [0.7, 0.4]]),
+        (SchemeConfig("qp_noskip", table), [[0.7, 0.0], [0.7, 0.4]]),
+        # the coded blocks' lambda*rate exceeds the top key, so they clamp
+        (SchemeConfig("lambda_r", lr_table), [[1.0, 0.0], [1.0, 1.0]]),
+    ]
+    for config, weights in expected:
+        assert np.array_equal(build_mask(fmap, config), [weights])
 
 
 # ---------------------------------------------------------------------------
