@@ -6,9 +6,8 @@ blocks of one cost rank.
 """
 import numpy as np
 
-from blockprnu import (BlockRecord, CalibrationRun, NoiseResidual,
-                       TraceFile, build_qp_table, lambda_of_qp,
-                       splice_by_lambda_rate)
+from blockprnu import (BlockRecord, CalibrationRun, TraceFile,
+                       build_qp_table, lambda_of_qp, splice_by_lambda_rate)
 
 # --- the QP table recipe, on hand-checkable numbers ---------------------------
 # Per camera, PCE at each QP is normalized by the anchor QP's PCE; camera
@@ -31,8 +30,7 @@ for line in report:
 # Three 32x32 residual frames, each a 2x2 grid of blocks. Costs are
 # lambda(qp) * bits; skips are normally left out.
 rng = np.random.default_rng(3)
-residuals = [NoiseResidual(values=rng.normal(size=(32, 32)), frame_idx=t)
-             for t in range(3)]
+residuals = [rng.normal(size=(32, 32)) for t in range(3)]
 
 def frame(t, types, bits):
     return [BlockRecord(t, x, y, types[y][x], 20, bits[y][x])
@@ -46,16 +44,17 @@ trace = TraceFile(32, 32, 3,
 
 lam = lambda_of_qp(20)
 print(f"\nlambda(20) = {lam:.4f}; per-position costs (frame: cost):")
+# the spliced ranks come back as stacks: values (3, 32, 32), filled
+# (3, 2, 2) and mean_lambda_rate (3,)
 spliced = splice_by_lambda_rate(residuals, trace)
-for j, frame in enumerate(spliced.frames):
-    filled = int(frame.filled.sum())
+for j in range(len(spliced.values)):
+    filled = int(spliced.filled[j].sum())
     print(f"  rank {j}: {filled}/4 positions filled, "
-          f"mean cost {frame.mean_lambda_rate:.1f}")
+          f"mean cost {spliced.mean_lambda_rate[j]:.1f}")
 
 # Rank 0 collects the cheapest coded block at every position; positions
 # whose cheap slots were skips stay unfilled in the last ranks.
-cheapest = spliced.frames[0]
-assert cheapest.filled.all()
+assert spliced.filled[0].all()
 with_skips = splice_by_lambda_rate(residuals, trace, include_skip=True)
-assert all(f.filled.all() for f in with_skips.frames)
+assert with_skips.filled.all()
 print("with include_skip=True every rank fills (skips rank cheapest)")

@@ -11,11 +11,10 @@ from .bitstream import (NalUnit, ParameterSetContext, Pps,
                         parse_pps, parse_slice_header, parse_sps, save_trace,
                         serialize_trace, split_nal_units,
                         validate_against_slices)
-from .calibration import (CalibrationRun, CalibrationVideo, SplicedFrame,
-                          SplicedFrameSet, build_lambda_rate_table,
-                          build_qp_table, calibrate_lambda_rate,
-                          calibrate_qp, quantile_bucket_edges,
-                          splice_by_lambda_rate)
+from .calibration import (CalibrationRun, CalibrationVideo, SplicedVideo,
+                          build_lambda_rate_table, build_qp_table,
+                          calibrate_lambda_rate, calibrate_qp,
+                          quantile_bucket_edges, splice_by_lambda_rate)
 from .errors import (AllMaskedOut, BitstreamExhausted, BlockPrnuError,
                      ConfigError, CoverageGap, DegenerateFingerprint,
                      DimensionMismatch, EmptyAccumulator, EmptyBucket,
@@ -30,9 +29,9 @@ from .evaluation import (BPP_GROUP_EDGES, ExperimentGrid, GridVideo,
                          threshold_table)
 from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
                        batch_match, crosscorr, format_report_records, pce)
-from .noise import (DenoiseConfig, NoiseResidual, Picture, denoise,
-                    extract_residual, read_yuv420, saturation_mask,
-                    wiener_adaptive, write_yuv420, zero_mean_rows_cols)
+from .noise import (DenoiseConfig, denoise, extract_residual, read_yuv420,
+                    saturation_mask, wiener_adaptive, write_yuv420,
+                    zero_mean_rows_cols)
 from .prnu import (Fingerprint, FingerprintAccumulator, estimate_fingerprint,
                    finalize, fingerprint_from_residuals, read_fingerprint,
                    residual_extractor, resolve_workers, write_fingerprint)

@@ -15,14 +15,14 @@ lambda*rate = 60, averaged, rooted, and keyed by bucket centers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (EmptyBucket, InsufficientData, InsufficientFrames,
-                     MissingAnchor, RangeError)
+from .errors import (ConfigError, EmptyBucket, InsufficientData,
+                     InsufficientFrames, MissingAnchor, RangeError)
 from .matching import PceConfig, ReferenceSpectrum, pce
-from .noise import DenoiseConfig, NoiseResidual, Picture
+from .noise import DenoiseConfig
 from .prnu import (Fingerprint, fingerprint_from_residuals,
                    require_references, residual_extractor)
 from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
@@ -43,23 +43,16 @@ class CalibrationRun:
     samples: list[tuple[float, float]] = field(default_factory=list)
 
 
-@dataclass
-class SplicedFrame:
-    values: np.ndarray            # residual-domain plane, zeros where unfilled
-    filled: np.ndarray            # (gh, gw) bool
-    mean_lambda_rate: float       # over filled positions; nan if none
+class SplicedVideo(NamedTuple):
+    """Spliced frames as stacks, one entry per rank j."""
+    values: np.ndarray            # (n, H, W), zeros where unfilled
+    filled: np.ndarray            # (n, gh, gw) bool
+    mean_lambda_rate: np.ndarray  # (n,) over filled positions; nan if none
 
 
-@dataclass
-class SplicedFrameSet:
-    frames: list[SplicedFrame]
-    grid_h: int
-    grid_w: int
-
-
-def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
+def splice_by_lambda_rate(residuals: Sequence[np.ndarray],
                           trace: TraceFile,
-                          include_skip: bool = False) -> SplicedFrameSet:
+                          include_skip: bool = False) -> SplicedVideo:
     """Regroup residual blocks by per-position lambda*rate rank.
 
     For every block position independently the N contributions are sorted
@@ -79,14 +72,14 @@ def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
     # spliced frames keep the frame's shape: a ceil-sized grid's partial
     # blocks are padded with zeros and cropped again, and pixels beyond a
     # floor-sized grid stay zero, as in the masks
-    rh, rw = residuals[0].values.shape
+    rh, rw = residuals[0].shape
     ch, cw = min(h, rh), min(w, rw)
 
     lr = trace.lambda_rate                                        # (n, gh, gw)
     if not include_skip:
         lr = np.where(trace.skip, np.inf, lr)
     blocks = np.stack([
-        np.pad(r.values[:ch, :cw], ((0, h - ch), (0, w - cw)))
+        np.pad(r[:ch, :cw], ((0, h - ch), (0, w - cw)))
         .reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
         for r in residuals
     ])                                                            # (n, gh, gw, 16, 16)
@@ -98,15 +91,11 @@ def splice_by_lambda_rate(residuals: Sequence[NoiseResidual],
     filled = np.isfinite(sorted_lr)
     sorted_blocks = sorted_blocks * filled[..., None, None]
 
-    frames = []
-    for j in range(n):
-        values = np.pad(sorted_blocks[j].swapaxes(1, 2).reshape(h, w)[:ch, :cw],
-                        ((0, rh - ch), (0, rw - cw)))
-        fill_j = filled[j]
-        mean_lr = float(sorted_lr[j][fill_j].mean()) if fill_j.any() else float("nan")
-        frames.append(SplicedFrame(values=values, filled=fill_j,
-                                   mean_lambda_rate=mean_lr))
-    return SplicedFrameSet(frames=frames, grid_h=gh, grid_w=gw)
+    values = np.pad(sorted_blocks.swapaxes(2, 3).reshape(n, h, w)[:, :ch, :cw],
+                    ((0, 0), (0, rh - ch), (0, rw - cw)))
+    mean_lr = np.array([lr_j[fill_j].mean() if fill_j.any() else np.nan
+                        for lr_j, fill_j in zip(sorted_lr, filled)])
+    return SplicedVideo(values=values, filled=filled, mean_lambda_rate=mean_lr)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +221,10 @@ def build_lambda_rate_table(runs: Sequence[CalibrationRun],
 
 @dataclass
 class CalibrationVideo:
-    """One decoded calibration video plus its block trace."""
+    """One decoded calibration video, as a (frames, H, W) uint8 luma
+    stack, plus its block trace."""
     camera_id: str
-    pictures: list[Picture]
+    pictures: np.ndarray
     trace: TraceFile
     qp: int | None = None     # the fixed-QP condition, when applicable
 
@@ -264,6 +254,12 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
         if video.qp is None:
             raise InsufficientData(f"video of camera {video.camera_id} "
                                    f"has no fixed-QP condition")
+    # build_qp_table's anchor rule, checked before any extraction
+    unanchored = sorted({v.camera_id for v in videos}
+                        - {v.camera_id for v in videos if v.qp == anchor_qp})
+    if unanchored:
+        raise MissingAnchor(f"camera {unanchored[0]} has no qp={anchor_qp} "
+                            f"observation")
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
             residuals = extract(video.pictures)
@@ -292,6 +288,8 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
     its camera's reference. Bucket edges are equal-population quantiles of
     the pooled means.
     """
+    if n_buckets < 1:
+        raise ConfigError(f"need at least one bucket, got {n_buckets}")
     runs: dict[str, CalibrationRun] = {}
     require_references((v.camera_id for v in videos), references)
     with residual_extractor(denoise_config, workers) as extract:
@@ -302,12 +300,12 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
             run = runs.setdefault(video.camera_id,
                                   CalibrationRun(camera_id=video.camera_id))
             spectrum = ReferenceSpectrum(references[video.camera_id])
-            for frame in spliced.frames:
-                if (not np.isfinite(frame.mean_lambda_rate)
-                        or not np.any(frame.values)):
+            for values, mean_lr in zip(spliced.values,
+                                       spliced.mean_lambda_rate):
+                if not np.isfinite(mean_lr) or not values.any():
                     continue
-                match = pce(frame.values, spectrum, pce_config)
-                run.samples.append((frame.mean_lambda_rate, match.pce))
+                match = pce(values, spectrum, pce_config)
+                run.samples.append((float(mean_lr), match.pce))
     all_samples = [lr for run in runs.values() for lr, _ in run.samples]
     if not all_samples:
         raise InsufficientData("no spliced frames produced observations")

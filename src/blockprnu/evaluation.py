@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BlockPrnuError, ConfigError, EmptyInput
 from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
                        ReferenceSpectrum, pce)
-from .noise import DenoiseConfig, Picture
+from .noise import DenoiseConfig
 from .prnu import (Fingerprint, fingerprint_from_residuals,
                    require_references, residual_extractor)
 from .trace import TraceFile, bits_per_pixel, skipped_block_rate
@@ -27,10 +27,10 @@ BPP_GROUP_EDGES = (0.024, 0.052, 0.084, 0.172)
 
 @dataclass
 class GridVideo:
-    """One test video: decoded pictures, trace, and who filmed it."""
+    """One test video: (frames, H, W) uint8 luma, trace, and who filmed it."""
     video_id: str
     camera_id: str
-    pictures: list[Picture]
+    pictures: np.ndarray
     trace: TraceFile
 
 

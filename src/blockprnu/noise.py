@@ -7,6 +7,10 @@ The primary denoiser is a multi-level orthogonal wavelet decomposition
 coefficients; the approximation band is treated as scene content. A plain
 3x3 spatial Wiener filter is available as a fallback. Residuals are
 zero-meaned per row and per column to kill line artifacts.
+
+A video is one (frames, H, W) uint8 luma stack, as `read_yuv420` returns
+it; `extract_residual` takes one (H, W) plane of it and returns that
+frame's residual as a float64 (H, W) array.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, SchemaError
+from .errors import ConfigError, SchemaError
 
 # db4 analysis lowpass; highpass and synthesis follow from orthogonality
 _DEC_LO = np.array([
@@ -36,35 +40,6 @@ _SYNTHESIS = np.array([[f[r::2][::-1] for r in (0, 1)]
 WIENER_WINDOWS = (3, 5, 7, 9)
 SATURATION_HIGH = 250
 SATURATION_LOW = 5
-
-
-@dataclass(frozen=True)
-class Picture:
-    """One decoded frame, luma plane only."""
-    luma: np.ndarray
-    frame_idx: int = 0
-
-    def __post_init__(self):
-        if self.luma.ndim != 2:
-            raise DimensionMismatch(f"luma must be 2-D, got {self.luma.ndim}-D")
-        if self.luma.dtype != np.uint8:
-            raise ConfigError(f"luma must be uint8, got {self.luma.dtype}")
-
-    @property
-    def height(self) -> int:
-        return self.luma.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.luma.shape[1]
-
-
-@dataclass
-class NoiseResidual:
-    """picture minus denoised picture, row/column zero-meaned."""
-    values: np.ndarray
-    frame_idx: int = 0
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -283,25 +258,21 @@ def zero_mean_rows_cols(w: np.ndarray) -> np.ndarray:
     return w - w.mean(axis=0, keepdims=True)
 
 
-def extract_residual(picture: Picture,
-                     config: DenoiseConfig = DenoiseConfig()) -> NoiseResidual:
-    """Noise residual of one picture: luma minus its denoised version.
+def extract_residual(luma: np.ndarray,
+                     config: DenoiseConfig = DenoiseConfig()) -> np.ndarray:
+    """Noise residual of one (H, W) luma plane: luma minus its denoised
+    version, as float64.
 
-    A constant picture has no usable noise; the result is all zeros with
-    the degenerate flag set.
+    A constant plane has no usable noise; its residual is all zeros.
     """
-    x = picture.luma.astype(np.float64)
+    x = luma.astype(np.float64)
     if x.size == 0 or x.max() == x.min():
-        return NoiseResidual(values=np.zeros_like(x),
-                             frame_idx=picture.frame_idx, degenerate=True)
-    residual = x - denoise(x, config)
-    residual = zero_mean_rows_cols(residual)
-    return NoiseResidual(values=residual, frame_idx=picture.frame_idx)
+        return np.zeros_like(x)
+    return zero_mean_rows_cols(x - denoise(x, config))
 
 
-def saturation_mask(picture: Picture) -> np.ndarray:
+def saturation_mask(luma: np.ndarray) -> np.ndarray:
     """1.0 where the sample is trustworthy, 0.0 at clipped/near-clipped values."""
-    luma = picture.luma
     ok = (luma > SATURATION_LOW) & (luma < SATURATION_HIGH)
     return ok.astype(np.float64)
 
@@ -315,24 +286,26 @@ def _chroma_bytes(width: int, height: int) -> int:
     return 2 * ((width + 1) // 2) * ((height + 1) // 2)
 
 
-def read_yuv420(path: str | Path, width: int, height: int) -> list[Picture]:
+def read_yuv420(path: str | Path, width: int, height: int) -> np.ndarray:
+    """The luma planes of a raw 4:2:0 file as one (frames, height, width)
+    uint8 stack."""
     data = Path(path).read_bytes()
     frame_bytes = width * height + _chroma_bytes(width, height)
     if frame_bytes == 0 or len(data) % frame_bytes:
         raise SchemaError(f"{path}: size {len(data)} is not a whole number of "
                           f"{width}x{height} 4:2:0 frames")
-    pictures = []
-    for i in range(len(data) // frame_bytes):
-        off = i * frame_bytes
-        luma = np.frombuffer(data, dtype=np.uint8, count=width * height,
-                             offset=off).reshape(height, width)
-        pictures.append(Picture(luma=luma.copy(), frame_idx=i))
-    return pictures
+    frames = np.frombuffer(data, dtype=np.uint8).reshape(-1, frame_bytes)
+    # a copy, so the chroma bytes are not kept alive behind the luma
+    return frames[:, :width * height].reshape(-1, height, width).copy()
 
 
-def write_yuv420(pictures: list[Picture], path: str | Path) -> None:
-    chunks = []
-    for pic in pictures:
-        chunks.append(pic.luma.tobytes())
-        chunks.append(bytes([128]) * _chroma_bytes(pic.width, pic.height))
-    Path(path).write_bytes(b"".join(chunks))
+def write_yuv420(luma: np.ndarray, path: str | Path) -> None:
+    """Write a (frames, height, width) uint8 luma stack as raw 4:2:0 with
+    flat (128) chroma."""
+    if luma.dtype != np.uint8:
+        raise ConfigError(f"luma must be uint8, got {luma.dtype}")
+    count, height, width = luma.shape
+    frames = np.full((count, height * width + _chroma_bytes(width, height)),
+                     128, dtype=np.uint8)
+    frames[:, :height * width] = luma.reshape(count, height * width)
+    Path(path).write_bytes(frames.tobytes())

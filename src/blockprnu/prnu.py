@@ -9,6 +9,9 @@ numerator and an intensity-energy denominator:
 where M_i is the per-pixel weighting mask (codec-metadata-driven) times the
 saturation mask. Pixels whose denominator never clears a floor carry no
 evidence and are dropped from the support.
+
+A video's luma I arrives as one (frames, H, W) uint8 stack, and each
+frame's residual W as a float64 (H, W) array.
 """
 from __future__ import annotations
 
@@ -26,8 +29,7 @@ import numpy as np
 from .errors import (AllMaskedOut, ConfigError, DimensionMismatch,
                      EmptyAccumulator, InsufficientData, SchemaError,
                      decode_text)
-from .noise import (DenoiseConfig, NoiseResidual, Picture, extract_residual,
-                    saturation_mask)
+from .noise import DenoiseConfig, extract_residual, saturation_mask
 from .trace import TraceFile
 from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
@@ -62,19 +64,17 @@ class FingerprintAccumulator:
     def shape(self) -> tuple[int, int]:
         return self.numerator.shape
 
-    def accumulate(self, picture: Picture, residual: NoiseResidual,
+    def accumulate(self, luma: np.ndarray, residual: np.ndarray,
                    mask: np.ndarray,
                    sat_mask: np.ndarray | None = None) -> None:
-        luma = picture.luma.astype(np.float64)
-        for name, arr in (("residual", residual.values), ("mask", mask)):
+        luma = luma.astype(np.float64)
+        for name, arr in (("residual", residual), ("mask", mask),
+                          ("picture", luma)):
             if arr.shape != self.shape:
                 raise DimensionMismatch(f"{name} shape {arr.shape} vs "
                                         f"accumulator {self.shape}")
-        if luma.shape != self.shape:
-            raise DimensionMismatch(f"picture shape {luma.shape} vs "
-                                    f"accumulator {self.shape}")
         m = mask if sat_mask is None else mask * sat_mask
-        self.numerator += luma * residual.values * m
+        self.numerator += luma * residual * m
         self.denominator += luma * luma * m
         self.frames_ingested += 1
 
@@ -199,71 +199,97 @@ def require_references(camera_ids, references: dict[str, Fingerprint]) -> None:
 @contextmanager
 def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
                        workers: int = 1):
-    """Yield ``extract(pictures) -> list[NoiseResidual]``, in frame order.
+    """Yield ``extract(pictures) -> list[np.ndarray]``: the residual of
+    each (H, W) plane of a luma stack, in frame order.
 
     With workers > 1 one process pool serves every call made inside the
     with block, so a command that extracts several videos starts one pool.
-    Residuals are the same for any worker count.
+    Residuals are the same for any worker count. They stay a list: a
+    stacked copy would sit beside the pool's pending results.
     """
     job = partial(extract_residual, config=denoise_config)
     if workers <= 1:
-        yield lambda pictures: [job(pic) for pic in pictures]
+        yield lambda pictures: [job(luma) for luma in pictures]
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield lambda pictures: list(pool.map(
             job, pictures, chunksize=max(1, len(pictures) // workers)))
 
 
-def fingerprint_from_residuals(pictures: Sequence[Picture],
+def _block_weights(pictures: np.ndarray, trace: TraceFile | None,
+                   scheme: SchemeConfig,
+                   residual_count: int) -> np.ndarray | None:
+    """Every frame's block weights (None: masks of ones), once the luma
+    stack, the trace and the residual count are checked to agree."""
+    if not len(pictures):
+        raise EmptyAccumulator("no pictures to estimate from")
+    if pictures.ndim != 3:
+        raise DimensionMismatch(f"luma must be a (frames, H, W) stack, "
+                                f"got {pictures.ndim}-D")
+    if pictures.dtype != np.uint8:
+        raise ConfigError(f"luma must be uint8, got {pictures.dtype}")
+    if trace is None and (SCHEMES[scheme.scheme].lookup
+                          or SCHEMES[scheme.scheme].zero_skip):
+        raise DimensionMismatch(f"scheme {scheme.scheme} needs a trace")
+    frames = len(pictures) if trace is None else trace.frame_count
+    if not frames == residual_count == len(pictures):
+        raise DimensionMismatch(f"{len(pictures)} pictures vs "
+                                f"{frames} trace frames vs "
+                                f"{residual_count} residuals")
+    return None if trace is None else build_mask(trace, scheme)
+
+
+def _accumulate(pictures: np.ndarray, weights: np.ndarray | None,
+                residuals: Sequence[np.ndarray],
+                denominator_floor: float | None,
+                source_id: str) -> Fingerprint:
+    h, w = pictures.shape[1:]
+    acc = FingerprintAccumulator(h, w)
+    for i, (luma, residual) in enumerate(zip(pictures, residuals)):
+        # one frame painted at a time: a painted stack would hold the
+        # whole video's masks at once
+        mask = (np.ones((h, w), dtype=np.float64) if weights is None
+                else paint_blocks(weights[i], (h, w)))
+        acc.accumulate(luma, residual, mask, saturation_mask(luma))
+    return finalize(acc, denominator_floor=denominator_floor,
+                    source_id=source_id)
+
+
+def fingerprint_from_residuals(pictures: np.ndarray,
                                trace: TraceFile | None,
-                               residuals: Sequence[NoiseResidual],
+                               residuals: Sequence[np.ndarray],
                                scheme: SchemeConfig,
                                denominator_floor: float | None = None,
                                source_id: str = "") -> Fingerprint:
-    """Mask, accumulate in frame order and finalize precomputed residuals.
+    """Mask, accumulate in frame order and finalize precomputed residuals
+    of a (frames, H, W) uint8 luma stack.
 
     The block weights of every frame are built before the first frame is
     accumulated; each frame's mask is painted from them in turn. trace may
     be None only for schemes that ignore block metadata (neither a table
     nor zeroed skips in `SCHEMES`), and then every mask is all ones.
     """
-    if not pictures:
-        raise EmptyAccumulator("no pictures to estimate from")
-    if trace is None and (SCHEMES[scheme.scheme].lookup
-                          or SCHEMES[scheme.scheme].zero_skip):
-        raise DimensionMismatch(f"scheme {scheme.scheme} needs a trace")
-    frames = len(pictures) if trace is None else trace.frame_count
-    if not frames == len(residuals) == len(pictures):
-        raise DimensionMismatch(f"{len(pictures)} pictures vs "
-                                f"{frames} trace frames vs "
-                                f"{len(residuals)} residuals")
-    weights = None if trace is None else build_mask(trace, scheme)
-    h, w = pictures[0].luma.shape
-    acc = FingerprintAccumulator(h, w)
-    for i, (pic, residual) in enumerate(zip(pictures, residuals)):
-        # one frame painted at a time: a painted stack would hold the
-        # whole video's masks at once
-        mask = (np.ones((h, w), dtype=np.float64) if weights is None
-                else paint_blocks(weights[i], (h, w)))
-        acc.accumulate(pic, residual, mask, saturation_mask(pic))
-    return finalize(acc, denominator_floor=denominator_floor,
-                    source_id=source_id)
+    pictures = np.asarray(pictures)
+    weights = _block_weights(pictures, trace, scheme, len(residuals))
+    return _accumulate(pictures, weights, residuals, denominator_floor,
+                       source_id)
 
 
-def estimate_fingerprint(pictures: Sequence[Picture],
+def estimate_fingerprint(pictures: np.ndarray,
                          trace: TraceFile | None,
                          scheme: SchemeConfig,
                          denoise_config: DenoiseConfig = DenoiseConfig(),
                          denominator_floor: float | None = None,
                          source_id: str = "",
                          workers: int = 1) -> Fingerprint:
-    """Estimate one fingerprint from decoded pictures and their trace.
-
-    Residual extraction parallelizes across pictures; accumulation always
-    runs in frame order, so the result is identical for any worker count.
+    """Estimate one fingerprint from a (frames, H, W) uint8 luma stack
+    and its trace, both checked, and the block weights built, before any
+    residual is extracted. Accumulation runs in frame order, so the
+    result is identical for any worker count.
     """
+    pictures = np.asarray(pictures)
+    weights = _block_weights(pictures, trace, scheme, len(pictures))
     with residual_extractor(denoise_config, workers) as extract:
         residuals = extract(pictures)
-    return fingerprint_from_residuals(pictures, trace, residuals, scheme,
-                                      denominator_floor=denominator_floor,
-                                      source_id=source_id)
+    return _accumulate(pictures, weights, residuals, denominator_floor,
+                       source_id)

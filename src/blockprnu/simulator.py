@@ -21,7 +21,6 @@ from scipy import fft as sfft
 from scipy.ndimage import uniform_filter
 
 from .errors import ConfigError
-from .noise import Picture
 from .trace import BLOCK_TYPES, MACROBLOCK, SKIP, TraceFile, lambda_of_qp
 from .weighting import paint_blocks
 
@@ -84,7 +83,7 @@ class CodecConfig:
 
 @dataclass
 class EncodeResult:
-    pictures: list[Picture]
+    pictures: np.ndarray     # (frames, h, w) uint8 decoded luma
     trace: TraceFile
     distortion: np.ndarray   # (frames, gh, gw) summed squared error
     rate: np.ndarray         # (frames, gh, gw) bits
@@ -94,14 +93,15 @@ class EncodeResult:
 
 
 def simulate_capture(model: SensorModel, clean_frames: Sequence[np.ndarray],
-                     seed: int = 0) -> list[Picture]:
+                     seed: int = 0) -> np.ndarray:
     """Run clean scene radiance through the sensor.
 
-    Each output sample is clip(round(clean * (1 + k) + noise)) as 8-bit.
+    Each output sample is clip(round(clean * (1 + k) + noise)) as 8-bit;
+    the frames come back as one (frames, h, w) uint8 stack.
     """
     rng = np.random.default_rng(seed)
     gain = 1.0 + model.k_true
-    out = []
+    out = np.empty((len(clean_frames),) + model.k_true.shape, dtype=np.uint8)
     for i, clean in enumerate(clean_frames):
         clean = np.asarray(clean, dtype=np.float64)
         if clean.shape != model.k_true.shape:
@@ -111,8 +111,7 @@ def simulate_capture(model: SensorModel, clean_frames: Sequence[np.ndarray],
         if model.read_noise_sigma > 0:
             sample = sample + rng.normal(0.0, model.read_noise_sigma,
                                          size=clean.shape)
-        luma = np.clip(np.rint(sample), 0, 255).astype(np.uint8)
-        out.append(Picture(luma=luma, frame_idx=i))
+        out[i] = np.clip(np.rint(sample), 0, 255)
     return out
 
 
@@ -241,7 +240,7 @@ def _encode_intra(orig: np.ndarray, qp: int) -> tuple[np.ndarray, ...]:
     return dec, distortion, rate
 
 
-def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
+def encode_sequence(frames: Sequence[np.ndarray],
                     config: CodecConfig) -> EncodeResult:
     """Encode a sequence with per-frame QP and zero-motion references.
 
@@ -251,7 +250,7 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
     frame and may SKIP. Skip blocks inherit the QP of their reference
     block and record the single signaling bit.
     """
-    lumas = [f.luma if isinstance(f, Picture) else np.asarray(f) for f in frames]
+    lumas = [np.asarray(f) for f in frames]
     if not lumas:
         raise ConfigError("nothing to encode")
     h, w = lumas[0].shape
@@ -267,7 +266,7 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
     type_code = np.zeros((n, gh, gw), dtype=np.int8)
     qps = np.zeros((n, gh, gw), dtype=np.int64)
     qp_per_frame: list[int] = []
-    pictures: list[Picture] = []
+    pictures = np.empty((n, h, w), dtype=np.uint8)
 
     qp = config.qp if config.qp is not None else config.start_qp
     prev_dec: np.ndarray | None = None
@@ -296,7 +295,7 @@ def encode_sequence(frames: Sequence[Picture] | Sequence[np.ndarray],
 
         lam_grid[t] = lam
         qp_per_frame.append(qp)
-        pictures.append(Picture(luma=dec.astype(np.uint8), frame_idx=t))
+        pictures[t] = dec
         prev_dec = dec
         if config.target_bits_per_frame is not None:
             qp = _controller_step(qp, float(rate[t].sum()),

@@ -256,4 +256,8 @@ def bits_per_pixel(trace: TraceFile) -> float:
     pixels = trace.width * trace.height * trace.frame_count
     if pixels == 0:
         raise EmptyInput("bits per pixel of an empty video")
-    return int(trace.bits.sum()) / pixels
+    # a block may hold up to 2**63 - 1 bits, so an int64 sum can wrap; the
+    # high and low 32-bit halves sum apart without wrapping
+    bits = trace.bits
+    total = (int((bits >> 32).sum()) << 32) + int((bits & 0xFFFFFFFF).sum())
+    return total / pixels

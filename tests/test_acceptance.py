@@ -17,9 +17,7 @@ from blockprnu import (
     CodecConfig,
     Fingerprint,
     FingerprintAccumulator,
-    NoiseResidual,
     PceConfig,
-    Picture,
     SchemeConfig,
     SensorModel,
     TraceFile,
@@ -93,7 +91,7 @@ def test_criterion_02_accumulator_matches_brute_force():
 
         acc = FingerprintAccumulator(64, 64)
         for luma, res, mask in zip(lumas, residuals, masks):
-            acc.accumulate(Picture(luma=luma), NoiseResidual(values=res), mask)
+            acc.accumulate(luma, res, mask)
         got = finalize(acc, denominator_floor=1e-300, normalize=False)
 
         num = np.zeros((64, 64))
@@ -287,7 +285,7 @@ def test_criterion_06_static_content_skip_rates():
 def _oracle_splice(residuals, trace, include_skip):
     count = len(residuals)
     gh, gw = trace.grid_h, trace.grid_w
-    h, w = residuals[0].values.shape
+    h, w = residuals[0].shape
     costs = np.full((count, gh, gw), np.inf)
     for rec in trace.records:
         if rec.block_type == "SKIP" and not include_skip:
@@ -304,7 +302,7 @@ def _oracle_splice(residuals, trace, include_skip):
                     break
                 sl = (slice(16 * by, 16 * by + 16),
                       slice(16 * bx, 16 * bx + 16))
-                frames[j][sl] = residuals[t].values[sl]
+                frames[j][sl] = residuals[t][sl]
                 filled[j][by, bx] = True
                 placed[j].append(column[t])
     means = [float(np.mean(v)) if v else float("nan") for v in placed]
@@ -314,8 +312,7 @@ def _oracle_splice(residuals, trace, include_skip):
 def _random_instance(rng):
     count = int(rng.integers(2, 7))
     gh, gw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    residuals = [NoiseResidual(values=rng.normal(size=(16 * gh, 16 * gw)),
-                               frame_idx=t) for t in range(count)]
+    residuals = [rng.normal(size=(16 * gh, 16 * gw)) for t in range(count)]
     records = []
     for t in range(count):
         for by in range(gh):
@@ -341,11 +338,11 @@ def test_criterion_07_splice_sort_oracle_and_conservation():
                                             include_skip=include_skip)
             frames, filled, means = _oracle_splice(residuals, trace,
                                                    include_skip)
-            assert len(spliced.frames) == count
+            assert len(spliced.values) == count
             for j in range(count):
-                assert np.array_equal(spliced.frames[j].values, frames[j])
-                assert np.array_equal(spliced.frames[j].filled, filled[j])
-                got = spliced.frames[j].mean_lambda_rate
+                assert np.array_equal(spliced.values[j], frames[j])
+                assert np.array_equal(spliced.filled[j], filled[j])
+                got = spliced.mean_lambda_rate[j]
                 if math.isnan(means[j]):
                     assert math.isnan(got)
                 else:
@@ -353,14 +350,13 @@ def test_criterion_07_splice_sort_oracle_and_conservation():
 
         # with skips admitted every block is placed exactly once
         spliced = splice_by_lambda_rate(residuals, trace, include_skip=True)
-        assert all(f.filled.all() for f in spliced.frames)
+        assert spliced.filled.all()
         for by in range(gh):
             for bx in range(gw):
                 sl = (slice(16 * by, 16 * by + 16),
                       slice(16 * bx, 16 * bx + 16))
-                sources = sorted(r.values[sl].tobytes() for r in residuals)
-                targets = sorted(f.values[sl].tobytes()
-                                 for f in spliced.frames)
+                sources = sorted(r[sl].tobytes() for r in residuals)
+                targets = sorted(f[sl].tobytes() for f in spliced.values)
                 assert sources == targets, case
 
 

@@ -8,11 +8,11 @@ from blockprnu import (
     CalibrationRun,
     CalibrationVideo,
     CodecConfig,
+    ConfigError,
     EmptyBucket,
     InsufficientData,
     InsufficientFrames,
     MissingAnchor,
-    NoiseResidual,
     RangeError,
     SchemeConfig,
     SensorModel,
@@ -38,7 +38,7 @@ def residual_of(grid_values):
     """Plane whose 16x16 blocks are constant at the given (gh, gw) values."""
     grid = np.asarray(grid_values, dtype=np.float64)
     plane = np.repeat(np.repeat(grid, MB, 0), MB, 1)
-    return NoiseResidual(values=plane, frame_idx=0)
+    return plane
 
 
 def map_with_bits(frame_idx, bits_row, types_row=None):
@@ -70,11 +70,11 @@ def test_splice_ties_keep_frame_order():
     residuals = [residual_of([[float(t + 1), float(t + 1)]]) for t in range(3)]
     maps = [map_with_bits(t, [40, 40]) for t in range(3)]
     spliced = splice_by_lambda_rate(residuals, trace_of(maps))
-    assert spliced.grid_h == 1 and spliced.grid_w == 2
-    for j, frame in enumerate(spliced.frames):
-        assert np.all(frame.values == j + 1.0)
-        assert frame.filled.all()
-        assert frame.mean_lambda_rate == 40.0
+    assert spliced.filled.shape == (3, 1, 2)
+    for j in range(3):
+        assert np.all(spliced.values[j] == j + 1.0)
+        assert spliced.filled[j].all()
+        assert spliced.mean_lambda_rate[j] == 40.0
 
 
 def test_splice_hand_grid_matches_per_position_sort():
@@ -85,20 +85,20 @@ def test_splice_hand_grid_matches_per_position_sort():
     maps = [map_with_bits(t, costs[t]) for t in range(3)]
     spliced = splice_by_lambda_rate(residuals, trace_of(maps))
 
-    def block(frame, pos):
-        v = frame.values[0:MB, pos * MB:(pos + 1) * MB]
+    def block(values, pos):
+        v = values[0:MB, pos * MB:(pos + 1) * MB]
         assert np.ptp(v) == 0.0
         return v[0, 0]
 
-    assert block(spliced.frames[0], 0) == 10.0   # frame 1's block
-    assert block(spliced.frames[1], 0) == 20.0   # frame 2's block
-    assert block(spliced.frames[2], 0) == 0.0    # frame 0's block
-    assert block(spliced.frames[0], 1) == 1.0
-    assert block(spliced.frames[1], 1) == 21.0
-    assert block(spliced.frames[2], 1) == 11.0
-    assert spliced.frames[0].mean_lambda_rate == pytest.approx((10 + 5) / 2)
-    assert spliced.frames[1].mean_lambda_rate == pytest.approx((20 + 40) / 2)
-    assert spliced.frames[2].mean_lambda_rate == pytest.approx((30 + 50) / 2)
+    assert block(spliced.values[0], 0) == 10.0   # frame 1's block
+    assert block(spliced.values[1], 0) == 20.0   # frame 2's block
+    assert block(spliced.values[2], 0) == 0.0    # frame 0's block
+    assert block(spliced.values[0], 1) == 1.0
+    assert block(spliced.values[1], 1) == 21.0
+    assert block(spliced.values[2], 1) == 11.0
+    assert spliced.mean_lambda_rate[0] == pytest.approx((10 + 5) / 2)
+    assert spliced.mean_lambda_rate[1] == pytest.approx((20 + 40) / 2)
+    assert spliced.mean_lambda_rate[2] == pytest.approx((30 + 50) / 2)
 
 
 def test_splice_skip_exclusion_leaves_holes():
@@ -110,23 +110,22 @@ def test_splice_skip_exclusion_leaves_holes():
     ]
     spliced = splice_by_lambda_rate(residuals, trace_of(maps),
                                     include_skip=False)
-    assert spliced.frames[0].values[0, 0] == 3.0   # frame 2, cheaper coded block
-    assert spliced.frames[1].values[0, 0] == 1.0
-    assert not spliced.frames[2].filled.any()      # only two coded contributions
-    assert np.all(spliced.frames[2].values == 0.0)
-    assert np.isnan(spliced.frames[2].mean_lambda_rate)
+    assert spliced.values[0][0, 0] == 3.0   # frame 2, cheaper coded block
+    assert spliced.values[1][0, 0] == 1.0
+    assert not spliced.filled[2].any()      # only two coded contributions
+    assert np.all(spliced.values[2] == 0.0)
+    assert np.isnan(spliced.mean_lambda_rate[2])
 
     kept = splice_by_lambda_rate(residuals, trace_of(maps), include_skip=True)
     # the skip block's lambda*rate is tiny, so it ranks first
-    assert kept.frames[0].values[0, 0] == 2.0
-    assert kept.frames[2].filled.all()
+    assert kept.values[0][0, 0] == 2.0
+    assert kept.filled[2].all()
 
 
 def test_splice_conserves_blocks_and_orders_costs():
     rng = np.random.default_rng(0)
     n, gh, gw = 5, 3, 4
-    residuals = [NoiseResidual(values=rng.normal(size=(gh * MB, gw * MB)),
-                               frame_idx=t) for t in range(n)]
+    residuals = [rng.normal(size=(gh * MB, gw * MB)) for t in range(n)]
     maps = []
     for t in range(n):
         recs = [BlockRecord(t, x, y, "P", 12, int(rng.integers(8, 500)))
@@ -134,11 +133,11 @@ def test_splice_conserves_blocks_and_orders_costs():
         maps.append(recs)
     spliced = splice_by_lambda_rate(residuals, trace_of(maps),
                                     include_skip=True)
-    total_in = sum(r.values for r in residuals)
-    total_out = sum(f.values for f in spliced.frames)
+    total_in = sum(residuals)
+    total_out = sum(spliced.values)
     assert np.allclose(total_in, total_out, atol=1e-12)
-    assert all(f.filled.all() for f in spliced.frames)
-    costs = [f.mean_lambda_rate for f in spliced.frames]
+    assert spliced.filled.all()
+    costs = list(spliced.mean_lambda_rate)
     assert all(a <= b for a, b in zip(costs, costs[1:]))
 
 
@@ -295,6 +294,14 @@ def test_calibrate_qp_checks_every_condition_before_extracting(
                         lambda pic, config: extracted.append(pic))
     with pytest.raises(InsufficientData, match="no fixed-QP condition"):
         calibrate_qp([video, bare], {"cam": reference}, include_skip=False)
+    at_30 = CalibrationVideo(camera_id="cam", pictures=video.pictures,
+                             trace=video.trace, qp=30)
+    with pytest.raises(MissingAnchor, match="^camera cam has no qp=15 "):
+        calibrate_qp([at_30], {"cam": reference}, include_skip=False)
+    for buckets in (-3, 0):
+        with pytest.raises(ConfigError, match="at least one bucket"):
+            calibrate_lambda_rate([video, video], {"cam": reference},
+                                  n_buckets=buckets)
     assert extracted == []
 
 
@@ -371,8 +378,7 @@ def test_spliced_frames_keep_the_frame_shape():
     # leaves the pixels beyond it zero, so spliced frames still match a
     # full-size reference
     costs = [[[30, 5, 7], [1, 2, 3]], [[10, 50, 9], [3, 2, 1]]]
-    residuals = [NoiseResidual(values=residual_of([[t + 1.0] * 3] * 2)
-                               .values[:24, :40], frame_idx=t)
+    residuals = [residual_of([[t + 1.0] * 3] * 2)[:24, :40]
                  for t in range(2)]
 
     def maps(gh, gw):
@@ -381,7 +387,7 @@ def test_spliced_frames_keep_the_frame_shape():
                           for t in range(2) for y in range(gh)
                           for x in range(gw)])
 
-    first = splice_by_lambda_rate(residuals, maps(2, 3)).frames[0].values
+    first = splice_by_lambda_rate(residuals, maps(2, 3)).values[0]
     assert first.shape == (24, 40)
     # rank 0 takes frame 1 at (0, 0) and (1, 2), frame 0 elsewhere
     assert np.all(first[:16, :16] == 2.0)
@@ -389,7 +395,7 @@ def test_spliced_frames_keep_the_frame_shape():
     assert np.all(first[16:, :16] == 1.0)
     assert np.all(first[:16, 32:] == 1.0)
 
-    first = splice_by_lambda_rate(residuals, maps(1, 2)).frames[0].values
+    first = splice_by_lambda_rate(residuals, maps(1, 2)).values[0]
     assert first.shape == (24, 40)
     assert np.all(first[:16, :16] == 2.0)
     assert np.all(first[:16, 16:32] == 1.0)

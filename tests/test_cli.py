@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from blockprnu import (
-    Picture,
     WeightTable,
     bits_per_pixel,
     read_fingerprint,
     skipped_block_rate,
     write_yuv420,
 )
-from blockprnu import cli, errors
+from blockprnu import cli, errors, prnu
 from blockprnu.bitstream import load_trace, save_trace
 from blockprnu.cli import main
 from conftest import uniform_trace
@@ -205,7 +204,7 @@ def test_out_of_domain_values_exit_2(sim, tmp_path, capsys):
 
 
 def test_degenerate_inputs_exit_4(tmp_path):
-    flat = [Picture(luma=np.full((64, 64), 128, dtype=np.uint8))] * 4
+    flat = np.full((4, 64, 64), 128, dtype=np.uint8)
     write_yuv420(flat, tmp_path / "flat.yuv")
     save_trace(uniform_trace(4, 4, 4), tmp_path / "flat.trace")
     rc = run("estimate", "--frames", tmp_path / "flat.yuv",
@@ -353,6 +352,59 @@ def test_calibrate_empty_qp_field_exit_3(calib, tmp_path, capsys,
     assert rc == 3
     assert "bad_calib.csv:2: empty qp field" in err
     assert loaded == []         # the manifest is checked before any trace
+
+
+# ---------------------------------------------------------------------------
+# inputs that cannot give a result fail before any residual is extracted
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Planes handed to extract_residual (run in-process: --workers 1)."""
+    planes = []
+    real = prnu.extract_residual
+    monkeypatch.setattr(prnu, "extract_residual",
+                        lambda luma, config: planes.append(luma)
+                        or real(luma, config))
+    return planes
+
+
+def test_estimate_table_without_the_video_qp_exit_3(sim, tmp_path, capsys,
+                                                    extractions):
+    table = tmp_path / "t.wt"
+    WeightTable(scheme="qp_all", keys=np.array([15.0, 16.0]),
+                weights=np.array([1.0, 0.9]), anchor_key=15.0).save(table)
+    capsys.readouterr()
+    assert run("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
+               "--scheme", "qp_all", "--table", table,
+               "--out", tmp_path / "x.bpf", "--workers", 1) == 3
+    err = capsys.readouterr().err
+    assert err == "error: table has no weight for qp 18\n"
+    assert extractions == []
+    assert not (tmp_path / "x.bpf").exists()
+
+
+def test_calibrate_qp_without_an_anchor_video_exit_4(calib, tmp_path, capsys,
+                                                     extractions):
+    rc, err = _calibrate_bad_manifest(calib, tmp_path, capsys,
+                                      "cam,v28.yuv,v28.trace,28\n")
+    assert rc == 4
+    assert err == "error: camera cam has no qp=15 observation\n"
+    assert extractions == []
+
+
+@pytest.mark.parametrize("buckets", [-3, 0])
+def test_calibrate_lambda_without_buckets_exit_2(calib, tmp_path, capsys,
+                                                 extractions, buckets):
+    root, manifest, refs = calib
+    capsys.readouterr()
+    assert run("calibrate", "--mode", "lambda_r", "--manifest", manifest,
+               "--references", refs, "--out", tmp_path / "lr.wt",
+               "--buckets", buckets, "--workers", 1) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: need at least one bucket, got {buckets}\n"
+    assert extractions == []
+    assert not (tmp_path / "lr.wt").exists()
 
 
 def test_evaluate_cli(calib):

@@ -9,7 +9,6 @@ from scipy.ndimage import correlate1d, uniform_filter
 from blockprnu import (
     ConfigError,
     DenoiseConfig,
-    Picture,
     SchemaError,
     extract_residual,
     read_yuv420,
@@ -157,23 +156,20 @@ def test_720p_residual_matches_scipy_kernels():
     scene = 128 + 60 * np.sin(xx / 97.0) * np.cos(yy / 61.0)
     luma = np.clip(np.rint(scene + 6 * rng.normal(size=scene.shape)), 0, 255)
     luma = luma.astype(np.uint8)
-    got = extract_residual(Picture(luma=luma)).values
+    got = extract_residual(luma)
     assert np.max(np.abs(got - scipy_residual(luma))) <= 1e-12
 
 
 def test_constant_frame_gives_degenerate_zero_residual():
-    pic = Picture(luma=np.full((48, 48), 128, dtype=np.uint8))
-    res = extract_residual(pic)
-    assert res.degenerate
-    assert np.all(res.values == 0.0)
-    assert res.values.shape == (48, 48)
+    res = extract_residual(np.full((48, 48), 128, dtype=np.uint8))
+    assert np.all(res == 0.0)
+    assert res.shape == (48, 48)
 
 
 def test_constant_frame_degenerate_for_spatial_too():
-    pic = Picture(luma=np.full((32, 32), 7, dtype=np.uint8))
-    res = extract_residual(pic, DenoiseConfig(method="spatial"))
-    assert res.degenerate
-    assert np.all(res.values == 0.0)
+    res = extract_residual(np.full((32, 32), 7, dtype=np.uint8),
+                           DenoiseConfig(method="spatial"))
+    assert np.all(res == 0.0)
 
 
 def test_wavedec2_waverec2_perfect_reconstruction():
@@ -209,11 +205,11 @@ def test_wavedec2_subband_shapes_halve():
 def test_residual_invariant_to_constant_offset():
     rng = np.random.default_rng(6)
     base = np.clip(np.rint(110 + 12 * rng.normal(size=(64, 64))), 40, 180)
-    lo = Picture(luma=base.astype(np.uint8))
-    hi = Picture(luma=(base + 30).astype(np.uint8))
+    lo = base.astype(np.uint8)
+    hi = (base + 30).astype(np.uint8)
     for cfg in (DenoiseConfig(), DenoiseConfig(method="spatial")):
-        r_lo = extract_residual(lo, cfg).values
-        r_hi = extract_residual(hi, cfg).values
+        r_lo = extract_residual(lo, cfg)
+        r_hi = extract_residual(hi, cfg)
         assert np.max(np.abs(r_hi - r_lo)) < 1e-6
 
 
@@ -222,11 +218,10 @@ def test_white_noise_energy_ratio_frozen():
     # AC energy as noise; value frozen from this implementation
     rng = np.random.default_rng(5)
     luma = np.clip(np.rint(128 + 20 * rng.normal(size=(128, 128))), 0, 255)
-    pic = Picture(luma=luma.astype(np.uint8))
-    res = extract_residual(pic)
+    res = extract_residual(luma.astype(np.uint8))
     x = luma.astype(np.float64)
     ac = ((x - x.mean()) ** 2).sum()
-    ratio = (res.values ** 2).sum() / ac
+    ratio = (res ** 2).sum() / ac
     assert ratio == pytest.approx(0.9644915505353632, rel=1e-9)
 
 
@@ -235,11 +230,11 @@ def test_spatial_filter_keeps_high_variance_texture():
     # passes the field through and removes almost nothing
     rng = np.random.default_rng(5)
     luma = np.clip(np.rint(128 + 20 * rng.normal(size=(128, 128))), 0, 255)
-    pic = Picture(luma=luma.astype(np.uint8))
-    res = extract_residual(pic, DenoiseConfig(method="spatial"))
+    res = extract_residual(luma.astype(np.uint8),
+                           DenoiseConfig(method="spatial"))
     x = luma.astype(np.float64)
     ac = ((x - x.mean()) ** 2).sum()
-    assert (res.values ** 2).sum() / ac < 0.01
+    assert (res ** 2).sum() / ac < 0.01
 
 
 def test_residual_tracks_sparse_spikes_on_smooth_ramp():
@@ -249,8 +244,8 @@ def test_residual_tracks_sparse_spikes_on_smooth_ramp():
     spikes = np.zeros((64, 64))
     pos = rng.choice(64 * 64, size=300, replace=False)
     spikes.flat[pos] = 25.0
-    pic = Picture(luma=np.clip(np.rint(ramp + spikes), 0, 255).astype(np.uint8))
-    res = extract_residual(pic).values
+    res = extract_residual(
+        np.clip(np.rint(ramp + spikes), 0, 255).astype(np.uint8))
     centered = spikes - spikes.mean()
     corr = (res * centered).sum() / np.sqrt((res**2).sum() * (centered**2).sum())
     assert corr > 0.5
@@ -268,14 +263,14 @@ def test_zero_mean_rows_cols_kills_both_means():
 def test_residual_is_row_and_column_zero_meaned():
     rng = np.random.default_rng(8)
     luma = np.clip(np.rint(120 + 15 * rng.normal(size=(48, 80))), 0, 255)
-    res = extract_residual(Picture(luma=luma.astype(np.uint8))).values
+    res = extract_residual(luma.astype(np.uint8))
     assert np.max(np.abs(res.mean(axis=1))) < 1e-10
     assert np.max(np.abs(res.mean(axis=0))) < 1e-10
 
 
 def test_saturation_mask_bounds_are_exclusive():
     luma = np.array([[0, 5, 6, 128], [249, 250, 255, 100]], dtype=np.uint8)
-    mask = saturation_mask(Picture(luma=luma))
+    mask = saturation_mask(luma)
     expected = np.array([[0, 0, 1, 1], [1, 0, 0, 1]], dtype=np.float64)
     assert np.array_equal(mask, expected)
     assert mask.dtype == np.float64
@@ -284,36 +279,38 @@ def test_saturation_mask_bounds_are_exclusive():
 def test_saturation_mask_half_and_half():
     luma = np.full((16, 16), 128, dtype=np.uint8)
     luma[:, 8:] = 255
-    mask = saturation_mask(Picture(luma=luma))
+    mask = saturation_mask(luma)
     assert np.all(mask[:, :8] == 1.0)
     assert np.all(mask[:, 8:] == 0.0)
 
 
 def test_yuv420_round_trip(tmp_path):
     rng = np.random.default_rng(10)
-    frames = [
-        Picture(luma=rng.integers(0, 256, size=(16, 32), dtype=np.uint8))
+    frames = np.stack([
+        rng.integers(0, 256, size=(16, 32), dtype=np.uint8)
         for _ in range(3)
-    ]
+    ])
     path = tmp_path / "clip.yuv"
     write_yuv420(frames, path)
     assert path.stat().st_size == 3 * (16 * 32 * 3 // 2)
     back = read_yuv420(path, width=32, height=16)
-    assert len(back) == 3
+    assert back.shape == (3, 16, 32) and back.dtype == np.uint8
+    with pytest.raises(ConfigError):
+        write_yuv420(frames.astype(np.float64), tmp_path / "float.yuv")
     for a, b in zip(frames, back):
-        assert np.array_equal(a.luma, b.luma)
+        assert np.array_equal(a, b)
 
 
 def test_yuv420_round_trip_at_odd_size(tmp_path):
     # each chroma plane of a 33x17 frame is 17x9, not 16x8
     rng = np.random.default_rng(11)
-    frames = [Picture(luma=rng.integers(0, 256, size=(17, 33), dtype=np.uint8))
-              for _ in range(2)]
+    frames = np.stack([rng.integers(0, 256, size=(17, 33), dtype=np.uint8)
+                       for _ in range(2)])
     path = tmp_path / "odd.yuv"
     write_yuv420(frames, path)
     assert path.stat().st_size == 2 * (33 * 17 + 2 * 17 * 9)
     back = read_yuv420(path, width=33, height=17)
-    assert [b.luma.tolist() for b in back] == [f.luma.tolist() for f in frames]
+    assert [b.tolist() for b in back] == [f.tolist() for f in frames]
 
 
 def test_yuv420_size_mismatch_rejected(tmp_path):

@@ -13,8 +13,6 @@ from blockprnu import (
     Fingerprint,
     FingerprintAccumulator,
     MissingKey,
-    NoiseResidual,
-    Picture,
     SchemeConfig,
     SensorModel,
     TraceFile,
@@ -36,8 +34,7 @@ from conftest import uniform_trace
 
 
 def ingest(acc, luma, residual, mask):
-    acc.accumulate(Picture(luma=luma.astype(np.uint8)),
-                   NoiseResidual(values=residual, frame_idx=0), mask)
+    acc.accumulate(luma.astype(np.uint8), residual, mask)
 
 
 def test_zero_mask_contributes_nothing():
@@ -147,7 +144,7 @@ def test_pipeline_recovers_planted_pattern():
 
 
 def test_estimate_fingerprint_argument_checks():
-    pics = [Picture(luma=np.full((32, 32), 100, dtype=np.uint8))]
+    pics = np.full((1, 32, 32), 100, dtype=np.uint8)
     with pytest.raises(EmptyAccumulator):
         estimate_fingerprint([], None, SchemeConfig("conventional"))
     with pytest.raises(DimensionMismatch):
@@ -221,7 +218,7 @@ def _per_frame_fingerprint(pictures, trace, residuals, config):
     """Oracle: each frame's block weights from that frame's grids alone,
     painted, accumulated in frame order and finalized; no trace gives
     masks of ones."""
-    h, w = pictures[0].luma.shape
+    h, w = pictures[0].shape
     rule = SCHEMES[config.scheme]
     acc = FingerprintAccumulator(h, w)
     for i, (pic, residual) in enumerate(zip(pictures, residuals)):
@@ -259,10 +256,9 @@ def _skipped_trace(rng, frames, qp_of=None):
 
 
 def _pictures_and_residuals(rng, frames):
-    pictures = [Picture(luma=rng.integers(0, 256, size=(24, 40)).astype(np.uint8))
-                for _ in range(frames)]
-    residuals = [NoiseResidual(values=rng.normal(size=(24, 40)), frame_idx=i)
-                 for i in range(frames)]
+    pictures = np.stack([rng.integers(0, 256, size=(24, 40)).astype(np.uint8)
+                         for _ in range(frames)])
+    residuals = [rng.normal(size=(24, 40)) for _ in range(frames)]
     return pictures, residuals
 
 
@@ -320,3 +316,23 @@ def test_missing_qp_is_raised_before_any_frame_is_accumulated(monkeypatch):
         with pytest.raises(MissingKey, match="qp 32$"):
             fingerprint_from_residuals(pictures, trace, residuals, config)
     assert accumulated == []
+
+
+def test_stack_trace_and_table_are_checked_before_any_extraction(monkeypatch):
+    extracted = []
+    monkeypatch.setattr(prnu, "extract_residual",
+                        lambda luma, config: extracted.append(luma))
+    conventional = SchemeConfig("conventional")
+    with pytest.raises(DimensionMismatch, match="2-D"):
+        estimate_fingerprint(np.zeros((32, 32), np.uint8), None, conventional)
+    with pytest.raises(ConfigError, match="uint8"):
+        estimate_fingerprint(np.zeros((1, 32, 32)), None, conventional)
+    rng = np.random.default_rng(44)
+    trace = _skipped_trace(rng, 4, lambda f, x, y: 35 if f == 2 else 25)
+    pictures, _ = _pictures_and_residuals(rng, 4)
+    qp_all = SchemeConfig("qp_all", _tables(rng)["qp_all"])
+    with pytest.raises(MissingKey, match="qp 35$"):
+        estimate_fingerprint(pictures, trace, qp_all)
+    with pytest.raises(DimensionMismatch, match="3 pictures vs 4 trace"):
+        estimate_fingerprint(pictures[:3], trace, conventional)
+    assert extracted == []

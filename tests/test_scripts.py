@@ -1,9 +1,11 @@
 """Checks that run the package in a fresh interpreter: validation under
-`python -O`, every demo, and an analysis path that imports no scipy."""
+`python -O`, every demo, the README's code, and an analysis path that
+imports no scipy."""
 
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,16 +28,19 @@ def _env():
 # `assert`, so only a real check still raises there.
 OPTIMIZED_CASES = """
 import numpy as np
-from blockprnu import Picture, SchemeConfig
+from blockprnu import SchemeConfig, estimate_fingerprint
 from blockprnu.bitstream import BitWriter
 from blockprnu.trace import BlockRecord, TraceFile
 from blockprnu.weighting import build_mask
 
+conventional = SchemeConfig("conventional")
 scheme = SchemeConfig("conventional")
 object.__setattr__(scheme, "scheme", "bogus")
 cases = [
-    lambda: Picture(luma=np.zeros(16, dtype=np.uint8)),
-    lambda: Picture(luma=np.zeros((16, 16), dtype=np.float64)),
+    lambda: estimate_fingerprint(np.zeros(16, dtype=np.uint8), None,
+                                 conventional),
+    lambda: estimate_fingerprint(np.zeros((1, 16, 16), dtype=np.float64),
+                                 None, conventional),
     lambda: TraceFile(0, 48, 1, []),
     lambda: BitWriter().write_ue(-1),
     lambda: build_mask(TraceFile(16, 16, 1, [BlockRecord(0, 0, 0, "P", 20, 9)]),
@@ -70,6 +75,17 @@ def test_matching_demo_runs(demo):
                           cwd=ROOT, env=_env(), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run(tmp_path):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                              env=_env(), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, block + proc.stderr
 
 
 SIMULATOR_NAMES = ["CodecConfig", "EncodeResult", "SensorModel",

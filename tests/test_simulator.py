@@ -32,26 +32,26 @@ def test_capture_is_identity_without_pattern_or_noise():
     model = flat_model()
     clean = np.arange(256, dtype=np.float64).reshape(16, 16) % 200 + 10
     (pic,) = simulate_capture(model, [clean])
-    assert np.array_equal(pic.luma, clean.astype(np.uint8))
+    assert np.array_equal(pic, clean.astype(np.uint8))
 
 
 def test_capture_applies_multiplicative_gain():
     model = flat_model(value=0.05)
     (pic,) = simulate_capture(model, [np.full((16, 16), 128.0)])
-    assert np.all(pic.luma == 134)  # rint(128 * 1.05)
+    assert np.all(pic == 134)  # rint(128 * 1.05)
 
 
 def test_capture_clips_to_8_bit():
     model = flat_model(value=0.09)
     (pic,) = simulate_capture(model, [np.full((16, 16), 250.0)])
-    assert np.all(pic.luma == 255)
+    assert np.all(pic == 255)
 
 
 def test_capture_noise_variance():
     model = flat_model(sigma=2.0)
     clean = [np.full((16, 16), 128.0)] * 1000
     pics = simulate_capture(model, clean, seed=42)
-    samples = np.stack([p.luma.astype(np.float64) for p in pics])
+    samples = pics.astype(np.float64)
     # rounding to integers adds about 1/12 on top of sigma^2
     assert samples.var() == pytest.approx(4.0 + 1.0 / 12.0, rel=0.05)
 
@@ -153,7 +153,7 @@ def test_near_lossless_at_qp_1():
     rng = np.random.default_rng(3)
     frame = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
     result = encode_sequence([frame], CodecConfig(qp=1))
-    err = np.abs(result.pictures[0].luma.astype(float) - frame.astype(float))
+    err = np.abs(result.pictures[0].astype(float) - frame.astype(float))
     assert err.mean() < 1.0
 
 
@@ -178,8 +178,8 @@ def test_encode_sequence_structure():
         by_frame.setdefault(rec.frame_idx, set()).add(rec.block_type)
     assert by_frame[0] == {"I"} and by_frame[2] == {"I"} and by_frame[4] == {"I"}
     assert by_frame[1] <= {"P", "SKIP"} and by_frame[3] <= {"P", "SKIP"}
-    for pic in result.pictures:
-        assert pic.luma.dtype == np.uint8
+    assert result.pictures.shape == (5, 48, 32)
+    assert result.pictures.dtype == np.uint8
     # cost grid restates the lagrangian identity blockwise
     assert np.allclose(result.cost,
                        result.distortion + result.lam * result.rate)
@@ -363,7 +363,7 @@ def test_encode_sequence_equals_per_block_loop(gh, gw, count, content, qp,
     got = encode_sequence(frames, config)
     decoded, distortion, rate, cost, lam, qps, records = \
         encode_per_block([np.asarray(f) for f in frames], config)
-    assert all(np.array_equal(p.luma, d) for p, d in zip(got.pictures, decoded))
+    assert all(np.array_equal(p, d) for p, d in zip(got.pictures, decoded))
     for name, want in (("distortion", distortion), ("rate", rate),
                        ("cost", cost), ("lam", lam)):
         assert np.array_equal(getattr(got, name), want), name

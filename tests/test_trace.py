@@ -171,6 +171,23 @@ def test_bits_per_pixel_fixture_four_tenths():
     assert abs(bits_per_pixel(tf) - 0.4) < 1e-4
 
 
+def test_bits_per_pixel_sums_bit_counts_beyond_int64_exactly():
+    # the loader takes any count below 2**63; two of the largest wrap an
+    # int64 sum negative
+    big = 2 ** 63 - 1
+    tf = TraceFile(16, 16, 2, [BlockRecord(f, 0, 0, "P", 20, big)
+                               for f in range(2)])
+    loaded = load_trace_text(serialize_trace(tf))
+    assert bits_per_pixel(loaded) == 2 * big / (16 * 16 * 2)
+    # ordinary traces give the plain sum's float
+    rng = np.random.default_rng(46)
+    tf = TraceFile(48, 32, 3, [BlockRecord(f, x, y, "P", 20,
+                                           int(rng.integers(0, 10 ** 9)))
+                               for f in range(3) for y in range(2)
+                               for x in range(3)])
+    assert bits_per_pixel(tf) == int(tf.bits.sum()) / (48 * 32 * 3)
+
+
 # ---------------------------------------------------------------------------
 # floor- and ceil-sized macroblock grids
 # ---------------------------------------------------------------------------
