@@ -33,8 +33,8 @@ from .noise import (DenoiseConfig, denoise, extract_residual, read_yuv420,
                     saturation_mask, wiener_adaptive, write_yuv420,
                     zero_mean_rows_cols)
 from .prnu import (Fingerprint, FingerprintAccumulator, estimate_fingerprint,
-                   finalize, fingerprint_from_residuals, read_fingerprint,
-                   residual_extractor, resolve_workers, write_fingerprint)
+                   finalize, read_fingerprint, residual_extractor,
+                   resolve_workers, stream_fingerprints, write_fingerprint)
 from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, TraceFile,
                     bits_per_pixel, lambda_grid, lambda_of_qp, lambda_rate,
                     skipped_block_rate)

@@ -15,16 +15,17 @@ lambda*rate = 60, averaged, rooted, and keyed by bucket centers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyBucket, InsufficientData,
-                     InsufficientFrames, MissingAnchor, RangeError)
+from .errors import (BlockPrnuError, ConfigError, DimensionMismatch,
+                     EmptyBucket, InsufficientData, InsufficientFrames,
+                     MissingAnchor, RangeError)
 from .matching import PceConfig, ReferenceSpectrum, pce
 from .noise import DenoiseConfig
-from .prnu import (Fingerprint, fingerprint_from_residuals,
-                   require_references, residual_extractor)
+from .prnu import (Fingerprint, require_references, residual_extractor,
+                   stream_fingerprints)
 from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
 from .weighting import ANCHOR_LAMBDA_RATE, ANCHOR_QP, SchemeConfig, WeightTable
 
@@ -50,7 +51,15 @@ class SplicedVideo(NamedTuple):
     mean_lambda_rate: np.ndarray  # (n,) over filled positions; nan if none
 
 
-def splice_by_lambda_rate(residuals: Sequence[np.ndarray],
+def _splice_frames(trace: TraceFile) -> int:
+    """The trace's frame count, which splicing needs to be at least 2."""
+    if trace.frame_count < 2:
+        raise InsufficientFrames(f"splicing needs at least 2 frames, "
+                                 f"got {trace.frame_count}")
+    return trace.frame_count
+
+
+def splice_by_lambda_rate(residuals: Iterable[np.ndarray],
                           trace: TraceFile,
                           include_skip: bool = False) -> SplicedVideo:
     """Regroup residual blocks by per-position lambda*rate rank.
@@ -60,42 +69,50 @@ def splice_by_lambda_rate(residuals: Sequence[np.ndarray],
     frame j receives the rank-j block. With include_skip=False, skip blocks
     never contribute; positions with fewer than j+1 coded contributions
     stay zero in spliced frame j and are marked unfilled.
+
+    The ranks come from the trace alone, so the residuals are read once,
+    in frame order, and each frame's blocks are copied into their spliced
+    frames as it arrives. The output stays O(video), but no other array
+    the size of the video is made.
     """
-    n = len(residuals)
-    if n < 2:
-        raise InsufficientFrames(f"splicing needs at least 2 frames, got {n}")
-    if trace.frame_count != n:
-        raise InsufficientFrames(f"{n} residuals vs {trace.frame_count} "
-                                 f"trace frames")
+    n = _splice_frames(trace)
     gh, gw = trace.grid_h, trace.grid_w
     h, w = gh * MACROBLOCK, gw * MACROBLOCK
-    # spliced frames keep the frame's shape: a ceil-sized grid's partial
-    # blocks are padded with zeros and cropped again, and pixels beyond a
-    # floor-sized grid stay zero, as in the masks
-    rh, rw = residuals[0].shape
-    ch, cw = min(h, rh), min(w, rw)
-
     lr = trace.lambda_rate                                        # (n, gh, gw)
     if not include_skip:
         lr = np.where(trace.skip, np.inf, lr)
-    blocks = np.stack([
-        np.pad(r[:ch, :cw], ((0, h - ch), (0, w - cw)))
-        .reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
-        for r in residuals
-    ])                                                            # (n, gh, gw, 16, 16)
-
     order = np.argsort(lr, axis=0, kind="stable")
+    rank = np.argsort(order, axis=0)          # the rank of each frame's block
     sorted_lr = np.take_along_axis(lr, order, axis=0)
-    sorted_blocks = np.take_along_axis(
-        blocks, order[..., None, None], axis=0)
     filled = np.isfinite(sorted_lr)
-    sorted_blocks = sorted_blocks * filled[..., None, None]
-
-    values = np.pad(sorted_blocks.swapaxes(2, 3).reshape(n, h, w)[:, :ch, :cw],
-                    ((0, 0), (0, rh - ch), (0, rw - cw)))
     mean_lr = np.array([lr_j[fill_j].mean() if fill_j.any() else np.nan
                         for lr_j, fill_j in zip(sorted_lr, filled)])
-    return SplicedVideo(values=values, filled=filled, mean_lambda_rate=mean_lr)
+    count, shape = 0, None
+    for residual in residuals:
+        if shape is None:
+            # spliced frames keep the frame's shape: a ceil-sized grid's
+            # partial blocks are padded with zeros and cropped again, and
+            # pixels beyond a floor-sized grid stay zero, as in the masks
+            shape = residual.shape
+            values = np.zeros((n, max(h, shape[0]), max(w, shape[1])))
+            plane = np.zeros(values.shape[1:])
+            # (n, gh, gw, 16, 16) and (gh, gw, 16, 16) views of the blocks
+            spliced = values[:, :h, :w].reshape(
+                n, gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(2, 3)
+            blocks = plane[:h, :w].reshape(
+                gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
+        elif residual.shape != shape:
+            raise DimensionMismatch(f"residual shape {residual.shape} vs "
+                                    f"{shape} of the first")
+        if count < n:
+            plane[:shape[0], :shape[1]] = residual
+            ys, xs = np.nonzero(np.isfinite(lr[count]))
+            spliced[rank[count, ys, xs], ys, xs] = blocks[ys, xs]
+        count += 1
+    if count != n:
+        raise InsufficientFrames(f"{count} residuals vs {n} trace frames")
+    return SplicedVideo(values=values[:, :shape[0], :shape[1]], filled=filled,
+                        mean_lambda_rate=mean_lr)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +158,8 @@ def quantile_bucket_edges(values: Sequence[float], n_buckets: int = 20) -> np.nd
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise InsufficientData("no values to bucket")
+    if n_buckets < 1:
+        raise ConfigError(f"need at least one bucket, got {n_buckets}")
     return np.quantile(values, np.linspace(0.0, 1.0, n_buckets + 1))
 
 
@@ -262,9 +281,10 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
                             f"observation")
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
-            residuals = extract(video.pictures)
-            fp = fingerprint_from_residuals(video.pictures, video.trace,
-                                            residuals, scheme)
+            [fp] = stream_fingerprints(video.pictures, video.trace, [scheme],
+                                       extract(video.pictures))
+            if isinstance(fp, BlockPrnuError):
+                raise fp
             match = pce(fp, references[video.camera_id], pce_config)
             run = runs.setdefault(video.camera_id,
                                   CalibrationRun(camera_id=video.camera_id))
@@ -292,6 +312,8 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
         raise ConfigError(f"need at least one bucket, got {n_buckets}")
     runs: dict[str, CalibrationRun] = {}
     require_references((v.camera_id for v in videos), references)
+    for video in videos:
+        _splice_frames(video.trace)
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
             spliced = splice_by_lambda_rate(extract(video.pictures),

@@ -17,8 +17,8 @@ from .errors import BlockPrnuError, ConfigError, EmptyInput
 from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
                        ReferenceSpectrum, pce)
 from .noise import DenoiseConfig
-from .prnu import (Fingerprint, fingerprint_from_residuals,
-                   require_references, residual_extractor)
+from .prnu import (Fingerprint, require_references, residual_extractor,
+                   stream_fingerprints)
 from .trace import TraceFile, bits_per_pixel, skipped_block_rate
 from .weighting import SchemeConfig
 
@@ -53,11 +53,12 @@ def run_grid(videos: Sequence[GridVideo],
              workers: int = 1) -> ExperimentGrid:
     """Estimate and match every video under every scheme.
 
-    Each video's residuals are extracted once, in one worker pool for the
-    whole grid, and shared by its schemes, which also share one transform
-    of the video's camera reference. A failing cell stores its error
-    and the rest of the grid proceeds; an error extracting a video's
-    residuals lands in every cell of that video.
+    Each video's residuals stream once, through one worker pool for the
+    whole grid, into `stream_fingerprints`, which feeds all of its schemes
+    in lockstep; the schemes also share one transform of the video's
+    camera reference. A failing cell stores its error and the rest of the
+    grid proceeds; an error that stops a video's pass (its luma stack, or
+    extracting its residuals) lands in every cell of that video.
     """
     schemes = [c.scheme for c in scheme_configs]
     if len(set(schemes)) != len(schemes):
@@ -74,16 +75,18 @@ def run_grid(videos: Sequence[GridVideo],
         for video in videos:
             keys = [(video.video_id, s) for s in schemes]
             try:
-                residuals = extract(video.pictures)
+                results = stream_fingerprints(video.pictures, video.trace,
+                                              scheme_configs,
+                                              extract(video.pictures))
             except BlockPrnuError as exc:
                 grid.cells.update(dict.fromkeys(keys, exc))
                 continue
             reference = ReferenceSpectrum(references[video.camera_id])
-            for key, config in zip(keys, scheme_configs):
+            for key, fp in zip(keys, results):
                 try:
-                    fp = fingerprint_from_residuals(video.pictures, video.trace,
-                                                    residuals, config)
-                    grid.cells[key] = pce(fp, reference, pce_config, threshold)
+                    grid.cells[key] = (fp if isinstance(fp, BlockPrnuError)
+                                       else pce(fp, reference, pce_config,
+                                                threshold))
                 except BlockPrnuError as exc:
                     grid.cells[key] = exc
     return grid

@@ -14,6 +14,7 @@ frame's residual as a float64 (H, W) array.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -288,15 +289,21 @@ def _chroma_bytes(width: int, height: int) -> int:
 
 def read_yuv420(path: str | Path, width: int, height: int) -> np.ndarray:
     """The luma planes of a raw 4:2:0 file as one (frames, height, width)
-    uint8 stack."""
-    data = Path(path).read_bytes()
-    frame_bytes = width * height + _chroma_bytes(width, height)
-    if frame_bytes == 0 or len(data) % frame_bytes:
-        raise SchemaError(f"{path}: size {len(data)} is not a whole number of "
+    uint8 stack, each read straight into its place; the chroma is skipped,
+    and the file's bytes are never held."""
+    size = Path(path).stat().st_size
+    chroma = _chroma_bytes(width, height)
+    frame_bytes = width * height + chroma
+    if frame_bytes == 0 or size % frame_bytes:
+        raise SchemaError(f"{path}: size {size} is not a whole number of "
                           f"{width}x{height} 4:2:0 frames")
-    frames = np.frombuffer(data, dtype=np.uint8).reshape(-1, frame_bytes)
-    # a copy, so the chroma bytes are not kept alive behind the luma
-    return frames[:, :width * height].reshape(-1, height, width).copy()
+    luma = np.empty((size // frame_bytes, height, width), dtype=np.uint8)
+    with open(path, "rb") as f:
+        for plane in luma:
+            if f.readinto(plane) != plane.nbytes:
+                raise SchemaError(f"{path}: truncated while reading")
+            f.seek(chroma, os.SEEK_CUR)
+    return luma
 
 
 def write_yuv420(luma: np.ndarray, path: str | Path) -> None:

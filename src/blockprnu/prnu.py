@@ -10,8 +10,10 @@ where M_i is the per-pixel weighting mask (codec-metadata-driven) times the
 saturation mask. Pixels whose denominator never clears a floor carry no
 evidence and are dropped from the support.
 
-A video's luma I arrives as one (frames, H, W) uint8 stack, and each
-frame's residual W as a float64 (H, W) array.
+A video's luma I arrives as one (frames, H, W) uint8 stack. Its residuals
+W stream in frame order from `residual_extractor`, as float64 (H, W)
+arrays, into `stream_fingerprints`, which feeds one accumulator per
+weighting scheme in lockstep; no driver holds a video's residuals at once.
 """
 from __future__ import annotations
 
@@ -22,19 +24,23 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (AllMaskedOut, ConfigError, DimensionMismatch,
-                     EmptyAccumulator, InsufficientData, SchemaError,
-                     decode_text)
+from .errors import (AllMaskedOut, BlockPrnuError, ConfigError,
+                     DimensionMismatch, EmptyAccumulator, InsufficientData,
+                     SchemaError, decode_text)
 from .noise import DenoiseConfig, extract_residual, saturation_mask
 from .trace import TraceFile
 from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
 _MAGIC = b"BPFP\x01"
 DENOMINATOR_FLOOR_SCALE = 1e-3
+# a pool task extracts a run of frames of about this many pixels: at
+# 128x128 one task per frame lost 14% of a calibrate-and-evaluate pass to
+# task overhead, and at 720p a task is still one frame
+TASK_PIXELS = 1 << 18
 
 
 @dataclass
@@ -65,17 +71,15 @@ class FingerprintAccumulator:
         return self.numerator.shape
 
     def accumulate(self, luma: np.ndarray, residual: np.ndarray,
-                   mask: np.ndarray,
-                   sat_mask: np.ndarray | None = None) -> None:
-        luma = luma.astype(np.float64)
+                   mask: np.ndarray) -> None:
+        luma = np.asarray(luma, dtype=np.float64)
         for name, arr in (("residual", residual), ("mask", mask),
                           ("picture", luma)):
             if arr.shape != self.shape:
                 raise DimensionMismatch(f"{name} shape {arr.shape} vs "
                                         f"accumulator {self.shape}")
-        m = mask if sat_mask is None else mask * sat_mask
-        self.numerator += luma * residual * m
-        self.denominator += luma * luma * m
+        self.numerator += luma * residual * mask
+        self.denominator += luma * luma * mask
         self.frames_ingested += 1
 
 
@@ -196,31 +200,70 @@ def require_references(camera_ids, references: dict[str, Fingerprint]) -> None:
             raise InsufficientData(f"no reference fingerprint for camera {cam}")
 
 
+def _extract_run(job, planes: np.ndarray) -> list[np.ndarray]:
+    """One pool task: the residuals of a run of planes."""
+    return [job(luma) for luma in planes]
+
+
+def _drain(task):
+    """The residuals of a finished task, each dropped as it is yielded."""
+    run = task.result()     # the task's own list, so no other holds them
+    run.reverse()
+    while run:
+        yield run.pop()
+
+
 @contextmanager
 def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
                        workers: int = 1):
-    """Yield ``extract(pictures) -> list[np.ndarray]``: the residual of
-    each (H, W) plane of a luma stack, in frame order.
+    """Yield ``extract(pictures)``: an iterator over the residual of each
+    (H, W) plane of a luma stack, in frame order, computed as it is read.
 
     With workers > 1 one process pool serves every call made inside the
     with block, so a command that extracts several videos starts one pool.
-    Residuals are the same for any worker count. They stay a list: a
-    stacked copy would sit beside the pool's pending results.
+    A pool task is a run of frames of about TASK_PIXELS pixels (one frame
+    at 720p), at most a 1/(2 * workers) share of the video so that every
+    worker gets one, and at most 2 * workers tasks are pending beyond the
+    one being read: a video's residuals are never held at once. Residuals
+    are the same for any worker count.
     """
     job = partial(extract_residual, config=denoise_config)
     if workers <= 1:
-        yield lambda pictures: [job(luma) for luma in pictures]
+        yield lambda pictures: map(job, pictures)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield lambda pictures: list(pool.map(
-            job, pictures, chunksize=max(1, len(pictures) // workers)))
+        def extract(pictures):
+            pictures = np.asarray(pictures)
+            pixels = int(np.prod(pictures.shape[1:])) or 1
+            size = max(1, min(TASK_PIXELS // pixels,
+                              len(pictures) // (2 * workers)))
+            pending = []
+            for start in range(0, len(pictures), size):
+                pending.append(pool.submit(_extract_run, job,
+                                           pictures[start:start + size]))
+                if len(pending) > 2 * workers:
+                    yield from _drain(pending.pop(0))
+            while pending:
+                yield from _drain(pending.pop(0))
+        yield extract
 
 
-def _block_weights(pictures: np.ndarray, trace: TraceFile | None,
-                   scheme: SchemeConfig,
-                   residual_count: int) -> np.ndarray | None:
-    """Every frame's block weights (None: masks of ones), once the luma
-    stack, the trace and the residual count are checked to agree."""
+def stream_fingerprints(pictures: np.ndarray, trace: TraceFile | None,
+                        schemes: Sequence[SchemeConfig],
+                        residuals: Iterable[np.ndarray],
+                        denominator_floor: float | None = None,
+                        source_id: str = ""
+                        ) -> list[Fingerprint | BlockPrnuError]:
+    """One Fingerprint or error per scheme from a (frames, H, W) uint8
+    luma stack and its residuals, read once in frame order into one
+    accumulator per scheme.
+
+    The stack and the trace are checked, and every scheme's block weights
+    built, before the first residual is read; none is read if no scheme
+    can use it. trace may be None only for schemes that ignore block
+    metadata (neither a table nor zeroed skips in `SCHEMES`).
+    """
+    pictures = np.asarray(pictures)
     if not len(pictures):
         raise EmptyAccumulator("no pictures to estimate from")
     if pictures.ndim != 3:
@@ -228,51 +271,43 @@ def _block_weights(pictures: np.ndarray, trace: TraceFile | None,
                                 f"got {pictures.ndim}-D")
     if pictures.dtype != np.uint8:
         raise ConfigError(f"luma must be uint8, got {pictures.dtype}")
-    if trace is None and (SCHEMES[scheme.scheme].lookup
-                          or SCHEMES[scheme.scheme].zero_skip):
-        raise DimensionMismatch(f"scheme {scheme.scheme} needs a trace")
-    frames = len(pictures) if trace is None else trace.frame_count
-    if not frames == residual_count == len(pictures):
+    if trace is not None and trace.frame_count != len(pictures):
         raise DimensionMismatch(f"{len(pictures)} pictures vs "
-                                f"{frames} trace frames vs "
-                                f"{residual_count} residuals")
-    return None if trace is None else build_mask(trace, scheme)
-
-
-def _accumulate(pictures: np.ndarray, weights: np.ndarray | None,
-                residuals: Sequence[np.ndarray],
-                denominator_floor: float | None,
-                source_id: str) -> Fingerprint:
-    h, w = pictures.shape[1:]
-    acc = FingerprintAccumulator(h, w)
-    for i, (luma, residual) in enumerate(zip(pictures, residuals)):
-        # one frame painted at a time: a painted stack would hold the
-        # whole video's masks at once
-        mask = (np.ones((h, w), dtype=np.float64) if weights is None
-                else paint_blocks(weights[i], (h, w)))
-        acc.accumulate(luma, residual, mask, saturation_mask(luma))
-    return finalize(acc, denominator_floor=denominator_floor,
-                    source_id=source_id)
-
-
-def fingerprint_from_residuals(pictures: np.ndarray,
-                               trace: TraceFile | None,
-                               residuals: Sequence[np.ndarray],
-                               scheme: SchemeConfig,
-                               denominator_floor: float | None = None,
-                               source_id: str = "") -> Fingerprint:
-    """Mask, accumulate in frame order and finalize precomputed residuals
-    of a (frames, H, W) uint8 luma stack.
-
-    The block weights of every frame are built before the first frame is
-    accumulated; each frame's mask is painted from them in turn. trace may
-    be None only for schemes that ignore block metadata (neither a table
-    nor zeroed skips in `SCHEMES`), and then every mask is all ones.
-    """
-    pictures = np.asarray(pictures)
-    weights = _block_weights(pictures, trace, scheme, len(residuals))
-    return _accumulate(pictures, weights, residuals, denominator_floor,
-                       source_id)
+                                f"{trace.frame_count} trace frames")
+    results: list = [None] * len(schemes)
+    weights = {}
+    for i, scheme in enumerate(schemes):
+        rule = SCHEMES[scheme.scheme]
+        try:
+            if trace is None and (rule.lookup or rule.zero_skip):
+                raise DimensionMismatch(f"scheme {scheme.scheme} needs a trace")
+            weights[i] = None if trace is None else build_mask(trace, scheme)
+        except BlockPrnuError as exc:
+            results[i] = exc
+    if not weights:
+        return results
+    frames, h, w = pictures.shape
+    accumulators = {i: FingerprintAccumulator(h, w) for i in weights}
+    residuals = iter(residuals)
+    count = 0
+    for luma, residual in zip(pictures, residuals):
+        luma_f, sat = luma.astype(np.float64), saturation_mask(luma)
+        for i, acc in accumulators.items():
+            # one frame painted at a time: a painted stack would hold the
+            # whole video's masks at once
+            acc.accumulate(luma_f, residual, sat if weights[i] is None
+                           else paint_blocks(weights[i][count], (h, w)) * sat)
+        count += 1
+    if count < frames or next(residuals, None) is not None:
+        raise DimensionMismatch(f"{frames} pictures vs "
+                                f"{count if count < frames else 'more'} residuals")
+    for i, acc in accumulators.items():
+        try:
+            results[i] = finalize(acc, denominator_floor=denominator_floor,
+                                  source_id=source_id)
+        except BlockPrnuError as exc:
+            results[i] = exc
+    return results
 
 
 def estimate_fingerprint(pictures: np.ndarray,
@@ -283,13 +318,14 @@ def estimate_fingerprint(pictures: np.ndarray,
                          source_id: str = "",
                          workers: int = 1) -> Fingerprint:
     """Estimate one fingerprint from a (frames, H, W) uint8 luma stack
-    and its trace, both checked, and the block weights built, before any
-    residual is extracted. Accumulation runs in frame order, so the
-    result is identical for any worker count.
+    and its trace: `stream_fingerprints` with one scheme, whose error is
+    raised. Everything is checked before any residual is extracted, and
+    the result is identical for any worker count.
     """
-    pictures = np.asarray(pictures)
-    weights = _block_weights(pictures, trace, scheme, len(pictures))
     with residual_extractor(denoise_config, workers) as extract:
-        residuals = extract(pictures)
-    return _accumulate(pictures, weights, residuals, denominator_floor,
-                       source_id)
+        [fp] = stream_fingerprints(pictures, trace, [scheme],
+                                   extract(pictures), denominator_floor,
+                                   source_id)
+    if isinstance(fp, BlockPrnuError):
+        raise fp
+    return fp

@@ -9,6 +9,7 @@ from blockprnu import (
     CalibrationVideo,
     CodecConfig,
     ConfigError,
+    DimensionMismatch,
     EmptyBucket,
     InsufficientData,
     InsufficientFrames,
@@ -64,6 +65,32 @@ def test_splice_needs_two_frames():
         splice_by_lambda_rate([res], trace_of([fmap]))
     with pytest.raises(InsufficientFrames):
         splice_by_lambda_rate([res, res], trace_of([fmap]))
+
+
+def test_splice_refuses_residuals_of_another_shape():
+    maps = [map_with_bits(t, [10]) for t in range(2)]
+    small, large = residual_of([[1.0]]), residual_of([[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DimensionMismatch, match=r"\(32, 32\) vs \(16, 16\)"):
+        splice_by_lambda_rate([small, large], trace_of(maps))
+
+
+def test_splice_reads_a_stream_once_in_frame_order():
+    # a generator is consumed once, frame by frame, and gives what a list
+    # of the same residuals gives
+    rng = np.random.default_rng(5)
+    residuals = [rng.normal(size=(32, 48)) for t in range(4)]
+    maps = [[BlockRecord(t, x, y, "P", 12, int(rng.integers(8, 500)))
+             for y in range(2) for x in range(3)] for t in range(4)]
+    read = []
+    stream = (read.append(t) or r for t, r in enumerate(residuals))
+    streamed = splice_by_lambda_rate(stream, trace_of(maps))
+    listed = splice_by_lambda_rate(residuals, trace_of(maps))
+    assert read == [0, 1, 2, 3]
+    assert np.array_equal(streamed.values, listed.values)
+    with pytest.raises(InsufficientFrames, match="^3 residuals vs 4 trace"):
+        splice_by_lambda_rate(iter(residuals[:3]), trace_of(maps))
+    with pytest.raises(InsufficientFrames, match="^5 residuals vs 4 trace"):
+        splice_by_lambda_rate(residuals + residuals[:1], trace_of(maps))
 
 
 def test_splice_ties_keep_frame_order():
@@ -194,6 +221,10 @@ def test_quantile_bucket_edges():
     assert np.allclose(edges, [0, 25, 50, 75, 100])
     with pytest.raises(InsufficientData):
         quantile_bucket_edges([])
+    for buckets in (-3, 0):
+        with pytest.raises(ConfigError,
+                           match=f"^need at least one bucket, got {buckets}$"):
+            quantile_bucket_edges([1.0, 2.0], buckets)
 
 
 def test_lambda_rate_table_anchor_insertion():
@@ -302,6 +333,11 @@ def test_calibrate_qp_checks_every_condition_before_extracting(
         with pytest.raises(ConfigError, match="at least one bucket"):
             calibrate_lambda_rate([video, video], {"cam": reference},
                                   n_buckets=buckets)
+    one_frame = CalibrationVideo(camera_id="cam", pictures=video.pictures[:1],
+                                 trace=trace_of([map_with_bits(0, [10])]))
+    with pytest.raises(InsufficientFrames,
+                       match="^splicing needs at least 2 frames, got 1$"):
+        calibrate_lambda_rate([video, one_frame], {"cam": reference})
     assert extracted == []
 
 

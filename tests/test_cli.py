@@ -407,6 +407,24 @@ def test_calibrate_lambda_without_buckets_exit_2(calib, tmp_path, capsys,
     assert not (tmp_path / "lr.wt").exists()
 
 
+def test_calibrate_lambda_one_frame_video_exit_4_before_extracting(
+        calib, tmp_path, capsys, extractions):
+    root, _, refs = calib
+    one = np.full((1, 64, 64), 100, dtype=np.uint8)
+    write_yuv420(one, root / "one.yuv")
+    save_trace(uniform_trace(1, 4, 4), root / "one.trace")
+    manifest = root / "one_frame.csv"
+    manifest.write_text("cam,v15.yuv,v15.trace\ncam,one.yuv,one.trace\n")
+    capsys.readouterr()
+    assert run("calibrate", "--mode", "lambda_r", "--manifest", manifest,
+               "--references", refs, "--out", tmp_path / "lr.wt",
+               "--workers", 1) == 4
+    err = capsys.readouterr().err
+    assert err == "error: splicing needs at least 2 frames, got 1\n"
+    assert extractions == []
+    assert not (tmp_path / "lr.wt").exists()
+
+
 def test_evaluate_cli(calib):
     root, _, refs = calib
     manifest = root / "eval.csv"

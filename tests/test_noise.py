@@ -1,5 +1,7 @@
 """Denoising, residual extraction, and raw-frame I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,22 @@ def test_yuv420_size_mismatch_rejected(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_yuv420(path, width=32, height=16)
     assert "4:2:0" in str(err.value)
+
+
+def test_yuv420_read_holds_only_the_luma(tmp_path):
+    # 40 frames of 64x48: 123 kB of luma in a 184 kB file
+    rng = np.random.default_rng(12)
+    frames = rng.integers(0, 256, size=(40, 48, 64), dtype=np.uint8)
+    path = tmp_path / "clip.yuv"
+    write_yuv420(frames, path)
+    tracemalloc.start()
+    try:
+        back = read_yuv420(path, width=64, height=48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, frames)
+    assert peak <= frames.nbytes + 16 * 1024
 
 
 def test_denoise_config_validation():

@@ -1,5 +1,8 @@
 """Fingerprint accumulation, finalization, file format, and the pipeline."""
 
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -19,22 +22,31 @@ from blockprnu import (
     WeightTable,
     estimate_fingerprint,
     finalize,
-    fingerprint_from_residuals,
     lambda_grid,
     paint_blocks,
     read_fingerprint,
     saturation_mask,
     simulate_capture,
     skipped_block_rate,
+    stream_fingerprints,
     write_fingerprint,
 )
-from blockprnu import prnu
+from blockprnu import (CalibrationVideo, GridVideo, calibrate_lambda_rate,
+                       calibration, evaluation, prnu, run_grid)
 from blockprnu.trace import SKIP
 from conftest import uniform_trace
 
 
 def ingest(acc, luma, residual, mask):
     acc.accumulate(luma.astype(np.uint8), residual, mask)
+
+
+def one_fingerprint(pictures, trace, residuals, config):
+    """The pass with one scheme; that scheme's error is raised."""
+    [fp] = stream_fingerprints(pictures, trace, [config], residuals)
+    if isinstance(fp, Exception):
+        raise fp
+    return fp
 
 
 def test_zero_mask_contributes_nothing():
@@ -153,7 +165,7 @@ def test_estimate_fingerprint_argument_checks():
         estimate_fingerprint(pics, uniform_trace(2, 2, 2),
                              SchemeConfig("conventional"))
     with pytest.raises(DimensionMismatch):
-        fingerprint_from_residuals(pics, None, [], SchemeConfig("conventional"))
+        stream_fingerprints(pics, None, [SchemeConfig("conventional")], [])
 
 
 def test_estimate_worker_count_does_not_change_result():
@@ -236,7 +248,7 @@ def _per_frame_fingerprint(pictures, trace, residuals, config):
             if rule.zero_skip:
                 weights = np.where(trace.type_code[i] == SKIP, 0.0, weights)
             mask = paint_blocks(weights, (h, w))
-        acc.accumulate(pic, residual, mask, saturation_mask(pic))
+        acc.accumulate(pic, residual, mask * saturation_mask(pic))
     return finalize(acc)
 
 
@@ -280,14 +292,17 @@ def test_stacked_masks_match_the_per_frame_loop_for_every_scheme():
     assert (trace.grid_h, trace.grid_w) == (2, 3) and trace.skip.any()
     pictures, residuals = _pictures_and_residuals(rng, 5)
     tables = _tables(rng)
-    for scheme in SCHEMES:
-        config = SchemeConfig(scheme, tables.get(scheme))
-        got = fingerprint_from_residuals(pictures, trace, residuals, config)
+    configs = [SchemeConfig(scheme, tables.get(scheme)) for scheme in SCHEMES]
+    # every scheme in one pass, fed in lockstep from one stream
+    stream = iter(residuals)
+    results = stream_fingerprints(pictures, trace, configs, stream)
+    assert next(stream, None) is None
+    for scheme, config, got in zip(SCHEMES, configs, results):
         want = _per_frame_fingerprint(pictures, trace, residuals, config)
         assert np.array_equal(got.k_values, want.k_values), scheme
         assert np.array_equal(got.support, want.support), scheme
         if SCHEMES[scheme].lookup is None and not SCHEMES[scheme].zero_skip:
-            got = fingerprint_from_residuals(pictures, None, residuals, config)
+            got = one_fingerprint(pictures, None, residuals, config)
             want = _per_frame_fingerprint(pictures, None, residuals, config)
             assert np.array_equal(got.k_values, want.k_values), scheme
             assert np.array_equal(got.support, want.support), scheme
@@ -314,7 +329,7 @@ def test_missing_qp_is_raised_before_any_frame_is_accumulated(monkeypatch):
     for scheme in ("qp_all", "qp_noskip"):
         config = SchemeConfig(scheme, _tables(rng)[scheme])
         with pytest.raises(MissingKey, match="qp 32$"):
-            fingerprint_from_residuals(pictures, trace, residuals, config)
+            one_fingerprint(pictures, trace, residuals, config)
     assert accumulated == []
 
 
@@ -336,3 +351,83 @@ def test_stack_trace_and_table_are_checked_before_any_extraction(monkeypatch):
     with pytest.raises(DimensionMismatch, match="3 pictures vs 4 trace"):
         estimate_fingerprint(pictures[:3], trace, conventional)
     assert extracted == []
+
+
+# ---------------------------------------------------------------------------
+# residuals stream through every driver
+# ---------------------------------------------------------------------------
+
+class StreamWatch:
+    """Wraps `residual_extractor` wherever a driver reads it. At each
+    residual the stream yields it records how many of the residuals
+    yielded so far are still alive and how many pixels the pool has been
+    handed beyond the frame yielded."""
+
+    def __init__(self, monkeypatch):
+        self.yielded = self.alive = self.ahead = self.submitted = 0
+        watch, real = self, prnu.residual_extractor
+
+        class CountingPool(prnu.ProcessPoolExecutor):
+            def submit(self, fn, job, planes):
+                watch.submitted += len(planes)
+                watch.pixels = planes[0].size
+                return super().submit(fn, job, planes)
+
+        @contextmanager
+        def watched(*args, **kwargs):
+            with real(*args, **kwargs) as extract:
+                yield lambda pictures: self._stream(extract(pictures))
+
+        monkeypatch.setattr(prnu, "ProcessPoolExecutor", CountingPool)
+        for module in (prnu, evaluation, calibration):
+            monkeypatch.setattr(module, "residual_extractor", watched)
+
+    def _stream(self, residuals):
+        refs = []
+        for residual in residuals:
+            refs.append(weakref.ref(residual))
+            self.yielded += 1
+            self.alive = max(self.alive, sum(r() is not None for r in refs))
+            if self.submitted:
+                self.ahead = max(self.ahead, (self.submitted - self.yielded)
+                                 * self.pixels)
+            yield residual
+
+
+def _random_video(frames):
+    """32x32 frames on a 2x2 grid, coded blocks of random cost, and a
+    reference of the same size."""
+    rng = np.random.default_rng(frames)
+    pictures = rng.integers(20, 230, size=(frames, 32, 32), dtype=np.uint8)
+    trace = TraceFile(32, 32, frames, [
+        BlockRecord(f, x, y, "P", 20, int(rng.integers(20, 900)))
+        for f in range(frames) for y in range(2) for x in range(2)])
+    reference = Fingerprint(k_values=rng.normal(size=(32, 32)),
+                            support=np.ones((32, 32), bool))
+    return pictures, trace, {"cam": reference}
+
+
+@pytest.mark.parametrize("frames", [4, 16])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
+                                                    frames):
+    pictures, trace, references = _random_video(frames)
+    schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
+    drivers = {
+        "estimate_fingerprint": lambda: estimate_fingerprint(
+            pictures, trace, schemes[0], workers=workers),
+        "run_grid": lambda: run_grid(
+            [GridVideo("v", "cam", pictures, trace)], schemes, references,
+            workers=workers),
+        "calibrate_lambda_rate": lambda: calibrate_lambda_rate(
+            [CalibrationVideo("cam", pictures, trace)], references,
+            n_buckets=1, workers=workers),
+    }
+    for name, run in drivers.items():
+        with monkeypatch.context() as patch:
+            watch = StreamWatch(patch)
+            run()
+        assert watch.yielded == frames, name
+        assert watch.alive <= 2 * workers + 1, name
+        # at most 2 * workers pending tasks of about TASK_PIXELS each
+        assert watch.ahead <= 2 * workers * prnu.TASK_PIXELS, name
