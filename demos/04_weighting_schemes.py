@@ -6,10 +6,10 @@ fresh cameras encoded at a harsh bitrate budget.
 """
 import numpy as np
 
-from blockprnu import (CalibrationVideo, CodecConfig, SchemeConfig,
-                       SensorModel, calibrate_lambda_rate, calibrate_qp,
-                       encode_sequence, estimate_fingerprint, pce,
-                       simulate_capture, synthetic_clean_frames)
+from blockprnu import (CodecConfig, SchemeConfig, SensorModel, Video,
+                       calibrate_lambda_rate, calibrate_qp, encode_sequence,
+                       estimate_fingerprint, pce, simulate_capture,
+                       synthetic_clean_frames)
 
 SIZE = 64
 
@@ -33,9 +33,7 @@ for i in range(3):
     for qp in (15, 27, 39):
         res = encode_sequence(captured(model, 70 + 10 * i + qp, 12),
                               CodecConfig(qp=qp, gop=4))
-        videos.append(CalibrationVideo(camera_id=f"cal{i}",
-                                       pictures=res.pictures,
-                                       trace=res.trace, qp=qp))
+        videos.append(Video(res.pictures, res.trace, f"cal{i}", qp=qp))
 qp_table, _ = calibrate_qp(videos, refs, include_skip=False)
 qp_all_table, _ = calibrate_qp(videos, refs, include_skip=True)
 lr_table, _ = calibrate_lambda_rate(videos, refs, n_buckets=8)

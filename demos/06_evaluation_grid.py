@@ -5,8 +5,8 @@ improvement ratios, ROC).
 """
 import numpy as np
 
-from blockprnu import (CodecConfig, DenoiseConfig, GridVideo, PceConfig,
-                       SchemeConfig, SensorModel, encode_sequence,
+from blockprnu import (CodecConfig, DenoiseConfig, PceConfig, SchemeConfig,
+                       SensorModel, Video, encode_sequence,
                        estimate_fingerprint, format_ratio,
                        improvement_ratios, pce, roc, run_grid, sbr_summary,
                        scheme_mean_pce, simulate_capture,
@@ -32,9 +32,8 @@ for i in range(3):
     for label, rate in RATES.items():
         res = encode_sequence(captured, CodecConfig(
             target_bits_per_frame=rate, gop=4, start_qp=28))
-        videos.append(GridVideo(video_id=f"cam{i}_{label}",
-                                camera_id=f"cam{i}",
-                                pictures=res.pictures, trace=res.trace))
+        videos.append(Video(res.pictures, res.trace, f"cam{i}",
+                            f"cam{i}_{label}"))
         traces_by_rate[label].append(res.trace)
 
 grid = run_grid(videos, [SchemeConfig("conventional"),

@@ -11,7 +11,7 @@ from .bitstream import (NalUnit, ParameterSetContext, Pps,
                         parse_pps, parse_slice_header, parse_sps, save_trace,
                         serialize_trace, split_nal_units,
                         validate_against_slices)
-from .calibration import (CalibrationRun, CalibrationVideo, SplicedVideo,
+from .calibration import (CalibrationRun, SplicedVideo,
                           build_lambda_rate_table, build_qp_table,
                           calibrate_lambda_rate, calibrate_qp,
                           quantile_bucket_edges, splice_by_lambda_rate)
@@ -22,8 +22,8 @@ from .errors import (AllMaskedOut, BitstreamExhausted, BlockPrnuError,
                      InsufficientFrames, MalformedStream, MissingAnchor,
                      MissingKey, MissingParameterSet, RangeError, SchemaError,
                      TruncatedUnit, UnsupportedProfile)
-from .evaluation import (BPP_GROUP_EDGES, ExperimentGrid, GridVideo,
-                         RocCurve, ThresholdTable, format_ratio,
+from .evaluation import (BPP_GROUP_EDGES, ExperimentGrid, RocCurve,
+                         ThresholdTable, format_ratio,
                          group_labels_for_edges, improvement_ratios, roc,
                          run_grid, sbr_summary, scheme_mean_pce,
                          threshold_table)
@@ -32,9 +32,10 @@ from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
 from .noise import (DenoiseConfig, denoise, extract_residual, read_yuv420,
                     saturation_mask, wiener_adaptive, write_yuv420,
                     zero_mean_rows_cols)
-from .prnu import (Fingerprint, FingerprintAccumulator, estimate_fingerprint,
-                   finalize, read_fingerprint, residual_extractor,
-                   resolve_workers, stream_fingerprints, write_fingerprint)
+from .prnu import (Fingerprint, FingerprintAccumulator, Video,
+                   estimate_fingerprint, finalize, read_fingerprint,
+                   residual_extractor, resolve_workers, stream_fingerprints,
+                   write_fingerprint)
 from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, TraceFile,
                     bits_per_pixel, lambda_grid, lambda_of_qp, lambda_rate,
                     skipped_block_rate)

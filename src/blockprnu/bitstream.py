@@ -18,7 +18,8 @@ import numpy as np
 from .errors import (BitstreamExhausted, MalformedStream, MissingParameterSet,
                      RangeError, SchemaError, TruncatedUnit,
                      UnsupportedProfile, decode_text)
-from .trace import BLOCK_TYPES, BlockColumns, BlockRecord, TraceFile
+from .trace import (BLOCK_TYPES, QP_MAX, QP_MIN, BlockColumns, BlockRecord,
+                    TraceFile)
 
 START_CODE = b"\x00\x00\x01"
 NAL_SLICE = 1
@@ -441,8 +442,8 @@ def parse_slice_header(unit: NalUnit, context: ParameterSetContext,
         r.read_ue()  # cabac_init_idc
 
     base_qp = pps.pic_init_qp + r.read_se()
-    if not (0 <= base_qp <= 51):
-        raise MalformedStream(f"slice QP {base_qp} outside [0, 51]")
+    if not (QP_MIN <= base_qp <= QP_MAX):
+        raise MalformedStream(f"slice QP {base_qp} outside [{QP_MIN}, {QP_MAX}]")
     deblocking_disabled = False
     if pps.deblocking_filter_control_present_flag:
         idc = r.read_ue()

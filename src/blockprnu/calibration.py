@@ -21,16 +21,16 @@ import numpy as np
 
 from .errors import (BlockPrnuError, ConfigError, DimensionMismatch,
                      EmptyBucket, InsufficientData, InsufficientFrames,
-                     MissingAnchor, RangeError)
+                     MissingAnchor)
 from .matching import PceConfig, ReferenceSpectrum, pce
 from .noise import DenoiseConfig
-from .prnu import (Fingerprint, require_references, residual_extractor,
+from .prnu import (Fingerprint, Video, require_inputs, residual_extractor,
                    stream_fingerprints)
 from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
 from .weighting import ANCHOR_LAMBDA_RATE, ANCHOR_QP, SchemeConfig, WeightTable
 
 PCE_FLOOR = 1e-3
-QP_RANGE = np.arange(52)
+QP_RANGE = np.arange(QP_MIN, QP_MAX + 1)
 
 
 @dataclass
@@ -72,12 +72,15 @@ def splice_by_lambda_rate(residuals: Iterable[np.ndarray],
 
     The ranks come from the trace alone, so the residuals are read once,
     in frame order, and each frame's blocks are copied into their spliced
-    frames as it arrives. The output stays O(video), but no other array
-    the size of the video is made.
+    frames as it arrives. The output has the trace's frame size, and each
+    residual must have it too (DimensionMismatch); exactly one residual
+    per trace frame must arrive (InsufficientFrames). The output stays
+    O(video), but no other array the size of the video is made.
     """
     n = _splice_frames(trace)
     gh, gw = trace.grid_h, trace.grid_w
     h, w = gh * MACROBLOCK, gw * MACROBLOCK
+    shape = (trace.height, trace.width)
     lr = trace.lambda_rate                                        # (n, gh, gw)
     if not include_skip:
         lr = np.where(trace.skip, np.inf, lr)
@@ -87,23 +90,21 @@ def splice_by_lambda_rate(residuals: Iterable[np.ndarray],
     filled = np.isfinite(sorted_lr)
     mean_lr = np.array([lr_j[fill_j].mean() if fill_j.any() else np.nan
                         for lr_j, fill_j in zip(sorted_lr, filled)])
-    count, shape = 0, None
+    # spliced frames keep the frame's shape: a ceil-sized grid's partial
+    # blocks are padded with zeros and cropped again, and pixels beyond a
+    # floor-sized grid stay zero, as in the masks
+    values = np.zeros((n, max(h, shape[0]), max(w, shape[1])))
+    plane = np.zeros(values.shape[1:])
+    # (n, gh, gw, 16, 16) and (gh, gw, 16, 16) views of the blocks
+    spliced = values[:, :h, :w].reshape(
+        n, gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(2, 3)
+    blocks = plane[:h, :w].reshape(
+        gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
+    count = 0
     for residual in residuals:
-        if shape is None:
-            # spliced frames keep the frame's shape: a ceil-sized grid's
-            # partial blocks are padded with zeros and cropped again, and
-            # pixels beyond a floor-sized grid stay zero, as in the masks
-            shape = residual.shape
-            values = np.zeros((n, max(h, shape[0]), max(w, shape[1])))
-            plane = np.zeros(values.shape[1:])
-            # (n, gh, gw, 16, 16) and (gh, gw, 16, 16) views of the blocks
-            spliced = values[:, :h, :w].reshape(
-                n, gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(2, 3)
-            blocks = plane[:h, :w].reshape(
-                gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
-        elif residual.shape != shape:
+        if residual.shape != shape:
             raise DimensionMismatch(f"residual shape {residual.shape} vs "
-                                    f"{shape} of the first")
+                                    f"{shape} of the trace")
         if count < n:
             plane[:shape[0], :shape[1]] = residual
             ys, xs = np.nonzero(np.isfinite(lr[count]))
@@ -238,22 +239,7 @@ def build_lambda_rate_table(runs: Sequence[CalibrationRun],
 # drivers over decoded videos
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CalibrationVideo:
-    """One decoded calibration video, as a (frames, H, W) uint8 luma
-    stack, plus its block trace."""
-    camera_id: str
-    pictures: np.ndarray
-    trace: TraceFile
-    qp: int | None = None     # the fixed-QP condition, when applicable
-
-    def __post_init__(self):
-        if self.qp is not None and not QP_MIN <= self.qp <= QP_MAX:
-            raise RangeError(f"fixed qp {self.qp} of camera {self.camera_id} "
-                             f"outside [{QP_MIN}, {QP_MAX}]")
-
-
-def calibrate_qp(videos: Sequence[CalibrationVideo],
+def calibrate_qp(videos: Sequence[Video],
                  references: dict[str, Fingerprint],
                  include_skip: bool,
                  anchor_qp: int = ANCHOR_QP,
@@ -264,11 +250,11 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
 
     include_skip chooses whether skip blocks contribute to the per-video
     fingerprints (True fits the table used by the all-blocks scheme, False
-    the coded-only variant).
+    the coded-only variant, whose videos need traces).
     """
     scheme = SchemeConfig("conventional" if include_skip else "skip_eliminate")
     runs: dict[str, CalibrationRun] = {}
-    require_references((v.camera_id for v in videos), references)
+    require_inputs(videos, references, traced=not include_skip)
     for video in videos:
         if video.qp is None:
             raise InsufficientData(f"video of camera {video.camera_id} "
@@ -281,8 +267,7 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
                             f"observation")
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
-            [fp] = stream_fingerprints(video.pictures, video.trace, [scheme],
-                                       extract(video.pictures))
+            [fp] = stream_fingerprints(video, [scheme], extract(video.pictures))
             if isinstance(fp, BlockPrnuError):
                 raise fp
             match = pce(fp, references[video.camera_id], pce_config)
@@ -293,7 +278,7 @@ def calibrate_qp(videos: Sequence[CalibrationVideo],
                           scheme="qp_all" if include_skip else "qp_noskip")
 
 
-def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
+def calibrate_lambda_rate(videos: Sequence[Video],
                           references: dict[str, Fingerprint],
                           n_buckets: int = 20,
                           anchor_lr: float = ANCHOR_LAMBDA_RATE,
@@ -306,12 +291,14 @@ def calibrate_lambda_rate(videos: Sequence[CalibrationVideo],
     Each video is spliced into cost-ranked frames; every spliced frame with
     any filled position yields one (mean lambda*rate, PCE) sample against
     its camera's reference. Bucket edges are equal-population quantiles of
-    the pooled means.
+    the pooled means. Every video needs a trace and a reference of its
+    camera (InsufficientData) and at least 2 frames (InsufficientFrames),
+    checked before any extraction.
     """
     if n_buckets < 1:
         raise ConfigError(f"need at least one bucket, got {n_buckets}")
     runs: dict[str, CalibrationRun] = {}
-    require_references((v.camera_id for v in videos), references)
+    require_inputs(videos, references, traced=True)
     for video in videos:
         _splice_frames(video.trace)
     with residual_extractor(denoise_config, workers) as extract:

@@ -20,20 +20,18 @@ from pathlib import Path
 import numpy as np
 
 from .bitstream import load_trace, save_trace
-from .calibration import (CalibrationVideo, calibrate_lambda_rate,
-                          calibrate_qp)
+from .calibration import calibrate_lambda_rate, calibrate_qp
 from .errors import (BlockPrnuError, ConfigError, DimensionMismatch,
                      InputError, SchemaError, decode_text)
-from .evaluation import (BPP_GROUP_EDGES, GridVideo, format_ratio,
+from .evaluation import (BPP_GROUP_EDGES, format_ratio,
                          group_labels_for_edges, improvement_ratios,
                          run_grid, scheme_mean_pce, threshold_table)
 from .matching import (DEFAULT_THRESHOLD, PceConfig, format_report_records,
                        pce)
 from .noise import DenoiseConfig, read_yuv420, write_yuv420
-from .prnu import (Fingerprint, estimate_fingerprint, read_fingerprint,
-                   resolve_workers, write_fingerprint)
-from .trace import (BLOCK_TYPES, TraceFile, bits_per_pixel,
-                    skipped_block_rate)
+from .prnu import (Fingerprint, Video, estimate_fingerprint,
+                   read_fingerprint, resolve_workers, write_fingerprint)
+from .trace import BLOCK_TYPES, bits_per_pixel, skipped_block_rate
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP,
                         SchemeConfig, WeightTable)
 
@@ -63,13 +61,21 @@ def _pce_config(args, search: str = "full") -> PceConfig:
                      search_window=search)
 
 
-def _load_pictures(frames_path: str, trace: TraceFile):
+def _load_video(frames_path: str, trace_path: str, camera_id: str = "",
+                video_id: str = "", qp: str = "") -> Video:
+    """The video of a manifest row, or of `estimate`'s flags: the trace,
+    the frames read at its size, and the row's ids and optional QP. A
+    DimensionMismatch names the frames file."""
+    trace = load_trace(trace_path)
+    try:
+        fixed_qp = int(qp) if qp else None
+    except ValueError as exc:
+        raise SchemaError(f"bad qp {qp!r} in manifest") from exc
     pictures = read_yuv420(frames_path, trace.width, trace.height)
-    if len(pictures) != trace.frame_count:
-        raise DimensionMismatch(
-            f"{frames_path}: {len(pictures)} frames but trace expects "
-            f"{trace.frame_count}")
-    return pictures
+    try:
+        return Video(pictures, trace, camera_id, video_id, fixed_qp)
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{frames_path}: {exc}") from exc
 
 
 def _read_manifest(path: str, fields: tuple[str, ...],
@@ -151,10 +157,9 @@ def cmd_inspect(args) -> int:
 
 def cmd_estimate(args, parser) -> int:
     scheme = _scheme_config(parser, args.scheme, args.table)
-    trace = load_trace(args.trace)
-    pictures = _load_pictures(args.frames, trace)
+    video = _load_video(args.frames, args.trace)
     source_id = args.source_id if args.source_id else Path(args.out).stem
-    fp = estimate_fingerprint(pictures, trace, scheme,
+    fp = estimate_fingerprint(video.pictures, video.trace, scheme,
                               denoise_config=_denoise_config(args),
                               denominator_floor=args.floor,
                               source_id=source_id,
@@ -163,13 +168,13 @@ def cmd_estimate(args, parser) -> int:
     meta = {
         "denoise": args.denoise,
         "floor": args.floor,
-        "frame_count": trace.frame_count,
-        "height": trace.height,
+        "frame_count": video.trace.frame_count,
+        "height": video.trace.height,
         "noise_var": args.noise_var,
         "scheme": args.scheme,
         "source_id": source_id,
         "table": Path(args.table).name if args.table else None,
-        "width": trace.width,
+        "width": video.trace.width,
     }
     meta["config_hash"] = hashlib.sha256(
         json.dumps(meta, sort_keys=True).encode()).hexdigest()
@@ -237,19 +242,7 @@ def cmd_calibrate(args) -> int:
         rows = _read_manifest(args.manifest,
                               ("camera_id", "frames_path", "trace_path"),
                               optional=("qp",))
-    videos = []
-    for row in rows:
-        trace = load_trace(row["trace_path"])
-        qp = None
-        if row.get("qp"):
-            try:
-                qp = int(row["qp"])
-            except ValueError as exc:
-                raise SchemaError(f"bad qp {row['qp']!r} in manifest") from exc
-        videos.append(CalibrationVideo(camera_id=row["camera_id"],
-                                       pictures=_load_pictures(
-                                           row["frames_path"], trace),
-                                       trace=trace, qp=qp))
+    videos = [_load_video(**row) for row in rows]
     references = _load_references(args.references,
                                   (v.camera_id for v in videos))
     denoise = _denoise_config(args)
@@ -293,14 +286,7 @@ def cmd_evaluate(args, parser) -> int:
     rows = _read_manifest(args.manifest,
                           ("video_id", "camera_id", "frames_path",
                            "trace_path"))
-    videos = []
-    for row in rows:
-        trace = load_trace(row["trace_path"])
-        videos.append(GridVideo(video_id=row["video_id"],
-                                camera_id=row["camera_id"],
-                                pictures=_load_pictures(row["frames_path"],
-                                                        trace),
-                                trace=trace))
+    videos = [_load_video(**row) for row in rows]
     references = _load_references(args.references,
                                   (v.camera_id for v in videos))
     grid = run_grid(videos, configs, references,

@@ -13,25 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BlockPrnuError, ConfigError, EmptyInput
+from .errors import BlockPrnuError, ConfigError, EmptyInput, SchemaError
 from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
                        ReferenceSpectrum, pce)
 from .noise import DenoiseConfig
-from .prnu import (Fingerprint, require_references, residual_extractor,
+from .prnu import (Fingerprint, Video, require_inputs, residual_extractor,
                    stream_fingerprints)
 from .trace import TraceFile, bits_per_pixel, skipped_block_rate
 from .weighting import SchemeConfig
 
 BPP_GROUP_EDGES = (0.024, 0.052, 0.084, 0.172)
-
-
-@dataclass
-class GridVideo:
-    """One test video: (frames, H, W) uint8 luma, trace, and who filmed it."""
-    video_id: str
-    camera_id: str
-    pictures: np.ndarray
-    trace: TraceFile
 
 
 @dataclass
@@ -44,7 +35,7 @@ class ExperimentGrid:
     notes: list[str] = field(default_factory=list)
 
 
-def run_grid(videos: Sequence[GridVideo],
+def run_grid(videos: Sequence[Video],
              scheme_configs: Sequence[SchemeConfig],
              references: dict[str, Fingerprint],
              denoise_config: DenoiseConfig = DenoiseConfig(),
@@ -53,18 +44,24 @@ def run_grid(videos: Sequence[GridVideo],
              workers: int = 1) -> ExperimentGrid:
     """Estimate and match every video under every scheme.
 
-    Each video's residuals stream once, through one worker pool for the
+    Before any extraction, the schemes must be distinct (ConfigError), the
+    video ids distinct (SchemaError naming the id), and every video must
+    have a trace and a reference of its camera (InsufficientData). Each
+    video's residuals then stream once, through one worker pool for the
     whole grid, into `stream_fingerprints`, which feeds all of its schemes
     in lockstep; the schemes also share one transform of the video's
     camera reference. A failing cell stores its error and the rest of the
-    grid proceeds; an error that stops a video's pass (its luma stack, or
-    extracting its residuals) lands in every cell of that video.
+    grid proceeds.
     """
     schemes = [c.scheme for c in scheme_configs]
     if len(set(schemes)) != len(schemes):
         raise ConfigError("duplicate schemes in grid")
-    require_references((v.camera_id for v in videos), references)
-    grid = ExperimentGrid(video_ids=[v.video_id for v in videos],
+    ids = [v.video_id for v in videos]
+    for i, vid in enumerate(ids):
+        if vid in ids[:i]:
+            raise SchemaError(f"duplicate video id {vid!r}")
+    require_inputs(videos, references, traced=True)
+    grid = ExperimentGrid(video_ids=ids,
                           schemes=schemes,
                           bpp={v.video_id: bits_per_pixel(v.trace) for v in videos},
                           cells={})
@@ -74,13 +71,8 @@ def run_grid(videos: Sequence[GridVideo],
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
             keys = [(video.video_id, s) for s in schemes]
-            try:
-                results = stream_fingerprints(video.pictures, video.trace,
-                                              scheme_configs,
-                                              extract(video.pictures))
-            except BlockPrnuError as exc:
-                grid.cells.update(dict.fromkeys(keys, exc))
-                continue
+            results = stream_fingerprints(video, scheme_configs,
+                                          extract(video.pictures))
             reference = ReferenceSpectrum(references[video.camera_id])
             for key, fp in zip(keys, results):
                 try:

@@ -10,10 +10,11 @@ where M_i is the per-pixel weighting mask (codec-metadata-driven) times the
 saturation mask. Pixels whose denominator never clears a floor carry no
 evidence and are dropped from the support.
 
-A video's luma I arrives as one (frames, H, W) uint8 stack. Its residuals
-W stream in frame order from `residual_extractor`, as float64 (H, W)
-arrays, into `stream_fingerprints`, which feeds one accumulator per
-weighting scheme in lockstep; no driver holds a video's residuals at once.
+A `Video` is the luma I of a decoded video as one checked (frames, H, W)
+uint8 stack, plus its block trace. Its residuals W stream in frame order
+from `residual_extractor`, as float64 (H, W) arrays, into
+`stream_fingerprints`, which feeds one accumulator per weighting scheme
+in lockstep; no caller holds a video's residuals at once.
 """
 from __future__ import annotations
 
@@ -30,9 +31,9 @@ import numpy as np
 
 from .errors import (AllMaskedOut, BlockPrnuError, ConfigError,
                      DimensionMismatch, EmptyAccumulator, InsufficientData,
-                     SchemaError, decode_text)
+                     RangeError, SchemaError, decode_text)
 from .noise import DenoiseConfig, extract_residual, saturation_mask
-from .trace import TraceFile
+from .trace import QP_MAX, QP_MIN, TraceFile
 from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
 _MAGIC = b"BPFP\x01"
@@ -192,12 +193,52 @@ def resolve_workers(value: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def require_references(camera_ids, references: dict[str, Fingerprint]) -> None:
-    """InsufficientData for the first camera without a reference
-    fingerprint; calibration and grids check it before any extraction."""
-    for cam in camera_ids:
-        if cam not in references:
-            raise InsufficientData(f"no reference fingerprint for camera {cam}")
+@dataclass(frozen=True, eq=False)
+class Video:
+    """A decoded video: its luma as a (frames, H, W) uint8 stack, not
+    copied if it already is one, the block trace of those frames, its
+    camera and id, and the QP of a fixed-QP encode. Every rule on one
+    video is checked when it is built, and nowhere else."""
+    pictures: np.ndarray
+    trace: TraceFile | None = None
+    camera_id: str = ""
+    video_id: str = ""
+    qp: int | None = None
+
+    def __post_init__(self):
+        pictures = np.asarray(self.pictures)
+        if not pictures.size:
+            raise EmptyAccumulator("no pictures to estimate from")
+        if pictures.ndim != 3:
+            raise DimensionMismatch(f"luma must be a (frames, H, W) stack, "
+                                    f"got {pictures.ndim}-D")
+        if pictures.dtype != np.uint8:
+            raise ConfigError(f"luma must be uint8, got {pictures.dtype}")
+        frames, h, w = pictures.shape
+        trace = self.trace
+        if trace is not None and trace.frame_count != frames:
+            raise DimensionMismatch(f"{frames} pictures vs "
+                                    f"{trace.frame_count} trace frames")
+        if trace is not None and (trace.height, trace.width) != (h, w):
+            raise DimensionMismatch(f"{w}x{h} pictures vs "
+                                    f"{trace.width}x{trace.height} trace")
+        if self.qp is not None and not QP_MIN <= self.qp <= QP_MAX:
+            raise RangeError(f"fixed qp {self.qp} of camera {self.camera_id} "
+                             f"outside [{QP_MIN}, {QP_MAX}]")
+        object.__setattr__(self, "pictures", pictures)
+
+
+def require_inputs(videos: Sequence[Video], references: dict[str, Fingerprint],
+                   traced: bool) -> None:
+    """InsufficientData for the first video without its camera's reference
+    or, if `traced`, a trace; checked before any residual is extracted."""
+    for video in videos:
+        if video.camera_id not in references:
+            raise InsufficientData(f"no reference fingerprint for camera "
+                                   f"{video.camera_id}")
+        if traced and video.trace is None:
+            name = video.video_id or f"of camera {video.camera_id}"
+            raise InsufficientData(f"video {name} has no trace")
 
 
 def _extract_run(job, planes: np.ndarray) -> list[np.ndarray]:
@@ -248,32 +289,21 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
         yield extract
 
 
-def stream_fingerprints(pictures: np.ndarray, trace: TraceFile | None,
-                        schemes: Sequence[SchemeConfig],
+def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
                         residuals: Iterable[np.ndarray],
                         denominator_floor: float | None = None,
                         source_id: str = ""
                         ) -> list[Fingerprint | BlockPrnuError]:
-    """One Fingerprint or error per scheme from a (frames, H, W) uint8
-    luma stack and its residuals, read once in frame order into one
-    accumulator per scheme.
+    """One Fingerprint or error per scheme from a video and its residuals,
+    read once in frame order into one accumulator per scheme; a
+    DimensionMismatch unless there is one residual per frame.
 
-    The stack and the trace are checked, and every scheme's block weights
-    built, before the first residual is read; none is read if no scheme
-    can use it. trace may be None only for schemes that ignore block
-    metadata (neither a table nor zeroed skips in `SCHEMES`).
+    Every scheme's block weights are built before the first residual is
+    read, and none is read if no scheme can use them. Without a trace only
+    the schemes that ignore block metadata (neither a table nor zeroed
+    skips in `SCHEMES`) can.
     """
-    pictures = np.asarray(pictures)
-    if not len(pictures):
-        raise EmptyAccumulator("no pictures to estimate from")
-    if pictures.ndim != 3:
-        raise DimensionMismatch(f"luma must be a (frames, H, W) stack, "
-                                f"got {pictures.ndim}-D")
-    if pictures.dtype != np.uint8:
-        raise ConfigError(f"luma must be uint8, got {pictures.dtype}")
-    if trace is not None and trace.frame_count != len(pictures):
-        raise DimensionMismatch(f"{len(pictures)} pictures vs "
-                                f"{trace.frame_count} trace frames")
+    trace = video.trace
     results: list = [None] * len(schemes)
     weights = {}
     for i, scheme in enumerate(schemes):
@@ -286,11 +316,11 @@ def stream_fingerprints(pictures: np.ndarray, trace: TraceFile | None,
             results[i] = exc
     if not weights:
         return results
-    frames, h, w = pictures.shape
+    frames, h, w = video.pictures.shape
     accumulators = {i: FingerprintAccumulator(h, w) for i in weights}
     residuals = iter(residuals)
     count = 0
-    for luma, residual in zip(pictures, residuals):
+    for luma, residual in zip(video.pictures, residuals):
         luma_f, sat = luma.astype(np.float64), saturation_mask(luma)
         for i, acc in accumulators.items():
             # one frame painted at a time: a painted stack would hold the
@@ -318,14 +348,14 @@ def estimate_fingerprint(pictures: np.ndarray,
                          source_id: str = "",
                          workers: int = 1) -> Fingerprint:
     """Estimate one fingerprint from a (frames, H, W) uint8 luma stack
-    and its trace: `stream_fingerprints` with one scheme, whose error is
-    raised. Everything is checked before any residual is extracted, and
-    the result is identical for any worker count.
+    and its trace: `stream_fingerprints` of their `Video` with one scheme,
+    whose error is raised. Everything is checked before any residual is
+    extracted, and the result is identical for any worker count.
     """
+    video = Video(pictures, trace)
     with residual_extractor(denoise_config, workers) as extract:
-        [fp] = stream_fingerprints(pictures, trace, [scheme],
-                                   extract(pictures), denominator_floor,
-                                   source_id)
+        [fp] = stream_fingerprints(video, [scheme], extract(video.pictures),
+                                   denominator_floor, source_id)
     if isinstance(fp, BlockPrnuError):
         raise fp
     return fp

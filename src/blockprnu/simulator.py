@@ -21,7 +21,8 @@ from scipy import fft as sfft
 from scipy.ndimage import uniform_filter
 
 from .errors import ConfigError
-from .trace import BLOCK_TYPES, MACROBLOCK, SKIP, TraceFile, lambda_of_qp
+from .trace import (BLOCK_TYPES, MACROBLOCK, QP_MAX, QP_MIN, SKIP,
+                    TraceFile, lambda_of_qp)
 from .weighting import paint_blocks
 
 _HEADER_BITS = 8
@@ -71,14 +72,14 @@ class CodecConfig:
     def __post_init__(self):
         if (self.qp is None) == (self.target_bits_per_frame is None):
             raise ConfigError("set exactly one of qp / target_bits_per_frame")
-        if self.qp is not None and not (0 <= self.qp <= 51):
-            raise ConfigError(f"qp {self.qp} outside [0, 51]")
+        if self.qp is not None and not (QP_MIN <= self.qp <= QP_MAX):
+            raise ConfigError(f"qp {self.qp} outside [{QP_MIN}, {QP_MAX}]")
         if self.target_bits_per_frame is not None and self.target_bits_per_frame <= 0:
             raise ConfigError("target bits per frame must be positive")
         if self.gop < 1:
             raise ConfigError("gop must be at least 1")
-        if not (0 <= self.start_qp <= 51):
-            raise ConfigError("start_qp outside [0, 51]")
+        if not (QP_MIN <= self.start_qp <= QP_MAX):
+            raise ConfigError(f"start_qp outside [{QP_MIN}, {QP_MAX}]")
 
 
 @dataclass
@@ -205,7 +206,7 @@ def _controller_step(qp: int, frame_bits: float, target: float) -> int:
         qp -= 2
     elif ratio < 0.92:
         qp -= 1
-    return int(np.clip(qp, 0, 51))
+    return int(np.clip(qp, QP_MIN, QP_MAX))
 
 
 def _encode_intra(orig: np.ndarray, qp: int) -> tuple[np.ndarray, ...]:

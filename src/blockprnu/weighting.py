@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, MissingKey, SchemaError, decode_text
-from .trace import MACROBLOCK, TraceFile
+from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
 
 ANCHOR_QP = 15
 ANCHOR_LAMBDA_RATE = 60.0
@@ -145,9 +145,9 @@ def paint_blocks(block_weights: np.ndarray,
 def _qp_weights(trace: TraceFile, table: WeightTable) -> np.ndarray:
     """Table weight at each block's QP. QP tables are dense by construction,
     so a missing entry is an error, not a cue to interpolate."""
-    lut = np.full(52, np.nan)       # table weights are finite
+    lut = np.full(QP_MAX + 1, np.nan)  # table weights are finite
     for k, w in zip(table.keys, table.weights):
-        if k == int(k) and 0 <= k <= 51:
+        if k == int(k) and QP_MIN <= k <= QP_MAX:
             lut[int(k)] = w
     weights = lut[trace.qp]
     missing = np.isnan(weights)

@@ -13,7 +13,6 @@ import pytest
 from blockprnu import (
     BlockRecord,
     CalibrationRun,
-    CalibrationVideo,
     CodecConfig,
     Fingerprint,
     FingerprintAccumulator,
@@ -21,6 +20,7 @@ from blockprnu import (
     SchemeConfig,
     SensorModel,
     TraceFile,
+    Video,
     WeightTable,
     build_qp_table,
     calibrate_lambda_rate,
@@ -201,8 +201,6 @@ def _captured(model, content_seed, count=24):
 
 
 def test_criterion_05_scheme_ordering_at_low_bitrate():
-    from blockprnu import GridVideo
-
     cal_refs = {}
     cal_videos = []
     for i in range(4):
@@ -211,7 +209,7 @@ def test_criterion_05_scheme_ordering_at_low_bitrate():
         for j, qp in enumerate(CAL_QPS):
             res = encode_sequence(_captured(model, 2200 + 10 * i + j, 12),
                                   CodecConfig(qp=qp, gop=4))
-            cal_videos.append(CalibrationVideo(
+            cal_videos.append(Video(
                 camera_id=f"cal{i}", pictures=res.pictures,
                 trace=res.trace, qp=qp))
     qp_noskip, _ = calibrate_qp(cal_videos, cal_refs, include_skip=False)
@@ -229,7 +227,7 @@ def test_criterion_05_scheme_ordering_at_low_bitrate():
                 res = encode_sequence(
                     captured, CodecConfig(target_bits_per_frame=rate,
                                           gop=4, start_qp=28))
-                videos.append((rate, GridVideo(
+                videos.append((rate, Video(
                     video_id=f"c{i}v{v}r{rate}", camera_id=f"cam{i}",
                     pictures=res.pictures, trace=res.trace)))
 

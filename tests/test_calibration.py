@@ -6,7 +6,6 @@ import pytest
 from blockprnu import (
     BlockRecord,
     CalibrationRun,
-    CalibrationVideo,
     CodecConfig,
     ConfigError,
     DimensionMismatch,
@@ -18,6 +17,7 @@ from blockprnu import (
     SchemeConfig,
     SensorModel,
     TraceFile,
+    Video,
     build_lambda_rate_table,
     build_qp_table,
     calibrate_lambda_rate,
@@ -30,7 +30,7 @@ from blockprnu import (
     synthetic_clean_frames,
 )
 from blockprnu import calibration, matching, prnu
-from conftest import CountingFft
+from conftest import CountingFft, uniform_trace
 
 MB = 16
 
@@ -284,8 +284,7 @@ def camera_setup():
 def video_at_qp(model, clean, qp, seed):
     captured = simulate_capture(model, clean[:8], seed=seed)
     result = encode_sequence(captured, CodecConfig(qp=qp))
-    return CalibrationVideo(camera_id="cam", pictures=result.pictures,
-                            trace=result.trace, qp=qp)
+    return Video(result.pictures, result.trace, "cam", qp=qp)
 
 
 def test_calibrate_qp_end_to_end(camera_setup):
@@ -308,8 +307,7 @@ def test_calibrate_qp_input_checks(camera_setup):
     video = video_at_qp(model, clean, 15, 35)
     with pytest.raises(InsufficientData):
         calibrate_qp([video], {}, include_skip=False)
-    bare = CalibrationVideo(camera_id="cam", pictures=video.pictures,
-                            trace=video.trace, qp=None)
+    bare = Video(video.pictures, video.trace, "cam")
     with pytest.raises(InsufficientData):
         calibrate_qp([bare], {"cam": reference}, include_skip=False)
 
@@ -318,23 +316,20 @@ def test_calibrate_qp_checks_every_condition_before_extracting(
         camera_setup, monkeypatch):
     model, clean, reference = camera_setup
     video = video_at_qp(model, clean, 15, 35)
-    bare = CalibrationVideo(camera_id="cam", pictures=video.pictures,
-                            trace=video.trace, qp=None)
+    bare = Video(video.pictures, video.trace, "cam")
     extracted = []
     monkeypatch.setattr(prnu, "extract_residual",
                         lambda pic, config: extracted.append(pic))
     with pytest.raises(InsufficientData, match="no fixed-QP condition"):
         calibrate_qp([video, bare], {"cam": reference}, include_skip=False)
-    at_30 = CalibrationVideo(camera_id="cam", pictures=video.pictures,
-                             trace=video.trace, qp=30)
+    at_30 = Video(video.pictures, video.trace, "cam", qp=30)
     with pytest.raises(MissingAnchor, match="^camera cam has no qp=15 "):
         calibrate_qp([at_30], {"cam": reference}, include_skip=False)
     for buckets in (-3, 0):
         with pytest.raises(ConfigError, match="at least one bucket"):
             calibrate_lambda_rate([video, video], {"cam": reference},
                                   n_buckets=buckets)
-    one_frame = CalibrationVideo(camera_id="cam", pictures=video.pictures[:1],
-                                 trace=trace_of([map_with_bits(0, [10])]))
+    one_frame = Video(video.pictures[:1], uniform_trace(1, 4, 4), "cam")
     with pytest.raises(InsufficientFrames,
                        match="^splicing needs at least 2 frames, got 1$"):
         calibrate_lambda_rate([video, one_frame], {"cam": reference})
@@ -345,10 +340,10 @@ def test_calibration_video_qp_must_be_a_valid_qp(camera_setup):
     model, clean, _ = camera_setup
     video = video_at_qp(model, clean, 15, 35)
     for qp in (0, 51, None):
-        CalibrationVideo("cam", video.pictures, video.trace, qp=qp)
+        Video(video.pictures, video.trace, "cam", qp=qp)
     for qp in (-1, 52, 99):
         with pytest.raises(RangeError, match=f"qp {qp} "):
-            CalibrationVideo("cam", video.pictures, video.trace, qp=qp)
+            Video(video.pictures, video.trace, "cam", qp=qp)
 
 
 def test_calibrate_lambda_rate_end_to_end(camera_setup):

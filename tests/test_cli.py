@@ -216,13 +216,16 @@ def test_degenerate_inputs_exit_4(tmp_path):
     assert rc == 4  # but matching it is meaningless
 
 
-def test_frame_count_mismatch_is_input_error(sim, tmp_path):
+def test_frame_count_mismatch_is_input_error(sim, tmp_path, capsys):
     save_trace(uniform_trace(3, 4, 4), tmp_path / "short.trace")
+    capsys.readouterr()
     rc = run("estimate", "--frames", sim["yuv"],
              "--trace", tmp_path / "short.trace",
              "--scheme", "conventional", "--out", tmp_path / "x.bpf",
              "--workers", 1)
     assert rc == 3
+    # the error names the frames file
+    assert capsys.readouterr().err.startswith(f"error: {sim['yuv']}: ")
 
 
 def test_workers_env_var(sim, tmp_path, monkeypatch):
@@ -454,6 +457,21 @@ def test_evaluate_cli(calib):
                  (root / "out.means.txt").read_text().strip().splitlines())
     assert "conventional" in means
     assert means["ratio_conventional"] == "1"
+
+
+def test_evaluate_duplicate_video_id_exit_3_before_extracting(
+        calib, tmp_path, capsys, extractions):
+    root, _, refs = calib
+    manifest = root / "twice.csv"
+    manifest.write_text("v15,cam,v15.yuv,v15.trace\n"
+                        "v15,cam,v28.yuv,v28.trace\n")
+    capsys.readouterr()
+    assert run("evaluate", "--manifest", manifest, "--references", refs,
+               "--schemes", "conventional", "--out-prefix",
+               tmp_path / "out", "--workers", 1) == 3
+    assert capsys.readouterr().err == "error: duplicate video id 'v15'\n"
+    assert extractions == []
+    assert not (tmp_path / "out.table.txt").exists()
 
 
 def test_evaluate_scheme_validation(calib):

@@ -9,13 +9,14 @@ from blockprnu import (
     EmptyAccumulator,
     EmptyInput,
     ExperimentGrid,
-    GridVideo,
     InsufficientData,
     MatchReport,
     MissingKey,
+    SchemaError,
     SchemeConfig,
     SensorModel,
     TraceFile,
+    Video,
     WeightTable,
     bits_per_pixel,
     encode_sequence,
@@ -61,8 +62,7 @@ def eval_setup():
     clean = synthetic_clean_frames(64, 64, 8, seed=42)
     captured = simulate_capture(model, clean, seed=43)
     result = encode_sequence(captured, CodecConfig(qp=24))
-    video = GridVideo(video_id="v0", camera_id="cam",
-                      pictures=result.pictures, trace=result.trace)
+    video = Video(result.pictures, result.trace, "cam", "v0")
     return video, {"cam": reference}
 
 
@@ -102,8 +102,7 @@ def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
     # residuals are shared across schemes and videos come through one
     # pool, yet every cell is exactly what a lone estimate would give
     video, references = eval_setup
-    twin = GridVideo(video_id="v1", camera_id="cam",
-                     pictures=video.pictures, trace=video.trace)
+    twin = Video(video.pictures, video.trace, "cam", "v1")
     configs = [
         SchemeConfig("conventional"),
         SchemeConfig("skip_eliminate"),
@@ -122,8 +121,7 @@ def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
 def test_run_grid_transforms_each_reference_once_per_video(eval_setup,
                                                           monkeypatch):
     video, references = eval_setup
-    twin = GridVideo(video_id="v1", camera_id="cam",
-                     pictures=video.pictures, trace=video.trace)
+    twin = Video(video.pictures, video.trace, "cam", "v1")
     configs = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate"),
                SchemeConfig("lambda_r", neutral_lr_table())]
     counter = CountingFft(matching.sfft)
@@ -137,17 +135,24 @@ def test_run_grid_transforms_each_reference_once_per_video(eval_setup,
     assert counter.forward == 2 * 2 * len(configs)
 
 
-def test_run_grid_video_error_lands_in_every_cell(eval_setup):
+def test_empty_video_is_refused_when_built(eval_setup):
+    video, _ = eval_setup
+    with pytest.raises(EmptyAccumulator, match="^no pictures to estimate from$"):
+        Video([], video.trace, "cam", "e")
+
+
+def test_run_grid_refuses_duplicate_video_ids_before_any_extraction(
+        eval_setup, monkeypatch):
     video, references = eval_setup
-    empty = GridVideo(video_id="e", camera_id="cam", pictures=[],
-                      trace=video.trace)
-    grid = run_grid([empty, video], [SchemeConfig("conventional"),
-                                     SchemeConfig("skip_eliminate")],
-                    references)
-    assert all(isinstance(grid.cells[("e", s)], EmptyAccumulator)
-               for s in grid.schemes)
-    assert all(isinstance(grid.cells[("v0", s)], MatchReport)
-               for s in grid.schemes)
+    twin = Video(video.pictures, video.trace, "cam", "v1")
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("residuals extracted before the check")
+
+    monkeypatch.setattr(evaluation, "residual_extractor", no_extraction)
+    with pytest.raises(SchemaError, match="^duplicate video id 'v0'$"):
+        run_grid([video, twin, video], [SchemeConfig("conventional")],
+                 references)
 
 
 def test_run_grid_rejects_duplicate_schemes(eval_setup):
@@ -304,8 +309,7 @@ def test_threshold_table_rejects_bad_edges(edges):
 def test_run_grid_missing_reference_fails_before_any_extraction(eval_setup,
                                                                 monkeypatch):
     video, references = eval_setup
-    stranger = GridVideo(video_id="s", camera_id="nocam",
-                         pictures=video.pictures, trace=video.trace)
+    stranger = Video(video.pictures, video.trace, "nocam", "s")
 
     def no_extraction(*args, **kwargs):
         raise AssertionError("residuals extracted before the check")

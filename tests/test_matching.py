@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import fft
 
@@ -204,6 +204,8 @@ def reference_pce(test, reference, config=PceConfig(), threshold=60.0):
        shift=st.tuples(st.integers(0, 39), st.integers(0, 39)),
        search=st.sampled_from(["full", "zero"]),
        seed=st.integers(0, 2**32 - 1))
+@example(h=3, w=3, half=0, kind="shifted", shift=(8, 0), search="full",
+         seed=21077)
 def test_pce_matches_reference(h, w, half, kind, shift, search, seed):
     # odd and even sizes; planes narrower or shorter than the window, where
     # it wraps onto itself; peaks anywhere up to the border
@@ -236,8 +238,23 @@ def test_pce_matches_reference(h, w, half, kind, shift, search, seed):
     assert report.pce == pytest.approx(value, rel=bound)
     assert report.peak_offset == offset
     assert report.decision == decision
-    if kind != "unrelated" and search == "full":
+    # only a peak-dominated plane peaks at the planted shift by
+    # construction: under half-strength noise a small shifted plane can
+    # peak elsewhere (the 3x3 example above peaks at (2, 1), not (0, 2)),
+    # and there the reference alone decides
+    if kind == "delta" and search == "full":
         assert report.peak_offset == (sx, sy)
+
+
+def test_pce_finds_a_planted_shift_where_the_signal_dominates():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(32, 48))
+    b = np.roll(a, (5, 17), axis=(0, 1)) + 0.5 * rng.normal(size=(32, 48))
+    report = pce(a, b)
+    value, offset, decision, _ = reference_pce(a, b)
+    assert report.peak_offset == offset == (17, 5)
+    assert report.pce == pytest.approx(value, rel=1e-9)
+    assert report.decision and decision
 
 
 def peak_of(plane, chunk_rows):

@@ -31,8 +31,8 @@ from blockprnu import (
     stream_fingerprints,
     write_fingerprint,
 )
-from blockprnu import (CalibrationVideo, GridVideo, calibrate_lambda_rate,
-                       calibration, evaluation, prnu, run_grid)
+from blockprnu import (InsufficientData, Video, calibrate_lambda_rate,
+                       calibrate_qp, calibration, evaluation, prnu, run_grid)
 from blockprnu.trace import SKIP
 from conftest import uniform_trace
 
@@ -43,7 +43,7 @@ def ingest(acc, luma, residual, mask):
 
 def one_fingerprint(pictures, trace, residuals, config):
     """The pass with one scheme; that scheme's error is raised."""
-    [fp] = stream_fingerprints(pictures, trace, [config], residuals)
+    [fp] = stream_fingerprints(Video(pictures, trace), [config], residuals)
     if isinstance(fp, Exception):
         raise fp
     return fp
@@ -165,7 +165,7 @@ def test_estimate_fingerprint_argument_checks():
         estimate_fingerprint(pics, uniform_trace(2, 2, 2),
                              SchemeConfig("conventional"))
     with pytest.raises(DimensionMismatch):
-        stream_fingerprints(pics, None, [SchemeConfig("conventional")], [])
+        stream_fingerprints(Video(pics), [SchemeConfig("conventional")], [])
 
 
 def test_estimate_worker_count_does_not_change_result():
@@ -295,7 +295,7 @@ def test_stacked_masks_match_the_per_frame_loop_for_every_scheme():
     configs = [SchemeConfig(scheme, tables.get(scheme)) for scheme in SCHEMES]
     # every scheme in one pass, fed in lockstep from one stream
     stream = iter(residuals)
-    results = stream_fingerprints(pictures, trace, configs, stream)
+    results = stream_fingerprints(Video(pictures, trace), configs, stream)
     assert next(stream, None) is None
     for scheme, config, got in zip(SCHEMES, configs, results):
         want = _per_frame_fingerprint(pictures, trace, residuals, config)
@@ -350,6 +350,45 @@ def test_stack_trace_and_table_are_checked_before_any_extraction(monkeypatch):
         estimate_fingerprint(pictures, trace, qp_all)
     with pytest.raises(DimensionMismatch, match="3 pictures vs 4 trace"):
         estimate_fingerprint(pictures[:3], trace, conventional)
+    assert extracted == []
+
+
+def test_grid_and_calibrations_refuse_a_bad_video_before_extracting(
+        monkeypatch):
+    extracted = []
+    monkeypatch.setattr(prnu, "extract_residual",
+                        lambda luma, config: extracted.append(luma))
+    conventional = SchemeConfig("conventional")
+    references = {"cam": Fingerprint(k_values=np.ones((128, 128)),
+                                     support=np.ones((128, 128), bool))}
+    consumers = [
+        lambda videos: run_grid(videos, [conventional], references),
+        lambda videos: calibrate_qp(videos, references, include_skip=False),
+        lambda videos: calibrate_lambda_rate(videos, references),
+    ]
+    pictures = np.full((4, 128, 128), 100, np.uint8)
+    traced = Video(pictures, uniform_trace(4, 8, 8), "cam", "t", qp=15)
+    # a 128x128 stack with a 64x64 trace
+    with pytest.raises(DimensionMismatch,
+                       match="^128x128 pictures vs 64x64 trace$"):
+        estimate_fingerprint(pictures, uniform_trace(4, 4, 4), conventional)
+    for run in consumers:
+        with pytest.raises(DimensionMismatch,
+                           match="^128x128 pictures vs 64x64 trace$"):
+            run([traced,
+                 Video(pictures, uniform_trace(4, 4, 4), "cam", "v", qp=15)])
+        # 3 pictures on a 4-frame trace
+        with pytest.raises(DimensionMismatch,
+                           match="^3 pictures vs 4 trace frames$"):
+            run([traced,
+                 Video(pictures[:3], uniform_trace(4, 8, 8), "cam", "v",
+                       qp=15)])
+        # a video without a trace, which each of these needs
+        with pytest.raises(InsufficientData, match="^video v has no trace$"):
+            run([traced, Video(pictures, None, "cam", "v", qp=15)])
+        with pytest.raises(InsufficientData,
+                           match="^video of camera cam has no trace$"):
+            run([traced, Video(pictures, None, "cam", qp=15)])
     assert extracted == []
 
 
@@ -417,10 +456,10 @@ def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
         "estimate_fingerprint": lambda: estimate_fingerprint(
             pictures, trace, schemes[0], workers=workers),
         "run_grid": lambda: run_grid(
-            [GridVideo("v", "cam", pictures, trace)], schemes, references,
+            [Video(pictures, trace, "cam", "v")], schemes, references,
             workers=workers),
         "calibrate_lambda_rate": lambda: calibrate_lambda_rate(
-            [CalibrationVideo("cam", pictures, trace)], references,
+            [Video(pictures, trace, "cam")], references,
             n_buckets=1, workers=workers),
     }
     for name, run in drivers.items():
