@@ -16,7 +16,7 @@ runs = [CalibrationRun("alpha", samples=[(15, 800.0), (27, 392.0),
                                          (39, 98.0)]),
         CalibrationRun("beta", samples=[(15, 450.0), (27, 288.0),
                                         (39, 32.0)])]
-table, report = build_qp_table(runs, anchor_qp=15)
+table, report = build_qp_table(runs)
 print("hand-checkable weights:")
 for qp in (15, 27, 39):
     print(f"  QP {qp}: {table.weight_exact(qp):.4f}")

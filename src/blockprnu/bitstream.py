@@ -42,9 +42,6 @@ class BitReader:
         self._data = data
         self._pos = 0  # in bits
 
-    def bits_left(self) -> int:
-        return 8 * len(self._data) - self._pos
-
     def read_bit(self) -> int:
         if self._pos >= 8 * len(self._data):
             raise BitstreamExhausted("read past end of payload")

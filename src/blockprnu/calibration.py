@@ -1,16 +1,16 @@
 """
-Weight-table calibration from matching experiments.
+Weight-table calibration from matching experiments, which both drivers
+run through `evaluation.match_videos`.
 
-QP tables: videos coded at fixed QP levels yield per-camera PCE curves,
-each normalized at the anchor QP (15), averaged across cameras, and turned
+Both tables come from one fit: per-camera PCE curves, normalized at a
+fixed anchor (QP 15, lambda*rate 60), averaged across cameras and turned
 into weights by a square root (PCE scales like the square of pattern
-energy, weights should scale linearly).
-
-lambda*rate tables: residual blocks of one video are spliced by rank of
-their lambda*rate per block position, giving frames of roughly uniform
-cost whose mean lambda*rate maps to a PCE observation. Observations are
-pooled into equal-population buckets, normalized at the bucket containing
-lambda*rate = 60, averaged, rooted, and keyed by bucket centers.
+energy, weights should scale linearly). QP tables bin fixed-QP encodes by
+QP and are densified over 0..51. For lambda*rate tables, residual blocks
+of one video are spliced by rank of their lambda*rate per block position,
+giving frames of roughly uniform cost whose mean lambda*rate is one
+observation; observations are pooled into equal-population buckets keyed
+by their mean lambda*rate.
 """
 from __future__ import annotations
 
@@ -22,10 +22,10 @@ import numpy as np
 from .errors import (BlockPrnuError, ConfigError, DimensionMismatch,
                      EmptyBucket, InsufficientData, InsufficientFrames,
                      MissingAnchor)
-from .matching import PceConfig, ReferenceSpectrum, pce
+from .evaluation import match_videos
+from .matching import PceConfig
 from .noise import DenoiseConfig
-from .prnu import (Fingerprint, Video, require_inputs, residual_extractor,
-                   stream_fingerprints)
+from .prnu import Fingerprint, Video, require_inputs, stream_fingerprints
 from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
 from .weighting import ANCHOR_LAMBDA_RATE, ANCHOR_QP, SchemeConfig, WeightTable
 
@@ -120,37 +120,61 @@ def splice_by_lambda_rate(residuals: Iterable[np.ndarray],
 # table construction from observations
 # ---------------------------------------------------------------------------
 
-def build_qp_table(runs: Sequence[CalibrationRun], anchor_qp: int = ANCHOR_QP,
-                   scheme: str = "qp_noskip") -> tuple[WeightTable, list[str]]:
-    """Normalize-average-root over per-camera QP curves, then densify.
-
-    Returns the table plus audit report lines
-    (camera,qp,raw_pce,normalized_pce).
-    """
+def _fit(runs: Sequence[CalibrationRun], bin_of, anchor: float, missing,
+         what: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Normalize-average-root: each camera's mean PCE (floored at
+    PCE_FLOOR) per integer bin `bin_of` of its finite keys, over its mean
+    in the anchor's bin (else `missing(camera_id)` is raised), averaged
+    across cameras and rooted. A bin is keyed by its samples' mean key and
+    the anchor by itself, at weight 1. Returns the keys, weights and
+    report lines (camera,bin,raw_pce,normalized_pce)."""
     if not runs or all(not r.samples for r in runs):
-        raise InsufficientData("no QP observations")
-    report: list[str] = []
-    normalized: dict[int, list[float]] = {}
+        raise InsufficientData(f"no {what} observations")
+    anchor_bin = int(bin_of(anchor))
+    report, normalized, pooled_keys = [], {}, {}  # PCEs and keys per bin
     for run in sorted(runs, key=lambda r: r.camera_id):
-        by_qp: dict[int, list[float]] = {}
-        for key, value in run.samples:
-            by_qp.setdefault(int(round(key)), []).append(max(value, PCE_FLOOR))
-        means = {q: float(np.mean(v)) for q, v in by_qp.items()}
-        if anchor_qp not in means:
-            raise MissingAnchor(f"camera {run.camera_id} has no qp={anchor_qp} "
-                                f"observation")
-        anchor_value = means[anchor_qp]
-        for q in sorted(means):
-            norm = means[q] / anchor_value
-            normalized.setdefault(q, []).append(norm)
-            report.append(f"{run.camera_id},{q},{means[q]!r},{norm!r}")
-    keys = np.array(sorted(normalized), dtype=np.float64)
-    weights = np.array([np.sqrt(np.mean(normalized[int(q)])) for q in keys])
-    anchor_pos = int(np.flatnonzero(keys == anchor_qp)[0])
-    weights[anchor_pos] = 1.0
+        clean = [(key, max(p, PCE_FLOOR)) for key, p in run.samples
+                 if np.isfinite(key)]
+        if not clean:
+            continue
+        keys, pces = np.array(clean, dtype=np.float64).T
+        bins = bin_of(keys)
+        means: dict[int, float] = {}
+        for b in np.unique(bins):
+            sel = bins == b
+            means[int(b)] = float(pces[sel].mean())
+            pooled_keys.setdefault(int(b), []).extend(keys[sel].tolist())
+        if anchor_bin not in means:
+            raise missing(run.camera_id)
+        for b in sorted(means):
+            norm = means[b] / means[anchor_bin]
+            normalized.setdefault(b, []).append(norm)
+            report.append(f"{run.camera_id},{b},{means[b]!r},{norm!r}")
+    if not normalized:
+        raise InsufficientData(f"no usable {what} observations")
+    keys = np.array([np.mean(pooled_keys[b]) for b in sorted(normalized)])
+    weights = np.array([np.sqrt(np.mean(normalized[b]))
+                        for b in sorted(normalized)])
+    if anchor in keys:
+        weights[keys == anchor] = 1.0
+    else:
+        pos = int(np.searchsorted(keys, anchor))
+        keys = np.insert(keys, pos, anchor)
+        weights = np.insert(weights, pos, 1.0)
+    return keys, weights, report
+
+
+def build_qp_table(runs: Sequence[CalibrationRun],
+                   scheme: str = "qp_noskip") -> tuple[WeightTable, list[str]]:
+    """`_fit` of (QP, PCE) samples binned by rounded QP, anchored at
+    ANCHOR_QP, and densified over every QP (clamped outside the observed
+    ones); report lines are camera,qp,raw_pce,normalized_pce."""
+    keys, weights, report = _fit(
+        runs, np.rint, ANCHOR_QP, lambda camera_id: MissingAnchor(
+            f"camera {camera_id} has no qp={ANCHOR_QP} observation"), "QP")
     dense = np.interp(QP_RANGE.astype(np.float64), keys, weights)
     table = WeightTable(scheme=scheme, keys=QP_RANGE.astype(np.float64),
-                        weights=dense, anchor_key=float(anchor_qp))
+                        weights=dense, anchor_key=float(ANCHOR_QP))
     return table, report
 
 
@@ -171,67 +195,22 @@ def _bucket_index(edges: np.ndarray, values) -> np.ndarray:
 
 
 def build_lambda_rate_table(runs: Sequence[CalibrationRun],
-                            bucket_edges: np.ndarray,
-                            anchor_lr: float = ANCHOR_LAMBDA_RATE
+                            bucket_edges: np.ndarray
                             ) -> tuple[WeightTable, list[str]]:
-    """Bucket (mean lambda*rate, PCE) samples, normalize at the anchor bucket,
-    average across cameras, take the square root.
-
-    The anchor key (lambda*rate = 60, weight exactly 1) is inserted into the
-    final table so interpolation is exact at the anchor.
-    """
-    if not runs or all(not r.samples for r in runs):
-        raise InsufficientData("no lambda*rate observations")
+    """`_fit` of (mean lambda*rate, PCE) samples binned by the buckets
+    between `bucket_edges` and anchored at ANCHOR_LAMBDA_RATE; report
+    lines are camera,bucket,raw_pce,normalized_pce."""
     edges = np.asarray(bucket_edges, dtype=np.float64)
-    n_buckets = edges.size - 1
-    if n_buckets < 1:
+    if edges.size < 2 and any(r.samples for r in runs):
         raise InsufficientData("need at least one bucket")
-    anchor_bucket = int(_bucket_index(edges, [anchor_lr])[0])
-
-    report: list[str] = []
-    normalized: dict[int, list[float]] = {}
-    centers_pool: dict[int, list[float]] = {}
-    for run in sorted(runs, key=lambda r: r.camera_id):
-        clean = [(lr, max(p, PCE_FLOOR)) for lr, p in run.samples
-                 if np.isfinite(lr)]
-        if not clean:
-            continue
-        lrs = np.array([c[0] for c in clean])
-        pces = np.array([c[1] for c in clean])
-        buckets = _bucket_index(edges, lrs)
-        means: dict[int, float] = {}
-        for b in np.unique(buckets):
-            sel = buckets == b
-            means[int(b)] = float(pces[sel].mean())
-            centers_pool.setdefault(int(b), []).extend(lrs[sel].tolist())
-        if anchor_bucket not in means:
-            raise EmptyBucket(f"camera {run.camera_id} has no sample in the "
-                              f"anchor bucket (lambda*rate {anchor_lr})")
-        anchor_value = means[anchor_bucket]
-        for b in sorted(means):
-            norm = means[b] / anchor_value
-            normalized.setdefault(b, []).append(norm)
-            report.append(f"{run.camera_id},{b},{means[b]!r},{norm!r}")
-
-    if not normalized:
-        raise InsufficientData("no usable lambda*rate observations")
-    keys = []
-    weights = []
-    for b in sorted(normalized):
-        keys.append(float(np.mean(centers_pool[b])))
-        weights.append(float(np.sqrt(np.mean(normalized[b]))))
-    keys = np.array(keys)
-    weights = np.array(weights)
-
-    # exact anchor entry so interpolation at 60 gives exactly 1
-    if anchor_lr in keys:
-        weights[keys == anchor_lr] = 1.0
-    else:
-        pos = int(np.searchsorted(keys, anchor_lr))
-        keys = np.insert(keys, pos, anchor_lr)
-        weights = np.insert(weights, pos, 1.0)
+    keys, weights, report = _fit(
+        runs, lambda values: _bucket_index(edges, values), ANCHOR_LAMBDA_RATE,
+        lambda camera_id: EmptyBucket(
+            f"camera {camera_id} has no sample in the anchor bucket "
+            f"(lambda*rate {ANCHOR_LAMBDA_RATE})"),
+        "lambda*rate")
     table = WeightTable(scheme="lambda_r", keys=keys, weights=weights,
-                        anchor_key=float(anchor_lr))
+                        anchor_key=float(ANCHOR_LAMBDA_RATE))
     return table, report
 
 
@@ -239,49 +218,61 @@ def build_lambda_rate_table(runs: Sequence[CalibrationRun],
 # drivers over decoded videos
 # ---------------------------------------------------------------------------
 
+def _calibration_runs(videos, references, planes, denoise_config, pce_config,
+                      workers) -> list[CalibrationRun]:
+    """One CalibrationRun per camera of the (key, PCE) samples that
+    `match_videos` gives; the first error is raised before the next video
+    is extracted."""
+    runs: dict[str, CalibrationRun] = {}
+    for video, matches in match_videos(videos, references, planes,
+                                       denoise_config, pce_config,
+                                       workers=workers):
+        run = runs.setdefault(video.camera_id,
+                              CalibrationRun(camera_id=video.camera_id))
+        for key, match in matches:
+            if isinstance(match, BlockPrnuError):
+                raise match
+            run.samples.append((key, match.pce))
+    return list(runs.values())
+
+
 def calibrate_qp(videos: Sequence[Video],
                  references: dict[str, Fingerprint],
                  include_skip: bool,
-                 anchor_qp: int = ANCHOR_QP,
                  denoise_config: DenoiseConfig = DenoiseConfig(),
                  pce_config: PceConfig = PceConfig(),
                  workers: int = 1) -> tuple[WeightTable, list[str]]:
-    """Fit a QP weight table from fixed-QP encodes of known cameras.
+    """Fit a QP weight table from fixed-QP encodes of known cameras: one
+    fingerprint per video, matched against its camera's reference.
 
     include_skip chooses whether skip blocks contribute to the per-video
     fingerprints (True fits the table used by the all-blocks scheme, False
-    the coded-only variant, whose videos need traces).
+    the coded-only variant, whose videos need traces). Every video needs
+    a QP, and every camera a video at ANCHOR_QP, checked before any
+    extraction.
     """
     scheme = SchemeConfig("conventional" if include_skip else "skip_eliminate")
-    runs: dict[str, CalibrationRun] = {}
     require_inputs(videos, references, traced=not include_skip)
+    qps: dict[str, list] = {}
     for video in videos:
         if video.qp is None:
             raise InsufficientData(f"video of camera {video.camera_id} "
                                    f"has no fixed-QP condition")
-    # build_qp_table's anchor rule, checked before any extraction
-    unanchored = sorted({v.camera_id for v in videos}
-                        - {v.camera_id for v in videos if v.qp == anchor_qp})
-    if unanchored:
-        raise MissingAnchor(f"camera {unanchored[0]} has no qp={anchor_qp} "
-                            f"observation")
-    with residual_extractor(denoise_config, workers) as extract:
-        for video in videos:
-            [fp] = stream_fingerprints(video, [scheme], extract(video.pictures))
-            if isinstance(fp, BlockPrnuError):
-                raise fp
-            match = pce(fp, references[video.camera_id], pce_config)
-            run = runs.setdefault(video.camera_id,
-                                  CalibrationRun(camera_id=video.camera_id))
-            run.samples.append((float(video.qp), match.pce))
-    return build_qp_table(list(runs.values()), anchor_qp=anchor_qp,
-                          scheme="qp_all" if include_skip else "qp_noskip")
+        qps.setdefault(video.camera_id, []).append((video.qp, 1.0))
+    build_qp_table([CalibrationRun(c, s) for c, s in qps.items()])  # anchors
+
+    def fingerprint(video, residuals):
+        [fp] = stream_fingerprints(video, [scheme], residuals)
+        return [(float(video.qp), fp)]
+
+    runs = _calibration_runs(videos, references, fingerprint, denoise_config,
+                             pce_config, workers)
+    return build_qp_table(runs, "qp_all" if include_skip else "qp_noskip")
 
 
 def calibrate_lambda_rate(videos: Sequence[Video],
                           references: dict[str, Fingerprint],
                           n_buckets: int = 20,
-                          anchor_lr: float = ANCHOR_LAMBDA_RATE,
                           include_skip: bool = False,
                           denoise_config: DenoiseConfig = DenoiseConfig(),
                           pce_config: PceConfig = PceConfig(),
@@ -297,27 +288,20 @@ def calibrate_lambda_rate(videos: Sequence[Video],
     """
     if n_buckets < 1:
         raise ConfigError(f"need at least one bucket, got {n_buckets}")
-    runs: dict[str, CalibrationRun] = {}
     require_inputs(videos, references, traced=True)
     for video in videos:
         _splice_frames(video.trace)
-    with residual_extractor(denoise_config, workers) as extract:
-        for video in videos:
-            spliced = splice_by_lambda_rate(extract(video.pictures),
-                                            video.trace,
-                                            include_skip=include_skip)
-            run = runs.setdefault(video.camera_id,
-                                  CalibrationRun(camera_id=video.camera_id))
-            spectrum = ReferenceSpectrum(references[video.camera_id])
-            for values, mean_lr in zip(spliced.values,
-                                       spliced.mean_lambda_rate):
-                if not np.isfinite(mean_lr) or not values.any():
-                    continue
-                match = pce(values, spectrum, pce_config)
-                run.samples.append((float(mean_lr), match.pce))
-    all_samples = [lr for run in runs.values() for lr, _ in run.samples]
+
+    def spliced_frames(video, residuals):
+        spliced = splice_by_lambda_rate(residuals, video.trace, include_skip)
+        return [(float(mean_lr), values) for values, mean_lr
+                in zip(spliced.values, spliced.mean_lambda_rate)
+                if np.isfinite(mean_lr) and values.any()]
+
+    runs = _calibration_runs(videos, references, spliced_frames,
+                             denoise_config, pce_config, workers)
+    all_samples = [lr for run in runs for lr, _ in run.samples]
     if not all_samples:
         raise InsufficientData("no spliced frames produced observations")
-    return build_lambda_rate_table(list(runs.values()),
-                                   quantile_bucket_edges(all_samples, n_buckets),
-                                   anchor_lr=anchor_lr)
+    return build_lambda_rate_table(runs, quantile_bucket_edges(all_samples,
+                                                               n_buckets))

@@ -32,8 +32,7 @@ from .noise import DenoiseConfig, read_yuv420, write_yuv420
 from .prnu import (Fingerprint, Video, estimate_fingerprint,
                    read_fingerprint, resolve_workers, write_fingerprint)
 from .trace import BLOCK_TYPES, bits_per_pixel, skipped_block_rate
-from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP,
-                        SchemeConfig, WeightTable)
+from .weighting import ALL_SCHEMES, SchemeConfig, WeightTable
 
 
 def _outpath(path: str | Path) -> Path:
@@ -251,14 +250,12 @@ def cmd_calibrate(args) -> int:
     if args.mode == "qp":
         table, report = calibrate_qp(videos, references,
                                      include_skip=args.include_skip,
-                                     anchor_qp=args.anchor_qp,
                                      denoise_config=denoise,
                                      pce_config=pce_config,
                                      workers=workers)
     else:
         table, report = calibrate_lambda_rate(videos, references,
                                               n_buckets=args.buckets,
-                                              anchor_lr=args.anchor_lambda_rate,
                                               include_skip=args.include_skip,
                                               denoise_config=denoise,
                                               pce_config=pce_config,
@@ -327,9 +324,11 @@ def _add_denoise_flags(p: argparse.ArgumentParser) -> None:
                    help="assumed noise variance for the Wiener step")
 
 
-def _add_match_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="PCE decision threshold (default 60)")
+def _add_match_flags(p: argparse.ArgumentParser,
+                     threshold: bool = True) -> None:
+    if threshold:
+        p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                       help="PCE decision threshold (default 60)")
     p.add_argument("--exclusion", type=int, default=11,
                    help="peak exclusion window width (default 11 for 11x11)")
     p.add_argument("--search", choices=("full", "zero"), default="full",
@@ -423,17 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="weight table output path")
     p.add_argument("--report", default=None,
                    help="write per-camera observation lines here")
-    p.add_argument("--anchor-qp", type=int, default=ANCHOR_QP,
-                   help="QP whose weight is fixed to 1 (default 15)")
-    p.add_argument("--anchor-lambda-rate", type=float,
-                   default=ANCHOR_LAMBDA_RATE,
-                   help="lambda*rate whose weight is fixed to 1 (default 60)")
     p.add_argument("--buckets", type=int, default=20,
                    help="equal-population lambda*rate buckets (default 20)")
     p.add_argument("--include-skip", action="store_true",
                    help="let skip blocks contribute (qp_all-style tables)")
     _add_denoise_flags(p)
-    _add_match_flags(p)
+    _add_match_flags(p, threshold=False)
     _add_workers_flag(p)
     p.set_defaults(func=cmd_calibrate)
 

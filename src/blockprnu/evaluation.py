@@ -1,7 +1,7 @@
 """
-Experiment orchestration and reporting: scheme-by-scheme matching grids,
-detection-count tables grouped by bits per pixel, ROC curves, and skip-rate
-summaries.
+Experiment orchestration and reporting: the per-video match pass under
+scheme-by-scheme matching grids and both calibrations, detection-count
+tables grouped by bits per pixel, ROC curves, and skip-rate summaries.
 
 Tables and curves are emitted as structured text plus plot-ready coordinate
 lines; nothing here draws.
@@ -46,12 +46,11 @@ def run_grid(videos: Sequence[Video],
 
     Before any extraction, the schemes must be distinct (ConfigError), the
     video ids distinct (SchemaError naming the id), and every video must
-    have a trace and a reference of its camera (InsufficientData). Each
-    video's residuals then stream once, through one worker pool for the
-    whole grid, into `stream_fingerprints`, which feeds all of its schemes
-    in lockstep; the schemes also share one transform of the video's
-    camera reference. A failing cell stores its error and the rest of the
-    grid proceeds.
+    have a trace and a reference of its camera (InsufficientData). Then
+    `match_videos` streams each video's residuals once into
+    `stream_fingerprints`, which feeds all of its schemes in lockstep, and
+    matches them against one transform of the camera reference. A failing
+    cell stores its error and the rest of the grid proceeds.
     """
     schemes = [c.scheme for c in scheme_configs]
     if len(set(schemes)) != len(schemes):
@@ -68,20 +67,45 @@ def run_grid(videos: Sequence[Video],
     if "loop_filter_only" in schemes:
         grid.notes.append("loop_filter_only duplicates conventional masks: "
                           "the simulator codec has no in-loop filter")
+
+    def fingerprints(video, residuals):
+        return zip(((video.video_id, s) for s in schemes),
+                   stream_fingerprints(video, scheme_configs, residuals))
+
+    for _, matches in match_videos(videos, references, fingerprints,
+                                   denoise_config, pce_config, threshold,
+                                   workers):
+        grid.cells.update(matches)
+    return grid
+
+
+def match_videos(videos: Sequence[Video], references: dict[str, Fingerprint],
+                 planes, denoise_config: DenoiseConfig, pce_config: PceConfig,
+                 threshold: float = DEFAULT_THRESHOLD, workers: int = 1):
+    """The per-video match pass of `run_grid` and both calibrations.
+
+    Each video's residuals stream once, in order and through one worker
+    pool for the whole call, into ``planes(video, residuals)``, which
+    returns (key, plane or BlockPrnuError) pairs; every plane is matched
+    against one transform of the camera's reference. Yields (video,
+    [(key, MatchReport or the plane's or `pce`'s BlockPrnuError)]). The
+    pool shuts down when the iteration ends or the generator is closed.
+    """
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:
-            keys = [(video.video_id, s) for s in schemes]
-            results = stream_fingerprints(video, scheme_configs,
-                                          extract(video.pictures))
+            pairs = planes(video, extract(video.pictures))
             reference = ReferenceSpectrum(references[video.camera_id])
-            for key, fp in zip(keys, results):
-                try:
-                    grid.cells[key] = (fp if isinstance(fp, BlockPrnuError)
-                                       else pce(fp, reference, pce_config,
-                                                threshold))
-                except BlockPrnuError as exc:
-                    grid.cells[key] = exc
-    return grid
+            yield video, [(key, _match(plane, reference, pce_config,
+                                       threshold)) for key, plane in pairs]
+
+
+def _match(plane, reference, pce_config, threshold):
+    if isinstance(plane, BlockPrnuError):
+        return plane
+    try:
+        return pce(plane, reference, pce_config, threshold)
+    except BlockPrnuError as exc:
+        return exc
 
 
 def scheme_mean_pce(grid: ExperimentGrid,

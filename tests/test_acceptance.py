@@ -369,7 +369,7 @@ def test_criterion_08_qp_calibration_hand_values():
         CalibrationRun("b", samples=[(15.0, 900.0), (30.0, 144.0),
                                      (45.0, 36.0)]),
     ]
-    table, report = build_qp_table(runs, anchor_qp=15)
+    table, report = build_qp_table(runs)
     assert table.weight_exact(15) == 1.0
     want30 = math.sqrt((100.0 / 400.0 + 144.0 / 900.0) / 2.0)
     want45 = math.sqrt((25.0 / 400.0 + 36.0 / 900.0) / 2.0)

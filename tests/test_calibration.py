@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprnu import (
+    AllMaskedOut,
     BlockRecord,
     CalibrationRun,
     CodecConfig,
@@ -29,7 +32,9 @@ from blockprnu import (
     splice_by_lambda_rate,
     synthetic_clean_frames,
 )
-from blockprnu import calibration, matching, prnu
+from blockprnu import evaluation, matching, prnu
+from blockprnu.calibration import PCE_FLOOR, QP_RANGE, _bucket_index
+from blockprnu.weighting import WeightTable
 from conftest import CountingFft, uniform_trace
 
 MB = 16
@@ -269,6 +274,153 @@ def test_lambda_rate_table_error_cases():
             [CalibrationRun("a", samples=[(20.0, 5.0)])], edges)
 
 
+# ---------------------------------------------------------------------------
+# the shared fit against the two separate builders it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_qp_table(runs, anchor_qp=15, scheme="qp_noskip"):
+    """The QP builder before the shared fit, kept as the oracle."""
+    if not runs or all(not r.samples for r in runs):
+        raise InsufficientData("no QP observations")
+    report = []
+    normalized = {}
+    for run in sorted(runs, key=lambda r: r.camera_id):
+        by_qp = {}
+        for key, value in run.samples:
+            by_qp.setdefault(int(round(key)), []).append(max(value, PCE_FLOOR))
+        means = {q: float(np.mean(v)) for q, v in by_qp.items()}
+        if anchor_qp not in means:
+            raise MissingAnchor(f"camera {run.camera_id} has no qp={anchor_qp} "
+                                f"observation")
+        anchor_value = means[anchor_qp]
+        for q in sorted(means):
+            norm = means[q] / anchor_value
+            normalized.setdefault(q, []).append(norm)
+            report.append(f"{run.camera_id},{q},{means[q]!r},{norm!r}")
+    keys = np.array(sorted(normalized), dtype=np.float64)
+    weights = np.array([np.sqrt(np.mean(normalized[int(q)])) for q in keys])
+    anchor_pos = int(np.flatnonzero(keys == anchor_qp)[0])
+    weights[anchor_pos] = 1.0
+    dense = np.interp(QP_RANGE.astype(np.float64), keys, weights)
+    table = WeightTable(scheme=scheme, keys=QP_RANGE.astype(np.float64),
+                        weights=dense, anchor_key=float(anchor_qp))
+    return table, report
+
+
+def oracle_lambda_rate_table(runs, bucket_edges, anchor_lr=60.0):
+    """The lambda*rate builder before the shared fit, kept as the oracle."""
+    if not runs or all(not r.samples for r in runs):
+        raise InsufficientData("no lambda*rate observations")
+    edges = np.asarray(bucket_edges, dtype=np.float64)
+    n_buckets = edges.size - 1
+    if n_buckets < 1:
+        raise InsufficientData("need at least one bucket")
+    anchor_bucket = int(_bucket_index(edges, [anchor_lr])[0])
+    report = []
+    normalized = {}
+    centers_pool = {}
+    for run in sorted(runs, key=lambda r: r.camera_id):
+        clean = [(lr, max(p, PCE_FLOOR)) for lr, p in run.samples
+                 if np.isfinite(lr)]
+        if not clean:
+            continue
+        lrs = np.array([c[0] for c in clean])
+        pces = np.array([c[1] for c in clean])
+        buckets = _bucket_index(edges, lrs)
+        means = {}
+        for b in np.unique(buckets):
+            sel = buckets == b
+            means[int(b)] = float(pces[sel].mean())
+            centers_pool.setdefault(int(b), []).extend(lrs[sel].tolist())
+        if anchor_bucket not in means:
+            raise EmptyBucket(f"camera {run.camera_id} has no sample in the "
+                              f"anchor bucket (lambda*rate {anchor_lr})")
+        anchor_value = means[anchor_bucket]
+        for b in sorted(means):
+            norm = means[b] / anchor_value
+            normalized.setdefault(b, []).append(norm)
+            report.append(f"{run.camera_id},{b},{means[b]!r},{norm!r}")
+    if not normalized:
+        raise InsufficientData("no usable lambda*rate observations")
+    keys = []
+    weights = []
+    for b in sorted(normalized):
+        keys.append(float(np.mean(centers_pool[b])))
+        weights.append(float(np.sqrt(np.mean(normalized[b]))))
+    keys = np.array(keys)
+    weights = np.array(weights)
+    if anchor_lr in keys:
+        weights[keys == anchor_lr] = 1.0
+    else:
+        pos = int(np.searchsorted(keys, anchor_lr))
+        keys = np.insert(keys, pos, anchor_lr)
+        weights = np.insert(weights, pos, 1.0)
+    table = WeightTable(scheme="lambda_r", keys=keys, weights=weights,
+                        anchor_key=float(anchor_lr))
+    return table, report
+
+
+def outcome(build, *args):
+    """The table text and report lines of a build, or its error's type and
+    message."""
+    try:
+        table, report = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.to_text(), report
+
+
+PCES = st.one_of(st.floats(-50.0, 5000.0), st.sampled_from([0.0, -3.0]))
+CAMERAS = st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
+                   unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cameras=CAMERAS, data=st.data())
+def test_qp_fit_matches_the_separate_builder(cameras, data):
+    # repeated QPs, non-positive PCE and cameras without a QP-15 sample;
+    # the one difference is a run without samples, which the fit skips
+    qps = st.sampled_from([15.0, 15.0, 0.0, 24.0, 33.0, 51.0])
+    runs = [CalibrationRun(cam, data.draw(st.lists(st.tuples(qps, PCES),
+                                                   max_size=6)))
+            for cam in cameras]
+    got = outcome(build_qp_table, runs)
+    sampled = [r for r in runs if r.samples]
+    if sampled and len(sampled) < len(runs):
+        assert outcome(oracle_qp_table, runs)[0] is MissingAnchor
+        assert got == outcome(oracle_qp_table, sampled)
+    else:
+        assert got == outcome(oracle_qp_table, runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cameras=CAMERAS, buckets=st.integers(1, 5), data=st.data())
+def test_lambda_rate_fit_matches_the_separate_builder(cameras, buckets, data):
+    # the oracle also drops non-finite keys and skips a run left without
+    # samples, so no input differs; edges are the drivers' quantiles
+    # where any key is finite
+    keys = st.one_of(st.floats(1.0, 600.0), st.sampled_from(
+        [60.0, float("inf"), float("-inf"), float("nan")]))
+    runs = [CalibrationRun(cam, data.draw(st.lists(st.tuples(keys, PCES),
+                                                   max_size=8)))
+            for cam in cameras]
+    finite = [k for r in runs for k, _ in r.samples if np.isfinite(k)]
+    edges = (quantile_bucket_edges(finite, buckets) if finite
+             else np.linspace(0.0, 600.0, buckets + 1))
+    assert (outcome(build_lambda_rate_table, runs, edges)
+            == outcome(oracle_lambda_rate_table, runs, edges))
+
+
+def test_qp_fit_skips_a_camera_without_samples():
+    runs = [CalibrationRun("a", samples=[(15.0, 400.0), (30.0, 100.0)]),
+            CalibrationRun("b")]
+    with pytest.raises(MissingAnchor, match="^camera b has no qp=15 "):
+        oracle_qp_table(runs)
+    table, report = build_qp_table(runs)
+    assert table.weight_exact(30) == pytest.approx(0.5, abs=1e-12)
+    assert report == ["a,15,400.0,1.0", "a,30,100.0,0.25"]
+
+
 @pytest.fixture(scope="module")
 def camera_setup():
     model = SensorModel.random(64, 64, k_strength=0.05, seed=30)
@@ -300,6 +452,39 @@ def test_calibrate_qp_end_to_end(camera_setup):
 
     all_blocks, _ = calibrate_qp(videos, {"cam": reference}, include_skip=True)
     assert all_blocks.scheme == "qp_all"
+
+
+def test_calibrate_qp_worker_invariance(camera_setup, pool_spawns,
+                                       tmp_path):
+    model, clean, reference = camera_setup
+    videos = [video_at_qp(model, clean, 15, 33),
+              video_at_qp(model, clean, 30, 34)]
+    outputs = []
+    for workers in (1, 2):
+        table, report = calibrate_qp(videos, {"cam": reference},
+                                     include_skip=False, workers=workers)
+        path = tmp_path / f"w{workers}.wt"
+        table.save(path)
+        outputs.append((path.read_bytes(), report))
+    assert outputs[0] == outputs[1]
+    assert pool_spawns == [2]  # one pool for both videos, none at workers=1
+
+
+def test_calibrate_qp_raises_the_first_error_before_the_next_video(
+        camera_setup, monkeypatch):
+    # an all-skip trace leaves the coded-only fingerprint without support
+    model, clean, reference = camera_setup
+    video = video_at_qp(model, clean, 15, 33)
+    skipped = Video(video.pictures, uniform_trace(8, 4, 4, "SKIP", qp=15),
+                    "cam", qp=15)
+    extracted = []
+    real = prnu.extract_residual
+    monkeypatch.setattr(prnu, "extract_residual",
+                        lambda luma, config: extracted.append(luma)
+                        or real(luma, config))
+    with pytest.raises(AllMaskedOut):
+        calibrate_qp([skipped, video], {"cam": reference}, include_skip=False)
+    assert len(extracted) == len(skipped.pictures)
 
 
 def test_calibrate_qp_input_checks(camera_setup):
@@ -393,7 +578,7 @@ def test_calibrate_lambda_rate_transforms_each_reference_once_per_video(
     matches = counter.forward - len(videos)
     assert matches >= len(videos)
     # the table is that of matching every spliced frame against the array
-    monkeypatch.setattr(calibration, "ReferenceSpectrum", lambda r: r)
+    monkeypatch.setattr(evaluation, "ReferenceSpectrum", lambda r: r)
     counter.forward = 0
     again, again_report = calibrate_lambda_rate(videos, {"cam": reference},
                                                 n_buckets=3)

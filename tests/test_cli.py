@@ -311,6 +311,20 @@ def test_calibrate_lambda_cli(calib):
     assert table.weight_interp(60.0) == 1.0
 
 
+@pytest.mark.parametrize("flag", ["--threshold", "--anchor-qp",
+                                  "--anchor-lambda-rate"])
+def test_calibrate_has_no_threshold_or_anchor_flag_exit_2(calib, tmp_path,
+                                                        flag):
+    # calibration takes no decision, and its anchors are fixed at 15 and 60
+    root, manifest, refs = calib
+    with pytest.raises(SystemExit) as err:
+        run("calibrate", "--mode", "qp", "--manifest", manifest,
+            "--references", refs, "--out", tmp_path / "t.wt", flag, 5,
+            "--workers", 1)
+    assert err.value.code == 2
+    assert not (tmp_path / "t.wt").exists()
+
+
 def test_calibrate_missing_reference_exit_4(calib, tmp_path):
     root, manifest, _ = calib
     (tmp_path / "emptyrefs").mkdir()

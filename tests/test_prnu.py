@@ -32,7 +32,7 @@ from blockprnu import (
     write_fingerprint,
 )
 from blockprnu import (InsufficientData, Video, calibrate_lambda_rate,
-                       calibrate_qp, calibration, evaluation, prnu, run_grid)
+                       calibrate_qp, evaluation, prnu, run_grid)
 from blockprnu.trace import SKIP
 from conftest import uniform_trace
 
@@ -418,7 +418,7 @@ class StreamWatch:
                 yield lambda pictures: self._stream(extract(pictures))
 
         monkeypatch.setattr(prnu, "ProcessPoolExecutor", CountingPool)
-        for module in (prnu, evaluation, calibration):
+        for module in (prnu, evaluation):
             monkeypatch.setattr(module, "residual_extractor", watched)
 
     def _stream(self, residuals):
