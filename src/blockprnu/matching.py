@@ -280,15 +280,18 @@ def batch_match(tests: Iterable, references: Iterable,
     """All-pairs matching; a failing pair stores its error in the matrix
     instead of aborting the rest.
 
-    Each test is validated and transformed once for its whole row, so
-    T tests against R references take T + T*R forward FFTs. With n
+    Each reference is validated once for the call, and each test
+    validated and transformed once for its whole row, so T tests against
+    R references take T + R validations and T + T*R forward FFTs. With n
     workers (BLOCKPRNU_WORKERS, else the CPUs this process may run on)
     thread k takes rows k, k+n, ... with a workspace of its own; numpy's
     FFTs and reductions release the GIL. The matrix is the same at any
     worker count, and no thread outlives the call.
     """
     n = resolve_workers()
-    tests, references = list(tests), list(references)
+    tests = list(tests)
+    references = [r if isinstance(r, _Plane) else _Plane(r)
+                  for r in references]
     n = max(1, min(n, len(tests)))
 
     def rows(k: int) -> list[list]:

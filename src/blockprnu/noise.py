@@ -8,13 +8,14 @@ coefficients; the approximation band is treated as scene content. A plain
 3x3 spatial Wiener filter is available as a fallback. Residuals are
 zero-meaned per row and per column to kill line artifacts.
 
-A video is one (frames, H, W) uint8 luma stack, as `read_yuv420` returns
-it; `extract_residual` takes one (H, W) plane of it and returns that
-frame's residual as a float64 (H, W) array.
+A video is one (frames, H, W) uint8 luma stack. `read_yuv420` returns a
+`YuvLuma`, a stack that reads a raw file's planes only when it is
+indexed, sliced or iterated, so a video is never held whole in memory
+unless asked for with ``stack[:]``. `extract_residual` takes one (H, W)
+plane of it and returns that frame's residual as a float64 (H, W) array.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -287,23 +288,61 @@ def _chroma_bytes(width: int, height: int) -> int:
     return 2 * ((width + 1) // 2) * ((height + 1) // 2)
 
 
-def read_yuv420(path: str | Path, width: int, height: int) -> np.ndarray:
-    """The luma planes of a raw 4:2:0 file as one (frames, height, width)
-    uint8 stack, each read straight into its place; the chroma is skipped,
-    and the file's bytes are never held."""
-    size = Path(path).stat().st_size
-    chroma = _chroma_bytes(width, height)
-    frame_bytes = width * height + chroma
-    if frame_bytes == 0 or size % frame_bytes:
-        raise SchemaError(f"{path}: size {size} is not a whole number of "
-                          f"{width}x{height} 4:2:0 frames")
-    luma = np.empty((size // frame_bytes, height, width), dtype=np.uint8)
-    with open(path, "rb") as f:
-        for plane in luma:
-            if f.readinto(plane) != plane.nbytes:
-                raise SchemaError(f"{path}: truncated while reading")
-            f.seek(chroma, os.SEEK_CUR)
-    return luma
+class YuvLuma:
+    """The luma planes of a raw 4:2:0 file as a (frames, height, width)
+    uint8 stack that reads only the planes it is indexed, sliced or
+    iterated for: an int gives one (H, W) plane, a slice a (k, H, W)
+    array, and ``stack[:]`` or ``np.asarray(stack)`` the whole video. Each
+    read opens the file, reads its planes straight into place, skips the
+    chroma and closes it; a file that has shrunk since it was sized
+    raises SchemaError."""
+
+    dtype = np.dtype(np.uint8)
+    ndim = 3
+
+    def __init__(self, path: str | Path, width: int, height: int):
+        size = Path(path).stat().st_size
+        self._chroma = _chroma_bytes(width, height)
+        self._frame_bytes = width * height + self._chroma
+        if self._frame_bytes == 0 or size % self._frame_bytes:
+            raise SchemaError(f"{path}: size {size} is not a whole number of "
+                              f"{width}x{height} 4:2:0 frames")
+        self.path = path
+        self.shape = (size // self._frame_bytes, height, width)
+        self.size = self.shape[0] * height * width
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._read(range(*key.indices(len(self))))
+        index = range(len(self))[key]
+        return self._read(range(index, index + 1))[0]
+
+    def __array__(self, dtype=None, copy=None):
+        planes = self[:]
+        return planes if dtype is None else planes.astype(dtype, copy=False)
+
+    def _read(self, frames: range) -> np.ndarray:
+        luma = np.empty((len(frames),) + self.shape[1:], dtype=np.uint8)
+        with open(self.path, "rb") as f:
+            for i, plane in zip(frames, luma):
+                f.seek(i * self._frame_bytes)
+                if f.readinto(plane) != plane.nbytes:
+                    raise SchemaError(f"{self.path}: truncated while reading")
+        return luma
+
+
+def read_yuv420(path: str | Path, width: int, height: int) -> YuvLuma:
+    """The luma planes of a raw 4:2:0 file as a `YuvLuma` stack, read on
+    demand; ``read_yuv420(...)[:]`` reads them all. A size that is not a
+    whole number of frames raises SchemaError at once."""
+    return YuvLuma(path, width, height)
 
 
 def write_yuv420(luma: np.ndarray, path: str | Path) -> None:

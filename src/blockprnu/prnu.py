@@ -11,10 +11,16 @@ saturation mask. Pixels whose denominator never clears a floor carry no
 evidence and are dropped from the support.
 
 A `Video` is the luma I of a decoded video as one checked (frames, H, W)
-uint8 stack, plus its block trace. Its residuals W stream in frame order
-from `residual_extractor`, as float64 (H, W) arrays, into
+uint8 stack, plus its block trace; a `.yuv` stack from `read_yuv420` is
+read a plane at a time as it is used. Its residuals W stream in frame
+order from `residual_extractor`, as float64 (H, W) arrays, into
 `stream_fingerprints`, which feeds one accumulator per weighting scheme
-in lockstep; no caller holds a video's residuals at once.
+in lockstep; no caller holds a video's residuals or luma at once.
+
+Apart from those residuals, nothing frame-sized is made beside each
+scheme's two sums: a frame is added one strip of rows at a time,
+`finalize` turns the sums into the fingerprint in place, and
+`write_fingerprint` writes it to its file a strip at a time.
 """
 from __future__ import annotations
 
@@ -25,15 +31,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (AllMaskedOut, BlockPrnuError, ConfigError,
                      DimensionMismatch, EmptyAccumulator, InsufficientData,
                      RangeError, SchemaError, decode_text)
-from .noise import DenoiseConfig, extract_residual, saturation_mask
-from .trace import QP_MAX, QP_MIN, TraceFile
+from .noise import DenoiseConfig, YuvLuma, extract_residual, saturation_mask
+from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
 from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
 _MAGIC = b"BPFP\x01"
@@ -42,6 +48,17 @@ DENOMINATOR_FLOOR_SCALE = 1e-3
 # 128x128 one task per frame lost 14% of a calibrate-and-evaluate pass to
 # task overhead, and at 720p a task is still one frame
 TASK_PIXELS = 1 << 18
+# a frame is added, and a fingerprint written, in strips of whole
+# macroblock rows of about this many pixels (a 128x128 frame is one
+# strip, a 720p strip is 16 rows), so no frame-sized temporary is made
+STRIP_PIXELS = 1 << 14
+
+
+def _strips(height: int, width: int) -> list[slice]:
+    """Row slices of about STRIP_PIXELS pixels, each starting on a
+    macroblock row, that cover a frame."""
+    step = max(1, STRIP_PIXELS // (max(width, 1) * MACROBLOCK)) * MACROBLOCK
+    return [slice(r, min(r + step, height)) for r in range(0, height, step)]
 
 
 @dataclass
@@ -72,23 +89,48 @@ class FingerprintAccumulator:
         return self.numerator.shape
 
     def accumulate(self, luma: np.ndarray, residual: np.ndarray,
-                   mask: np.ndarray) -> None:
-        luma = np.asarray(luma, dtype=np.float64)
-        for name, arr in (("residual", residual), ("mask", mask),
-                          ("picture", luma)):
+                   mask: np.ndarray | Callable[[slice], np.ndarray],
+                   peers: Sequence[tuple] = ()) -> None:
+        """Add one frame: numerator += luma * residual * mask and
+        denominator += luma * luma * mask, one strip of rows at a time.
+
+        `mask` is the frame's (H, W) weights, or a function giving the
+        weights of a slice of rows. `peers` are (accumulator, mask) pairs
+        fed the same frame, such as the other schemes of a video: each
+        strip's luma * residual and luma * luma are computed once for all.
+        """
+        luma, residual = np.asarray(luma), np.asarray(residual)
+        feeds = [(self, mask), *peers]
+        checked = ([("residual", residual)]
+                   + [("mask", m) for _, m in feeds if not callable(m)]
+                   + [("picture", luma)]
+                   + [("accumulator", acc) for acc, _ in peers])
+        for name, arr in checked:
             if arr.shape != self.shape:
                 raise DimensionMismatch(f"{name} shape {arr.shape} vs "
                                         f"accumulator {self.shape}")
-        self.numerator += luma * residual * mask
-        self.denominator += luma * luma * mask
-        self.frames_ingested += 1
+        for rows in _strips(*self.shape):
+            strip = luma[rows].astype(np.float64)
+            luma_residual = strip * residual[rows]
+            luma_squared = np.multiply(strip, strip, out=strip)
+            for acc, m in feeds:
+                weights = m(rows) if callable(m) else m[rows]
+                acc.numerator[rows] += luma_residual * weights
+                acc.denominator[rows] += luma_squared * weights
+        for acc, _ in feeds:
+            acc.frames_ingested += 1
 
 
 def finalize(acc: FingerprintAccumulator,
              denominator_floor: float | None = None,
              normalize: bool = True,
              source_id: str = "") -> Fingerprint:
-    """Turn accumulated sums into a fingerprint.
+    """Turn accumulated sums into a fingerprint, in place: the numerator
+    becomes its values and the denominator scratch, so the accumulator is
+    used up. Every value is computed as by
+    ``k[support] = numerator[support] / denominator[support]``, then
+    ``k[support] -= k[support].mean()`` and ``k /= sqrt((k * k).sum())``,
+    with each mean and sum over the same values in the same order.
 
     :param denominator_floor: pixels whose denominator is below this are
         excluded from the support; by default 1e-3 times the mean of the
@@ -98,23 +140,31 @@ def finalize(acc: FingerprintAccumulator,
     """
     if acc.frames_ingested == 0:
         raise EmptyAccumulator("finalize before any frame was accumulated")
-    den = acc.denominator
+    k, den = acc.numerator, acc.denominator
     if denominator_floor is None:
         nonzero = den[den > 0]
         if nonzero.size == 0:
             raise AllMaskedOut("denominator is zero everywhere")
         denominator_floor = DENOMINATOR_FLOOR_SCALE * float(nonzero.mean())
+        del nonzero
     if not denominator_floor > 0:
         raise ConfigError(f"denominator floor must be positive, "
                           f"got {denominator_floor}")
     support = den >= denominator_floor
     if not support.any():
         raise AllMaskedOut("no pixel cleared the denominator floor")
-    k = np.zeros(acc.shape, dtype=np.float64)
-    k[support] = acc.numerator[support] / den[support]
+    np.divide(k, den, out=k, where=support)
+    np.copyto(k, 0.0, where=~support)
     if normalize:
-        k[support] -= k[support].mean()
-        energy = float(np.sqrt((k * k).sum()))
+        # the supported values, packed in order into the free denominator
+        # a strip at a time, for one mean over them
+        packed, end = den.reshape(-1), 0
+        for rows in _strips(*acc.shape):
+            part = k[rows][support[rows]]
+            packed[end:end + part.size] = part
+            end += part.size
+        np.subtract(k, packed[:end].mean(), out=k, where=support)
+        energy = float(np.sqrt(np.multiply(k, k, out=den).sum()))
         if energy > 0:
             k /= energy
     return Fingerprint(k_values=k, support=support, source_id=source_id)
@@ -125,16 +175,15 @@ def finalize(acc: FingerprintAccumulator,
 # ---------------------------------------------------------------------------
 
 def write_fingerprint(fp: Fingerprint, path: str | Path) -> None:
-    """magic, width, height, source id, float32 K row-major, packed support."""
+    """magic, width, height, source id, float32 K row-major, packed support;
+    K is converted and written one strip of rows at a time."""
     sid = fp.source_id.encode("utf-8")
     h, w = fp.shape
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<III", w, h, len(sid))
-    blob += sid
-    blob += fp.k_values.astype("<f4").tobytes()
-    blob += np.packbits(fp.support.astype(np.uint8)).tobytes()
-    Path(path).write_bytes(bytes(blob))
+    with open(path, "wb") as f:
+        f.write(_MAGIC + struct.pack("<III", w, h, len(sid)) + sid)
+        for rows in _strips(h, w):
+            f.write(fp.k_values[rows].astype("<f4"))
+        f.write(np.packbits(fp.support.astype(np.uint8)))
 
 
 def read_fingerprint(path: str | Path) -> Fingerprint:
@@ -196,17 +245,18 @@ def resolve_workers(value: int | None = None) -> int:
 @dataclass(frozen=True, eq=False)
 class Video:
     """A decoded video: its luma as a (frames, H, W) uint8 stack, not
-    copied if it already is one, the block trace of those frames, its
-    camera and id, and the QP of a fixed-QP encode. Every rule on one
-    video is checked when it is built, and nowhere else."""
-    pictures: np.ndarray
+    copied if it already is one and not read if it is a `YuvLuma`, the
+    block trace of those frames, its camera and id, and the QP of a
+    fixed-QP encode. Every rule on one video is checked when it is built,
+    and nowhere else."""
+    pictures: np.ndarray | YuvLuma
     trace: TraceFile | None = None
     camera_id: str = ""
     video_id: str = ""
     qp: int | None = None
 
     def __post_init__(self):
-        pictures = np.asarray(self.pictures)
+        pictures = _stack(self.pictures)
         if not pictures.size:
             raise EmptyAccumulator("no pictures to estimate from")
         if pictures.ndim != 3:
@@ -226,6 +276,11 @@ class Video:
             raise RangeError(f"fixed qp {self.qp} of camera {self.camera_id} "
                              f"outside [{QP_MIN}, {QP_MAX}]")
         object.__setattr__(self, "pictures", pictures)
+
+
+def _stack(pictures) -> np.ndarray | YuvLuma:
+    """A luma stack as an array, or as the `YuvLuma` it is, unread."""
+    return pictures if isinstance(pictures, YuvLuma) else np.asarray(pictures)
 
 
 def require_inputs(videos: Sequence[Video], references: dict[str, Fingerprint],
@@ -274,7 +329,7 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         def extract(pictures):
-            pictures = np.asarray(pictures)
+            pictures = _stack(pictures)
             pixels = int(np.prod(pictures.shape[1:])) or 1
             size = max(1, min(TASK_PIXELS // pixels,
                               len(pictures) // (2 * workers)))
@@ -289,6 +344,18 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
         yield extract
 
 
+def _strip_mask(luma: np.ndarray, block_weights: np.ndarray | None,
+                rows: slice) -> np.ndarray:
+    """The mask of a strip of one frame's rows: its saturation mask, times
+    the frame's block weights painted over the strip if there are any."""
+    sat = saturation_mask(luma[rows])
+    if block_weights is None:
+        return sat
+    blocks = block_weights[rows.start // MACROBLOCK:-(-rows.stop // MACROBLOCK)]
+    painted = paint_blocks(blocks, (rows.stop - rows.start, luma.shape[1]))
+    return np.multiply(painted, sat, out=painted)
+
+
 def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
                         residuals: Iterable[np.ndarray],
                         denominator_floor: float | None = None,
@@ -301,7 +368,9 @@ def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
     Every scheme's block weights are built before the first residual is
     read, and none is read if no scheme can use them. Without a trace only
     the schemes that ignore block metadata (neither a table nor zeroed
-    skips in `SCHEMES`) can.
+    skips in `SCHEMES`) can. Each frame enters every accumulator through
+    one `accumulate` call, a strip of rows at a time, and each strip's
+    mask is painted from its own macroblock rows.
     """
     trace = video.trace
     results: list = [None] * len(schemes)
@@ -321,12 +390,11 @@ def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
     residuals = iter(residuals)
     count = 0
     for luma, residual in zip(video.pictures, residuals):
-        luma_f, sat = luma.astype(np.float64), saturation_mask(luma)
-        for i, acc in accumulators.items():
-            # one frame painted at a time: a painted stack would hold the
-            # whole video's masks at once
-            acc.accumulate(luma_f, residual, sat if weights[i] is None
-                           else paint_blocks(weights[i][count], (h, w)) * sat)
+        feeds = [(acc, partial(_strip_mask, luma, None if weights[i] is None
+                               else weights[i][count]))
+                 for i, acc in accumulators.items()]
+        acc, mask = feeds[0]
+        acc.accumulate(luma, residual, mask, feeds[1:])
         count += 1
     if count < frames or next(residuals, None) is not None:
         raise DimensionMismatch(f"{frames} pictures vs "
@@ -340,7 +408,7 @@ def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
     return results
 
 
-def estimate_fingerprint(pictures: np.ndarray,
+def estimate_fingerprint(pictures: np.ndarray | YuvLuma,
                          trace: TraceFile | None,
                          scheme: SchemeConfig,
                          denoise_config: DenoiseConfig = DenoiseConfig(),

@@ -442,7 +442,19 @@ def test_calibrate_lambda_one_frame_video_exit_4_before_extracting(
     assert not (tmp_path / "lr.wt").exists()
 
 
-def test_evaluate_cli(calib):
+@pytest.fixture(scope="module")
+def calib_tables(calib):
+    """The qp_noskip and lambda_r tables of the calibration videos, as
+    qp.wt and lr.wt next to them, whichever tests ran before."""
+    root, manifest, refs = calib
+    for mode, name, extra in (("qp", "qp.wt", ()),
+                              ("lambda_r", "lr.wt", ("--buckets", 4))):
+        assert run("calibrate", "--mode", mode, "--manifest", manifest,
+                   "--references", refs, "--out", root / name, *extra,
+                   "--workers", 1) == 0
+
+
+def test_evaluate_cli(calib, calib_tables):
     root, _, refs = calib
     manifest = root / "eval.csv"
     manifest.write_text("v15,cam,v15.yuv,v15.trace\n"

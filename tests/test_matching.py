@@ -363,6 +363,34 @@ def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
     assert counter.forward == 2
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_match_validates_each_plane_once(monkeypatch, workers):
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", workers)
+    checked = []
+    real = matching._check_plane
+
+    def counted(a):
+        checked.append(a.shape)     # list.append is atomic across threads
+        real(a)
+
+    monkeypatch.setattr(matching, "_check_plane", counted)
+    tests = [unit_noise((20, 24), 70 + i) for i in range(3)]
+    tests.append(np.zeros((20, 24)))
+    refs = [unit_noise((20, 24), 80 + i) for i in range(4)]
+    refs.append(np.full((20, 24), np.nan))
+    matrix = batch_match(tests, refs)
+    assert len(checked) == len(tests) + len(refs)
+    # cells keep the types and the precedence of standalone calls
+    monkeypatch.setattr(matching, "_check_plane", real)
+    for t, row in zip(tests, matrix):
+        for r, cell in zip(refs, row):
+            if isinstance(cell, MatchReport):
+                assert cell == pce(t, r)
+            else:
+                with pytest.raises(type(cell), match=re.escape(str(cell))):
+                    pce(t, r)
+
+
 def test_reference_spectrum_is_transformed_once(monkeypatch):
     counter = CountingFft(matching.sfft)
     monkeypatch.setattr(matching, "sfft", counter)

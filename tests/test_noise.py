@@ -1,6 +1,10 @@
 """Denoising, residual extraction, and raw-frame I/O."""
 
+import gc
+import os
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -331,12 +335,95 @@ def test_yuv420_read_holds_only_the_luma(tmp_path):
     write_yuv420(frames, path)
     tracemalloc.start()
     try:
-        back = read_yuv420(path, width=64, height=48)
+        back = read_yuv420(path, width=64, height=48)[:]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert np.array_equal(back, frames)
     assert peak <= frames.nbytes + 16 * 1024
+
+
+def _eager_read_yuv420(path, width, height):
+    """Oracle: every luma plane of the file read at once."""
+    chroma = 2 * ((width + 1) // 2) * ((height + 1) // 2)
+    frame_bytes = width * height + chroma
+    size = os.path.getsize(path)
+    luma = np.empty((size // frame_bytes, height, width), dtype=np.uint8)
+    with open(path, "rb") as f:
+        for plane in luma:
+            assert f.readinto(plane) == plane.nbytes
+            f.seek(chroma, os.SEEK_CUR)
+    return luma
+
+
+def test_yuv420_reads_only_what_it_is_asked_for(tmp_path):
+    rng = np.random.default_rng(13)
+    frames = rng.integers(0, 256, size=(7, 17, 33), dtype=np.uint8)
+    path = tmp_path / "odd.yuv"
+    write_yuv420(frames, path)
+    want = _eager_read_yuv420(path, 33, 17)
+    stack = read_yuv420(path, width=33, height=17)
+    assert (stack.shape, stack.dtype, stack.ndim, stack.size, len(stack)) == (
+        want.shape, want.dtype, want.ndim, want.size, len(want))
+    assert all(np.array_equal(stack[i], want[i]) for i in range(-7, 7))
+    for key in (slice(None), slice(2, 5), slice(None, None, 3),
+                slice(None, None, -2), slice(6, 2, -1), slice(4, 4)):
+        assert np.array_equal(stack[key], want[key]), key
+    assert all(np.array_equal(a, b) for a, b in zip(stack, want))
+    assert np.array_equal(np.asarray(stack), want)
+    with pytest.raises(IndexError):
+        stack[7]
+
+
+def test_yuv420_read_allocates_only_the_planes_asked_for(tmp_path):
+    rng = np.random.default_rng(14)
+    frames = rng.integers(0, 256, size=(40, 48, 64), dtype=np.uint8)
+    path = tmp_path / "clip.yuv"
+    write_yuv420(frames, path)
+    tracemalloc.start()
+    try:
+        stack = read_yuv420(path, width=64, height=48)
+        _, opened = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        plane = stack[5]
+        _, one = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for last in stack:
+            pass
+        _, iterated = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    plane_bytes = frames[0].nbytes
+    assert opened < plane_bytes
+    assert one < plane_bytes + 16 * 1024
+    assert iterated < 2 * plane_bytes + 16 * 1024
+    assert np.array_equal(plane, frames[5])
+    assert np.array_equal(last, frames[-1])
+
+
+def test_yuv420_read_of_a_shrunk_file_fails_and_no_file_stays_open(
+        tmp_path, monkeypatch):
+    path = tmp_path / "clip.yuv"
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        write_yuv420(np.zeros((4, 16, 32), np.uint8), path)
+        stack = read_yuv420(path, width=32, height=16)
+        first = iter(stack)
+        next(first), next(first)    # an iteration left half done
+        stack[2], stack[1:3]
+        # the file shrinks to two and a half frames before a read
+        with open(path, "r+b") as f:
+            f.truncate(2 * 768 + 300)
+        assert np.array_equal(stack[:2], np.zeros((2, 16, 32)))
+        for late in (lambda: stack[2], lambda: stack[1:], lambda: stack[3],
+                     lambda: list(stack), lambda: next(first)):
+            with pytest.raises(SchemaError, match="truncated while reading"):
+                late()
+        del first, stack
+        gc.collect()
+    assert unraisable == []
 
 
 def test_denoise_config_validation():

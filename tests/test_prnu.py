@@ -1,5 +1,7 @@
 """Fingerprint accumulation, finalization, file format, and the pipeline."""
 
+import struct
+import tracemalloc
 import weakref
 from contextlib import contextmanager
 
@@ -20,16 +22,19 @@ from blockprnu import (
     SensorModel,
     TraceFile,
     WeightTable,
+    build_mask,
     estimate_fingerprint,
     finalize,
     lambda_grid,
     paint_blocks,
     read_fingerprint,
+    read_yuv420,
     saturation_mask,
     simulate_capture,
     skipped_block_rate,
     stream_fingerprints,
     write_fingerprint,
+    write_yuv420,
 )
 from blockprnu import (InsufficientData, Video, calibrate_lambda_rate,
                        calibrate_qp, evaluation, prnu, run_grid)
@@ -470,3 +475,191 @@ def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
         assert watch.alive <= 2 * workers + 1, name
         # at most 2 * workers pending tasks of about TASK_PIXELS each
         assert watch.ahead <= 2 * workers * prnu.TASK_PIXELS, name
+
+
+# ---------------------------------------------------------------------------
+# memory bounded by a run of frames
+# ---------------------------------------------------------------------------
+
+def _whole_plane_finalize(acc, denominator_floor=None, normalize=True):
+    """Oracle: the finalize that gathered the supported pixels into new
+    arrays and left the accumulator as it was."""
+    den = acc.denominator
+    if denominator_floor is None:
+        nonzero = den[den > 0]
+        if nonzero.size == 0:
+            raise AllMaskedOut("denominator is zero everywhere")
+        denominator_floor = prnu.DENOMINATOR_FLOOR_SCALE * float(nonzero.mean())
+    support = den >= denominator_floor
+    if not support.any():
+        raise AllMaskedOut("no pixel cleared the denominator floor")
+    k = np.zeros(acc.shape, dtype=np.float64)
+    k[support] = acc.numerator[support] / den[support]
+    if normalize:
+        k[support] -= k[support].mean()
+        energy = float(np.sqrt((k * k).sum()))
+        if energy > 0:
+            k /= energy
+    return k, support
+
+
+def _whole_plane_fingerprint_bytes(fp):
+    """Oracle: the file as one blob built in memory."""
+    sid = fp.source_id.encode("utf-8")
+    h, w = fp.shape
+    return (prnu._MAGIC + struct.pack("<III", w, h, len(sid)) + sid
+            + fp.k_values.astype("<f4").tobytes()
+            + np.packbits(fp.support.astype(np.uint8)).tobytes())
+
+
+def test_in_place_finalize_and_write_are_bit_equal_to_whole_plane_ones(
+        tmp_path):
+    rng = np.random.default_rng(45)
+    for case in range(60):
+        h, w = (int(n) for n in rng.integers(1, 90, size=2))
+        numerator = rng.normal(size=(h, w)) * 10.0 ** rng.integers(-3, 4)
+        denominator = rng.uniform(0, 1e4, size=(h, w)) ** 2
+        # zero, starved and tiny denominators
+        denominator[rng.random((h, w)) < rng.choice([0.0, 0.3, 0.9])] = 0.0
+        denominator[rng.random((h, w)) < 0.1] *= 1e-9
+        floor = [None, 1e-12, float(np.median(denominator)) or 1.0][case % 3]
+        normalize = case % 4 != 3
+        acc = FingerprintAccumulator(h, w)
+        acc.numerator[...], acc.denominator[...] = numerator, denominator
+        acc.frames_ingested = 1
+        try:
+            want_k, want_support = _whole_plane_finalize(acc, floor, normalize)
+        except AllMaskedOut:
+            with pytest.raises(AllMaskedOut):
+                finalize(acc, floor, normalize)
+            continue
+        got = finalize(acc, floor, normalize, source_id=f"case{case}")
+        # bit for bit, the sign of every zero included
+        assert got.k_values.tobytes() == want_k.tobytes(), case
+        assert np.array_equal(got.support, want_support), case
+        path = tmp_path / f"{case}.bpf"
+        write_fingerprint(got, path)
+        assert path.read_bytes() == _whole_plane_fingerprint_bytes(got), case
+
+
+def _luma_file(tmp_path, frames, h, w, seed=46):
+    rng = np.random.default_rng(seed)
+    path = tmp_path / f"{frames}x{h}x{w}.yuv"
+    write_yuv420(rng.integers(20, 230, size=(frames, h, w), dtype=np.uint8),
+                 path)
+    return path
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class InlinePool:
+    """Stands in for the process pool: a task runs in this process when
+    its result is read, so one residual is in flight however the real
+    workers would be scheduled, and tracemalloc sees every array."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        return Deferred(fn, args)
+
+
+class Deferred:
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+
+    def result(self):
+        return self.fn(*self.args)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_memory_does_not_grow_with_video_length(tmp_path, workers,
+                                                         monkeypatch):
+    # at 512x512 a pool task is one frame and a float64 plane is 2 MiB. A
+    # real pool holds up to 2 * workers + 1 residuals, fewer in a shorter
+    # video, and how many depends on scheduling; that bound is
+    # test_drivers_hold_a_bounded_number_of_residuals's
+    assert 512 * 512 == prnu.TASK_PIXELS
+    monkeypatch.setattr(prnu, "ProcessPoolExecutor", InlinePool)
+    conventional = SchemeConfig("conventional")
+    peaks = {}
+    for frames in (4, 24):
+        path = _luma_file(tmp_path, frames, 512, 512)
+        peaks[frames] = _traced_peak(lambda: estimate_fingerprint(
+            read_yuv420(path, 512, 512), None, conventional,
+            workers=workers))
+    assert abs(peaks[24] - peaks[4]) < 512 * 512 * 8, peaks
+
+
+def _skipped_trace_of(rng, frames, h, w, grid_h=None):
+    """P blocks with QPs 20..30, about 30% of them skipped, on a grid of
+    `grid_h` macroblock rows (default: floor-sized)."""
+    grid_h = h // 16 if grid_h is None else grid_h
+    skip = rng.random((frames, grid_h, w // 16)) < 0.3
+    qp = rng.integers(20, 31, size=skip.shape)
+    return TraceFile(w, h, frames, [
+        BlockRecord(f, x, y, "SKIP" if s else "P", int(qp[f, y, x]),
+                    1 if s else 100 + 10 * f + x)
+        for (f, y, x), s in np.ndenumerate(skip)])
+
+
+@pytest.mark.parametrize("grid_h", [12, 13])
+def test_strip_masks_equal_whole_frame_masks_across_strips(grid_h):
+    # 200x120 frames are two strips, of 128 and 72 rows; the second ends
+    # in half a macroblock row, weighted 0 on a floor-sized grid
+    h, w, frames = 200, 120, 3
+    assert [(s.start, s.stop) for s in prnu._strips(h, w)] == [(0, 128),
+                                                               (128, 200)]
+    rng = np.random.default_rng(48)
+    trace = _skipped_trace_of(rng, frames, h, w, grid_h)
+    pictures = rng.integers(0, 256, size=(frames, h, w), dtype=np.uint8)
+    residuals = [rng.normal(size=(h, w)) for _ in range(frames)]
+    tables = _tables(rng)
+    configs = [SchemeConfig(scheme, tables.get(scheme)) for scheme in SCHEMES]
+    results = stream_fingerprints(Video(pictures, trace), configs, residuals)
+    for config, got in zip(configs, results):
+        # the whole-frame arithmetic the strips replace
+        acc = FingerprintAccumulator(h, w)
+        for luma, residual, weights in zip(pictures, residuals,
+                                           build_mask(trace, config)):
+            mask = paint_blocks(weights, (h, w)) * saturation_mask(luma)
+            luma = luma.astype(np.float64)
+            acc.numerator += luma * residual * mask
+            acc.denominator += luma * luma * mask
+        acc.frames_ingested = frames
+        want_k, want_support = _whole_plane_finalize(acc)
+        assert got.k_values.tobytes() == want_k.tobytes(), config.scheme
+        assert np.array_equal(got.support, want_support), config.scheme
+
+
+def test_a_frame_is_added_in_strips():
+    # 256x256 is four strips of 64 rows, each a quarter of a plane
+    h = w = 256
+    strip_bytes = 64 * w * 8
+    rng = np.random.default_rng(47)
+    video = Video(rng.integers(0, 256, size=(1, h, w), dtype=np.uint8),
+                  _skipped_trace_of(rng, 1, h, w))
+    residuals = [rng.normal(size=(h, w))]
+    schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
+    accumulators = len(schemes) * 2 * h * w * 8
+    # an explicit floor: the default one packs the nonzero denominators
+    # into a plane of their own
+    peak = _traced_peak(lambda: stream_fingerprints(
+        video, schemes, iter(residuals), denominator_floor=1.0))
+    assert peak <= accumulators + 8 * strip_bytes, peak - accumulators
+    assert [(s.start, s.stop) for s in prnu._strips(h, w)] == [
+        (0, 64), (64, 128), (128, 192), (192, 256)]
+
