@@ -17,10 +17,9 @@ order from `residual_extractor`, as float64 (H, W) arrays, into
 `stream_fingerprints`, which feeds one accumulator per weighting scheme
 in lockstep; no caller holds a video's residuals or luma at once.
 
-Apart from those residuals, nothing frame-sized is made beside each
-scheme's two sums: a frame is added one strip of rows at a time,
-`finalize` turns the sums into the fingerprint in place, and
-`write_fingerprint` writes it to its file a strip at a time.
+Apart from those residuals, no frame-sized temporary is made while a
+video streams: a frame is added one strip of rows at a time. `finalize`
+then turns each scheme's sums into its fingerprint in place.
 """
 from __future__ import annotations
 
@@ -48,9 +47,9 @@ DENOMINATOR_FLOOR_SCALE = 1e-3
 # 128x128 one task per frame lost 14% of a calibrate-and-evaluate pass to
 # task overhead, and at 720p a task is still one frame
 TASK_PIXELS = 1 << 18
-# a frame is added, and a fingerprint written, in strips of whole
-# macroblock rows of about this many pixels (a 128x128 frame is one
-# strip, a 720p strip is 16 rows), so no frame-sized temporary is made
+# a frame is added in strips of whole macroblock rows of about this many
+# pixels (a 128x128 frame is one strip, a 720p strip is 16 rows), so no
+# frame-sized temporary is made per frame
 STRIP_PIXELS = 1 << 14
 
 
@@ -74,7 +73,8 @@ class Fingerprint:
 
 
 class FingerprintAccumulator:
-    """Streaming sums for the aggregation ratio, fed in frame order."""
+    """Streaming sums for the aggregation ratio, fed in frame order
+    until `finalize` turns them into a fingerprint and spends them."""
 
     def __init__(self, height: int, width: int):
         if height <= 0 or width <= 0:
@@ -83,6 +83,7 @@ class FingerprintAccumulator:
         self.numerator = np.zeros((height, width), dtype=np.float64)
         self.denominator = np.zeros((height, width), dtype=np.float64)
         self.frames_ingested = 0
+        self.spent = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,6 +110,8 @@ class FingerprintAccumulator:
             if arr.shape != self.shape:
                 raise DimensionMismatch(f"{name} shape {arr.shape} vs "
                                         f"accumulator {self.shape}")
+        for acc, _ in feeds:
+            _check_unspent(acc)
         for rows in _strips(*self.shape):
             strip = luma[rows].astype(np.float64)
             luma_residual = strip * residual[rows]
@@ -127,10 +130,10 @@ def finalize(acc: FingerprintAccumulator,
              source_id: str = "") -> Fingerprint:
     """Turn accumulated sums into a fingerprint, in place: the numerator
     becomes its values and the denominator scratch, so the accumulator is
-    used up. Every value is computed as by
-    ``k[support] = numerator[support] / denominator[support]``, then
-    ``k[support] -= k[support].mean()`` and ``k /= sqrt((k * k).sum())``,
-    with each mean and sum over the same values in the same order.
+    spent, and a later `finalize` or `accumulate` on it raises. Every value
+    is computed as by ``k[support] = numerator[support] /
+    denominator[support]``, then ``k[support] -= k[support].mean()`` and
+    ``k /= sqrt((k * k).sum())``.
 
     :param denominator_floor: pixels whose denominator is below this are
         excluded from the support; by default 1e-3 times the mean of the
@@ -138,6 +141,7 @@ def finalize(acc: FingerprintAccumulator,
     :param normalize: zero-mean the estimate over its support and scale it
         to unit energy (relative weighting is all that matters downstream)
     """
+    _check_unspent(acc)
     if acc.frames_ingested == 0:
         raise EmptyAccumulator("finalize before any frame was accumulated")
     k, den = acc.numerator, acc.denominator
@@ -153,21 +157,21 @@ def finalize(acc: FingerprintAccumulator,
     support = den >= denominator_floor
     if not support.any():
         raise AllMaskedOut("no pixel cleared the denominator floor")
+    acc.spent = True
     np.divide(k, den, out=k, where=support)
     np.copyto(k, 0.0, where=~support)
     if normalize:
-        # the supported values, packed in order into the free denominator
-        # a strip at a time, for one mean over them
-        packed, end = den.reshape(-1), 0
-        for rows in _strips(*acc.shape):
-            part = k[rows][support[rows]]
-            packed[end:end + part.size] = part
-            end += part.size
-        np.subtract(k, packed[:end].mean(), out=k, where=support)
+        np.subtract(k, k[support].mean(), out=k, where=support)
         energy = float(np.sqrt(np.multiply(k, k, out=den).sum()))
         if energy > 0:
             k /= energy
     return Fingerprint(k_values=k, support=support, source_id=source_id)
+
+
+def _check_unspent(acc: FingerprintAccumulator) -> None:
+    if acc.spent:
+        raise BlockPrnuError("accumulator already finalized; its sums are "
+                             "now a fingerprint's values")
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +179,12 @@ def finalize(acc: FingerprintAccumulator,
 # ---------------------------------------------------------------------------
 
 def write_fingerprint(fp: Fingerprint, path: str | Path) -> None:
-    """magic, width, height, source id, float32 K row-major, packed support;
-    K is converted and written one strip of rows at a time."""
+    """magic, width, height, source id, float32 K row-major, packed support."""
     sid = fp.source_id.encode("utf-8")
     h, w = fp.shape
     with open(path, "wb") as f:
         f.write(_MAGIC + struct.pack("<III", w, h, len(sid)) + sid)
-        for rows in _strips(h, w):
-            f.write(fp.k_values[rows].astype("<f4"))
+        f.write(fp.k_values.astype("<f4"))
         f.write(np.packbits(fp.support.astype(np.uint8)))
 
 

@@ -11,6 +11,7 @@ import pytest
 from blockprnu import (
     SCHEMES,
     AllMaskedOut,
+    BlockPrnuError,
     BlockRecord,
     ConfigError,
     DimensionMismatch,
@@ -146,6 +147,41 @@ def test_normalized_fingerprint_is_zero_mean_unit_energy():
     fp = finalize(acc)
     assert abs(fp.k_values[fp.support].mean()) < 1e-12
     assert (fp.k_values ** 2).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _spent_accumulator():
+    """An accumulator finalized once, after a rejected floor left it as
+    it was, and the fingerprint it became."""
+    rng = np.random.default_rng(5)
+    acc = FingerprintAccumulator(8, 8)
+    ingest(acc, rng.integers(30, 220, size=(8, 8)), rng.normal(size=(8, 8)),
+           np.ones((8, 8)))
+    with pytest.raises(ConfigError):
+        finalize(acc, denominator_floor=0.0)
+    fp = finalize(acc)
+    return acc, fp, fp.k_values.copy()
+
+
+def test_finalize_twice_is_rejected():
+    acc, fp, k = _spent_accumulator()
+    for kwargs in ({}, {"normalize": False}, {"denominator_floor": 1e-12}):
+        with pytest.raises(BlockPrnuError, match="already finalized"):
+            finalize(acc, **kwargs)
+    assert fp.k_values.tobytes() == k.tobytes()
+
+
+def test_accumulate_after_finalize_is_rejected():
+    acc, fp, k = _spent_accumulator()
+    luma, residual = np.full((8, 8), 100), np.ones((8, 8))
+    with pytest.raises(BlockPrnuError, match="already finalized"):
+        ingest(acc, luma, residual, np.ones((8, 8)))
+    # nor as the peer of a fresh accumulator, which is left untouched
+    fresh = FingerprintAccumulator(8, 8)
+    with pytest.raises(BlockPrnuError, match="already finalized"):
+        fresh.accumulate(luma.astype(np.uint8), residual, np.ones((8, 8)),
+                         [(acc, np.ones((8, 8)))])
+    assert fresh.frames_ingested == 0 and not fresh.numerator.any()
+    assert fp.k_values.tobytes() == k.tobytes()
 
 
 def test_pipeline_recovers_planted_pattern():
@@ -655,10 +691,8 @@ def test_a_frame_is_added_in_strips():
     residuals = [rng.normal(size=(h, w))]
     schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
     accumulators = len(schemes) * 2 * h * w * 8
-    # an explicit floor: the default one packs the nonzero denominators
-    # into a plane of their own
     peak = _traced_peak(lambda: stream_fingerprints(
-        video, schemes, iter(residuals), denominator_floor=1.0))
+        video, schemes, iter(residuals)))
     assert peak <= accumulators + 8 * strip_bytes, peak - accumulators
     assert [(s.start, s.stop) for s in prnu._strips(h, w)] == [
         (0, 64), (64, 128), (128, 192), (192, 256)]
