@@ -28,7 +28,7 @@ from .evaluation import (BPP_GROUP_EDGES, ExperimentGrid, RocCurve,
                          run_grid, sbr_summary, scheme_mean_pce,
                          threshold_table)
 from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
-                       batch_match, crosscorr, format_report_records, pce)
+                       batch_match, format_report_records, pce)
 from .noise import (DenoiseConfig, YuvLuma, denoise, extract_residual,
                     read_yuv420, saturation_mask, wiener_adaptive,
                     write_yuv420, zero_mean_rows_cols)
@@ -37,7 +37,7 @@ from .prnu import (Fingerprint, FingerprintAccumulator, Video,
                    residual_extractor, resolve_workers, stream_fingerprints,
                    write_fingerprint)
 from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, TraceFile,
-                    bits_per_pixel, lambda_grid, lambda_of_qp, lambda_rate,
+                    bits_per_pixel, lambda_grid, lambda_of_qp,
                     skipped_block_rate)
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP, SCHEMES,
                         TABLE_SCHEMES, SchemeConfig, WeightTable, build_mask,
@@ -48,8 +48,8 @@ __version__ = "0.1.0"
 # The simulator is the one module that needs scipy. Its names resolve on
 # first use, so the analysis path imports on numpy alone.
 _SIMULATOR_NAMES = ("CodecConfig", "EncodeResult", "SensorModel",
-                    "encode_block", "encode_sequence", "oracle_weight_d",
-                    "simulate_capture", "synthetic_clean_frames")
+                    "encode_block", "encode_sequence", "simulate_capture",
+                    "synthetic_clean_frames")
 
 
 def __getattr__(name):

@@ -261,8 +261,8 @@ def calibrate_qp(videos: Sequence[Video],
         qps.setdefault(video.camera_id, []).append((video.qp, 1.0))
     build_qp_table([CalibrationRun(c, s) for c, s in qps.items()])  # anchors
 
-    def fingerprint(video, residuals):
-        [fp] = stream_fingerprints(video, [scheme], residuals)
+    def fingerprint(video, frames):
+        [fp] = stream_fingerprints(video, [scheme], frames)
         return [(float(video.qp), fp)]
 
     runs = _calibration_runs(videos, references, fingerprint, denoise_config,
@@ -292,8 +292,9 @@ def calibrate_lambda_rate(videos: Sequence[Video],
     for video in videos:
         _splice_frames(video.trace)
 
-    def spliced_frames(video, residuals):
-        spliced = splice_by_lambda_rate(residuals, video.trace, include_skip)
+    def spliced_frames(video, frames):
+        spliced = splice_by_lambda_rate((residual for _, residual in frames),
+                                        video.trace, include_skip)
         return [(float(mean_lr), values) for values, mean_lr
                 in zip(spliced.values, spliced.mean_lambda_rate)
                 if np.isfinite(mean_lr) and values.any()]

@@ -47,7 +47,7 @@ def run_grid(videos: Sequence[Video],
     Before any extraction, the schemes must be distinct (ConfigError), the
     video ids distinct (SchemaError naming the id), and every video must
     have a trace and a reference of its camera (InsufficientData). Then
-    `match_videos` streams each video's residuals once into
+    `match_videos` streams each video's (luma, residual) pairs once into
     `stream_fingerprints`, which feeds all of its schemes in lockstep, and
     matches them against one transform of the camera reference. A failing
     cell stores its error and the rest of the grid proceeds.
@@ -68,9 +68,9 @@ def run_grid(videos: Sequence[Video],
         grid.notes.append("loop_filter_only duplicates conventional masks: "
                           "the simulator codec has no in-loop filter")
 
-    def fingerprints(video, residuals):
+    def fingerprints(video, frames):
         return zip(((video.video_id, s) for s in schemes),
-                   stream_fingerprints(video, scheme_configs, residuals))
+                   stream_fingerprints(video, scheme_configs, frames))
 
     for _, matches in match_videos(videos, references, fingerprints,
                                    denoise_config, pce_config, threshold,
@@ -84,10 +84,11 @@ def match_videos(videos: Sequence[Video], references: dict[str, Fingerprint],
                  threshold: float = DEFAULT_THRESHOLD, workers: int = 1):
     """The per-video match pass of `run_grid` and both calibrations.
 
-    Each video's residuals stream once, in order and through one worker
-    pool for the whole call, into ``planes(video, residuals)``, which
-    returns (key, plane or BlockPrnuError) pairs; every plane is matched
-    against one transform of the camera's reference. Yields (video,
+    Each video's frames stream once, as (luma, residual) pairs in frame
+    order and through one worker pool for the whole call, into
+    ``planes(video, frames)``, which returns (key, plane or
+    BlockPrnuError) pairs; every plane is matched against one transform
+    of the camera's reference. Yields (video,
     [(key, MatchReport or the plane's or `pce`'s BlockPrnuError)]). The
     pool shuts down when the iteration ends or the generator is closed.
     """
@@ -222,11 +223,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
-
-    def to_coords(self) -> str:
-        """Plot-ready lines: fpr tpr, one point per threshold."""
-        return "\n".join(f"{float(f)!r} {float(t)!r}"
-                         for f, t in zip(self.fpr, self.tpr)) + "\n"
 
 
 def roc(matching: Sequence[float], non_matching: Sequence[float]) -> RocCurve:

@@ -174,15 +174,6 @@ class _TestSpectrum(_Plane):
         return ws
 
 
-def crosscorr(test: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """c[dy, dx] = sum_x test(x) * reference(x + (dy, dx)), cyclic."""
-    ws = _TestSpectrum(test).correlate(_Plane(reference))
-    c = np.empty(ws.shape)
-    for r0, rows in ws.chunks():
-        c[r0:r0 + len(rows)] = rows
-    return c
-
-
 class _Peak:
     """The largest |c| over the chunks of a plane, read from the extremes
     so no |c| plane is built. The first maximum and the first minimum in

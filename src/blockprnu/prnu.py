@@ -12,10 +12,11 @@ evidence and are dropped from the support.
 
 A `Video` is the luma I of a decoded video as one checked (frames, H, W)
 uint8 stack, plus its block trace; a `.yuv` stack from `read_yuv420` is
-read a plane at a time as it is used. Its residuals W stream in frame
-order from `residual_extractor`, as float64 (H, W) arrays, into
-`stream_fingerprints`, which feeds one accumulator per weighting scheme
-in lockstep; no caller holds a video's residuals or luma at once.
+read a plane at a time as it is used. `residual_extractor` reads each
+plane once and streams it in frame order with its residual W, a float64
+(H, W) array, as one (luma, residual) pair into `stream_fingerprints`,
+which feeds one accumulator per weighting scheme in lockstep; no caller
+holds a video's residuals or luma at once.
 
 Apart from those residuals, no frame-sized temporary is made while a
 video streams: a frame is added one strip of rows at a time. `finalize`
@@ -29,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -151,9 +153,7 @@ def finalize(acc: FingerprintAccumulator,
             raise AllMaskedOut("denominator is zero everywhere")
         denominator_floor = DENOMINATOR_FLOOR_SCALE * float(nonzero.mean())
         del nonzero
-    if not denominator_floor > 0:
-        raise ConfigError(f"denominator floor must be positive, "
-                          f"got {denominator_floor}")
+    _check_floor(denominator_floor)
     support = den >= denominator_floor
     if not support.any():
         raise AllMaskedOut("no pixel cleared the denominator floor")
@@ -166,6 +166,12 @@ def finalize(acc: FingerprintAccumulator,
         if energy > 0:
             k /= energy
     return Fingerprint(k_values=k, support=support, source_id=source_id)
+
+
+def _check_floor(denominator_floor: float) -> None:
+    if not denominator_floor > 0:
+        raise ConfigError(f"denominator floor must be positive, "
+                          f"got {denominator_floor}")
 
 
 def _check_unspent(acc: FingerprintAccumulator) -> None:
@@ -303,31 +309,34 @@ def _extract_run(job, planes: np.ndarray) -> list[np.ndarray]:
     return [job(luma) for luma in planes]
 
 
-def _drain(task):
-    """The residuals of a finished task, each dropped as it is yielded."""
+def _drain(planes: np.ndarray, task):
+    """(luma, residual) pairs of a finished task, each residual dropped
+    as it is yielded."""
     run = task.result()     # the task's own list, so no other holds them
     run.reverse()
-    while run:
-        yield run.pop()
+    for luma in planes:
+        yield luma, run.pop()
 
 
 @contextmanager
 def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
                        workers: int = 1):
-    """Yield ``extract(pictures)``: an iterator over the residual of each
-    (H, W) plane of a luma stack, in frame order, computed as it is read.
+    """Yield ``extract(pictures)``: an iterator over one (luma, residual)
+    pair per (H, W) plane of a luma stack, in frame order. Each plane is
+    read once, and its residual computed as it is read.
 
     With workers > 1 one process pool serves every call made inside the
     with block, so a command that extracts several videos starts one pool.
     A pool task is a run of frames of about TASK_PIXELS pixels (one frame
     at 720p), at most a 1/(2 * workers) share of the video so that every
-    worker gets one, and at most 2 * workers tasks are pending beyond the
-    one being read: a video's residuals are never held at once. Residuals
-    are the same for any worker count.
+    worker gets one; the run of planes read for a task is kept beside it
+    until its pairs are yielded. At most 2 * workers tasks are pending
+    beyond the one being read: a video's residuals are never held at
+    once. Residuals are the same for any worker count.
     """
     job = partial(extract_residual, config=denoise_config)
     if workers <= 1:
-        yield lambda pictures: map(job, pictures)
+        yield lambda pictures: ((luma, job(luma)) for luma in pictures)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         def extract(pictures):
@@ -337,12 +346,13 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
                               len(pictures) // (2 * workers)))
             pending = []
             for start in range(0, len(pictures), size):
-                pending.append(pool.submit(_extract_run, job,
-                                           pictures[start:start + size]))
+                planes = pictures[start:start + size]
+                pending.append((planes, pool.submit(_extract_run, job,
+                                                    planes)))
                 if len(pending) > 2 * workers:
-                    yield from _drain(pending.pop(0))
+                    yield from _drain(*pending.pop(0))
             while pending:
-                yield from _drain(pending.pop(0))
+                yield from _drain(*pending.pop(0))
         yield extract
 
 
@@ -359,21 +369,25 @@ def _strip_mask(luma: np.ndarray, block_weights: np.ndarray | None,
 
 
 def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
-                        residuals: Iterable[np.ndarray],
+                        frames: Iterable[tuple[np.ndarray, np.ndarray]],
                         denominator_floor: float | None = None,
                         source_id: str = ""
                         ) -> list[Fingerprint | BlockPrnuError]:
-    """One Fingerprint or error per scheme from a video and its residuals,
-    read once in frame order into one accumulator per scheme; a
-    DimensionMismatch unless there is one residual per frame.
+    """One Fingerprint or error per scheme from a video's (luma, residual)
+    pairs, read once in frame order into one accumulator per scheme; a
+    DimensionMismatch unless there is one pair per frame of the video,
+    of which only the shape is read.
 
-    Every scheme's block weights are built before the first residual is
-    read, and none is read if no scheme can use them. Without a trace only
-    the schemes that ignore block metadata (neither a table nor zeroed
-    skips in `SCHEMES`) can. Each frame enters every accumulator through
-    one `accumulate` call, a strip of rows at a time, and each strip's
-    mask is painted from its own macroblock rows.
+    A floor that is not positive (ConfigError) and every scheme's block
+    weights are checked before the first pair is read, and none is read if
+    no scheme can use them. Without a trace only the schemes that ignore
+    block metadata (neither a table nor zeroed skips in `SCHEMES`) can.
+    Each frame enters every accumulator through one `accumulate` call, a
+    strip of rows at a time, and each strip's mask is painted from its own
+    macroblock rows.
     """
+    if denominator_floor is not None:
+        _check_floor(denominator_floor)
     trace = video.trace
     results: list = [None] * len(schemes)
     weights = {}
@@ -387,20 +401,20 @@ def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
             results[i] = exc
     if not weights:
         return results
-    frames, h, w = video.pictures.shape
+    length, h, w = video.pictures.shape
     accumulators = {i: FingerprintAccumulator(h, w) for i in weights}
-    residuals = iter(residuals)
+    frames = iter(frames)
     count = 0
-    for luma, residual in zip(video.pictures, residuals):
+    for luma, residual in islice(frames, length):
         feeds = [(acc, partial(_strip_mask, luma, None if weights[i] is None
                                else weights[i][count]))
                  for i, acc in accumulators.items()]
         acc, mask = feeds[0]
         acc.accumulate(luma, residual, mask, feeds[1:])
         count += 1
-    if count < frames or next(residuals, None) is not None:
-        raise DimensionMismatch(f"{frames} pictures vs "
-                                f"{count if count < frames else 'more'} residuals")
+    if count < length or next(frames, None) is not None:
+        raise DimensionMismatch(f"{length} pictures vs "
+                                f"{count if count < length else 'more'} residuals")
     for i, acc in accumulators.items():
         try:
             results[i] = finalize(acc, denominator_floor=denominator_floor,

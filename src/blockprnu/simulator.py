@@ -23,7 +23,6 @@ from scipy.ndimage import uniform_filter
 from .errors import ConfigError
 from .trace import (BLOCK_TYPES, MACROBLOCK, QP_MAX, QP_MIN, SKIP,
                     TraceFile, lambda_of_qp)
-from .weighting import paint_blocks
 
 _HEADER_BITS = 8
 _SKIP_BITS = 1
@@ -307,17 +306,6 @@ def encode_sequence(frames: Sequence[np.ndarray],
     return EncodeResult(pictures=pictures, trace=trace, distortion=distortion,
                         rate=rate, cost=cost, lam=lam_grid,
                         qp_per_frame=qp_per_frame)
-
-
-def oracle_weight_d(distortion_grid: np.ndarray,
-                    frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Ground-truth mask 1 / (1 + D): strictly decreasing in distortion.
-
-    Only the simulator can provide D; this exists to sanity-check that
-    metadata-driven weights point the same way as true distortion.
-    """
-    return paint_blocks(1.0 / (1.0 + np.asarray(distortion_grid, dtype=np.float64)),
-                        frame_shape)
 
 
 # ---------------------------------------------------------------------------

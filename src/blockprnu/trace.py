@@ -72,11 +72,6 @@ def lambda_of_qp(qp: int | float) -> float:
     return float(lambda_grid(qp))
 
 
-def lambda_rate(record: BlockRecord) -> float:
-    """lambda * rate for one block, the decoder-visible cost surrogate."""
-    return lambda_of_qp(record.qp) * record.bits
-
-
 class BlockColumns(NamedTuple):
     """Blocks in the order they were given, one int64 array per field.
 

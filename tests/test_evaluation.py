@@ -274,17 +274,6 @@ def test_roc_separated_and_tied():
         roc([1.0], [])
 
 
-def test_roc_coords_text():
-    curve = roc([10.0, 20.0], [1.0])
-    text = curve.to_coords()
-    lines = text.strip().splitlines()
-    assert len(lines) == curve.thresholds.size
-    for line in lines:
-        f, t = line.split(" ")
-        float(f), float(t)
-    assert "np." not in text
-
-
 def test_sbr_summary_rows():
     half = TraceFile(width=32, height=32, frame_count=1,
                      records=grid_records(0, [["P", "P"], ["SKIP", "SKIP"]]))

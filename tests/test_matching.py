@@ -21,7 +21,6 @@ from blockprnu import (
     MatchReport,
     PceConfig,
     batch_match,
-    crosscorr,
     format_report_records,
     pce,
     read_fingerprint,
@@ -29,8 +28,18 @@ from blockprnu import (
 )
 from blockprnu import matching
 from blockprnu.cli import main
-from blockprnu.matching import ReferenceSpectrum, _Peak
+from blockprnu.matching import ReferenceSpectrum, _Peak, _Plane, _TestSpectrum
 from conftest import CountingFft
+
+
+def crosscorr(test, reference):
+    """The whole plane c[dy, dx] = sum_x test(x) * reference(x + (dy, dx)),
+    cyclic, gathered from the chunks `pce` reads."""
+    ws = _TestSpectrum(test).correlate(_Plane(reference))
+    c = np.empty(ws.shape)
+    for r0, rows in ws.chunks():
+        c[r0:r0 + len(rows)] = rows
+    return c
 
 
 def unit_noise(shape, seed):

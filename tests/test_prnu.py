@@ -23,6 +23,7 @@ from blockprnu import (
     SensorModel,
     TraceFile,
     WeightTable,
+    YuvLuma,
     build_mask,
     estimate_fingerprint,
     finalize,
@@ -49,7 +50,8 @@ def ingest(acc, luma, residual, mask):
 
 def one_fingerprint(pictures, trace, residuals, config):
     """The pass with one scheme; that scheme's error is raised."""
-    [fp] = stream_fingerprints(Video(pictures, trace), [config], residuals)
+    [fp] = stream_fingerprints(Video(pictures, trace), [config],
+                               zip(pictures, residuals))
     if isinstance(fp, Exception):
         raise fp
     return fp
@@ -196,8 +198,22 @@ def test_pipeline_recovers_planted_pattern():
     assert corr > 0.5
 
 
-def test_estimate_fingerprint_argument_checks():
+def test_estimate_fingerprint_argument_checks(monkeypatch):
     pics = np.full((1, 32, 32), 100, dtype=np.uint8)
+    extracted = []
+    monkeypatch.setattr(prnu, "extract_residual",
+                        lambda luma, config: extracted.append(luma))
+    varied = np.random.default_rng(7).integers(20, 230, size=(5, 32, 32),
+                                               dtype=np.uint8)
+    for floor in (-1.0, 0.0, float("nan")):
+        for workers in (1, 2):
+            with pytest.raises(ConfigError,
+                               match="^denominator floor must be positive"):
+                estimate_fingerprint(varied, None, SchemeConfig("conventional"),
+                                     denominator_floor=floor, workers=workers)
+    # none is extracted: at 2 workers a submitted task would not even
+    # pickle, as the counter is a lambda
+    assert extracted == []
     with pytest.raises(EmptyAccumulator):
         estimate_fingerprint([], None, SchemeConfig("conventional"))
     with pytest.raises(DimensionMismatch):
@@ -335,7 +351,7 @@ def test_stacked_masks_match_the_per_frame_loop_for_every_scheme():
     tables = _tables(rng)
     configs = [SchemeConfig(scheme, tables.get(scheme)) for scheme in SCHEMES]
     # every scheme in one pass, fed in lockstep from one stream
-    stream = iter(residuals)
+    stream = zip(pictures, residuals)
     results = stream_fingerprints(Video(pictures, trace), configs, stream)
     assert next(stream, None) is None
     for scheme, config, got in zip(SCHEMES, configs, results):
@@ -439,9 +455,9 @@ def test_grid_and_calibrations_refuse_a_bad_video_before_extracting(
 
 class StreamWatch:
     """Wraps `residual_extractor` wherever a driver reads it. At each
-    residual the stream yields it records how many of the residuals
-    yielded so far are still alive and how many pixels the pool has been
-    handed beyond the frame yielded."""
+    (luma, residual) pair the stream yields it records how many of the
+    residuals yielded so far are still alive and how many pixels the pool
+    has been handed beyond the frame yielded."""
 
     def __init__(self, monkeypatch):
         self.yielded = self.alive = self.ahead = self.submitted = 0
@@ -462,16 +478,16 @@ class StreamWatch:
         for module in (prnu, evaluation):
             monkeypatch.setattr(module, "residual_extractor", watched)
 
-    def _stream(self, residuals):
+    def _stream(self, frames):
         refs = []
-        for residual in residuals:
+        for luma, residual in frames:
             refs.append(weakref.ref(residual))
             self.yielded += 1
             self.alive = max(self.alive, sum(r() is not None for r in refs))
             if self.submitted:
                 self.ahead = max(self.ahead, (self.submitted - self.yielded)
                                  * self.pixels)
-            yield residual
+            yield luma, residual
 
 
 def _random_video(frames):
@@ -511,6 +527,49 @@ def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
         assert watch.alive <= 2 * workers + 1, name
         # at most 2 * workers pending tasks of about TASK_PIXELS each
         assert watch.ahead <= 2 * workers * prnu.TASK_PIXELS, name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_drivers_read_each_plane_once(tmp_path, monkeypatch, workers):
+    frames = 6
+    pictures, trace, references = _random_video(frames)
+    paths = []
+    for name in ("a", "b"):
+        paths.append(str(tmp_path / f"{name}.yuv"))
+        write_yuv420(pictures, paths[-1])
+    reads = []
+    real = YuvLuma._read
+
+    def counted(self, indices):
+        reads.extend((self.path, i) for i in indices)
+        return real(self, indices)
+
+    monkeypatch.setattr(YuvLuma, "_read", counted)
+
+    def videos():
+        return [Video(read_yuv420(path, 32, 32), trace, "cam", path, qp=15)
+                for path in paths]
+
+    schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
+    drivers = {
+        "estimate_fingerprint": lambda: estimate_fingerprint(
+            read_yuv420(paths[0], 32, 32), trace, schemes[1],
+            workers=workers),
+        "run_grid": lambda: run_grid(videos(), schemes, references,
+                                     workers=workers),
+        "calibrate_qp": lambda: calibrate_qp(videos(), references,
+                                             include_skip=False,
+                                             workers=workers),
+        "calibrate_lambda_rate": lambda: calibrate_lambda_rate(
+            videos(), references, n_buckets=1, workers=workers),
+    }
+    for name, run in drivers.items():
+        reads.clear()
+        run()
+        read = paths[:1] if name == "estimate_fingerprint" else paths
+        # one read of every plane, in frame order, video by video
+        assert reads == [(path, i) for path in read for i in range(frames)], \
+            name
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +724,8 @@ def test_strip_masks_equal_whole_frame_masks_across_strips(grid_h):
     residuals = [rng.normal(size=(h, w)) for _ in range(frames)]
     tables = _tables(rng)
     configs = [SchemeConfig(scheme, tables.get(scheme)) for scheme in SCHEMES]
-    results = stream_fingerprints(Video(pictures, trace), configs, residuals)
+    results = stream_fingerprints(Video(pictures, trace), configs,
+                                  zip(pictures, residuals))
     for config, got in zip(configs, results):
         # the whole-frame arithmetic the strips replace
         acc = FingerprintAccumulator(h, w)
@@ -692,7 +752,7 @@ def test_a_frame_is_added_in_strips():
     schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
     accumulators = len(schemes) * 2 * h * w * 8
     peak = _traced_peak(lambda: stream_fingerprints(
-        video, schemes, iter(residuals)))
+        video, schemes, zip(video.pictures, residuals)))
     assert peak <= accumulators + 8 * strip_bytes, peak - accumulators
     assert [(s.start, s.stop) for s in prnu._strips(h, w)] == [
         (0, 64), (64, 128), (128, 192), (192, 256)]

@@ -89,8 +89,8 @@ def test_readme_python_blocks_run(tmp_path):
 
 
 SIMULATOR_NAMES = ["CodecConfig", "EncodeResult", "SensorModel",
-                   "encode_block", "encode_sequence", "oracle_weight_d",
-                   "simulate_capture", "synthetic_clean_frames"]
+                   "encode_block", "encode_sequence", "simulate_capture",
+                   "synthetic_clean_frames"]
 
 SCIPY_MODULES = ("sorted(m for m in sys.modules "
                  "if m.partition('.')[0] == 'scipy')")

@@ -14,7 +14,6 @@ from blockprnu import (
     encode_block,
     encode_sequence,
     lambda_of_qp,
-    oracle_weight_d,
     simulate_capture,
     skipped_block_rate,
     synthetic_clean_frames,
@@ -222,17 +221,6 @@ def test_static_scene_low_rate_skips_heavily():
     frames = [np.clip(np.rint(f), 0, 255).astype(np.uint8) for f in frames]
     result = encode_sequence(frames, CodecConfig(qp=30))
     assert skipped_block_rate(result.trace) >= 0.7
-
-
-def test_oracle_weight_decreases_with_distortion():
-    grid = np.array([[0.0, 1.0], [3.0, 7.0]])
-    mask = oracle_weight_d(grid)
-    assert mask[0, 0] == 1.0
-    assert mask[0, 16] == 0.5
-    assert mask[16, 0] == 0.25
-    assert mask[16, 16] == 0.125
-    cropped = oracle_weight_d(grid, frame_shape=(40, 40))
-    assert np.all(cropped[32:, :] == 0.0)
 
 
 def test_synthetic_frames_shape_and_motion():

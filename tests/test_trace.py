@@ -8,7 +8,7 @@ import pytest
 
 from blockprnu import (ALL_SCHEMES, BLOCK_TYPES, BlockRecord, SchemeConfig,
                        TraceFile, WeightTable, bits_per_pixel, build_mask,
-                       lambda_grid, lambda_of_qp, lambda_rate, paint_blocks,
+                       lambda_grid, lambda_of_qp, paint_blocks,
                        skipped_block_rate)
 from blockprnu.bitstream import load_trace_text, serialize_trace
 from blockprnu.errors import CoverageGap, EmptyInput, RangeError, SchemaError
@@ -70,9 +70,15 @@ def test_lambda_grid_matches_scalar():
 
 
 def test_lambda_rate_examples():
-    assert lambda_rate(BlockRecord(0, 0, 0, "P", 12, 100)) == 100.0
-    assert lambda_rate(BlockRecord(0, 0, 0, "P", 15, 0)) == 0.0
-    got = lambda_rate(BlockRecord(0, 0, 0, "P", 24, 50))
+    # one 16x16 frame per example block, read from the trace's stack
+    examples = [(12, 100), (15, 0), (24, 50)]
+    trace = TraceFile(16, 16, len(examples), [
+        BlockRecord(f, 0, 0, "P", qp, bits)
+        for f, (qp, bits) in enumerate(examples)])
+    assert trace.lambda_rate.shape == (3, 1, 1)
+    first, second, got = (float(v) for v in trace.lambda_rate.flat)
+    assert first == 100.0
+    assert second == 0.0
     assert abs(got - 50 * 0.852 ** 4) < 1e-6
     assert round(got, 2) == 26.35
 
