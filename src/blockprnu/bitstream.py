@@ -9,7 +9,7 @@ by the simulator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -523,12 +523,7 @@ def parse_annexb(stream: bytes) -> tuple[list[SliceHeaderInfo], ParameterSetCont
             probe = parse_slice_header(unit, context, frame_index=0)
             if probe.first_mb_in_slice == 0 or frame_index < 0:
                 frame_index += 1
-            slices.append(SliceHeaderInfo(
-                frame_index=frame_index, slice_type=probe.slice_type,
-                base_qp=probe.base_qp,
-                deblocking_disabled=probe.deblocking_disabled,
-                first_mb_in_slice=probe.first_mb_in_slice,
-                frame_num=probe.frame_num))
+            slices.append(replace(probe, frame_index=frame_index))
     return slices, context
 
 

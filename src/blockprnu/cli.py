@@ -53,11 +53,11 @@ def _denoise_config(args) -> DenoiseConfig:
     return DenoiseConfig(method=args.denoise, noise_var=args.noise_var)
 
 
-def _pce_config(args, search: str = "full") -> PceConfig:
+def _pce_config(args) -> PceConfig:
     if args.exclusion < 1 or args.exclusion % 2 == 0:
         raise ConfigError("exclusion window width must be odd and positive")
     return PceConfig(exclusion_half_width=args.exclusion // 2,
-                     search_window=search)
+                     search_window=args.search)
 
 
 def _load_video(frames_path: str, trace_path: str, camera_id: str = "",
@@ -185,7 +185,7 @@ def cmd_estimate(args, parser) -> int:
 def cmd_match(args) -> int:
     test = read_fingerprint(args.test)
     reference = read_fingerprint(args.reference)
-    report = pce(test, reference, _pce_config(args, args.search),
+    report = pce(test, reference, _pce_config(args),
                  args.threshold)
     test_id = test.source_id or Path(args.test).stem
     ref_id = reference.source_id or Path(args.reference).stem
@@ -245,7 +245,7 @@ def cmd_calibrate(args) -> int:
     references = _load_references(args.references,
                                   (v.camera_id for v in videos))
     denoise = _denoise_config(args)
-    pce_config = _pce_config(args, args.search)
+    pce_config = _pce_config(args)
     workers = resolve_workers(args.workers)
     if args.mode == "qp":
         table, report = calibrate_qp(videos, references,
@@ -288,7 +288,7 @@ def cmd_evaluate(args, parser) -> int:
                                   (v.camera_id for v in videos))
     grid = run_grid(videos, configs, references,
                     denoise_config=_denoise_config(args),
-                    pce_config=_pce_config(args, args.search),
+                    pce_config=_pce_config(args),
                     threshold=args.threshold,
                     workers=resolve_workers(args.workers))
 
@@ -337,9 +337,10 @@ def _add_match_flags(p: argparse.ArgumentParser,
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel residual workers (default: "
-                        "BLOCKPRNU_WORKERS or all cores); results are "
-                        "byte-identical at any count")
+                   help="parallel residual workers, at most the CPUs "
+                        "this process may run on (default: "
+                        "BLOCKPRNU_WORKERS or all of those CPUs); results "
+                        "are byte-identical at any count")
 
 
 def build_parser() -> argparse.ArgumentParser:

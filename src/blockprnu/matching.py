@@ -12,7 +12,9 @@ along columns in place, then along rows one chunk of CHUNK_ROWS rows at a
 time; the peak and the per-row energies are read chunk by chunk, and the
 few rows of the exclusion window are transformed again once the peak is
 known. Every buffer lives in a per-thread `_Workspace` that serves all the
-pairs the thread computes.
+pairs the thread computes. The workspace also holds the test plane being
+matched, whose spectrum it computes on the test's first correlation, so a
+test is transformed once however many references it meets.
 """
 from __future__ import annotations
 
@@ -68,47 +70,6 @@ def _check_plane(a: np.ndarray) -> None:
         raise DegenerateFingerprint("zero-energy fingerprint")
 
 
-class _Workspace:
-    """One thread's buffers for correlating planes of one shape: the
-    conjugated test spectrum, one product spectrum, a chunk of correlation
-    rows and the per-row energies. They are reallocated only when the
-    shape changes, so no pair allocates anything the size of a plane."""
-
-    def __init__(self):
-        self.shape = None
-
-    def fit(self, shape: tuple[int, int]) -> None:
-        if shape != self.shape:
-            h, w = shape
-            self.conj = np.empty((h, w // 2 + 1), dtype=np.complex128)
-            self.product = np.empty_like(self.conj)
-            self.chunk = np.empty((min(h, CHUNK_ROWS), w))
-            self.row_energy = np.empty(h)
-            self.shape = shape
-
-    def chunks(self):
-        """Yield (first row, rows) of the correlation plane, top to bottom.
-        Every chunk overwrites the one before."""
-        h, w = self.shape
-        step = len(self.chunk)
-        for r0 in range(0, h, step):
-            rows = self.chunk[:min(step, h - r0)]
-            # n= restores an odd width that the half spectrum cannot encode
-            sfft.irfft(self.product[r0:r0 + len(rows)], n=w, axis=1, out=rows)
-            yield r0, rows
-
-    def band(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """c[rows][:, cols], transforming only the given rows again."""
-        out = np.empty((rows.size, cols.size))
-        step = len(self.chunk)
-        for i in range(0, rows.size, step):
-            part = rows[i:i + step]
-            block = self.chunk[:part.size]
-            sfft.irfft(self.product[part], n=self.shape[1], axis=1, out=block)
-            out[i:i + part.size] = block[:, cols]
-        return out
-
-
 class _Plane:
     """A fingerprint plane, validated once. A failed validation is kept
     and raised anew by `check`, which `pce` calls where a standalone call
@@ -145,59 +106,61 @@ class ReferenceSpectrum(_Plane):
         np.copyto(out, self._spectrum)
 
 
-class _TestSpectrum(_Plane):
-    """A test plane and its conjugated real spectrum.
-
-    `batch_match` builds one per row and passes it to `pce` in place of
-    the array, so a test is transformed once however many references it
-    meets. The spectrum is computed on the first correlation, into the
-    workspace given, which must not serve another test until this one is
-    done.
-    """
-    def __init__(self, test, workspace: _Workspace | None = None):
-        super().__init__(test)
-        self._workspace = _Workspace() if workspace is None else workspace
-        self._transformed = False
-
-    def correlate(self, reference: _Plane) -> _Workspace:
-        """Leave the product spectrum with `reference`, inverse-transformed
-        along columns, in the workspace, ready for `chunks` and `band`."""
-        ws = self._workspace
-        if not self._transformed:
-            ws.fit(self.shape)
-            self.transform_into(ws.conj)
-            np.conjugate(ws.conj, out=ws.conj)
-            self._transformed = True
-        reference.transform_into(ws.product)
-        ws.product *= ws.conj
-        sfft.ifft(ws.product, axis=0, out=ws.product)
-        return ws
-
-
-class _Peak:
-    """The largest |c| over the chunks of a plane, read from the extremes
-    so no |c| plane is built. The first maximum and the first minimum in
-    flat order are kept (strict > and < across chunks); of the two, the
-    larger magnitude wins, and the earlier one on a tie."""
+class _Workspace:
+    """One thread's buffers for correlating planes of one shape, and the
+    test plane they serve: the conjugated test spectrum, one product
+    spectrum, a chunk of correlation rows and the per-row energies. They
+    are reallocated only when the shape changes, so no pair allocates
+    anything the size of a plane."""
 
     def __init__(self):
-        self.hi = self.lo = None        # (value, flat index)
+        self.shape = None
 
-    def update(self, rows: np.ndarray, start: int) -> None:
-        """Take in a chunk whose first cell has flat index `start`."""
-        i, j = int(rows.argmax()), int(rows.argmin())
-        if self.hi is None or rows.flat[i] > self.hi[0]:
-            self.hi = (rows.flat[i], start + i)
-        if self.lo is None or rows.flat[j] < self.lo[0]:
-            self.lo = (rows.flat[j], start + j)
+    def hold(self, test: _Plane) -> _Workspace:
+        """Point the workspace at `test`, whose spectrum is computed on
+        its first correlation; returns the workspace."""
+        self.test = test
+        self._transformed = False
+        return self
 
-    def result(self) -> tuple[float, int]:
-        """(value, flat index) of the peak."""
-        (v_hi, i_hi), (v_lo, i_lo) = self.hi, self.lo
-        a_hi, a_lo = abs(v_hi), abs(v_lo)
-        if a_hi > a_lo or (a_hi == a_lo and i_hi < i_lo):
-            return float(v_hi), i_hi
-        return float(v_lo), i_lo
+    def correlate(self, reference: _Plane) -> None:
+        """Leave the product spectrum of the held test with `reference`,
+        inverse-transformed along columns, ready for `chunks` and `band`."""
+        if not self._transformed:
+            if self.test.shape != self.shape:
+                h, w = self.shape = self.test.shape
+                self.conj = np.empty((h, w // 2 + 1), dtype=np.complex128)
+                self.product = np.empty_like(self.conj)
+                self.chunk = np.empty((min(h, CHUNK_ROWS), w))
+                self.row_energy = np.empty(h)
+            self.test.transform_into(self.conj)
+            np.conjugate(self.conj, out=self.conj)
+            self._transformed = True
+        reference.transform_into(self.product)
+        self.product *= self.conj
+        sfft.ifft(self.product, axis=0, out=self.product)
+
+    def chunks(self):
+        """Yield (first row, rows) of the correlation plane, top to bottom.
+        Every chunk overwrites the one before."""
+        h, w = self.shape
+        step = len(self.chunk)
+        for r0 in range(0, h, step):
+            rows = self.chunk[:min(step, h - r0)]
+            # n= restores an odd width that the half spectrum cannot encode
+            sfft.irfft(self.product[r0:r0 + len(rows)], n=w, axis=1, out=rows)
+            yield r0, rows
+
+    def band(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """c[rows][:, cols], transforming only the given rows again."""
+        out = np.empty((rows.size, cols.size))
+        step = len(self.chunk)
+        for i in range(0, rows.size, step):
+            part = rows[i:i + step]
+            block = self.chunk[:part.size]
+            sfft.irfft(self.product[part], n=self.shape[1], axis=1, out=block)
+            out[i:i + part.size] = block[:, cols]
+        return out
 
 
 def _window(center: int, half: int, n: int) -> np.ndarray:
@@ -235,7 +198,9 @@ def pce(test, reference, config: PceConfig = PceConfig(),
     keeps its sign, so anti-correlated artifacts surface as strongly
     negative PCE instead of masquerading as matches.
     """
-    t = test if isinstance(test, _TestSpectrum) else _TestSpectrum(test)
+    ws = (test if isinstance(test, _Workspace)
+          else _Workspace().hold(_Plane(test)))
+    t = ws.test
     r = reference if isinstance(reference, _Plane) else _Plane(reference)
     if t.shape != r.shape:
         raise DimensionMismatch(f"{t.shape} vs {r.shape}")
@@ -245,16 +210,21 @@ def pce(test, reference, config: PceConfig = PceConfig(),
     h, w = r.shape
     if (2 * half + 1) ** 2 >= h * w:
         raise DimensionMismatch("exclusion neighborhood covers the whole plane")
-    ws = t.correlate(r)
+    ws.correlate(r)
     full = config.search_window == "full"
-    found = _Peak()
+    peak, flat = 0.0, 0     # an all-zero plane keeps these, and is flat
     for r0, rows in ws.chunks():
         np.einsum("ij,ij->i", rows, rows, out=ws.row_energy[r0:r0 + len(rows)])
         if full:
-            found.update(rows, r0 * w)
+            # the chunk's first cell of largest |c| is its first maximum or
+            # its first minimum; a later chunk wins only with a larger |c|,
+            # so the plane's first cell of largest |c| is kept
+            i = min(int(rows.argmax()), int(rows.argmin()),
+                    key=lambda k: (-abs(rows.flat[k]), k))
+            if abs(rows.flat[i]) > abs(peak):
+                peak, flat = float(rows.flat[i]), r0 * w + i
         elif r0 == 0:
-            origin = float(rows[0, 0])
-    peak, flat = found.result() if full else (origin, 0)
+            peak = float(rows[0, 0])
     py, px = divmod(flat, w)
     energy = _off_peak_energy(ws, py, px, half)
     if energy == 0.0:
@@ -275,7 +245,8 @@ def batch_match(tests: Iterable, references: Iterable,
     validated and transformed once for its whole row, so T tests against
     R references take T + R validations and T + T*R forward FFTs. With n
     workers (BLOCKPRNU_WORKERS, else the CPUs this process may run on)
-    thread k takes rows k, k+n, ... with a workspace of its own; numpy's
+    thread k takes rows k, k+n, ... with a workspace of its own, which
+    holds each of its tests in turn and is passed to `pce`; numpy's
     FFTs and reductions release the GIL. The matrix is the same at any
     worker count, and no thread outlives the call.
     """
@@ -289,11 +260,11 @@ def batch_match(tests: Iterable, references: Iterable,
         ws = _Workspace()
         out = []
         for t in tests[k::n]:
-            spectrum = _TestSpectrum(t, ws)
+            ws.hold(_Plane(t))
             row = []
             for r in references:
                 try:
-                    row.append(pce(spectrum, r, config, threshold))
+                    row.append(pce(ws, r, config, threshold))
                 except BlockPrnuError as exc:
                     row.append(exc)
             out.append(row)

@@ -39,6 +39,7 @@ _ANALYSIS = np.stack([_DEC_LO, _DEC_HI])
 _SYNTHESIS = np.array([[f[r::2][::-1] for r in (0, 1)]
                        for f in (_DEC_LO, _DEC_HI)])
 
+WAVELET_LEVELS = 4
 WIENER_WINDOWS = (3, 5, 7, 9)
 SATURATION_HIGH = 250
 SATURATION_LOW = 5
@@ -48,15 +49,12 @@ SATURATION_LOW = 5
 class DenoiseConfig:
     method: str = "wavelet"        # "wavelet" or "spatial"
     noise_var: float = 3.0         # in sample-value units squared
-    levels: int = 4
 
     def __post_init__(self):
         if self.method not in ("wavelet", "spatial"):
             raise ConfigError(f"unknown denoise method {self.method!r}")
         if not self.noise_var > 0:
             raise ConfigError(f"noise variance must be positive: {self.noise_var}")
-        if self.levels < 1:
-            raise ConfigError(f"levels must be at least 1, got {self.levels}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def _wavelet_noise(x: np.ndarray, config: DenoiseConfig) -> np.ndarray | None:
 
     Returns None when the picture is too small for even one level.
     """
-    approx, details = wavedec2(x, config.levels)
+    approx, details = wavedec2(x, WAVELET_LEVELS)
     if not details:
         return None
     filtered = [wiener_adaptive(lvl, config.noise_var) for lvl in details]

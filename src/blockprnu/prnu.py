@@ -243,8 +243,12 @@ def resolve_workers(value: int | None = None) -> int:
         if value < 1:
             raise ConfigError("BLOCKPRNU_WORKERS must be at least 1")
         return value
-    # the CPUs this process may run on, not the host's, under taskset or
-    # a cpuset; sched_getaffinity is missing on macOS and Windows
+    return _usable_cpus()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, not the host's, under taskset or
+    a cpuset; sched_getaffinity is missing on macOS and Windows."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -325,16 +329,19 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
     pair per (H, W) plane of a luma stack, in frame order. Each plane is
     read once, and its residual computed as it is read.
 
-    With workers > 1 one process pool serves every call made inside the
-    with block, so a command that extracts several videos starts one pool.
-    A pool task is a run of frames of about TASK_PIXELS pixels (one frame
-    at 720p), at most a 1/(2 * workers) share of the video so that every
-    worker gets one; the run of planes read for a task is kept beside it
-    until its pairs are yielded. At most 2 * workers tasks are pending
-    beyond the one being read: a video's residuals are never held at
-    once. Residuals are the same for any worker count.
+    `workers` is capped at the CPUs this process may run on, since a
+    forked pool starts all its processes at once. With more than one, one
+    process pool serves every call made inside the with block, so a
+    command that extracts several videos starts one pool. A pool task is a
+    run of frames of about TASK_PIXELS pixels (one frame at 720p), at most
+    a 1/(2 * workers) share of the video so that every worker gets one;
+    the run of planes read for a task is kept beside it until its pairs
+    are yielded. At most 2 * workers tasks are pending beyond the one
+    being read: a video's residuals are never held at once. Residuals are
+    the same for any worker count.
     """
     job = partial(extract_residual, config=denoise_config)
+    workers = min(workers, _usable_cpus())
     if workers <= 1:
         yield lambda pictures: ((luma, job(luma)) for luma in pictures)
         return

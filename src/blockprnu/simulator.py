@@ -313,8 +313,7 @@ def encode_sequence(frames: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 def synthetic_clean_frames(height: int, width: int, count: int, seed: int = 0,
-                           motion: int = 2, background_contrast: float = 22.0,
-                           object_contrast: float = 32.0) -> list[np.ndarray]:
+                           motion: int = 2) -> list[np.ndarray]:
     """Textured static background with one textured object drifting across.
 
     Static regions give a codec something to skip at low bitrates while the
@@ -322,12 +321,13 @@ def synthetic_clean_frames(height: int, width: int, count: int, seed: int = 0,
     are about.
     """
     rng = np.random.default_rng(seed)
+    # a background of std 22 about mid-grey, an object of std 32
     base = uniform_filter(rng.normal(0.0, 1.0, size=(height, width)), 7,
                           mode="wrap")
-    base = 128.0 + background_contrast * base / max(base.std(), 1e-12)
+    base = 128.0 + 22.0 * base / max(base.std(), 1e-12)
     obj = uniform_filter(rng.normal(0.0, 1.0, size=(height, width)), 3,
                          mode="wrap")
-    obj = object_contrast * obj / max(obj.std(), 1e-12)
+    obj = 32.0 * obj / max(obj.std(), 1e-12)
     oh, ow = max(height // 4, MACROBLOCK), max(width // 4, MACROBLOCK)
     window = np.zeros((height, width))
     window[:oh, :ow] = 1.0

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -52,7 +53,8 @@ def rate_encode(moving_capture):
 
 @pytest.fixture
 def pool_spawns(monkeypatch):
-    """Count the worker pools blockprnu creates during one test."""
+    """Count the worker pools blockprnu creates during one test, with two
+    CPUs visible, so that a pool of 2 is built on any host."""
     spawns = []
 
     class CountingPool(prnu.ProcessPoolExecutor):
@@ -61,6 +63,8 @@ def pool_spawns(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(prnu, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     return spawns
 
 

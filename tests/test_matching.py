@@ -28,14 +28,15 @@ from blockprnu import (
 )
 from blockprnu import matching
 from blockprnu.cli import main
-from blockprnu.matching import ReferenceSpectrum, _Peak, _Plane, _TestSpectrum
+from blockprnu.matching import ReferenceSpectrum, _Plane, _Workspace
 from conftest import CountingFft
 
 
 def crosscorr(test, reference):
     """The whole plane c[dy, dx] = sum_x test(x) * reference(x + (dy, dx)),
     cyclic, gathered from the chunks `pce` reads."""
-    ws = _TestSpectrum(test).correlate(_Plane(reference))
+    ws = _Workspace().hold(_Plane(test))
+    ws.correlate(_Plane(reference))
     c = np.empty(ws.shape)
     for r0, rows in ws.chunks():
         c[r0:r0 + len(rows)] = rows
@@ -266,27 +267,33 @@ def test_pce_finds_a_planted_shift_where_the_signal_dominates():
     assert report.decision and decision
 
 
-def peak_of(plane, chunk_rows):
-    """(row, col) of the peak, fed to the tracker chunk_rows rows at a time."""
-    found = _Peak()
-    w = plane.shape[1]
-    for r0 in range(0, plane.shape[0], chunk_rows):
-        found.update(plane[r0:r0 + chunk_rows], r0 * w)
-    return divmod(found.result()[1], w)
+def peak_of(plane, chunk_rows, monkeypatch):
+    """(row, col) of the peak `pce` finds in `plane`, read chunk_rows rows
+    at a time: a unit impulse correlates with a plane into the plane, up to
+    rounding that leaves the cells of largest |c| as they are."""
+    monkeypatch.setattr(matching, "CHUNK_ROWS", chunk_rows)
+    impulse = np.zeros(plane.shape)
+    impulse[0, 0] = 1.0
+    c = crosscorr(impulse, plane)
+    top = np.abs(plane) == np.abs(plane).max()
+    assert np.array_equal(c[top], plane[top])
+    assert np.abs(c[~top]).max(initial=0.0) < np.abs(plane).max()
+    dx, dy = pce(impulse, plane, PceConfig(exclusion_half_width=0)).peak_offset
+    return dy, dx
 
 
-def test_peak_tie_goes_to_first_flat_index():
+def test_peak_tie_goes_to_first_flat_index(monkeypatch):
     # one row per chunk puts each extreme of a tie in a chunk of its own
     for chunk_rows in (1, 2, 4):
         c = np.zeros((4, 5))
         c[1, 2] = -3.0
         c[2, 4] = 3.0
-        assert peak_of(c, chunk_rows) == (1, 2)
-        assert peak_of(-c, chunk_rows) == (1, 2)
+        assert peak_of(c, chunk_rows, monkeypatch) == (1, 2)
+        assert peak_of(-c, chunk_rows, monkeypatch) == (1, 2)
         c[0, 3] = 3.0
-        assert peak_of(c, chunk_rows) == (0, 3)
+        assert peak_of(c, chunk_rows, monkeypatch) == (0, 3)
         for plane in (c, -c, np.full((3, 3), 2.0), np.full((3, 3), -2.0)):
-            assert peak_of(plane, chunk_rows) == np.unravel_index(
+            assert peak_of(plane, chunk_rows, monkeypatch) == np.unravel_index(
                 np.abs(plane).argmax(), plane.shape)
 
 
@@ -370,6 +377,25 @@ def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
     counter.forward = 0
     pce(tests[0], refs[0])
     assert counter.forward == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_match_calls_the_module_pce_per_pair(monkeypatch, workers):
+    # a wrapper bound to the module name sees every pair, as a tracer does
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", workers)
+    calls = []
+    real = matching.pce
+
+    def counted(*args, **kwargs):
+        calls.append(1)             # list.append is atomic across threads
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "pce", counted)
+    tests = [unit_noise((20, 24), 110 + i) for i in range(3)]
+    refs = [unit_noise((20, 24), 120 + i) for i in range(4)]
+    matrix = batch_match(tests, refs)
+    assert len(calls) == 3 * 4
+    assert matrix == [[real(t, r) for r in refs] for t in tests]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -432,5 +432,3 @@ def test_denoise_config_validation():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError):
             DenoiseConfig(noise_var=bad)
-    with pytest.raises(ConfigError):
-        DenoiseConfig(levels=0)

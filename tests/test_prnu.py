@@ -1,5 +1,6 @@
 """Fingerprint accumulation, finalization, file format, and the pipeline."""
 
+import os
 import struct
 import tracemalloc
 import weakref
@@ -697,6 +698,51 @@ def test_estimate_memory_does_not_grow_with_video_length(tmp_path, workers,
             read_yuv420(path, 512, 512), None, conventional,
             workers=workers))
     assert abs(peaks[24] - peaks[4]) < 512 * 512 * 8, peaks
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {3}])
+def test_residual_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
+    # a forked pool starts every process at its first task, so 64 workers
+    # asked for on 2 usable CPUs build a pool of 2, whose tasks and pending
+    # window follow from 2; on one CPU the residuals are extracted inline.
+    # The fake pool starts no process.
+    built, sizes, pending, read = [], [], [], []
+
+    class RecordingPool(InlinePool):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def submit(self, fn, *args):
+            sizes.append(len(args[1]))
+            pending.append(len(sizes) - len(read))
+
+            def run():
+                read.append(args)
+                return fn(*args)
+            return Deferred(run, ())
+
+    monkeypatch.setattr(prnu, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    monkeypatch.setattr(prnu, "TASK_PIXELS", 3 * 32 * 32)
+    pictures = np.random.default_rng(49).integers(20, 230, size=(24, 32, 32),
+                                                  dtype=np.uint8)
+    with prnu.residual_extractor(workers=1) as extract:
+        expected = list(extract(pictures))
+    with prnu.residual_extractor(workers=64) as extract:
+        got = list(extract(pictures))
+    assert len(got) == len(expected) == 24
+    for (luma, residual), (want_luma, want) in zip(got, expected):
+        assert np.array_equal(luma, want_luma)
+        assert residual.tobytes() == want.tobytes()
+    if len(cpus) == 1:
+        assert built == sizes == []
+    else:
+        # tasks of 3 frames, at most 24 / (2 * 2) each, and at most
+        # 2 * 2 tasks pending beyond the one being read
+        assert built == [2]
+        assert sizes == [3] * 8
+        assert max(pending) == 2 * 2 + 1
 
 
 def _skipped_trace_of(rng, frames, h, w, grid_h=None):
