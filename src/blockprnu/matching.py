@@ -14,7 +14,15 @@ few rows of the exclusion window are transformed again once the peak is
 known. Every buffer lives in a per-thread `_Workspace` that serves all the
 pairs the thread computes. The workspace also holds the test plane being
 matched, whose spectrum it computes on the test's first correlation, so a
-test is transformed once however many references it meets.
+test is transformed once however many references it meets. A reference
+is held as a `ReferenceSpectrum`: its complex128 spectrum alone, computed
+once, so it is transformed once however many tests meet it.
+
+Planes are matched at the float32 or float64 they are given in; a print
+read from a file is float32. Every transform runs on float64, so a float32
+plane is first widened into the workspace's product buffer, which is free
+while a plane is transformed, and every PCE equals that of the float64
+widening of the same planes.
 """
 from __future__ import annotations
 
@@ -32,6 +40,8 @@ from .prnu import Fingerprint, resolve_workers
 
 DEFAULT_THRESHOLD = 60.0
 CHUNK_ROWS = 64
+# plane dtypes matched as given; any other is widened to float64
+_KEPT = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,10 @@ class MatchReport:
 
 
 def _values(fp) -> np.ndarray:
-    return np.asarray(fp.k_values if isinstance(fp, Fingerprint) else fp,
-                      dtype=np.float64)
+    """The plane as the float32 or float64 it is given in; any other dtype
+    is widened to float64."""
+    a = np.asarray(fp.k_values if isinstance(fp, Fingerprint) else fp)
+    return a if a.dtype in _KEPT else a.astype(np.float64)
 
 
 def _check_plane(a: np.ndarray) -> None:
@@ -88,22 +100,24 @@ class _Plane:
         if self._error is not None:
             raise type(self._error)(*self._error.args)
 
-    def transform_into(self, out: np.ndarray) -> None:
-        """Write the plane's real spectrum into `out`."""
-        sfft.rfft2(self.values, out=out)
-
 
 class ReferenceSpectrum(_Plane):
-    """A reference plane and its real spectrum, computed on the first
-    correlation. Drivers that match many fingerprints against one camera
-    pass one to `pce` in place of the array, so the reference is
-    transformed once; holding one at a time keeps one spectrum alive."""
-    _spectrum = None
+    """A reference plane held as its complex128 real spectrum alone. The
+    spectrum is computed by the first `transform`, on a correlation or
+    before `batch_match` starts its rows, and the values are dropped then.
+    Drivers that match many fingerprints against one camera pass one to
+    `pce` in place of the array, so the reference is transformed once."""
+    spectrum = None
 
-    def transform_into(self, out: np.ndarray) -> None:
-        if self._spectrum is None:
-            self._spectrum = sfft.rfft2(self.values)
-        np.copyto(out, self._spectrum)
+    def transform(self, ws: _Workspace) -> np.ndarray | None:
+        """The spectrum, computed in `ws` on the first call; an invalid
+        plane is never transformed and has none."""
+        if self.spectrum is None and self._error is None:
+            h, w = self.shape
+            spectrum = np.empty((h, w // 2 + 1), dtype=np.complex128)
+            ws.rfft2(self, spectrum)
+            self.spectrum, self.values = spectrum, None
+        return self.spectrum
 
 
 class _Workspace:
@@ -116,6 +130,27 @@ class _Workspace:
     def __init__(self):
         self.shape = None
 
+    def _fit(self, shape: tuple[int, int]) -> None:
+        if shape != self.shape:
+            h, w = self.shape = shape
+            self.conj = np.empty((h, w // 2 + 1), dtype=np.complex128)
+            self.product = np.empty_like(self.conj)
+            self.chunk = np.empty((min(h, CHUNK_ROWS), w))
+            self.row_energy = np.empty(h)
+
+    def rfft2(self, plane: _Plane, out: np.ndarray) -> None:
+        """Write the real spectrum of `plane` into `out`. A float32 plane
+        is widened into the product buffer first: transformed directly,
+        numpy would widen it into a new plane of its own. The product
+        spectrum viewed as float64 is at least w + 1 values wide."""
+        self._fit(plane.shape)
+        values = plane.values
+        if values.dtype != np.float64:
+            wide = self.product.view(np.float64)[:, :plane.shape[1]]
+            np.copyto(wide, values)
+            values = wide
+        sfft.rfft2(values, out=out)
+
     def hold(self, test: _Plane) -> _Workspace:
         """Point the workspace at `test`, whose spectrum is computed on
         its first correlation; returns the workspace."""
@@ -123,21 +158,15 @@ class _Workspace:
         self._transformed = False
         return self
 
-    def correlate(self, reference: _Plane) -> None:
+    def correlate(self, reference: ReferenceSpectrum) -> None:
         """Leave the product spectrum of the held test with `reference`,
         inverse-transformed along columns, ready for `chunks` and `band`."""
         if not self._transformed:
-            if self.test.shape != self.shape:
-                h, w = self.shape = self.test.shape
-                self.conj = np.empty((h, w // 2 + 1), dtype=np.complex128)
-                self.product = np.empty_like(self.conj)
-                self.chunk = np.empty((min(h, CHUNK_ROWS), w))
-                self.row_energy = np.empty(h)
-            self.test.transform_into(self.conj)
+            self._fit(self.test.shape)
+            self.rfft2(self.test, self.conj)
             np.conjugate(self.conj, out=self.conj)
             self._transformed = True
-        reference.transform_into(self.product)
-        self.product *= self.conj
+        np.multiply(reference.transform(self), self.conj, out=self.product)
         sfft.ifft(self.product, axis=0, out=self.product)
 
     def chunks(self):
@@ -201,7 +230,8 @@ def pce(test, reference, config: PceConfig = PceConfig(),
     ws = (test if isinstance(test, _Workspace)
           else _Workspace().hold(_Plane(test)))
     t = ws.test
-    r = reference if isinstance(reference, _Plane) else _Plane(reference)
+    r = (reference if isinstance(reference, ReferenceSpectrum)
+         else ReferenceSpectrum(reference))
     if t.shape != r.shape:
         raise DimensionMismatch(f"{t.shape} vs {r.shape}")
     t.check()
@@ -241,23 +271,33 @@ def batch_match(tests: Iterable, references: Iterable,
     """All-pairs matching; a failing pair stores its error in the matrix
     instead of aborting the rest.
 
-    Each reference is validated once for the call, and each test
-    validated and transformed once for its whole row, so T tests against
-    R references take T + R validations and T + T*R forward FFTs. With n
+    Each plane is validated once for the call. Each reference is
+    transformed once, before the first row, and held as its complex128
+    spectrum until the call returns: 16*h*(w//2+1) bytes, 7.4 MB at 720p.
+    Each test is transformed once for its whole row. So T tests against R
+    references take T + R validations and T + R forward FFTs. With n
     workers (BLOCKPRNU_WORKERS, else the CPUs this process may run on)
-    thread k takes rows k, k+n, ... with a workspace of its own, which
-    holds each of its tests in turn and is passed to `pce`; numpy's
-    FFTs and reductions release the GIL. The matrix is the same at any
-    worker count, and no thread outlives the call.
+    thread k transforms references k, k+n, ... and then takes rows k,
+    k+n, ..., both with a workspace of its own, which holds each of its
+    tests in turn and is passed to `pce`; numpy's FFTs and reductions
+    release the GIL. The matrix is the same at any worker count, and no
+    thread outlives the call.
     """
     n = resolve_workers()
     tests = list(tests)
-    references = [r if isinstance(r, _Plane) else _Plane(r)
-                  for r in references]
-    n = max(1, min(n, len(tests)))
+    references = [r if isinstance(r, ReferenceSpectrum)
+                  else ReferenceSpectrum(r) for r in references]
+    if not tests:
+        return []
+    n = min(n, len(tests))
+    workspaces = [_Workspace() for _ in range(n)]
+
+    def transform(k: int) -> None:
+        for r in references[k::n]:
+            r.transform(workspaces[k])
 
     def rows(k: int) -> list[list]:
-        ws = _Workspace()
+        ws = workspaces[k]
         out = []
         for t in tests[k::n]:
             ws.hold(_Plane(t))
@@ -271,9 +311,11 @@ def batch_match(tests: Iterable, references: Iterable,
         return out
 
     if n == 1:
+        transform(0)
         return rows(0)
     matrix: list[list] = [[] for _ in tests]
     with ThreadPoolExecutor(max_workers=n) as pool:
+        list(pool.map(transform, range(n)))
         for k, part in enumerate(pool.map(rows, range(n))):
             matrix[k::n] = part
     return matrix

@@ -64,7 +64,11 @@ def _strips(height: int, width: int) -> list[slice]:
 
 @dataclass
 class Fingerprint:
-    """Finalized sensor pattern estimate plus its valid-pixel support."""
+    """Finalized sensor pattern estimate plus its valid-pixel support.
+
+    `k_values` is float64 as `finalize` makes it, and float32, exactly as
+    stored, when `read_fingerprint` reads it from a file; `support` is a
+    bool plane of the same shape."""
     k_values: np.ndarray
     support: np.ndarray
     source_id: str = ""
@@ -185,41 +189,50 @@ def _check_unspent(acc: FingerprintAccumulator) -> None:
 # ---------------------------------------------------------------------------
 
 def write_fingerprint(fp: Fingerprint, path: str | Path) -> None:
-    """magic, width, height, source id, float32 K row-major, packed support."""
+    """magic, width, height, source id, float32 K row-major, packed support.
+    A print read by `read_fingerprint` is written without a copy of K."""
     sid = fp.source_id.encode("utf-8")
     h, w = fp.shape
     with open(path, "wb") as f:
         f.write(_MAGIC + struct.pack("<III", w, h, len(sid)) + sid)
-        f.write(fp.k_values.astype("<f4"))
-        f.write(np.packbits(fp.support.astype(np.uint8)))
+        f.write(np.ascontiguousarray(fp.k_values, dtype="<f4"))
+        f.write(np.packbits(fp.support))
 
 
 def read_fingerprint(path: str | Path) -> Fingerprint:
-    data = Path(path).read_bytes()
-    if data[:len(_MAGIC)] != _MAGIC:
-        raise SchemaError(f"{path}: not a fingerprint file")
-    off = len(_MAGIC)
-    if len(data) < off + 12:
-        raise SchemaError(f"{path}: truncated header")
-    w, h, sid_len = struct.unpack_from("<III", data, off)
-    off += 12
-    if len(data) < off + sid_len:
-        raise SchemaError(f"{path}: truncated source id")
-    sid = decode_text(data[off:off + sid_len], f"{path}: source id")
-    off += sid_len
-    n = w * h
-    if n == 0:
-        raise SchemaError(f"{path}: empty fingerprint")
-    if len(data) < off + 4 * n:
-        raise SchemaError(f"{path}: truncated sample data")
-    k = np.frombuffer(data, dtype="<f4", count=n, offset=off)
-    k = k.reshape(h, w).astype(np.float64)
-    off += 4 * n
-    packed_len = (n + 7) // 8
-    if len(data) != off + packed_len:
+    """The print in a file from `write_fingerprint`. K is read straight
+    into the float32 array returned, with exactly the values stored, and
+    the support is unpacked once; the file is never held whole."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(len(_MAGIC) + 12)
+        if head[:len(_MAGIC)] != _MAGIC:
+            raise SchemaError(f"{path}: not a fingerprint file")
+        off = len(_MAGIC)
+        if len(head) < off + 12:
+            raise SchemaError(f"{path}: truncated header")
+        w, h, sid_len = struct.unpack_from("<III", head, off)
+        off += 12
+        if size < off + sid_len:
+            raise SchemaError(f"{path}: truncated source id")
+        sid = decode_text(f.read(sid_len), f"{path}: source id")
+        off += sid_len
+        n = w * h
+        if n == 0:
+            raise SchemaError(f"{path}: empty fingerprint")
+        if size < off + 4 * n:
+            raise SchemaError(f"{path}: truncated sample data")
+        off += 4 * n
+        packed_len = (n + 7) // 8
+        if size != off + packed_len:
+            raise SchemaError(f"{path}: support bitmap size mismatch")
+        k = np.empty((h, w), dtype="<f4")
+        if f.readinto(k) != 4 * n:
+            raise SchemaError(f"{path}: truncated sample data")
+        packed = np.frombuffer(f.read(packed_len), dtype=np.uint8)
+    if packed.size != packed_len:
         raise SchemaError(f"{path}: support bitmap size mismatch")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=off))
-    support = bits[:n].reshape(h, w).astype(bool)
+    support = np.unpackbits(packed, count=n).view(bool).reshape(h, w)
     return Fingerprint(k_values=k, support=support, source_id=sid)
 
 

@@ -1,5 +1,6 @@
 """Peak-to-correlation-energy matching."""
 
+import itertools
 import os
 import re
 import sys
@@ -36,7 +37,7 @@ def crosscorr(test, reference):
     """The whole plane c[dy, dx] = sum_x test(x) * reference(x + (dy, dx)),
     cyclic, gathered from the chunks `pce` reads."""
     ws = _Workspace().hold(_Plane(test))
-    ws.correlate(_Plane(reference))
+    ws.correlate(ReferenceSpectrum(reference))
     c = np.empty(ws.shape)
     for r0, rows in ws.chunks():
         c[r0:r0 + len(rows)] = rows
@@ -361,7 +362,7 @@ def test_batch_match_error_types_and_precedence():
     assert matrix[1][0] is not matrix[1][3]
 
 
-def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
+def test_batch_match_transforms_each_test_and_reference_once(monkeypatch):
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
     counter = CountingFft(matching.sfft)
     monkeypatch.setattr(matching, "sfft", counter)
@@ -369,14 +370,19 @@ def test_batch_match_transforms_each_test_once_per_row(monkeypatch):
     refs = [unit_noise((20, 24), 50 + i) for i in range(4)]
     matrix = batch_match(tests, refs)
     assert all(isinstance(cell, MatchReport) for row in matrix for cell in row)
-    assert counter.forward == 3 + 3 * 4
+    assert counter.forward == 3 + 4
     counter.forward = 0
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "2")
     assert batch_match(tests, refs) == matrix
-    assert counter.forward == 3 + 3 * 4
+    assert counter.forward == 3 + 4
     counter.forward = 0
     pce(tests[0], refs[0])
     assert counter.forward == 2
+    # an invalid reference is never transformed, and no test is
+    # transformed for a row of errors
+    counter.forward = 0
+    batch_match(tests[:1] + [np.zeros((20, 24))], refs[:2] + [0 * refs[0]])
+    assert counter.forward == 1 + 2
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -452,6 +458,60 @@ def test_reference_spectrum_is_transformed_once(monkeypatch):
                 pce(t, spectrum)
             errors.append(got.value)
         assert errors[0] is not errors[1]
+
+
+# ---------------------------------------------------------------------------
+# float32 planes, as read from a file
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(32, 40), (33, 41), (32, 41), (33, 40),
+                                   (130, 29), (12, 13)])
+def test_float32_planes_match_as_their_float64_widening(shape, workers):
+    # an odd width leaves the product spectrum, viewed as float64, one
+    # value wider than the plane widened into it
+    h, w = shape
+    config = PceConfig(exclusion_half_width=min(5, (h - 2) // 2))
+    tests = [unit_noise(shape, 130 + i).astype(np.float32) for i in range(3)]
+    refs = [np.roll(tests[0], (3, 5), axis=(0, 1))
+            + np.float32(0.3) * unit_noise(shape, 140).astype(np.float32),
+            unit_noise(shape, 141).astype(np.float32), np.zeros(shape, np.float32)]
+    wide_tests = [t.astype(np.float64) for t in tests]
+    wide_refs = [r.astype(np.float64) for r in refs]
+    expected = assert_batch_is_standalone(wide_tests, wide_refs, config,
+                                          workers)
+    assert expected[0][0].peak_offset == (5, 3)
+    for n in (1, 2):
+        workers(n)
+        got = batch_match(tests, refs, config)
+        assert [[type(c) if isinstance(c, Exception) else c for c in row]
+                for row in got] == expected
+    for t, wide_t, row in zip(tests, wide_tests, expected):
+        for r, wide_r, cell in zip(refs[:2], wide_refs, row):
+            assert pce(t, r, config) == cell
+            assert pce(wide_t, r, config) == pce(t, wide_r, config) == cell
+            spectrum = ReferenceSpectrum(r)
+            assert pce(t, spectrum, config) == cell
+            assert np.array_equal(spectrum.spectrum, np.fft.rfft2(wide_r))
+            assert spectrum.values is None
+    # other dtypes are widened to float64, as before
+    half = tests[0].astype(np.float16)
+    assert pce(half, refs[1], config) == pce(half.astype(np.float64),
+                                             wide_refs[1], config)
+
+
+def test_read_prints_match_as_their_float64_widening(tmp_path):
+    support = np.ones((24, 31), bool)
+    planes = [unit_noise((24, 31), 150), unit_noise((24, 31), 151)]
+    planes[1] += 0.5 * np.roll(planes[0], (2, 7), axis=(0, 1))
+    read = []
+    for i, k in enumerate(planes):
+        write_fingerprint(Fingerprint(k, support, f"c{i}"), tmp_path / f"{i}.bpf")
+        read.append(read_fingerprint(tmp_path / f"{i}.bpf"))
+    wide = [fp.k_values.astype(np.float64) for fp in read]
+    assert [fp.k_values.dtype for fp in read] == [np.float32] * 2
+    assert batch_match(read, read) == batch_match(wide, wide)
+    assert pce(read[0], read[1]) == pce(wide[0], wide[1])
+    assert pce(read[0], read[1]).peak_offset == (7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +664,27 @@ def test_batch_match_worker_count(monkeypatch):
 
 
 def test_no_pair_allocates_a_plane(workers):
-    h, w = 256, 250
-    plane = 8 * h * w
-    workspace = 2 * 16 * h * (w // 2 + 1) + 8 * 64 * w + 8 * h
-    tests = [unit_noise((h, w), 80), unit_noise((h, w), 81)]
-    refs = [unit_noise((h, w), 82 + i) for i in range(4)]
-    workers(2)
-    batch_match(tests, refs[:1])                # FFT plans and thread start-up
-    for n in (1, 2):
-        workers(n)
-        tracemalloc.start()
-        try:
-            batch_match(tests, refs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one workspace per thread; a plane-sized array per pair would add
-        # at least `plane` on top
-        assert peak < n * workspace + plane // 2
+    # float32 planes are widened into the workspace; an odd width leaves
+    # the product buffer one value wider than the plane
+    for (h, w), dtype in itertools.product([(256, 250), (255, 251)],
+                                           [np.float64, np.float32]):
+        plane = 8 * h * w
+        spectrum = 16 * h * (w // 2 + 1)
+        workspace = 2 * spectrum + 8 * 64 * w + 8 * h
+        tests = [unit_noise((h, w), 80 + i).astype(dtype) for i in range(2)]
+        refs = [unit_noise((h, w), 82 + i).astype(dtype) for i in range(4)]
+        workers(2)
+        batch_match(tests, refs[:1])            # FFT plans and thread start-up
+        for n in (1, 2):
+            workers(n)
+            tracemalloc.start()
+            try:
+                batch_match(tests, refs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one workspace per thread and one spectrum per reference for
+            # the call; a plane-sized array per pair, or a float32 plane
+            # widened by the FFT itself, would add at least `plane` on top
+            assert peak < n * workspace + len(refs) * spectrum + plane // 2, \
+                (h, w, dtype, n)

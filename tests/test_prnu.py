@@ -248,6 +248,7 @@ def test_fingerprint_file_round_trip(tmp_path):
     path = tmp_path / "fp.bpf"
     write_fingerprint(fp, path)
     back = read_fingerprint(path)
+    assert back.k_values.dtype == np.float32
     assert np.array_equal(back.k_values, k)
     assert np.array_equal(back.support, support)
     assert back.source_id == "camera-α"
