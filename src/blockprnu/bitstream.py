@@ -161,11 +161,11 @@ class NalUnit:
         return self.start_code + self.raw
 
     @classmethod
-    def build(cls, nal_ref_idc: int, nal_unit_type: int, payload: bytes,
-              start_code: bytes = b"\x00\x00\x00\x01") -> "NalUnit":
+    def build(cls, nal_ref_idc: int, nal_unit_type: int,
+              payload: bytes) -> "NalUnit":
         header = bytes([(nal_ref_idc & 3) << 5 | (nal_unit_type & 0x1F)])
-        return cls(nal_ref_idc, nal_unit_type, payload, start_code,
-                   header + escape_payload(payload))
+        return cls(nal_ref_idc, nal_unit_type, payload,
+                   raw=header + escape_payload(payload))
 
 
 def split_nal_units(stream: bytes) -> list[NalUnit]:
@@ -375,12 +375,12 @@ def _parse_slice_groups(r: BitReader, num_slice_groups: int) -> None:
         raise MalformedStream("slice_group_map_type out of range")
 
 
-def parse_slice_header(unit: NalUnit, context: ParameterSetContext,
-                       frame_index: int = 0) -> SliceHeaderInfo:
+def parse_slice_header(unit: NalUnit,
+                       context: ParameterSetContext) -> SliceHeaderInfo:
     """Decode a slice header far enough to recover type, QP and deblocking.
 
-    frame_index is the caller-assigned picture ordinal (the slice itself
-    only carries frame_num, which wraps).
+    Its frame_index is 0: the picture ordinal is the caller's to assign
+    (the slice itself only carries frame_num, which wraps).
     """
     if unit.nal_unit_type not in (NAL_SLICE, NAL_IDR_SLICE):
         raise MalformedStream(f"NAL type {unit.nal_unit_type} is not a coded slice")
@@ -450,7 +450,7 @@ def parse_slice_header(unit: NalUnit, context: ParameterSetContext,
         if idc != 1:
             r.read_se()
             r.read_se()
-    return SliceHeaderInfo(frame_index=frame_index, slice_type=slice_type,
+    return SliceHeaderInfo(frame_index=0, slice_type=slice_type,
                            base_qp=base_qp,
                            deblocking_disabled=deblocking_disabled,
                            first_mb_in_slice=first_mb_in_slice,
@@ -520,7 +520,7 @@ def parse_annexb(stream: bytes) -> tuple[list[SliceHeaderInfo], ParameterSetCont
         if unit.nal_unit_type in (NAL_SPS, NAL_PPS):
             context.feed(unit)
         elif unit.nal_unit_type in (NAL_SLICE, NAL_IDR_SLICE):
-            probe = parse_slice_header(unit, context, frame_index=0)
+            probe = parse_slice_header(unit, context)
             if probe.first_mb_in_slice == 0 or frame_index < 0:
                 frame_index += 1
             slices.append(replace(probe, frame_index=frame_index))

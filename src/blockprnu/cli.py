@@ -337,10 +337,10 @@ def _add_match_flags(p: argparse.ArgumentParser,
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel residual workers, at most the CPUs "
-                        "this process may run on (default: "
-                        "BLOCKPRNU_WORKERS or all of those CPUs); results "
-                        "are byte-identical at any count")
+                   help="parallel residual workers (default: "
+                        "BLOCKPRNU_WORKERS, else the CPUs this process may "
+                        "run on), capped at those CPUs; results are "
+                        "byte-identical at any count")
 
 
 def build_parser() -> argparse.ArgumentParser:

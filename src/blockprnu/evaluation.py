@@ -123,11 +123,11 @@ def scheme_mean_pce(grid: ExperimentGrid,
     return out
 
 
-def improvement_ratios(mean_pces: dict[str, float],
-                       baseline: str = "conventional") -> dict[str, float]:
-    if baseline not in mean_pces:
-        raise ConfigError(f"baseline {baseline} not in grid")
-    base = mean_pces[baseline]
+def improvement_ratios(mean_pces: dict[str, float]) -> dict[str, float]:
+    """Each scheme's mean PCE over that of `conventional`."""
+    if "conventional" not in mean_pces:
+        raise ConfigError("baseline conventional not in grid")
+    base = mean_pces["conventional"]
     if base <= 0:
         raise EmptyInput("baseline mean PCE is not positive")
     return {s: v / base for s, v in mean_pces.items()}

@@ -276,11 +276,11 @@ def batch_match(tests: Iterable, references: Iterable,
     spectrum until the call returns: 16*h*(w//2+1) bytes, 7.4 MB at 720p.
     Each test is transformed once for its whole row. So T tests against R
     references take T + R validations and T + R forward FFTs. With n
-    workers (BLOCKPRNU_WORKERS, else the CPUs this process may run on)
-    thread k transforms references k, k+n, ... and then takes rows k,
-    k+n, ..., both with a workspace of its own, which holds each of its
-    tests in turn and is passed to `pce`; numpy's FFTs and reductions
-    release the GIL. The matrix is the same at any worker count, and no
+    workers (`resolve_workers()`, so at most the usable CPUs, and at most
+    the rows) thread k transforms references k, k+n, ... and then takes
+    rows k, k+n, ..., both with a workspace of its own, which holds each
+    of its tests in turn and is passed to `pce`; numpy's FFTs and
+    reductions release the GIL. The matrix is the same at any worker count, and no
     thread outlives the call.
     """
     n = resolve_workers()

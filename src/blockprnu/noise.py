@@ -4,8 +4,8 @@ removes.
 
 The primary denoiser is a multi-level orthogonal wavelet decomposition
 (db4, periodized) with per-subband adaptive Wiener filtering of the detail
-coefficients; the approximation band is treated as scene content. A plain
-3x3 spatial Wiener filter is available as a fallback. Residuals are
+coefficients over fixed windows; the approximation band is scene content.
+A fixed 3x3 spatial Wiener filter is the fallback. Residuals are
 zero-meaned per row and per column to kill line artifacts.
 
 A video is one (frames, H, W) uint8 luma stack. `read_yuv420` returns a
@@ -40,7 +40,7 @@ _SYNTHESIS = np.array([[f[r::2][::-1] for r in (0, 1)]
                        for f in (_DEC_LO, _DEC_HI)])
 
 WAVELET_LEVELS = 4
-WIENER_WINDOWS = (3, 5, 7, 9)
+WIENER_WINDOWS = (3, 5, 7, 9)     # every odd size up to the largest
 SATURATION_HIGH = 250
 SATURATION_LOW = 5
 
@@ -165,14 +165,8 @@ def waverec2(approx: np.ndarray, details: list) -> np.ndarray:
 # denoisers
 # ---------------------------------------------------------------------------
 
-def _radii(windows) -> list[int]:
-    if any(w < 1 or w % 2 == 0 for w in windows):
-        raise ConfigError(f"window sizes must be odd and positive, got {windows}")
-    return sorted({w // 2 for w in windows})
-
-
-def _box_sums(x: np.ndarray, radii: list[int]):
-    """Sums of x over square (2r+1)^2 boxes for each ascending radius r,
+def _box_sums(x: np.ndarray, p: int):
+    """Sums of x over square (2r+1)^2 boxes for r = 1, 2, ..., p,
     reflect-extended over the last two axes. Yields (r, sums); the plane
     is updated in place for the next radius, so read it before advancing.
 
@@ -182,13 +176,10 @@ def _box_sums(x: np.ndarray, radii: list[int]):
     ever added, so for non-negative x no sum cancels.
     """
     h, w = x.shape[-2:]
-    p = radii[-1]
     padded = x.take(_mirror(h, p), axis=-2).take(_mirror(w, p), axis=-1)
     row_sums = padded[..., p:p + w].copy()
     col_sums = padded[..., p:p + h, :].copy()
     box = padded[..., p:p + h, p:p + w].copy()
-    if radii[0] == 0:
-        yield 0, box
     for r in range(1, p + 1):
         row_sums += padded[..., p - r:p - r + w]
         row_sums += padded[..., p + r:p + r + w]
@@ -199,22 +190,20 @@ def _box_sums(x: np.ndarray, radii: list[int]):
         if r < p:
             col_sums += padded[..., p - r:p - r + h, :]
             col_sums += padded[..., p + r:p + r + h, :]
-        if r in radii:
-            yield r, box
+        yield r, box
 
 
-def wiener_adaptive(coeffs: np.ndarray, noise_var: float,
-                    windows: tuple[int, ...] = WIENER_WINDOWS) -> np.ndarray:
+def wiener_adaptive(coeffs: np.ndarray, noise_var: float) -> np.ndarray:
     """Minimum-variance adaptive Wiener attenuation of one subband, or of
-    a stack of subbands along leading axes.
+    a stack of subbands along leading axes: the local energy is estimated
+    over each square window of WIENER_WINDOWS, and the smallest estimate
+    wins per coefficient.
 
     :param coeffs: detail coefficients, assumed zero-mean
     :param noise_var: variance attributed to sensor noise
-    :param windows: odd square window sizes over which local energy is
-        estimated; the smallest estimate wins per coefficient
     """
     local = None
-    for r, box in _box_sums(coeffs * coeffs, _radii(windows)):
+    for r, box in _box_sums(coeffs * coeffs, WIENER_WINDOWS[-1] // 2):
         mean = box / (2 * r + 1) ** 2
         local = mean if local is None else np.minimum(local, mean, out=local)
     local -= noise_var
@@ -234,10 +223,10 @@ def _wavelet_noise(x: np.ndarray, config: DenoiseConfig) -> np.ndarray | None:
     return waverec2(np.zeros_like(approx), filtered)
 
 
-def wiener_spatial(x: np.ndarray, noise_var: float, size: int = 3) -> np.ndarray:
-    """Pixel-domain adaptive Wiener filter with reflect padding."""
-    [(r, box)] = _box_sums(np.stack((x, x * x)), _radii((size,)))
-    local_mean, local_sq = box / (2 * r + 1) ** 2
+def wiener_spatial(x: np.ndarray, noise_var: float) -> np.ndarray:
+    """Pixel-domain 3x3 adaptive Wiener filter with reflect padding."""
+    [(_, box)] = _box_sums(np.stack((x, x * x)), 1)
+    local_mean, local_sq = box / 9
     local_var = np.maximum(local_sq - local_mean * local_mean, 0.0)
     signal_var = np.maximum(local_var - noise_var, 0.0)
     return local_mean + (x - local_mean) * signal_var / (signal_var + noise_var)

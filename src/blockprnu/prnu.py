@@ -242,29 +242,26 @@ def read_fingerprint(path: str | Path) -> Fingerprint:
 
 def resolve_workers(value: int | None = None) -> int:
     """Worker count: an explicit value, else BLOCKPRNU_WORKERS, else the
-    CPUs this process may run on."""
-    if value is not None:
-        if value < 1:
-            raise ConfigError("workers must be at least 1")
-        return value
-    env = os.environ.get("BLOCKPRNU_WORKERS")
-    if env:
+    CPUs this process may run on, and never more than those CPUs. Those
+    are the CPUs of its affinity mask under taskset or a cpuset, not the
+    host's; sched_getaffinity is missing on macOS and Windows."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if value is None:
+        env = os.environ.get("BLOCKPRNU_WORKERS")
+        if not env:
+            return cpus
         try:
             value = int(env)
         except ValueError as exc:
             raise ConfigError(f"BLOCKPRNU_WORKERS={env!r} is not an integer") from exc
         if value < 1:
             raise ConfigError("BLOCKPRNU_WORKERS must be at least 1")
-        return value
-    return _usable_cpus()
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, not the host's, under taskset or
-    a cpuset; sched_getaffinity is missing on macOS and Windows."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    elif value < 1:
+        raise ConfigError("workers must be at least 1")
+    return min(value, cpus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +339,7 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
     pair per (H, W) plane of a luma stack, in frame order. Each plane is
     read once, and its residual computed as it is read.
 
-    `workers` is capped at the CPUs this process may run on, since a
+    `workers` is capped at the usable CPUs by `resolve_workers`, since a
     forked pool starts all its processes at once. With more than one, one
     process pool serves every call made inside the with block, so a
     command that extracts several videos starts one pool. A pool task is a
@@ -354,7 +351,7 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
     the same for any worker count.
     """
     job = partial(extract_residual, config=denoise_config)
-    workers = min(workers, _usable_cpus())
+    workers = resolve_workers(workers)
     if workers <= 1:
         yield lambda pictures: ((luma, job(luma)) for luma in pictures)
         return

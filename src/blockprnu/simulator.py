@@ -28,6 +28,12 @@ _HEADER_BITS = 8
 _SKIP_BITS = 1
 
 
+def _check_shape(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or min(shape) < 1 or any(n % MACROBLOCK for n in shape):
+        raise ConfigError(f"sensor shape {shape} is not two positive "
+                          f"multiples of 16")
+
+
 @dataclass(frozen=True)
 class SensorModel:
     """Fixed multiplicative pattern plus per-capture Gaussian read noise."""
@@ -36,11 +42,10 @@ class SensorModel:
 
     def __post_init__(self):
         k = self.k_true
-        if k.ndim != 2 or k.shape[0] % MACROBLOCK or k.shape[1] % MACROBLOCK:
-            raise ConfigError("sensor dimensions must be multiples of 16")
+        _check_shape(k.shape)
         if np.abs(k).max() >= 0.1:
             raise ConfigError("|k_true| must stay below 0.1")
-        if self.read_noise_sigma < 0:
+        if not self.read_noise_sigma >= 0:
             raise ConfigError("read noise sigma must be non-negative")
 
     @property
@@ -54,6 +59,9 @@ class SensorModel:
     @classmethod
     def random(cls, height: int, width: int, k_strength: float = 0.02,
                read_noise_sigma: float = 2.0, seed: int = 0) -> "SensorModel":
+        _check_shape((height, width))
+        if not k_strength >= 0:
+            raise ConfigError(f"k strength must be non-negative, got {k_strength}")
         rng = np.random.default_rng(seed)
         k = rng.normal(0.0, k_strength, size=(height, width))
         return cls(k_true=np.clip(k, -0.099, 0.099),
@@ -73,7 +81,7 @@ class CodecConfig:
             raise ConfigError("set exactly one of qp / target_bits_per_frame")
         if self.qp is not None and not (QP_MIN <= self.qp <= QP_MAX):
             raise ConfigError(f"qp {self.qp} outside [{QP_MIN}, {QP_MAX}]")
-        if self.target_bits_per_frame is not None and self.target_bits_per_frame <= 0:
+        if self.target_bits_per_frame is not None and not self.target_bits_per_frame > 0:
             raise ConfigError("target bits per frame must be positive")
         if self.gop < 1:
             raise ConfigError("gop must be at least 1")

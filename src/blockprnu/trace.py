@@ -28,6 +28,7 @@ QP_MIN = 0
 QP_MAX = 51
 SKIP_BITS_CEILING = 64  # a skip block is signaling only; anything bigger is not a skip
 BITS_LIMIT = 2 ** 63    # bit counts are stored as int64
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,14 @@ class BlockColumns(NamedTuple):
 
     @classmethod
     def of_records(cls, records: Sequence[BlockRecord]) -> "BlockColumns":
+        """As the trace loader reads them, a value beyond int64 is clamped
+        into it, which keeps it out of range for every check, and a bit
+        count beyond it is stored as -1, so that its record's check fails."""
         codes = {t: i for i, t in enumerate(BLOCK_TYPES)}
         rows = [(r.frame_idx, r.mb_x, r.mb_y, codes.get(r.block_type, -1),
-                 r.qp, r.bits) for r in records]
-        return cls(*np.array(rows, dtype=np.int64).reshape(-1, 6).T)
+                 r.qp, -1 if r.bits >= BITS_LIMIT else r.bits) for r in records]
+        table = np.array(rows, dtype=object).reshape(-1, 6)
+        return cls(*np.clip(table, _INT64.min, _INT64.max).astype(np.int64).T)
 
     @classmethod
     def of_arrays(cls, type_code, qp, bits) -> "BlockColumns":

@@ -125,16 +125,14 @@ class SchemeConfig:
 
 
 def paint_blocks(block_weights: np.ndarray,
-                 frame_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Expand per-block weights to pixel resolution.
+                 frame_shape: tuple[int, int]) -> np.ndarray:
+    """Expand per-block weights to a new (H, W) plane of pixel weights.
 
     Pixels beyond the macroblock grid (frames whose dimensions are not
     multiples of 16) get weight 0: they are cropped from analysis.
     """
     full = np.repeat(np.repeat(block_weights.astype(np.float64), MACROBLOCK, 0),
                      MACROBLOCK, 1)
-    if frame_shape is None:
-        return full
     h, w = frame_shape
     out = np.zeros((h, w), dtype=np.float64)
     ch, cw = min(h, full.shape[0]), min(w, full.shape[1])

@@ -93,6 +93,22 @@ def test_simulate_needs_exactly_one_rate_mode(tmp_path):
                "--out-prefix", tmp_path / "x") == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--qp", 20, "--width", 0], "sensor shape (128, 0) is not two"),
+    (["--qp", 20, "--height", -16], "sensor shape (-16, 128) is not two"),
+    (["--qp", 20, "--k-strength", -1], "k strength must be non-negative"),
+    (["--target-bits", "nan"], "target bits per frame must be positive"),
+])
+def test_simulate_refuses_bad_sizes_and_strengths(tmp_path, capsys, flags,
+                                                  message):
+    rc = run("simulate", "--frames", 2, *flags, "--out-prefix", tmp_path / "x")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_inspect_agrees_with_library(sim, capsys):
     assert run("inspect", sim["trace"]) == 0
     out = dict(line.split("=") for line in
@@ -255,9 +271,15 @@ def test_default_workers_follow_cpu_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
                         raising=False)
     assert resolve_workers(None) == 2
-    assert resolve_workers(5) == 5
+    # an explicit count, or BLOCKPRNU_WORKERS, is capped at those CPUs
+    assert resolve_workers(5) == 2
+    assert resolve_workers(1) == 1
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "5")
+    assert resolve_workers(None) == 2
+    monkeypatch.delenv("BLOCKPRNU_WORKERS")
     monkeypatch.delattr(os, "sched_getaffinity")
     assert resolve_workers(None) == 64
+    assert resolve_workers(5) == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert resolve_workers(None) == 1
 

@@ -21,10 +21,13 @@ from blockprnu import (
     Fingerprint,
     MatchReport,
     PceConfig,
+    SchemeConfig,
     batch_match,
+    estimate_fingerprint,
     format_report_records,
     pce,
     read_fingerprint,
+    resolve_workers,
     write_fingerprint,
 )
 from blockprnu import matching
@@ -362,8 +365,9 @@ def test_batch_match_error_types_and_precedence():
     assert matrix[1][0] is not matrix[1][3]
 
 
-def test_batch_match_transforms_each_test_and_reference_once(monkeypatch):
-    monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
+def test_batch_match_transforms_each_test_and_reference_once(monkeypatch,
+                                                             workers):
+    workers(1)
     counter = CountingFft(matching.sfft)
     monkeypatch.setattr(matching, "sfft", counter)
     tests = [unit_noise((20, 24), 40 + i) for i in range(3)]
@@ -372,7 +376,7 @@ def test_batch_match_transforms_each_test_and_reference_once(monkeypatch):
     assert all(isinstance(cell, MatchReport) for row in matrix for cell in row)
     assert counter.forward == 3 + 4
     counter.forward = 0
-    monkeypatch.setenv("BLOCKPRNU_WORKERS", "2")
+    workers(2)
     assert batch_match(tests, refs) == matrix
     assert counter.forward == 3 + 4
     counter.forward = 0
@@ -385,10 +389,10 @@ def test_batch_match_transforms_each_test_and_reference_once(monkeypatch):
     assert counter.forward == 1 + 2
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_batch_match_calls_the_module_pce_per_pair(monkeypatch, workers):
+@pytest.mark.parametrize("n", [1, 2])
+def test_batch_match_calls_the_module_pce_per_pair(monkeypatch, workers, n):
     # a wrapper bound to the module name sees every pair, as a tracer does
-    monkeypatch.setenv("BLOCKPRNU_WORKERS", workers)
+    workers(n)
     calls = []
     real = matching.pce
 
@@ -404,9 +408,9 @@ def test_batch_match_calls_the_module_pce_per_pair(monkeypatch, workers):
     assert matrix == [[real(t, r) for r in refs] for t in tests]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_batch_match_validates_each_plane_once(monkeypatch, workers):
-    monkeypatch.setenv("BLOCKPRNU_WORKERS", workers)
+@pytest.mark.parametrize("n", [1, 2])
+def test_batch_match_validates_each_plane_once(monkeypatch, workers, n):
+    workers(n)
     checked = []
     real = matching._check_plane
 
@@ -520,9 +524,13 @@ def test_read_prints_match_as_their_float64_widening(tmp_path):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Sets the worker count that batch_match reads from BLOCKPRNU_WORKERS."""
+    """Sets the worker count that batch_match reads from BLOCKPRNU_WORKERS,
+    and shows as many CPUs, so that the count is not capped on a smaller
+    host."""
     def set_workers(n: int) -> None:
         monkeypatch.setenv("BLOCKPRNU_WORKERS", str(n))
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
     return set_workers
 
 
@@ -652,15 +660,51 @@ def test_batch_match_worker_count(monkeypatch):
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "2")
     assert batch_match(tests, refs) == expected
     assert pools == [3, 2]
-    # no more threads than rows are started
+    # no more threads than usable CPUs, nor than rows, are started
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "9")
     assert batch_match((t for t in tests), iter(refs)) == expected
-    assert pools == [3, 2, 5]
+    assert pools == [3, 2, 3]
+    assert batch_match(tests[:2], refs) == expected[:2]
+    assert pools == [3, 2, 3, 2]
     assert threading.active_count() == threads  # no thread outlives a call
 
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "0")
     with pytest.raises(ConfigError):
         batch_match(tests, refs)
+
+
+def test_every_parallel_section_is_capped_at_the_usable_cpus(monkeypatch,
+                                                             pool_spawns):
+    # BLOCKPRNU_WORKERS=8 on the 2 CPUs pool_spawns shows: the residual
+    # pool and the matching threads are both built for 2, so batch_match
+    # holds 2 workspaces, not 8
+    monkeypatch.setenv("BLOCKPRNU_WORKERS", "8")
+    pictures = np.random.default_rng(7).integers(20, 230, size=(4, 32, 32),
+                                                 dtype=np.uint8)
+    estimate_fingerprint(pictures, None, SchemeConfig("conventional"),
+                         workers=resolve_workers())
+    assert pool_spawns == [2]
+    threads = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            threads.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(matching, "ThreadPoolExecutor", RecordingPool)
+    h, w = 256, 256
+    tests = [unit_noise((h, w), 200 + i) for i in range(8)]
+    refs = [unit_noise((h, w), 300)]
+    spectrum = 16 * h * (w // 2 + 1)
+    workspace = 2 * spectrum + 8 * matching.CHUNK_ROWS * w + 8 * h
+    tracemalloc.start()
+    try:
+        batch_match(tests, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert threads == [2]
+    assert peak < spectrum + 3 * workspace, peak
 
 
 def test_no_pair_allocates_a_plane(workers):

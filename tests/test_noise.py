@@ -90,18 +90,18 @@ def scipy_idwt_axis(lo, hi, axis):
     return np.stack(phases, axis=axis + 1).reshape(shape)
 
 
-def scipy_wiener_adaptive(coeffs, noise_var, windows=(3, 5, 7, 9)):
+def scipy_wiener_adaptive(coeffs, noise_var):
     signal_var = None
     sq = coeffs * coeffs
-    for w in windows:
+    for w in (3, 5, 7, 9):
         est = np.maximum(uniform_filter(sq, w, mode="reflect") - noise_var, 0.0)
         signal_var = est if signal_var is None else np.minimum(signal_var, est)
     return coeffs * signal_var / (signal_var + noise_var)
 
 
-def scipy_wiener_spatial(x, noise_var, size=3):
-    local_mean = uniform_filter(x, size, mode="reflect")
-    local_sq = uniform_filter(x * x, size, mode="reflect")
+def scipy_wiener_spatial(x, noise_var):
+    local_mean = uniform_filter(x, 3, mode="reflect")
+    local_sq = uniform_filter(x * x, 3, mode="reflect")
     local_var = np.maximum(local_sq - local_mean * local_mean, 0.0)
     signal_var = np.maximum(local_var - noise_var, 0.0)
     return local_mean + (x - local_mean) * signal_var / (signal_var + noise_var)
@@ -130,30 +130,21 @@ def scipy_residual(luma, noise_var=3.0, levels=4):
 @settings(max_examples=150, deadline=None)
 @given(h=st.integers(1, 40), w=st.integers(1, 40), stack=st.integers(1, 3),
        scale=st.sampled_from([0.1, 1.0, 3.0, 30.0]),
-       windows=st.sampled_from([(3, 5, 7, 9), (3,), (1, 9), (5, 11)]),
        seed=st.integers(0, 2**32 - 1))
-def test_wiener_filters_match_uniform_filter_oracle(h, w, stack, scale,
-                                                    windows, seed):
+def test_wiener_filters_match_uniform_filter_oracle(h, w, stack, scale, seed):
     # every plane size from 1x1 up, including planes smaller than the 9x9
     # window, where the reflection wraps more than once; one call on a
     # stack of subbands equals one call per subband
     rng = np.random.default_rng(seed)
     coeffs = scale * rng.normal(size=(stack, h, w))
-    got = wiener_adaptive(coeffs, 3.0, windows)
+    got = wiener_adaptive(coeffs, 3.0)
     assert got.shape == coeffs.shape
     for band, out in zip(coeffs, got):
-        want = scipy_wiener_adaptive(band, 3.0, windows)
+        want = scipy_wiener_adaptive(band, 3.0)
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(band))
     pixels = np.clip(128 + scale * 4 * rng.normal(size=(h, w)), 0, 255)
     want = scipy_wiener_spatial(pixels, 3.0)
     assert np.max(np.abs(wiener_spatial(pixels, 3.0) - want)) <= 1e-12 * 255
-
-
-def test_wiener_rejects_even_windows():
-    with pytest.raises(ConfigError):
-        wiener_adaptive(np.ones((8, 8)), 3.0, (3, 4))
-    with pytest.raises(ConfigError):
-        wiener_spatial(np.ones((8, 8)), 3.0, size=2)
 
 
 def test_720p_residual_matches_scipy_kernels():

@@ -137,8 +137,10 @@ TEST_ONLY_METHODS = {
 }
 
 
-def test_every_definition_is_read_outside_the_tests():
-    # the package's __init__ only re-exports, so it does not count
+def package_and_readers() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The package modules, without the __init__ that only re-exports, and
+    the code that reads them outside the tests: the demos, the benchmark
+    scripts and the README's Python blocks."""
     package = {name.removesuffix(".py"):
                ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
                for name in MODULES}
@@ -147,5 +149,113 @@ def test_every_definition_is_read_outside_the_tests():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     readers += [ast.parse(block) for block in
                 re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)]
+    return package, readers
+
+
+def test_every_definition_is_read_outside_the_tests():
+    package, readers = package_and_readers()
     assert unread_definitions(package, readers) == []
     assert set(unread_methods(package, readers)) == TEST_ONLY_METHODS
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def passed_arguments(tree: ast.AST) -> Counter:
+    """What the calls in an AST pass, counted by (callee name, slot): a
+    slot is a keyword, a position, "*" for a starred argument or "**" for
+    an unpacked mapping. A call of `partial` passes what follows its first
+    argument to that argument."""
+    passed = Counter()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        for k, arg in enumerate(args):
+            passed[name, "*" if isinstance(arg, ast.Starred) else k] += 1
+        for keyword in node.keywords:
+            passed[name, keyword.arg or "**"] += 1
+    return passed
+
+
+def _defaulted(func: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter with a default, counting
+    positions after a bound `self` or `cls`; keyword-only ones have None."""
+    args = func.args
+    positional = [*args.posonlyargs, *args.args][bound:]
+    first = len(positional) - len(args.defaults)
+    return ([(p.arg, k) for k, p in enumerate(positional) if k >= first]
+            + [(p.arg, None) for p, default in zip(args.kwonlyargs,
+                                                   args.kw_defaults)
+               if default is not None])
+
+
+def unpassed_parameters(package: dict[str, ast.Module],
+                        readers: list[ast.Module]) -> list[str]:
+    """Parameters with a default, of the package's top-level functions and
+    of the non-dunder methods of its top-level classes, that no call passes
+    by keyword or by position outside the function's own body: neither in
+    the package nor in any of `readers`. Calls are matched by name."""
+    passed = sum(map(passed_arguments, [*package.values(), *readers]),
+                 Counter())
+    functions = []
+    for module, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((f"{module}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                functions += [(f"{module}.{node.name}.{f.name}", f,
+                               "staticmethod" not in map(_callee,
+                                                         f.decorator_list))
+                              for f in node.body
+                              if isinstance(f, ast.FunctionDef)
+                              and not re.fullmatch(r"__\w+__", f.name)]
+    unpassed = []
+    for qualified, func, bound in functions:
+        outside = passed - passed_arguments(func)
+        for name, k in _defaulted(func, bound):
+            slots = [name, "**"] + ([] if k is None else [k, "*"])
+            if not any(outside[func.name, slot] for slot in slots):
+                unpassed.append(f"{qualified}.{name}")
+    return unpassed
+
+
+def test_unpassed_parameters_finds_a_default_only_its_own_body_passes():
+    package = {"a": ast.parse(
+        "def f(x, y=1, *, z=2):\n    return f(x, y=y, z=z)\n"
+        "def g(x, y=1, z=2):\n    pass\n"
+        "def h(x=1):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, q=0):\n        pass\n"
+        "    def m(self, p=0, q=1):\n        pass\n"
+        "    @staticmethod\n    def s(p=0):\n        pass\n")}
+    readers = [ast.parse("from blockprnu.a import C, g, h\n"
+                         "g(0, 1)\nC().m(5)\nC.s(**{})\n"
+                         "partial(h, x=3)\n")]
+    # g's y is passed by position and h's x through partial; f passes its
+    # own y and z, which does not count, and C.__init__ is Python's to call
+    assert unpassed_parameters(package, readers) == [
+        "a.f.y", "a.f.z", "a.g.z", "a.C.m.q"]
+
+
+# Parameters that only tests pass, each with the reason it stays.
+TEST_ONLY_PARAMETERS = {
+    # acceptance criterion 02 compares the unnormalized fingerprint
+    "prnu.finalize.normalize",
+    # acceptance criterion 05 averages over a chosen set of videos
+    "evaluation.scheme_mean_pce.video_ids",
+    # they mirror pce's, which the CLI sets, and pin the matrix as equal
+    # to per-pair pce under any config
+    "matching.batch_match.config",
+    "matching.batch_match.threshold",
+}
+
+
+def test_every_parameter_is_passed_outside_the_tests():
+    package, readers = package_and_readers()
+    assert set(unpassed_parameters(package, readers)) == TEST_ONLY_PARAMETERS

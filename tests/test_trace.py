@@ -295,6 +295,28 @@ def test_trace_from_arrays_is_checked_like_records():
         TraceFile(48, 16, 1, type_code=grid, qp=20 * grid, bits=grid)
 
 
+@pytest.mark.parametrize("rows", [
+    [(0, 0, 0, "P", 20, 2**63)],
+    [(0, 0, 0, "P", 2**70, 20)],
+    [(0, 2**70, 0, "P", 20, 20)],
+    [(2**64, 0, 0, "P", 20, 20)],
+    [(0, 0, 0, "P", 20, -2**70)],
+    [(0, 0, 0, "SKIP", 20, 2**65)],
+    # the first faulty row is raised, before or after a bit count
+    # beyond int64
+    [(0, 0, 0, "P", 60, 20), (0, 0, 0, "P", 20, 2**63)],
+    [(0, 0, 0, "P", 20, 2**64), (0, 0, 0, "X", 20, 20)],
+])
+def test_records_beyond_int64_fail_as_the_trace_text_does(rows):
+    text = "#w=16 h=16 mb=16 frames=1\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in rows)
+    with pytest.raises((RangeError, SchemaError)) as want:
+        load_trace_text(text)
+    with pytest.raises(type(want.value)) as got:
+        TraceFile(16, 16, 1, [BlockRecord(*row) for row in rows])
+    assert str(got.value) == str(want.value)
+
+
 def test_header_claiming_many_frames_fails_at_the_first_empty_one():
     # only the frames up to the first one without blocks are laid out
     with pytest.raises(CoverageGap, match=r"\(frame 1, 0, 0\)"):

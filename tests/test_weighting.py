@@ -29,8 +29,10 @@ def make_map(types, qps=None, bits=None):
 
 
 def painted(trace, config, frame_shape=None):
-    """The first frame's block weights painted at pixel resolution."""
-    return paint_blocks(build_mask(trace, config)[0], frame_shape)
+    """The first frame's block weights painted at pixel resolution, over
+    the trace's frame unless another shape is given."""
+    return paint_blocks(build_mask(trace, config)[0],
+                        frame_shape or (trace.height, trace.width))
 
 
 def qp_table(keys, weights):
@@ -39,7 +41,7 @@ def qp_table(keys, weights):
 
 
 def test_paint_blocks_blockwise_constant():
-    mask = paint_blocks(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    mask = paint_blocks(np.array([[1.0, 2.0], [3.0, 4.0]]), (32, 32))
     assert mask.shape == (32, 32)
     assert np.all(mask[:16, :16] == 1.0)
     assert np.all(mask[:16, 16:] == 2.0)
