@@ -9,9 +9,10 @@ by the simulator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -533,11 +534,9 @@ def parse_annexb(stream: bytes) -> tuple[list[SliceHeaderInfo], ParameterSetCont
 
 _TRACE_HEADER = re.compile(r"^#w=(\d+) h=(\d+) mb=(\d+) frames=(\d+)$")
 _TRACE_FIELDS = 6
-# integer fields of a trace row; field 3 is the block type
-_INT_FIELDS = (0, 1, 2, 4, 5)
-# a run of at most this many ASCII digits fits int64 whatever its digits
-_PLAIN_DIGITS = 18
-_INT64 = np.iinfo(np.int64)
+# 5 characters hold every type name; a longer token, cut to 5, still matches none
+_TRACE_ROW = np.dtype([("frame", np.int64), ("x", np.int64), ("y", np.int64),
+                       ("type", "U5"), ("qp", np.int64), ("bits", np.int64)])
 
 
 def _row_record(lineno: int, line: str) -> BlockRecord:
@@ -555,74 +554,39 @@ def _row_record(lineno: int, line: str) -> BlockRecord:
         raise SchemaError(f"line {lineno}: {exc}") from exc
 
 
-def _trace_columns(lines: list[str]) -> tuple[BlockColumns, int, np.ndarray]:
-    """Parse trace rows into columns with array passes over their bytes.
-
-    Blank lines are dropped. Returns the columns of the rows before the
-    first one that cannot be stored (wrong field count, a field that `int`
-    rejects, or a bit count beyond int64), that row's index (the number of
-    rows when there is none), and the index in `lines` of every row.
-    Fields of up to 18 ASCII digits are read here; any other field is given
-    to `int`, so a field parses exactly as `int` parses it. Other values
-    beyond int64 are clamped, which keeps them out of range for every check.
-    """
-    if not lines:
-        return BlockColumns(*np.zeros((6, 0), dtype=np.int64)), 0, np.arange(0)
-    # padded, so that reading a few bytes past any field stays in bounds
-    text = "\n".join(lines) + "\0" * _PLAIN_DIGITS
-    data = np.frombuffer(text.encode(errors="surrogatepass"), dtype=np.uint8)
-    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    # token k spans data[ends[k - 1] + 1:ends[k]]
-    ends = np.concatenate(([-1], seps, [data.size - _PLAIN_DIGITS]))
-    fields = np.diff(np.flatnonzero(np.append(data[seps] == ord("\n"), True)),
-                     prepend=-1)
-    # a blank line has no comma, so only one-field lines need a closer look
-    blank = [i for i in np.flatnonzero(fields == 1) if not lines[i].strip()]
-    if blank:
-        rows = np.delete(np.arange(len(lines)), blank)
-        cols, stop, kept = _trace_columns([lines[i] for i in rows])
-        return cols, stop, rows[kept]
-    miscounted = np.flatnonzero(fields != _TRACE_FIELDS)
-    stop = int(miscounted[0]) if miscounted.size else len(lines)
-    n = _TRACE_FIELDS * stop
-
-    def field(c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Start and size of field c of the first `stop` rows."""
-        first = ends[c:n:_TRACE_FIELDS] + 1
-        return first, ends[c + 1:n + 1:_TRACE_FIELDS] - first
-
-    columns, plain = [], []
-    for c in _INT_FIELDS:
-        first, size = field(c)
-        value = np.zeros(stop, dtype=np.int64)
-        digits = (size > 0) & (size <= _PLAIN_DIGITS)
-        for k in range(min(int(size.max(initial=0)), _PLAIN_DIGITS)):
-            more = size > k
-            digit = data[first + k] - np.uint8(ord("0"))
-            digits &= ~more | (digit <= 9)
-            value = np.where(more, value * 10 + digit, value)
-        columns.append(value)
-        plain.append(digits)
-    code = np.full(stop, -1, dtype=np.int64)
-    first, size = field(3)
-    for i, name in enumerate(BLOCK_TYPES):
-        hit = size == len(name)
-        for k, b in enumerate(name.encode()):
-            hit &= data[first + k] == b
-        code[hit] = i
-
-    for r, j in zip(*np.nonzero(~np.stack(plain, axis=1))):
+def _read_rows(lines: list[str]) -> tuple[BlockColumns, Callable[[int], BlockRecord]]:
+    """Trace rows read one by one, blank lines skipped. At the first row that
+    cannot be read, the rows before it are checked, then its error raised."""
+    records = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
         try:
-            v = int(lines[r].split(",")[_INT_FIELDS[j]])
-        except ValueError:
-            stop = int(r)
-            break
-        if not _INT64.min <= v <= _INT64.max and _INT_FIELDS[j] == 5:
-            stop = int(r)       # a bit count that cannot be stored
-            break
-        columns[j][r] = min(max(v, _INT64.min), _INT64.max)
-    frame, x, y, qp, bits = (col[:stop] for col in columns)
-    return BlockColumns(frame, x, y, code[:stop], qp, bits), stop, np.arange(len(lines))
+            records.append(_row_record(lineno, line))
+        except SchemaError:
+            BlockColumns.of_records(records).check(records.__getitem__)
+            raise
+    return BlockColumns.of_records(records), records.__getitem__
+
+
+def _trace_columns(lines: list[str]) -> tuple[BlockColumns, Callable[[int], BlockRecord]]:
+    """Trace rows as columns read by numpy, and a `record(i)` giving row i
+    for messages. Numpy skips empty lines; text that it rejects or warns
+    about, such as a field beyond int64, is read by `_read_rows` instead."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=_TRACE_ROW, delimiter=",",
+                               comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return _read_rows(lines)
+    rows = (range(len(lines)) if len(table) == len(lines)
+            else [i for i, line in enumerate(lines) if line])
+    code = np.select([table["type"] == name for name in BLOCK_TYPES],
+                     range(len(BLOCK_TYPES)), -1)
+    return (BlockColumns(table["frame"], table["x"], table["y"], code,
+                         table["qp"], table["bits"]),
+            lambda i: _row_record(rows[i] + 2, lines[rows[i]]))
 
 
 def load_trace_text(text: str) -> TraceFile:
@@ -642,14 +606,10 @@ def load_trace_text(text: str) -> TraceFile:
         raise SchemaError(f"unsupported macroblock size {mb}")
     if width < 16 or height < 16:
         raise SchemaError("trace smaller than one macroblock")
-    cols, stop, rows = _trace_columns(lines[1:])
-
-    def record(i: int) -> BlockRecord:
-        return _row_record(int(rows[i]) + 2, lines[rows[i] + 1])
-
-    if stop < len(rows):
-        cols.check(record)
-        record(stop).validate()
+    # numpy cuts trailing NULs, takes \x1f for a space, and has crashed on non-ASCII
+    numpy_reads = (len(lines) > 1 and text.isascii()
+                   and "\0" not in text and "\x1f" not in text)
+    cols, record = (_trace_columns if numpy_reads else _read_rows)(lines[1:])
     return TraceFile.from_columns(width, height, frame_count, cols, record)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BlockPrnuError, ConfigError, EmptyInput, SchemaError
 from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
-                       ReferenceSpectrum, pce)
+                       ReferenceSpectrum, check_threshold, pce)
 from .noise import DenoiseConfig
 from .prnu import (Fingerprint, Video, require_inputs, residual_extractor,
                    stream_fingerprints)
@@ -44,14 +44,15 @@ def run_grid(videos: Sequence[Video],
              workers: int = 1) -> ExperimentGrid:
     """Estimate and match every video under every scheme.
 
-    Before any extraction, the schemes must be distinct (ConfigError), the
-    video ids distinct (SchemaError naming the id), and every video must
-    have a trace and a reference of its camera (InsufficientData). Then
+    Before any extraction, a NaN threshold or repeated schemes raise
+    ConfigError, a repeated video id SchemaError naming it, and a video
+    without a trace or a camera reference InsufficientData. Then
     `match_videos` streams each video's (luma, residual) pairs once into
     `stream_fingerprints`, which feeds all of its schemes in lockstep, and
     matches them against one transform of the camera reference. A failing
     cell stores its error and the rest of the grid proceeds.
     """
+    check_threshold(threshold)
     schemes = [c.scheme for c in scheme_configs]
     if len(set(schemes)) != len(schemes):
         raise ConfigError("duplicate schemes in grid")
@@ -197,6 +198,7 @@ def threshold_table(grid: ExperimentGrid,
     Error cells count as missed detections. Videos land in the first group
     whose upper edge exceeds their bits-per-pixel; the last group is open.
     """
+    check_threshold(threshold)
     edges = np.asarray(group_edges, dtype=np.float64)
     n_groups = edges.size + 1
     counts = np.zeros((n_groups, len(grid.schemes)), dtype=np.int64)

@@ -66,6 +66,12 @@ class MatchReport:
     threshold: float = DEFAULT_THRESHOLD
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a NaN threshold, which no PCE exceeds; +-inf stay legal."""
+    if np.isnan(threshold):
+        raise ConfigError(f"PCE threshold must be a number, got {threshold}")
+
+
 def _values(fp) -> np.ndarray:
     """The plane as the float32 or float64 it is given in; any other dtype
     is widened to float64."""
@@ -227,6 +233,7 @@ def pce(test, reference, config: PceConfig = PceConfig(),
     keeps its sign, so anti-correlated artifacts surface as strongly
     negative PCE instead of masquerading as matches.
     """
+    check_threshold(threshold)
     ws = (test if isinstance(test, _Workspace)
           else _Workspace().hold(_Plane(test)))
     t = ws.test
@@ -283,6 +290,7 @@ def batch_match(tests: Iterable, references: Iterable,
     reductions release the GIL. The matrix is the same at any worker count, and no
     thread outlives the call.
     """
+    check_threshold(threshold)
     n = resolve_workers()
     tests = list(tests)
     references = [r if isinstance(r, ReferenceSpectrum)

@@ -53,8 +53,8 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.method not in ("wavelet", "spatial"):
             raise ConfigError(f"unknown denoise method {self.method!r}")
-        if not self.noise_var > 0:
-            raise ConfigError(f"noise variance must be positive: {self.noise_var}")
+        if not 0 < self.noise_var < np.inf:
+            raise ConfigError(f"noise variance must be positive and finite: {self.noise_var}")
 
 
 # ---------------------------------------------------------------------------

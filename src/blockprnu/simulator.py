@@ -43,10 +43,10 @@ class SensorModel:
     def __post_init__(self):
         k = self.k_true
         _check_shape(k.shape)
-        if np.abs(k).max() >= 0.1:
+        if not np.abs(k).max() < 0.1:
             raise ConfigError("|k_true| must stay below 0.1")
-        if not self.read_noise_sigma >= 0:
-            raise ConfigError("read noise sigma must be non-negative")
+        if not 0 <= self.read_noise_sigma < np.inf:
+            raise ConfigError("read noise sigma must be non-negative and finite")
 
     @property
     def height(self) -> int:
@@ -60,8 +60,8 @@ class SensorModel:
     def random(cls, height: int, width: int, k_strength: float = 0.02,
                read_noise_sigma: float = 2.0, seed: int = 0) -> "SensorModel":
         _check_shape((height, width))
-        if not k_strength >= 0:
-            raise ConfigError(f"k strength must be non-negative, got {k_strength}")
+        if not 0 <= k_strength < np.inf:
+            raise ConfigError(f"k strength must be non-negative and finite, got {k_strength}")
         rng = np.random.default_rng(seed)
         k = rng.normal(0.0, k_strength, size=(height, width))
         return cls(k_true=np.clip(k, -0.099, 0.099),
@@ -81,8 +81,8 @@ class CodecConfig:
             raise ConfigError("set exactly one of qp / target_bits_per_frame")
         if self.qp is not None and not (QP_MIN <= self.qp <= QP_MAX):
             raise ConfigError(f"qp {self.qp} outside [{QP_MIN}, {QP_MAX}]")
-        if self.target_bits_per_frame is not None and not self.target_bits_per_frame > 0:
-            raise ConfigError("target bits per frame must be positive")
+        if self.qp is None and not 0 < self.target_bits_per_frame < np.inf:
+            raise ConfigError("target bits per frame must be positive and finite")
         if self.gop < 1:
             raise ConfigError("gop must be at least 1")
         if not (QP_MIN <= self.start_qp <= QP_MAX):

@@ -3,6 +3,7 @@ NAL framing, exp-Golomb coding, parameter-set and slice-header parsing,
 trace text files.
 """
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -474,7 +475,8 @@ def per_line_load(text):
 
 ODD_TOKENS = ["zero", "1.5", "", " 7", "7 ", "+7", "-3", "1_0", "0x1", "0007",
               "٣", "\ud800", "99999999999999999999", "-99999999999999999999",
-              "1234567890123456789", "SKIP", "I", "skip", " P"]
+              "1234567890123456789", "SKIP", "I", "skip", " P", "I\x00",
+              "7\x00", "\xa07", "7\u3000", "\x1f7"]
 
 
 @st.composite
@@ -566,6 +568,21 @@ def test_serialize_inverts_load_on_canonical_text(text):
     assert serialize_trace(again) == canonical
     for name in ("type_code", "qp", "bits"):
         assert np.array_equal(getattr(again, name), getattr(tf, name))
+
+
+def test_nul_unit_separator_and_trailing_blank_line_load_as_int_reads_them():
+    head = "#w=16 h=16 mb=16 frames=1\n"
+    with pytest.raises(SchemaError, match=re.escape("unknown block type 'I\\x00'")):
+        load_trace_text(head + "0,0,0,I\x00,20,5\n")
+    with pytest.raises(SchemaError, match=re.escape("line 2: invalid literal")):
+        load_trace_text(head + "0,0,0,I,20,\x1f5\n")
+    text = serialize_trace(sample_trace())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        padded = load_trace_text(text + "\n")
+    tf = load_trace_text(text)
+    for name in ("type_code", "qp", "bits"):
+        assert np.array_equal(getattr(padded, name), getattr(tf, name))
 
 
 def test_bit_count_beyond_int64_is_a_range_error():

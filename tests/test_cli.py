@@ -598,6 +598,38 @@ def test_inspect_trace_ending_in_0xff(sim, tmp_path, capsys):
     _one_error_line(capsys, "bad.trace")
 
 
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("estimate", ["--noise-var", "inf"], "noise variance must be positive and finite"),
+    ("match", ["--threshold", "nan"], "PCE threshold must be a number"),
+    ("evaluate", ["--threshold", "nan"], "PCE threshold must be a number"),
+    ("simulate", ["--target-bits", "inf"], "target bits per frame must be positive and finite"),
+    ("simulate", ["--qp", 20, "--read-noise", "inf"], "read noise sigma must be non-negative and finite"),
+    ("simulate", ["--qp", 20, "--k-strength", "inf"], "k strength must be non-negative and finite"),
+])
+def test_non_finite_settings_exit_2_without_output(sim, reference, calib, tmp_path,
+                                                   capsys, command, flags, message):
+    root, _, refs = calib
+    (root / "one.csv").write_text("v15,cam,v15.yuv,v15.trace\n")
+    inputs = {
+        "estimate": ["--frames", sim["yuv"], "--trace", sim["trace"],
+                     "--scheme", "conventional", "--out", tmp_path / "cam.bpf",
+                     "--workers", 1],
+        "match": ["--test", reference, "--reference", reference,
+                  "--out", tmp_path / "match.txt"],
+        "evaluate": ["--manifest", root / "one.csv", "--references", refs,
+                     "--schemes", "conventional", "--out-prefix", tmp_path / "o",
+                     "--workers", 1],
+        "simulate": ["--frames", 2, "--out-prefix", tmp_path / "x",
+                     "--out", tmp_path / "summary.txt"],
+    }
+    capsys.readouterr()
+    assert run(command, *inputs[command], *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
 def test_evaluate_manifest_holding_0xff(calib, tmp_path, capsys):
     root, _, refs = calib
     manifest = root / "bad_eval.csv"

@@ -13,27 +13,56 @@ PACKAGE = ROOT / "src" / "blockprnu"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
+    """Names a function binds in its own scope other than by an import:
+    its parameters, and the names its body assigns or defines. Nested
+    functions and classes are not entered."""
+    args = func.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a}
+    todo = [func.body] if isinstance(func, ast.Lambda) else list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by an import statement that the module never reads,
-    counting names inside quoted annotations."""
+    counting names inside quoted annotations. A read inside a function
+    counts only when no enclosing function binds the name."""
     imported = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
             for alias in node.names:
                 imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
     used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
+
+    def visit(node: ast.AST, local: frozenset) -> None:
+        if isinstance(node, _SCOPES):
+            local = local | local_names(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
                 quoted = ast.parse(node.value, mode="eval")
             except SyntaxError:
-                continue
-            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+                return
+            visit(quoted, local)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
     return [f"{name} (line {line})" for name, line in sorted(imported.items())
             if name not in used]
 
@@ -42,6 +71,12 @@ def test_unused_imports_finds_an_unread_name():
     tree = ast.parse("from x import a, b\nimport c.d\nfrom __future__ import "
                      "annotations\ndef f() -> 'b':\n    return c\n")
     assert unused_imports(tree) == ["a (line 1)"]
+
+
+def test_unused_imports_finds_a_name_read_only_as_a_local():
+    tree = ast.parse("from x import f, g\ndef h():\n    def f():\n        pass\n"
+                     "    return f(), (lambda g: g)(0), [k for k in g]\n")
+    assert unused_imports(tree) == ["f (line 1)"]
 
 
 @pytest.mark.parametrize("module", MODULES)
