@@ -7,8 +7,8 @@ import numpy as np
 
 from blockprnu import BlockRecord, TraceFile
 from blockprnu.bitstream import (BitReader, BitWriter, NalUnit, parse_annexb,
-                                 serialize_trace, load_trace_text,
                                  validate_against_slices)
+from blockprnu.trace import load_trace_text, serialize_trace
 
 # --- exp-Golomb primitives ---------------------------------------------------
 # Header fields are coded as exp-Golomb integers. Write a few, read them back.

@@ -9,8 +9,7 @@ how much survives. Fingerprints are matched by peak-to-correlation energy.
 from .bitstream import (NalUnit, ParameterSetContext, Pps,
                         SliceHeaderInfo, Sps, load_trace, parse_annexb,
                         parse_pps, parse_slice_header, parse_sps, save_trace,
-                        serialize_trace, split_nal_units,
-                        validate_against_slices)
+                        split_nal_units, validate_against_slices)
 from .calibration import (CalibrationRun, SplicedVideo,
                           build_lambda_rate_table, build_qp_table,
                           calibrate_lambda_rate, calibrate_qp,
@@ -38,7 +37,7 @@ from .prnu import (Fingerprint, FingerprintAccumulator, Video,
                    write_fingerprint)
 from .trace import (BLOCK_TYPES, MACROBLOCK, BlockRecord, TraceFile,
                     bits_per_pixel, lambda_grid, lambda_of_qp,
-                    skipped_block_rate)
+                    serialize_trace, skipped_block_rate)
 from .weighting import (ALL_SCHEMES, ANCHOR_LAMBDA_RATE, ANCHOR_QP, SCHEMES,
                         TABLE_SCHEMES, SchemeConfig, WeightTable, build_mask,
                         paint_blocks)

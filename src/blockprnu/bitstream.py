@@ -1,26 +1,23 @@
 """
 Annex-B elementary stream parsing (NAL units, exp-Golomb, SPS/PPS/slice
-headers for the Baseline/Main subset) and the block-trace text format.
+headers for the Baseline/Main subset), and trace files by path.
 
 Only headers are decoded; residual entropy decoding is out of scope, so
 block-level metadata is consumed from trace files produced externally or
-by the simulator.
+by the simulator, in the text format that `trace` reads and writes.
 """
 from __future__ import annotations
 
-import re
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (BitstreamExhausted, MalformedStream, MissingParameterSet,
-                     RangeError, SchemaError, TruncatedUnit,
-                     UnsupportedProfile, decode_text)
-from .trace import (BLOCK_TYPES, QP_MAX, QP_MIN, BlockColumns, BlockRecord,
-                    TraceFile)
+                     RangeError, TruncatedUnit, UnsupportedProfile,
+                     decode_text)
+from .trace import QP_MAX, QP_MIN, TraceFile, load_trace_text, serialize_trace
 
 START_CODE = b"\x00\x00\x01"
 NAL_SLICE = 1
@@ -528,104 +525,9 @@ def parse_annexb(stream: bytes) -> tuple[list[SliceHeaderInfo], ParameterSetCont
     return slices, context
 
 
-# ---------------------------------------------------------------------------
-# trace text format
-# ---------------------------------------------------------------------------
-
-_TRACE_HEADER = re.compile(r"^#w=(\d+) h=(\d+) mb=(\d+) frames=(\d+)$")
-_TRACE_FIELDS = 6
-# 5 characters hold every type name; a longer token, cut to 5, still matches none
-_TRACE_ROW = np.dtype([("frame", np.int64), ("x", np.int64), ("y", np.int64),
-                       ("type", "U5"), ("qp", np.int64), ("bits", np.int64)])
-
-
-def _row_record(lineno: int, line: str) -> BlockRecord:
-    """One trace row as a record, unchecked; raises SchemaError when it
-    does not have six fields or an integer field is not an integer."""
-    parts = line.split(",")
-    if len(parts) != _TRACE_FIELDS:
-        raise SchemaError(f"line {lineno}: expected {_TRACE_FIELDS} fields, "
-                          f"got {len(parts)}")
-    try:
-        return BlockRecord(frame_idx=int(parts[0]), mb_x=int(parts[1]),
-                           mb_y=int(parts[2]), block_type=parts[3],
-                           qp=int(parts[4]), bits=int(parts[5]))
-    except ValueError as exc:
-        raise SchemaError(f"line {lineno}: {exc}") from exc
-
-
-def _read_rows(lines: list[str]) -> tuple[BlockColumns, Callable[[int], BlockRecord]]:
-    """Trace rows read one by one, blank lines skipped. At the first row that
-    cannot be read, the rows before it are checked, then its error raised."""
-    records = []
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            records.append(_row_record(lineno, line))
-        except SchemaError:
-            BlockColumns.of_records(records).check(records.__getitem__)
-            raise
-    return BlockColumns.of_records(records), records.__getitem__
-
-
-def _trace_columns(lines: list[str]) -> tuple[BlockColumns, Callable[[int], BlockRecord]]:
-    """Trace rows as columns read by numpy, and a `record(i)` giving row i
-    for messages. Numpy skips empty lines; text that it rejects or warns
-    about, such as a field beyond int64, is read by `_read_rows` instead."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=_TRACE_ROW, delimiter=",",
-                               comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return _read_rows(lines)
-    rows = (range(len(lines)) if len(table) == len(lines)
-            else [i for i, line in enumerate(lines) if line])
-    code = np.select([table["type"] == name for name in BLOCK_TYPES],
-                     range(len(BLOCK_TYPES)), -1)
-    return (BlockColumns(table["frame"], table["x"], table["y"], code,
-                         table["qp"], table["bits"]),
-            lambda i: _row_record(rows[i] + 2, lines[rows[i]]))
-
-
-def load_trace_text(text: str) -> TraceFile:
-    """Parse and fully validate trace text.
-
-    Blank lines are skipped and rows may come in any order. Errors name the
-    first faulty row in file order, then the first faulty frame.
-    """
-    lines = text.splitlines()
-    if not lines:
-        raise SchemaError("empty trace")
-    m = _TRACE_HEADER.match(lines[0])
-    if not m:
-        raise SchemaError(f"bad trace header: {lines[0]!r}")
-    width, height, mb, frame_count = (int(g) for g in m.groups())
-    if mb != 16:
-        raise SchemaError(f"unsupported macroblock size {mb}")
-    if width < 16 or height < 16:
-        raise SchemaError("trace smaller than one macroblock")
-    # numpy cuts trailing NULs, takes \x1f for a space, and has crashed on non-ASCII
-    numpy_reads = (len(lines) > 1 and text.isascii()
-                   and "\0" not in text and "\x1f" not in text)
-    cols, record = (_trace_columns if numpy_reads else _read_rows)(lines[1:])
-    return TraceFile.from_columns(width, height, frame_count, cols, record)
-
-
 def load_trace(path: str | Path) -> TraceFile:
     """Load and fully validate a trace file."""
     return load_trace_text(decode_text(Path(path).read_bytes(), path))
-
-
-def serialize_trace(tf: TraceFile) -> str:
-    """Canonical text form: header, then blocks in (frame, y, x) order."""
-    frame, y, x = (a.ravel().tolist() for a in np.indices(tf.type_code.shape))
-    rows = map("{},{},{},{},{},{}".format, frame, x, y,
-               np.array(BLOCK_TYPES)[tf.type_code.ravel()].tolist(),
-               tf.qp.ravel().tolist(), tf.bits.ravel().tolist())
-    header = f"#w={tf.width} h={tf.height} mb=16 frames={tf.frame_count}"
-    return "\n".join([header, *rows]) + "\n"
 
 
 def save_trace(tf: TraceFile, path: str | Path) -> None:

@@ -79,14 +79,18 @@ def _load_video(frames_path: str, trace_path: str, camera_id: str = "",
 
 def _read_manifest(path: str, fields: tuple[str, ...],
                    optional: tuple[str, ...] = ()) -> list[dict]:
-    """CSV rows of the named fields, each of which must be non-empty;
-    relative paths resolve against the manifest's directory. '#' lines and
-    blank lines are skipped."""
+    """CSV rows of the named fields, each of which must be non-empty and
+    free of NUL; relative paths resolve against the manifest's directory.
+    '#' lines and blank lines are skipped."""
     base = Path(path).parent
     text = decode_text(Path(path).read_bytes(), path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:    # each row with the line it ends on; a quoted field may span lines
+        records = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:    # such as a field over the csv module's limit
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")),
-                                 start=1):
+    for lineno, row in records:
         if not row or row[0].lstrip().startswith("#"):
             continue
         row = [c.strip() for c in row]
@@ -101,6 +105,9 @@ def _read_manifest(path: str, fields: tuple[str, ...],
         empty = [key for key in fields if not rec[key]]
         if empty:
             raise SchemaError(f"{path}:{lineno}: empty {empty[0]} field")
+        nul = [key for key in rec if "\0" in rec[key]]
+        if nul:     # no file name or id can hold one
+            raise SchemaError(f"{path}:{lineno}: NUL in {nul[0]} field")
         for key in rec:
             if key.endswith("_path"):
                 rec[key] = str(base / rec[key])
@@ -155,9 +162,13 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_estimate(args, parser) -> int:
+    source_id = args.source_id if args.source_id else Path(args.out).stem
+    try:
+        source_id.encode("utf-8")
+    except UnicodeEncodeError as exc:   # undecodable bytes in the argument
+        raise ConfigError(f"source id {source_id!r} is not UTF-8 text") from exc
     scheme = _scheme_config(parser, args.scheme, args.table)
     video = _load_video(args.frames, args.trace)
-    source_id = args.source_id if args.source_id else Path(args.out).stem
     fp = estimate_fingerprint(video.pictures, video.trace, scheme,
                               denoise_config=_denoise_config(args),
                               denominator_floor=args.floor,

@@ -11,10 +11,15 @@ A `TraceFile` keeps the blocks as three (frames, grid_h, grid_w) arrays,
 and every consumer reads them, or the `skip` and `lambda_rate` stacks
 derived from them, a whole video at a time. `BlockRecord` lists convert to
 and from them, for traces built by hand.
+
+Trace text is read here a chunk of lines at a time: an odd row costs its chunk.
 """
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -205,15 +210,6 @@ class TraceFile:
             self._lay_out(width, height, frame_count,
                           BlockColumns.of_records(records), records.__getitem__)
 
-    @classmethod
-    def from_columns(cls, width: int, height: int, frame_count: int,
-                     cols: BlockColumns,
-                     record: Callable[[int], BlockRecord]) -> "TraceFile":
-        """Check blocks given in any order and lay them out."""
-        trace = cls.__new__(cls)
-        trace._lay_out(width, height, frame_count, cols, record)
-        return trace
-
     def _lay_out(self, width: int, height: int, frame_count: int,
                  cols: BlockColumns, record: Callable[[int], BlockRecord]) -> None:
         self.width, self.height, self.frame_count = width, height, frame_count
@@ -261,3 +257,111 @@ def bits_per_pixel(trace: TraceFile) -> float:
     bits = trace.bits
     total = (int((bits >> 32).sum()) << 32) + int((bits & 0xFFFFFFFF).sum())
     return total / pixels
+
+
+# ---------------------------------------------------------------------------
+# trace text format
+# ---------------------------------------------------------------------------
+
+_TRACE_HEADER = re.compile(r"^#w=(\d+) h=(\d+) mb=(\d+) frames=(\d+)$")
+# 5 characters hold every type name; a longer token, cut to 5, still matches none
+_TRACE_ROW = np.dtype([("frame", np.int64), ("x", np.int64), ("y", np.int64),
+                       ("type", "U5"), ("qp", np.int64), ("bits", np.int64)])
+_CHUNK_ROWS = 1 << 13   # lines per chunk: a row numpy rejects costs its chunk
+
+
+def _row_record(lineno: int, line: str) -> BlockRecord:
+    """One trace row as a record, unchecked; raises SchemaError when it
+    does not have six fields or an integer field is not an integer."""
+    parts = line.split(",")
+    if len(parts) != 6:
+        raise SchemaError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+    try:
+        return BlockRecord(frame_idx=int(parts[0]), mb_x=int(parts[1]),
+                           mb_y=int(parts[2]), block_type=parts[3],
+                           qp=int(parts[4]), bits=int(parts[5]))
+    except ValueError as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from exc
+
+
+def _nth_row(lines: list[str], i: int) -> BlockRecord:
+    """Row i of the trace body, blank lines skipped, read again for a message."""
+    n = [j for j in range(1, len(lines)) if lines[j].strip()][i]
+    return _row_record(n + 1, lines[n])
+
+
+def _numpy_reads(text: str) -> bool:
+    r"""No NUL (numpy cuts it), \x1f (a space to numpy) or non-ASCII (a crash)."""
+    return text.isascii() and "\0" not in text and "\x1f" not in text
+
+
+def _chunk_columns(lines: list[str], start: int,
+                   plain: bool) -> tuple[BlockColumns, SchemaError | None]:
+    """Rows of the `_CHUNK_ROWS` lines from lines[start] on, blank lines
+    skipped: by numpy when the chunk is plain (`plain` says the whole text
+    is) and numpy neither rejects nor warns; else one by one up to the first
+    unreadable row, whose error comes back with the rows before it."""
+    chunk = lines[start:start + _CHUNK_ROWS]
+    if plain or _numpy_reads("\n".join(chunk)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(chunk, dtype=_TRACE_ROW, delimiter=",",
+                                   comments=None, ndmin=1)
+        except (ValueError, Warning):
+            pass
+        else:
+            code = np.select([table["type"] == name for name in BLOCK_TYPES],
+                             range(len(BLOCK_TYPES)), -1)
+            return BlockColumns(table["frame"], table["x"], table["y"], code,
+                                table["qp"], table["bits"]), None
+    records = []
+    for lineno, line in enumerate(chunk, start + 1):
+        if line.strip():
+            try:
+                records.append(_row_record(lineno, line))
+            except SchemaError as exc:
+                return BlockColumns.of_records(records), exc
+    return BlockColumns.of_records(records), None
+
+
+def load_trace_text(text: str) -> TraceFile:
+    """Parse and fully validate trace text.
+
+    Blank lines are skipped and rows may come in any order. Errors name the
+    first faulty row in file order, then the first faulty frame.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise SchemaError("empty trace")
+    m = _TRACE_HEADER.match(lines[0])
+    if not m:
+        raise SchemaError(f"bad trace header: {lines[0]!r}")
+    width, height, mb, frame_count = (int(g) for g in m.groups())
+    if mb != 16:
+        raise SchemaError(f"unsupported macroblock size {mb}")
+    if width < 16 or height < 16:
+        raise SchemaError("trace smaller than one macroblock")
+    record = partial(_nth_row, lines)
+    cols, rows = np.empty((6, len(lines) - 1), dtype=np.int64), 0
+    plain = _numpy_reads(text)      # else each chunk is screened on its own
+    for start in range(1, len(lines), _CHUNK_ROWS):
+        part, error = _chunk_columns(lines, start, plain)
+        cols[:, rows:rows + part.qp.size] = part
+        rows += part.qp.size
+        if error:   # the rows before it are checked first
+            BlockColumns(*cols[:, :rows]).check(record)
+            raise error
+    trace = TraceFile.__new__(TraceFile)
+    trace._lay_out(width, height, frame_count, BlockColumns(*cols[:, :rows]), record)
+    return trace
+
+
+def serialize_trace(tf: TraceFile) -> str:
+    """Canonical text form: header, then blocks in (frame, y, x) order."""
+    frame, y, x = (a.ravel().tolist() for a in np.indices(tf.type_code.shape))
+    rows = map("{},{},{},{},{},{}".format, frame, x, y,
+               np.array(BLOCK_TYPES)[tf.type_code.ravel()].tolist(),
+               tf.qp.ravel().tolist(), tf.bits.ravel().tolist())
+    header = f"#w={tf.width} h={tf.height} mb=16 frames={tf.frame_count}"
+    return "\n".join([header, *rows]) + "\n"

@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockprnu import BLOCK_TYPES, BlockRecord, TraceFile
+from blockprnu import BLOCK_TYPES, BlockRecord, TraceFile, trace
 from blockprnu.bitstream import (BitReader, BitWriter, NalUnit,
                                  ParameterSetContext, escape_payload,
-                                 load_trace_text, parse_annexb,
-                                 parse_slice_header, parse_sps,
-                                 serialize_trace, split_nal_units,
-                                 unescape_payload, validate_against_slices)
+                                 parse_annexb, parse_slice_header, parse_sps,
+                                 split_nal_units, unescape_payload,
+                                 validate_against_slices)
 from blockprnu.errors import (BitstreamExhausted, BlockPrnuError, CoverageGap,
                               MalformedStream, MissingParameterSet,
                               RangeError, SchemaError, TruncatedUnit,
                               UnsupportedProfile)
+from blockprnu.trace import load_trace_text, serialize_trace
 from conftest import grid_records
 
 
@@ -554,6 +554,42 @@ def outcome(load, text):
 @given(trace_texts())
 def test_trace_parser_matches_per_line_oracle(text):
     assert outcome(load_trace_text, text) == outcome(per_line_load, text)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+@settings(max_examples=150, deadline=None)
+@given(text=trace_texts())
+def test_trace_parser_matches_per_line_oracle_across_chunks(chunk_rows, text):
+    # the default chunk holds every generated text whole, so no precedence
+    # rule would cross a chunk boundary there
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_CHUNK_ROWS", chunk_rows)
+        assert outcome(load_trace_text, text) == outcome(per_line_load, text)
+
+
+# int reads both as 30; numpy rejects the first and is never given the second
+@pytest.mark.parametrize("qp", ["3_0", "\u0663\u0660"])
+def test_odd_field_reads_only_its_chunk_row_by_row(monkeypatch, qp):
+    shape = (5, 45, 80)     # 18,000 rows of 720p: three chunks
+    tf = TraceFile(width=1280, height=720, frame_count=5,
+                   type_code=np.zeros(shape, dtype=np.int8),
+                   qp=np.full(shape, 30), bits=np.full(shape, 100))
+    lines = serialize_trace(tf).split("\n")
+    fields = lines[9000].split(",")
+    fields[4] = qp          # in the second chunk
+    lines[9000] = ",".join(fields)
+    calls = []
+    row_record = trace._row_record
+
+    def counted(lineno, line):
+        calls.append(lineno)
+        return row_record(lineno, line)
+
+    monkeypatch.setattr(trace, "_row_record", counted)
+    odd = load_trace_text("\n".join(lines))
+    assert 0 < len(calls) <= trace._CHUNK_ROWS
+    for name in ("type_code", "qp", "bits"):
+        assert np.array_equal(getattr(odd, name), getattr(tf, name))
 
 
 @settings(max_examples=100, deadline=None)

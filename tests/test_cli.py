@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprnu import (
     WeightTable,
@@ -659,6 +665,85 @@ def test_fingerprint_source_id_not_utf8(reference, tmp_path, capsys):
     bad.write_bytes(bytes(data))
     assert run("match", "--test", bad, "--reference", reference) == 3
     _one_error_line(capsys, "bad.bpf", "source id")
+
+
+LONG_FIELD = "x" * 131_073      # one past the csv module's field limit
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("source id", 2, "source id '\\udcff' is not UTF-8 text"),
+    ("output stem", 2, "source id 'cam\\udcff' is not UTF-8 text"),
+    ("v15,cam,v15.yuv,v15.trace\nv28,cam,v28.yuv," + LONG_FIELD, 3,
+     "in.csv:2: field larger than field limit"),
+    ("v15,cam,v15\0.yuv,v15.trace", 3, "in.csv:1: NUL in frames_path field"),
+    ("v15,c\0am,v15.yuv,v15.trace", 3, "in.csv:1: NUL in camera_id field"),
+], ids=["source id", "output stem", "long field", "NUL path", "NUL camera"])
+def test_unusable_ids_and_manifest_fields_exit_with_one_error_line(
+        sim, calib, tmp_path, capsys, extractions, case, code, message):
+    # each escaped as a traceback: UnicodeEncodeError after the whole
+    # extraction, _csv.Error, and ValueError from opening the file
+    root, _, refs = calib
+    out = tmp_path / "out"
+    if case in ("source id", "output stem"):
+        named = ["--source-id", "\udcff"] if case == "source id" else []
+        argv = ["estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
+                "--scheme", "conventional", "--out", out / "cam\udcff.bpf",
+                "--workers", 1, *named]
+    else:
+        manifest = tmp_path / "in.csv"
+        manifest.write_text(case.replace("v15.", f"{root}/v15.")
+                            .replace("v28.", f"{root}/v28."))
+        argv = ["evaluate", "--manifest", manifest, "--references", refs,
+                "--schemes", "conventional", "--out-prefix", out / "o",
+                "--workers", 1]
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert extractions == []
+    assert not out.exists()
+
+
+def test_manifest_errors_name_the_line_after_a_quoted_line_break(calib, tmp_path,
+                                                                 capsys):
+    rc, err = _calibrate_bad_manifest(calib, tmp_path, capsys,
+                                      'cam,"v15\n.yuv",v15.trace,15\n'
+                                      "cam,v28.yuv,v28.trace,\n")
+    assert rc == 3
+    assert "bad_calib.csv:3: empty qp field" in err
+
+
+MANIFEST_PIECES = st.one_of(
+    st.sampled_from([b"\0", b'"', b",", b"\r", b"\n", b"\r\n", b"#", b" ",
+                     b"cam", b"15", b"a.yuv", b"a.trace", b"..", b"/", b"\xff",
+                     b"\xc3", b"\xed\xa0\x80", "é".encode(),
+                     b"y" * 131_073]),
+    st.binary(max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.lists(MANIFEST_PIECES, max_size=24).map(b"".join),
+       command=st.sampled_from(["qp", "lambda_r", "evaluate"]))
+def test_random_manifests_exit_with_one_error_line(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "m.csv"
+        manifest.write_bytes(data)
+        common = ["--manifest", manifest, "--references", Path(tmp) / "refs",
+                  "--workers", 1]
+        if command == "evaluate":
+            argv = ["evaluate", *common, "--schemes", "conventional",
+                    "--out-prefix", Path(tmp) / "out" / "o"]
+        else:
+            argv = ["calibrate", "--mode", command, *common,
+                    "--out", Path(tmp) / "out" / "t.wt"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv)
+        assert code in (2, 3, 4)
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert not (Path(tmp) / "out").exists()
 
 
 # ---------------------------------------------------------------------------

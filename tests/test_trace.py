@@ -10,7 +10,7 @@ from blockprnu import (ALL_SCHEMES, BLOCK_TYPES, BlockRecord, SchemeConfig,
                        TraceFile, WeightTable, bits_per_pixel, build_mask,
                        lambda_grid, lambda_of_qp, paint_blocks,
                        skipped_block_rate)
-from blockprnu.bitstream import load_trace_text, serialize_trace
+from blockprnu.trace import load_trace_text, serialize_trace
 from blockprnu.errors import CoverageGap, EmptyInput, RangeError, SchemaError
 from conftest import grid_records
 
