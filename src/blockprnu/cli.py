@@ -79,39 +79,41 @@ def _load_video(frames_path: str, trace_path: str, camera_id: str = "",
 
 def _read_manifest(path: str, fields: tuple[str, ...],
                    optional: tuple[str, ...] = ()) -> list[dict]:
-    """CSV rows of the named fields, each of which must be non-empty and
-    free of NUL; relative paths resolve against the manifest's directory.
-    '#' lines and blank lines are skipped."""
+    """CSV rows of the named fields, each of which must be non-empty;
+    relative paths resolve against the manifest's directory. '#' lines and
+    blank lines are skipped; a NUL anywhere is refused, as no file name or
+    id can hold one. Errors name the line a row ends on."""
     base = Path(path).parent
     text = decode_text(Path(path).read_bytes(), path)
+    nul = text.find("\0")
+    if nul >= 0:    # named by its line as the csv reader counts lines
+        line = len(io.StringIO(text[:nul + 1], newline="").readlines())
+        raise SchemaError(f"{path}:{line}: NUL in manifest")
     reader = csv.reader(io.StringIO(text, newline=""))
-    try:    # each row with the line it ends on; a quoted field may span lines
-        records = [(reader.line_num, row) for row in reader]
+    rows = []
+    try:    # a quoted field may span lines
+        for row in reader:
+            lineno = reader.line_num
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            row = [c.strip() for c in row]
+            if not any(row):
+                continue
+            want = len(fields)
+            if len(row) < want or len(row) > want + len(optional):
+                raise SchemaError(f"{path}:{lineno}: expected "
+                                  f"{want}-{want + len(optional)} fields, "
+                                  f"got {len(row)}")
+            rec = dict(zip(fields + optional, row))
+            empty = [key for key in fields if not rec[key]]
+            if empty:
+                raise SchemaError(f"{path}:{lineno}: empty {empty[0]} field")
+            for key in rec:
+                if key.endswith("_path"):
+                    rec[key] = str(base / rec[key])
+            rows.append(rec)
     except csv.Error as exc:    # such as a field over the csv module's limit
         raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
-    rows = []
-    for lineno, row in records:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        row = [c.strip() for c in row]
-        if not any(row):
-            continue
-        want = len(fields)
-        if len(row) < want or len(row) > want + len(optional):
-            raise SchemaError(f"{path}:{lineno}: expected "
-                              f"{want}-{want + len(optional)} fields, "
-                              f"got {len(row)}")
-        rec = dict(zip(fields + optional, row))
-        empty = [key for key in fields if not rec[key]]
-        if empty:
-            raise SchemaError(f"{path}:{lineno}: empty {empty[0]} field")
-        nul = [key for key in rec if "\0" in rec[key]]
-        if nul:     # no file name or id can hold one
-            raise SchemaError(f"{path}:{lineno}: NUL in {nul[0]} field")
-        for key in rec:
-            if key.endswith("_path"):
-                rec[key] = str(base / rec[key])
-        rows.append(rec)
     if not rows:
         raise SchemaError(f"{path}: empty manifest")
     return rows

@@ -295,14 +295,14 @@ def _numpy_reads(text: str) -> bool:
     return text.isascii() and "\0" not in text and "\x1f" not in text
 
 
-def _chunk_columns(lines: list[str], start: int,
-                   plain: bool) -> tuple[BlockColumns, SchemaError | None]:
+def _chunk_columns(lines: list[str],
+                   start: int) -> tuple[BlockColumns, SchemaError | None]:
     """Rows of the `_CHUNK_ROWS` lines from lines[start] on, blank lines
-    skipped: by numpy when the chunk is plain (`plain` says the whole text
-    is) and numpy neither rejects nor warns; else one by one up to the first
-    unreadable row, whose error comes back with the rows before it."""
+    skipped: by numpy when the chunk's text passes `_numpy_reads` and numpy
+    neither rejects nor warns; else one by one up to the first unreadable
+    row, whose error comes back with the rows before it."""
     chunk = lines[start:start + _CHUNK_ROWS]
-    if plain or _numpy_reads("\n".join(chunk)):
+    if _numpy_reads("\n".join(chunk)):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -344,9 +344,8 @@ def load_trace_text(text: str) -> TraceFile:
         raise SchemaError("trace smaller than one macroblock")
     record = partial(_nth_row, lines)
     cols, rows = np.empty((6, len(lines) - 1), dtype=np.int64), 0
-    plain = _numpy_reads(text)      # else each chunk is screened on its own
     for start in range(1, len(lines), _CHUNK_ROWS):
-        part, error = _chunk_columns(lines, start, plain)
+        part, error = _chunk_columns(lines, start)
         cols[:, rows:rows + part.qp.size] = part
         rows += part.qp.size
         if error:   # the rows before it are checked first

@@ -675,8 +675,8 @@ LONG_FIELD = "x" * 131_073      # one past the csv module's field limit
     ("output stem", 2, "source id 'cam\\udcff' is not UTF-8 text"),
     ("v15,cam,v15.yuv,v15.trace\nv28,cam,v28.yuv," + LONG_FIELD, 3,
      "in.csv:2: field larger than field limit"),
-    ("v15,cam,v15\0.yuv,v15.trace", 3, "in.csv:1: NUL in frames_path field"),
-    ("v15,c\0am,v15.yuv,v15.trace", 3, "in.csv:1: NUL in camera_id field"),
+    ("v15,cam,v15\0.yuv,v15.trace", 3, "in.csv:1: NUL in manifest"),
+    ("v15,c\0am,v15.yuv,v15.trace", 3, "in.csv:1: NUL in manifest"),
 ], ids=["source id", "output stem", "long field", "NUL path", "NUL camera"])
 def test_unusable_ids_and_manifest_fields_exit_with_one_error_line(
         sim, calib, tmp_path, capsys, extractions, case, code, message):
@@ -712,6 +712,19 @@ def test_manifest_errors_name_the_line_after_a_quoted_line_break(calib, tmp_path
                                       "cam,v28.yuv,v28.trace,\n")
     assert rc == 3
     assert "bad_calib.csv:3: empty qp field" in err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("cam,v15.yuv\ncam,v28.yuv,v28.trace," + LONG_FIELD + "\n",
+     "bad_calib.csv:1: expected 4-4 fields, got 2"),
+    ("cam,v15.yuv,v15.trace\n# a\0comment\ncam,v28.yuv,v28.trace,\n",
+     "bad_calib.csv:2: NUL in manifest"),
+], ids=["csv error later", "NUL in a comment"])
+def test_manifest_errors_come_in_file_order_and_refuse_any_nul(
+        calib, tmp_path, capsys, rows, message):
+    rc, err = _calibrate_bad_manifest(calib, tmp_path, capsys, rows)
+    assert rc == 3
+    assert message in err
 
 
 MANIFEST_PIECES = st.one_of(
