@@ -26,7 +26,7 @@ from .evaluation import match_videos
 from .matching import PceConfig
 from .noise import DenoiseConfig
 from .prnu import Fingerprint, Video, require_inputs, stream_fingerprints
-from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
+from .trace import QP_MAX, QP_MIN, TraceFile, block_canvas
 from .weighting import ANCHOR_LAMBDA_RATE, ANCHOR_QP, SchemeConfig, WeightTable
 
 PCE_FLOOR = 1e-3
@@ -78,8 +78,6 @@ def splice_by_lambda_rate(residuals: Iterable[np.ndarray],
     O(video), but no other array the size of the video is made.
     """
     n = _splice_frames(trace)
-    gh, gw = trace.grid_h, trace.grid_w
-    h, w = gh * MACROBLOCK, gw * MACROBLOCK
     shape = (trace.height, trace.width)
     lr = trace.lambda_rate                                        # (n, gh, gw)
     if not include_skip:
@@ -90,30 +88,25 @@ def splice_by_lambda_rate(residuals: Iterable[np.ndarray],
     filled = np.isfinite(sorted_lr)
     mean_lr = np.array([lr_j[fill_j].mean() if fill_j.any() else np.nan
                         for lr_j, fill_j in zip(sorted_lr, filled)])
-    # spliced frames keep the frame's shape: a ceil-sized grid's partial
-    # blocks are padded with zeros and cropped again, and pixels beyond a
-    # floor-sized grid stay zero, as in the masks
-    values = np.zeros((n, max(h, shape[0]), max(w, shape[1])))
-    plane = np.zeros(values.shape[1:])
-    # (n, gh, gw, 16, 16) and (gh, gw, 16, 16) views of the blocks
-    spliced = values[:, :h, :w].reshape(
-        n, gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(2, 3)
-    blocks = plane[:h, :w].reshape(
-        gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
+    # spliced frames keep the frame's shape, and the residual is cut up on
+    # a canvas of its own: a ceil-sized grid's partial blocks are padded
+    # with zeros, and pixels beyond a floor-sized grid stay zero, as in masks
+    grid = (trace.grid_h, trace.grid_w)
+    values, spliced = block_canvas((n, *shape), grid)
+    plane, frame_blocks = block_canvas(shape, grid)
     count = 0
     for residual in residuals:
         if residual.shape != shape:
             raise DimensionMismatch(f"residual shape {residual.shape} vs "
                                     f"{shape} of the trace")
         if count < n:
-            plane[:shape[0], :shape[1]] = residual
+            plane[...] = residual
             ys, xs = np.nonzero(np.isfinite(lr[count]))
-            spliced[rank[count, ys, xs], ys, xs] = blocks[ys, xs]
+            spliced[rank[count, ys, xs], ys, xs] = frame_blocks[ys, xs]
         count += 1
     if count != n:
         raise InsufficientFrames(f"{count} residuals vs {n} trace frames")
-    return SplicedVideo(values=values[:, :shape[0], :shape[1]], filled=filled,
-                        mean_lambda_rate=mean_lr)
+    return SplicedVideo(values=values, filled=filled, mean_lambda_rate=mean_lr)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from scipy.ndimage import uniform_filter
 
 from .errors import ConfigError
 from .trace import (BLOCK_TYPES, MACROBLOCK, QP_MAX, QP_MIN, SKIP,
-                    TraceFile, lambda_of_qp)
+                    TraceFile, blocks, lambda_of_qp)
 
 _HEADER_BITS = 8
 _SKIP_BITS = 1
@@ -32,6 +32,13 @@ def _check_shape(shape: tuple[int, ...]) -> None:
     if len(shape) != 2 or min(shape) < 1 or any(n % MACROBLOCK for n in shape):
         raise ConfigError(f"sensor shape {shape} is not two positive "
                           f"multiples of 16")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a seed, which numpy takes only when non-negative."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class SensorModel:
         _check_shape((height, width))
         if not 0 <= k_strength < np.inf:
             raise ConfigError(f"k strength must be non-negative and finite, got {k_strength}")
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         k = rng.normal(0.0, k_strength, size=(height, width))
         return cls(k_true=np.clip(k, -0.099, 0.099),
                    read_noise_sigma=read_noise_sigma)
@@ -107,7 +114,7 @@ def simulate_capture(model: SensorModel, clean_frames: Sequence[np.ndarray],
     Each output sample is clip(round(clean * (1 + k) + noise)) as 8-bit;
     the frames come back as one (frames, h, w) uint8 stack.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     gain = 1.0 + model.k_true
     out = np.empty((len(clean_frames),) + model.k_true.shape, dtype=np.uint8)
     for i, clean in enumerate(clean_frames):
@@ -131,17 +138,6 @@ def _qstep(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
-def _as_dct_blocks(residual: np.ndarray) -> np.ndarray:
-    """(..., 16, 16) -> (..., 2, 2, 8, 8) of DCT sub-blocks."""
-    lead = residual.shape[:-2]
-    return residual.reshape(*lead, 2, 8, 2, 8).swapaxes(-3, -2)
-
-
-def _from_dct_blocks(blocks: np.ndarray) -> np.ndarray:
-    lead = blocks.shape[:-4]
-    return blocks.swapaxes(-3, -2).reshape(*lead, 16, 16)
-
-
 def code_candidate(residual: np.ndarray, qp: int) -> tuple[np.ndarray, np.ndarray]:
     """Transform-code prediction residuals at one QP.
 
@@ -151,13 +147,15 @@ def code_candidate(residual: np.ndarray, qp: int) -> tuple[np.ndarray, np.ndarra
         plus 8 header bits per macroblock
     """
     step = _qstep(qp)
-    coeffs = sfft.dctn(_as_dct_blocks(residual), type=2, norm="ortho",
+    coeffs = sfft.dctn(blocks(residual, 8), type=2, norm="ortho",
                        axes=(-2, -1))
     levels = np.rint(coeffs / step)
     coeff_bits = 1.0 + np.ceil(np.log2(1.0 + np.abs(levels)))
     rate = coeff_bits.sum(axis=(-4, -3, -2, -1)) + _HEADER_BITS
-    rec = sfft.idctn(levels * step, type=2, norm="ortho", axes=(-2, -1))
-    return _from_dct_blocks(rec), rate
+    rec = np.empty(residual.shape)
+    blocks(rec, 8)[...] = sfft.idctn(levels * step, type=2, norm="ortho",
+                                     axes=(-2, -1))
+    return rec, rate
 
 
 def encode_block(block: np.ndarray, reference: np.ndarray, qp: int,
@@ -228,8 +226,7 @@ def _encode_intra(orig: np.ndarray, qp: int) -> tuple[np.ndarray, ...]:
     gh, gw = h // MACROBLOCK, w // MACROBLOCK
     dec = np.zeros((h, w))
     distortion, rate = np.zeros((gh, gw)), np.zeros((gh, gw))
-    orig_blocks = orig.reshape(gh, MACROBLOCK, gw, MACROBLOCK)
-    dec_blocks = dec.reshape(gh, MACROBLOCK, gw, MACROBLOCK)
+    orig_blocks, dec_blocks = blocks(orig), blocks(dec)
     span = np.arange(MACROBLOCK)
     for diagonal in range(gh + gw - 1):
         by = np.arange(max(0, diagonal - gw + 1), min(gh, diagonal + 1))
@@ -241,10 +238,9 @@ def _encode_intra(orig: np.ndarray, qp: int) -> tuple[np.ndarray, ...]:
         count = MACROBLOCK * ((by > 0).astype(np.int64) + (bx > 0))
         pred = np.divide(top + left, count, out=np.full(by.size, 128.0),
                          where=count > 0)[:, None, None]
-        out = encode_block(orig_blocks[by, :, bx, :], pred, qp,
-                           allow_skip=False)
+        out = encode_block(orig_blocks[by, bx], pred, qp, allow_skip=False)
         distortion[by, bx], rate[by, bx] = out["d"], out["r"]
-        dec_blocks[by, :, bx, :] = out["recon"]
+        dec_blocks[by, bx] = out["recon"]
     return dec, distortion, rate
 
 
@@ -292,10 +288,9 @@ def encode_sequence(frames: Sequence[np.ndarray],
             type_code[t] = BLOCK_TYPES.index("I")
             qps[t] = qp
         else:
-            blocks = [a.reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)
-                      for a in (orig, prev_dec)]
-            out = encode_block(*blocks, qp, lam)
-            dec = out["recon"].swapaxes(1, 2).reshape(h, w)
+            out = encode_block(blocks(orig), blocks(prev_dec), qp, lam)
+            dec = np.empty((h, w))
+            blocks(dec)[...] = out["recon"]
             distortion[t], rate[t], cost[t] = out["d"], out["r"], out["j"]
             use_skip = out["mode"] == "SKIP"
             type_code[t] = np.where(use_skip, SKIP, BLOCK_TYPES.index("P"))
@@ -328,7 +323,7 @@ def synthetic_clean_frames(height: int, width: int, count: int, seed: int = 0,
     object path forces fresh coding; that mix is what the weighting schemes
     are about.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     # a background of std 22 about mid-grey, an object of std 32
     base = uniform_filter(rng.normal(0.0, 1.0, size=(height, width)), 7,
                           mode="wrap")

@@ -12,6 +12,10 @@ and every consumer reads them, or the `skip` and `lambda_rate` stacks
 derived from them, a whole video at a time. `BlockRecord` lists convert to
 and from them, for traces built by hand.
 
+The grid rule lives here: other modules reach a plane's blocks through
+`blocks` or `block_canvas`. Building a trace costs memory by the blocks
+given, however large a grid its header claims.
+
 Trace text is read here a chunk of lines at a time: an odd row costs its chunk.
 """
 from __future__ import annotations
@@ -149,15 +153,13 @@ class BlockColumns(NamedTuple):
         repeat = np.zeros(key.size, dtype=bool)
         repeat[order[1:]] = (ranked[1:] == ranked[:-1]) & (ranked[1:] >= 0)
         wrong = outside | repeat
-        # frames past the first one without blocks cannot hold the first
-        # defect, so a header that claims many frames allocates nothing
-        scanned = min(count, int(self.frame.max(initial=-1)) + 2)
-        covered = np.zeros(scanned * cells, dtype=bool)
-        covered[key[~outside]] = True
-        gaps = np.flatnonzero(~covered)
-        if wrong.any() or gaps.size:
+        # the first empty position is the first value the distinct keys skip
+        taken = ranked[(ranked >= 0) & ~repeat[order]]
+        skips = np.flatnonzero(taken != np.arange(taken.size))
+        gap = int(skips[0]) if skips.size else taken.size
+        if wrong.any() or gap < count * cells:
             wrong_frame = self.frame[wrong].min() if wrong.any() else count
-            if not gaps.size or wrong_frame <= gaps[0] // cells:
+            if gap == count * cells or wrong_frame <= gap // cells:
                 i = int(np.argmax(wrong & (self.frame == wrong_frame)))
                 rec = record(i)
                 if outside[i]:
@@ -165,7 +167,7 @@ class BlockColumns(NamedTuple):
                                       f"{grid_w}x{grid_h} grid in frame {rec.frame_idx}")
                 raise SchemaError(f"duplicate block (frame {rec.frame_idx}, "
                                   f"{rec.mb_x}, {rec.mb_y})")
-            f, y, x = np.unravel_index(gaps[0], (count, grid_h, grid_w))
+            f, (y, x) = gap // cells, divmod(gap % cells, grid_w)
             raise CoverageGap(f"no record for (frame {f}, {x}, {y})")
         arrays = []
         for values, dtype in ((self.code, np.int8), (self.qp, np.int64),
@@ -185,6 +187,25 @@ def _grid_extent(pixels: int, positions: np.ndarray) -> int:
     if pixels % MACROBLOCK and positions.size and positions.max() >= whole:
         return whole + 1
     return whole
+
+
+def blocks(a: np.ndarray, size: int = MACROBLOCK) -> np.ndarray:
+    """The (..., H/size, W/size, size, size) view of the blocks of a's last
+    two axes, whose lengths size must divide; writing to it writes to a."""
+    *lead, h, w = a.shape
+    return a.reshape(*lead, h // size, size, w // size, size).swapaxes(-3, -2)
+
+
+def block_canvas(shape: tuple[int, ...],
+                 grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Views of one zero float64 canvas that covers both a (..., H, W)
+    `shape` and a (grid_h, grid_w) macroblock grid: the frames, and the
+    grid's `blocks`. The frames do not show a ceil-sized grid's padding,
+    and their pixels beyond a floor-sized grid lie in no block."""
+    *lead, h, w = shape
+    gh, gw = grid[0] * MACROBLOCK, grid[1] * MACROBLOCK
+    canvas = np.zeros((*lead, max(h, gh), max(w, gw)))
+    return canvas[..., :h, :w], blocks(canvas[..., :gh, :gw])
 
 
 class TraceFile:

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, MissingKey, SchemaError, decode_text
-from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
+from .trace import QP_MAX, QP_MIN, TraceFile, block_canvas
 
 ANCHOR_QP = 15
 ANCHOR_LAMBDA_RATE = 60.0
@@ -126,18 +126,15 @@ class SchemeConfig:
 
 def paint_blocks(block_weights: np.ndarray,
                  frame_shape: tuple[int, int]) -> np.ndarray:
-    """Expand per-block weights to a new (H, W) plane of pixel weights.
+    """Expand per-block weights to a new (H, W) plane of pixel weights: the
+    frame's crop of a zero `block_canvas` whose blocks are filled with them.
 
     Pixels beyond the macroblock grid (frames whose dimensions are not
     multiples of 16) get weight 0: they are cropped from analysis.
     """
-    full = np.repeat(np.repeat(block_weights.astype(np.float64), MACROBLOCK, 0),
-                     MACROBLOCK, 1)
-    h, w = frame_shape
-    out = np.zeros((h, w), dtype=np.float64)
-    ch, cw = min(h, full.shape[0]), min(w, full.shape[1])
-    out[:ch, :cw] = full[:ch, :cw]
-    return out
+    plane, cells = block_canvas(frame_shape, block_weights.shape)
+    cells[...] = block_weights[..., None, None]
+    return plane
 
 
 def _qp_weights(trace: TraceFile, table: WeightTable) -> np.ndarray:

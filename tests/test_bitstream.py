@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockprnu import BLOCK_TYPES, BlockRecord, TraceFile, trace
@@ -552,6 +552,14 @@ def outcome(load, text):
 
 @settings(max_examples=400, deadline=None)
 @given(trace_texts())
+# a duplicate before a gap in its own frame, before one in a later frame
+# and before a frame with no blocks; and a gap before a later duplicate
+@example("#w=48 h=16 mb=16 frames=1\n0,2,0,P,20,9\n0,0,0,P,20,9\n0,0,0,I,20,9\n")
+@example("#w=32 h=16 mb=16 frames=2\n0,0,0,P,20,9\n0,1,0,P,20,9\n"
+         "0,1,0,P,20,9\n1,1,0,P,20,9\n")
+@example("#w=32 h=16 mb=16 frames=2\n0,1,0,P,20,9\n0,0,0,P,20,9\n0,1,0,P,20,9\n")
+@example("#w=32 h=16 mb=16 frames=2\n0,1,0,P,20,9\n1,0,0,P,20,9\n"
+         "1,1,0,P,20,9\n1,0,0,P,20,9\n")
 def test_trace_parser_matches_per_line_oracle(text):
     assert outcome(load_trace_text, text) == outcome(per_line_load, text)
 

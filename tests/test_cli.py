@@ -104,6 +104,8 @@ def test_simulate_needs_exactly_one_rate_mode(tmp_path):
     (["--qp", 20, "--height", -16], "sensor shape (-16, 128) is not two"),
     (["--qp", 20, "--k-strength", -1], "k strength must be non-negative"),
     (["--target-bits", "nan"], "target bits per frame must be positive"),
+    (["--qp", 30, "--seed", -1], "seed must be non-negative, got -1"),
+    (["--qp", 30, "--content-seed", -5], "seed must be non-negative, got -5"),
 ])
 def test_simulate_refuses_bad_sizes_and_strengths(tmp_path, capsys, flags,
                                                   message):

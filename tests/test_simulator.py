@@ -34,6 +34,16 @@ def test_capture_is_identity_without_pattern_or_noise():
     assert np.array_equal(pic, clean.astype(np.uint8))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SensorModel.random(16, 16, seed=-1),
+    lambda: simulate_capture(flat_model(), [np.zeros((16, 16))], seed=-1),
+    lambda: synthetic_clean_frames(16, 16, 1, seed=-1),
+], ids=["SensorModel.random", "simulate_capture", "synthetic_clean_frames"])
+def test_negative_seeds_are_refused(make):
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        make()
+
+
 def test_capture_applies_multiplicative_gain():
     model = flat_model(value=0.05)
     (pic,) = simulate_capture(model, [np.full((16, 16), 128.0)])

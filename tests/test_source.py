@@ -294,3 +294,34 @@ TEST_ONLY_PARAMETERS = {
 def test_every_parameter_is_passed_outside_the_tests():
     package, readers = package_and_readers()
     assert set(unpassed_parameters(package, readers)) == TEST_ONLY_PARAMETERS
+
+
+def hand_block_layouts(tree: ast.AST) -> list[str]:
+    """Calls of `reshape` or `repeat` that pass MACROBLOCK anywhere in their
+    arguments, by callee and line in source order: a block layout spelled
+    out by hand rather than read through `trace.blocks`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node.func) in ("reshape",
+                                                                 "repeat"):
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if "MACROBLOCK" in set().union(*map(identifiers, args)):
+                found.append((node.lineno, _callee(node.func)))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_hand_block_layouts_finds_macroblock_reshapes_and_repeats():
+    tree = ast.parse(
+        "a.reshape(gh, MACROBLOCK, gw, MACROBLOCK).swapaxes(1, 2)\n"
+        "np.repeat(np.ones(2), repeats=trace.MACROBLOCK)\n"
+        "a.reshape(n, h // MACROBLOCK, -1)\n"
+        "a.reshape(3, -1)\nnp.repeat(w, 2, 0)\nblocks(a, MACROBLOCK)\n"
+        "np.pad(a, MACROBLOCK)\n")
+    assert hand_block_layouts(tree) == [
+        "reshape (line 1)", "repeat (line 2)", "reshape (line 3)"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "trace.py"])
+def test_block_views_go_through_trace_blocks(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert hand_block_layouts(tree) == []

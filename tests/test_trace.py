@@ -1,6 +1,7 @@
 """
 Lambda math, block records and the trace's block grids.
 """
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -322,6 +323,24 @@ def test_header_claiming_many_frames_fails_at_the_first_empty_one():
     with pytest.raises(CoverageGap, match=r"\(frame 1, 0, 0\)"):
         load_trace_text("#w=1920 h=1080 mb=16 frames=1000000000\n" +
                         trace_text(1920, 1080, 120, 68).split("\n", 1)[1])
+
+
+@pytest.mark.parametrize("text, empty", [
+    ("#w=48000 h=48000 mb=16 frames=1\n", "(frame 0, 0, 0)"),
+    (f"#w=16 h=16 mb=16 frames={10 ** 20}\n0,0,0,I,20,10\n", "(frame 1, 0, 0)"),
+])
+def test_header_claiming_a_huge_grid_costs_no_map_of_it(text, empty):
+    # 3000 x 3000 positions, or 10**20 frames, claimed: the first empty
+    # position is found from the block keys, not from a map of the grid
+    tracemalloc.start()
+    try:
+        with pytest.raises(CoverageGap) as err:
+            load_trace_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"no record for {empty}"
+    assert peak < 10 * 2 ** 20
 
 
 def test_records_are_checked_when_the_trace_is_built():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockprnu import (
     BlockRecord,
@@ -55,6 +57,44 @@ def test_paint_blocks_zeros_beyond_grid():
     assert np.all(mask[:32, :32] == 1.0)
     assert np.all(mask[32:, :] == 0.0)
     assert np.all(mask[:, 32:] == 0.0)
+
+
+def repeat_paint(block_weights, frame_shape):
+    """The double-`np.repeat` expansion that `paint_blocks` replaced, kept
+    as its reference."""
+    full = np.repeat(np.repeat(block_weights.astype(np.float64), MB, 0), MB, 1)
+    h, w = frame_shape
+    out = np.zeros((h, w), dtype=np.float64)
+    ch, cw = min(h, full.shape[0]), min(w, full.shape[1])
+    out[:ch, :cw] = full[:ch, :cw]
+    return out
+
+
+@st.composite
+def grids_on_frames(draw):
+    """Block weights of a grid, and a frame side per axis that sizes the
+    grid by floor (the side may reach up to 15 pixels past it) or by ceil
+    (the edge blocks may reach up to 15 pixels past the side)."""
+    grid, frame = [], []
+    for _ in range(2):
+        n = draw(st.integers(1, 5))
+        over = draw(st.integers(0, 15))
+        grid.append(n)
+        frame.append(n * MB + over if draw(st.booleans()) else n * MB - over)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    weights = np.random.default_rng(seed).uniform(0.0, 3.0, size=grid)
+    return weights, tuple(frame)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids_on_frames())
+@example((np.full((1, 1), 2.5), (16, 16)))
+@example((np.full((1, 1), 2.5), (1, 31)))
+def test_paint_blocks_matches_the_repeat_reference(case):
+    weights, frame_shape = case
+    got, want = paint_blocks(weights, frame_shape), repeat_paint(weights, frame_shape)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_skip_eliminate_examples():
