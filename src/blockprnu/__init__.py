@@ -28,9 +28,9 @@ from .evaluation import (BPP_GROUP_EDGES, ExperimentGrid, RocCurve,
                          threshold_table)
 from .matching import (DEFAULT_THRESHOLD, MatchReport, PceConfig,
                        batch_match, format_report_records, pce)
-from .noise import (DenoiseConfig, YuvLuma, denoise, extract_residual,
-                    read_yuv420, saturation_mask, wiener_adaptive,
-                    write_yuv420, zero_mean_rows_cols)
+from .noise import (DenoiseConfig, YuvLuma, extract_residual, read_yuv420,
+                    saturation_mask, wiener_adaptive, write_yuv420,
+                    zero_mean_rows_cols)
 from .prnu import (Fingerprint, FingerprintAccumulator, Video,
                    estimate_fingerprint, finalize, read_fingerprint,
                    residual_extractor, resolve_workers, stream_fingerprints,

@@ -13,6 +13,8 @@ A video is one (frames, H, W) uint8 luma stack. `read_yuv420` returns a
 indexed, sliced or iterated, so a video is never held whole in memory
 unless asked for with ``stack[:]``. `extract_residual` takes one (H, W)
 plane of it and returns that frame's residual as a float64 (H, W) array.
+At 720p it peaks at 32 MB (4.4 planes); the Wiener filter works in place,
+a tile of rows at a time, and no buffer is kept from one frame to the next.
 """
 from __future__ import annotations
 
@@ -35,12 +37,13 @@ _TAPS = _DEC_LO.size
 _HALF_LEN = _TAPS // 2
 # analysis: rows give the lo and hi outputs of one 8-tap window
 _ANALYSIS = np.stack([_DEC_LO, _DEC_HI])
-# synthesis, indexed [band, output phase, tap] over one 4-tap window
-_SYNTHESIS = np.array([[f[r::2][::-1] for r in (0, 1)]
-                       for f in (_DEC_LO, _DEC_HI)])
+# synthesis, indexed [output phase, 2 * tap + band] over 4 lo and 4 hi taps
+_SYNTHESIS = np.array([[f[r::2][::-1] for f in (_DEC_LO, _DEC_HI)]
+                       for r in (0, 1)]).swapaxes(1, 2).reshape(2, _TAPS)
 
 WAVELET_LEVELS = 4
 WIENER_WINDOWS = (3, 5, 7, 9)     # every odd size up to the largest
+TILE_COEFFS = 1 << 16             # coefficients per row tile of wiener_adaptive
 SATURATION_HIGH = 250
 SATURATION_LOW = 5
 
@@ -112,32 +115,32 @@ def _dwt_axis(x: np.ndarray, axis: int) -> np.ndarray:
     return (analysis @ windows)[..., 0, :].swapaxes(axis + 1, -2)
 
 
-def _idwt_axis(lo: np.ndarray, hi: np.ndarray, axis: int) -> np.ndarray:
-    # exact adjoint of _dwt_axis, so orthogonality makes it the inverse; in
-    # polyphase form on the half-length bands, output phase r is
-    #   out[2p + r] = sum_q F[2q + r] * band[(p - q) % (n/2)]
-    # so one 4-tap window of each band, band[p-3 .. p], times that band's
-    # (phase, tap) matrix gives both outputs of pair p
-    axis %= lo.ndim
-    rows = np.stack((lo, hi)).swapaxes(axis + 1, -2)
-    h = rows.shape[-2]
-    windows = _windows(rows.take(_cyclic(h, 1 - _HALF_LEN, h), axis=-2),
-                       _HALF_LEN)
-    synthesis = _SYNTHESIS.reshape((2,) + (1,) * (windows.ndim - 3)
-                                   + (2, _HALF_LEN))
-    lo_part, hi_part = synthesis @ windows
-    out = lo_part + hi_part
-    out = out.reshape(out.shape[:-3] + (2 * h, out.shape[-1]))
-    return out.swapaxes(axis, -2)
+def _idwt_rows(bands: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodized synthesis along axis 0 of (h, lo/hi band, ...) into
+    (h, output phase, m), which reshapes to 2h rows for free.
+
+    The exact adjoint of _dwt_axis, so orthogonality makes it the inverse.
+    In polyphase form out[2p + r] = sum_q F[2q + r] * band[(p - q) % h]
+    over both bands, so rows p-3 .. p of the bands, interleaved, times one
+    (phase, 8) matrix give both outputs of pair p.
+    """
+    h, wrap = bands.shape[0], _HALF_LEN - 1
+    # rows -3 .. h-1 in one C-ordered array, whatever the strides of bands
+    rows = np.empty((h + wrap,) + bands.shape[1:])
+    rows[:wrap] = bands[_cyclic(h, -wrap, 0)]
+    rows[wrap:] = bands
+    windows = _windows(rows.reshape(2 * (h + wrap), -1), _TAPS, step=2)
+    return np.matmul(_SYNTHESIS, windows, out=out)
 
 
-def wavedec2(x: np.ndarray, levels: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def wavedec2(x: np.ndarray, levels: int) -> list[np.ndarray]:
     """Multi-level 2-D DWT. Stops early if an extent goes odd.
 
-    Returns (approximation, details) with details ordered coarse to fine,
-    each entry a (3, h, w) stack that unpacks as (LH, HL, HH).
+    Returns the levels coarse to fine, each one contiguous (4, h, w) array
+    that unpacks as (LL, LH, HL, HH). A level's LL is the plane the next
+    coarser level splits; the coarsest LL is the approximation.
     """
-    details: list[np.ndarray] = []
+    out: list[np.ndarray] = []
     cur = np.asarray(x, dtype=np.float64)
     for _ in range(levels):
         if cur.shape[0] % 2 or cur.shape[1] % 2 or min(cur.shape) < 2:
@@ -145,38 +148,51 @@ def wavedec2(x: np.ndarray, levels: int) -> tuple[np.ndarray, list[np.ndarray]]:
         # rows, then columns: indexed [column band][row band], the stack
         # is [[LL, LH], [HL, HH]]
         bands = _dwt_axis(_dwt_axis(cur, 0), -1)
-        bands = bands.reshape((4,) + bands.shape[2:])
-        cur = bands[0]
-        details.append(bands[1:])
-    details.reverse()
-    return cur, details
+        out.append(np.ascontiguousarray(bands.reshape((4,) + bands.shape[2:])))
+        cur = out[-1][0]
+    out.reverse()
+    return out
 
 
-def waverec2(approx: np.ndarray, details: list) -> np.ndarray:
-    cur = approx
-    for lh, hl, hh in details:
-        # columns, then rows: the inverse of wavedec2's order
-        cols = _idwt_axis(np.stack((cur, lh)), np.stack((hl, hh)), -1)
-        cur = _idwt_axis(cols[0], cols[1], 0)
-    return cur
+def waverec2(levels: list[np.ndarray]) -> np.ndarray:
+    """Inverse of wavedec2, given at least one level. Each level is
+    synthesized into the LL of the next finer one, which is overwritten;
+    the finest gives a new plane."""
+    for i, level in enumerate(levels):
+        _, h, w = level.shape
+        out = levels[i + 1][0] if i + 1 < len(levels) else np.empty((2 * h, 2 * w))
+        # columns, then rows: the inverse of wavedec2's order; columns are
+        # the rows of the bands transposed to [column][col band][row band][row]
+        cols = _idwt_rows(level.reshape(2, 2, h, w).transpose(3, 0, 1, 2))
+        _idwt_rows(cols.reshape(2 * w, 2, h).transpose(2, 1, 0),
+                   out=out.reshape(h, 2, 2 * w))
+        del cols
+    return out
 
 
 # ---------------------------------------------------------------------------
 # denoisers
 # ---------------------------------------------------------------------------
 
-def _box_sums(x: np.ndarray, p: int):
-    """Sums of x over square (2r+1)^2 boxes for r = 1, 2, ..., p,
-    reflect-extended over the last two axes. Yields (r, sums); the plane
-    is updated in place for the next radius, so read it before advancing.
-
-    The boxes grow from one padded plane: the box of radius r is the box
-    of radius r-1 plus its new edge rows (row sums over 2r+1 columns) and
-    its new edge columns (column sums over 2r-1 rows). Only terms of x are
-    ever added, so for non-negative x no sum cancels.
-    """
+def _reflected(x: np.ndarray, p: int, start: int = 0, stop: int | None = None):
+    """Rows start .. stop - 1 of x, both axes extended by p by _mirror."""
     h, w = x.shape[-2:]
-    padded = x.take(_mirror(h, p), axis=-2).take(_mirror(w, p), axis=-1)
+    rows = _mirror(h, p)[start:(h if stop is None else stop) + 2 * p]
+    return x.take(rows, axis=-2).take(_mirror(w, p), axis=-1)
+
+
+def _box_sums(padded: np.ndarray, p: int):
+    """Sums over square (2r+1)^2 boxes for r = 1, 2, ..., p of the plane
+    that `padded` extends by p on each side of its last two axes. Yields
+    (r, sums); the plane is updated in place for the next radius, so read
+    it before advancing.
+
+    The box of radius r is the box of radius r-1 plus its new edge rows
+    (row sums over 2r+1 columns) and its new edge columns (column sums over
+    2r-1 rows). Only terms are added: no sum of non-negative terms cancels.
+    A sum reads only terms within p, so a padded tile gets the plane's sums.
+    """
+    h, w = (n - 2 * p for n in padded.shape[-2:])
     row_sums = padded[..., p:p + w].copy()
     col_sums = padded[..., p:p + h, :].copy()
     box = padded[..., p:p + h, p:p + w].copy()
@@ -193,22 +209,37 @@ def _box_sums(x: np.ndarray, p: int):
         yield r, box
 
 
-def wiener_adaptive(coeffs: np.ndarray, noise_var: float) -> np.ndarray:
+def wiener_adaptive(coeffs: np.ndarray, noise_var: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Minimum-variance adaptive Wiener attenuation of one subband, or of
     a stack of subbands along leading axes: the local energy is estimated
     over each square window of WIENER_WINDOWS, and the smallest estimate
     wins per coefficient.
 
+    It runs a tile of rows of about TILE_COEFFS coefficients at a time and
+    writes a tile once the next has read its neighbours, so the float64
+    `out` (new when None) may be `coeffs` itself.
+
     :param coeffs: detail coefficients, assumed zero-mean
     :param noise_var: variance attributed to sensor noise
     """
-    local = None
-    for r, box in _box_sums(coeffs * coeffs, WIENER_WINDOWS[-1] // 2):
-        mean = box / (2 * r + 1) ** 2
-        local = mean if local is None else np.minimum(local, mean, out=local)
-    local -= noise_var
-    signal_var = np.maximum(local, 0.0, out=local)
-    return coeffs * signal_var / (signal_var + noise_var)
+    p, h = WIENER_WINDOWS[-1] // 2, coeffs.shape[-2]
+    # p rows or more, so that a tile reads back no further than the last one
+    step = max(p, TILE_COEFFS * h // max(coeffs.size, 1))
+    out = np.empty(coeffs.shape) if out is None else out
+    sq = _reflected(coeffs, p, 0, step)
+    for start in range(0, h, step):
+        local = None
+        for r, box in _box_sums(np.square(sq, out=sq), p):
+            mean = box / (2 * r + 1) ** 2
+            local = mean if local is None else np.minimum(local, mean, out=local)
+        local -= noise_var
+        signal_var = np.maximum(local, 0.0, out=local)
+        rows = slice(start, start + step)
+        tile = coeffs[..., rows, :] * signal_var / (signal_var + noise_var)
+        sq = _reflected(coeffs, p, start + step, start + 2 * step)
+        out[..., rows, :] = tile
+    return out
 
 
 def _wavelet_noise(x: np.ndarray, config: DenoiseConfig) -> np.ndarray | None:
@@ -216,35 +247,29 @@ def _wavelet_noise(x: np.ndarray, config: DenoiseConfig) -> np.ndarray | None:
 
     Returns None when the picture is too small for even one level.
     """
-    approx, details = wavedec2(x, WAVELET_LEVELS)
-    if not details:
+    levels = wavedec2(x, WAVELET_LEVELS)
+    if not levels:
         return None
-    filtered = [wiener_adaptive(lvl, config.noise_var) for lvl in details]
-    return waverec2(np.zeros_like(approx), filtered)
+    levels[0][0] = 0.0
+    for level in levels:
+        wiener_adaptive(level[1:], config.noise_var, out=level[1:])
+    return waverec2(levels)
 
 
 def wiener_spatial(x: np.ndarray, noise_var: float) -> np.ndarray:
     """Pixel-domain 3x3 adaptive Wiener filter with reflect padding."""
-    [(_, box)] = _box_sums(np.stack((x, x * x)), 1)
+    [(_, box)] = _box_sums(_reflected(np.stack((x, x * x)), 1), 1)
     local_mean, local_sq = box / 9
     local_var = np.maximum(local_sq - local_mean * local_mean, 0.0)
     signal_var = np.maximum(local_var - noise_var, 0.0)
     return local_mean + (x - local_mean) * signal_var / (signal_var + noise_var)
 
 
-def denoise(x: np.ndarray, config: DenoiseConfig) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if config.method == "wavelet":
-        noise = _wavelet_noise(x, config)
-        if noise is not None:
-            return x - noise
-    return wiener_spatial(x, config.noise_var)
-
-
-def zero_mean_rows_cols(w: np.ndarray) -> np.ndarray:
-    """Remove per-row then per-column means (both end up exactly zero)."""
-    w = w - w.mean(axis=1, keepdims=True)
-    return w - w.mean(axis=0, keepdims=True)
+def zero_mean_rows_cols(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Remove per-row then per-column means (both end up exactly zero);
+    `out` may be `w` itself."""
+    out = np.subtract(w, w.mean(axis=1, keepdims=True), out=out)
+    return np.subtract(out, out.mean(axis=0, keepdims=True), out=out)
 
 
 def extract_residual(luma: np.ndarray,
@@ -254,10 +279,12 @@ def extract_residual(luma: np.ndarray,
 
     A constant plane has no usable noise; its residual is all zeros.
     """
-    x = luma.astype(np.float64)
-    if x.size == 0 or x.max() == x.min():
-        return np.zeros_like(x)
-    return zero_mean_rows_cols(x - denoise(x, config))
+    if luma.size == 0 or luma.max() == luma.min():
+        return np.zeros(luma.shape)
+    noise = _wavelet_noise(luma, config) if config.method == "wavelet" else None
+    if noise is None:
+        noise = luma - wiener_spatial(luma.astype(np.float64), config.noise_var)
+    return zero_mean_rows_cols(noise, out=noise)
 
 
 def saturation_mask(luma: np.ndarray) -> np.ndarray:

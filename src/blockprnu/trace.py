@@ -145,6 +145,9 @@ class BlockColumns(NamedTuple):
             raise SchemaError(f"macroblock grid must be positive, "
                               f"got {grid_w}x{grid_h}")
         cells = grid_h * grid_w
+        if count * cells > _INT64.max:     # a position's key would wrap
+            raise SchemaError(f"trace header claims {count} frames of {grid_w}x"
+                              f"{grid_h} macroblocks, more than int64 positions")
         outside = ((self.x < 0) | (self.x >= grid_w)
                    | (self.y < 0) | (self.y >= grid_h))
         key = np.where(outside, -1, (self.frame * grid_h + self.y) * grid_w + self.x)

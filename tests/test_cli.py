@@ -606,6 +606,16 @@ def test_inspect_trace_ending_in_0xff(sim, tmp_path, capsys):
     _one_error_line(capsys, "bad.trace")
 
 
+def test_inspect_trace_whose_grid_overflows_int64(tmp_path, capsys):
+    # a typed error, not a bare OverflowError traceback (exit 1)
+    huge = tmp_path / "huge.trace"
+    huge.write_text("#w=1000000000000000000000000 h=16 mb=16 frames=1\n"
+                    "0,0,0,I,20,10\n")
+    assert run("inspect", huge) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace header claims") and len(err.splitlines()) == 1
+
+
 
 @pytest.mark.parametrize("command, flags, message", [
     ("estimate", ["--noise-var", "inf"], "noise variance must be positive and finite"),

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import correlate1d, uniform_filter
 
@@ -23,7 +23,8 @@ from blockprnu import (
     write_yuv420,
     zero_mean_rows_cols,
 )
-from blockprnu.noise import (_DEC_HI, _DEC_LO, _dwt_axis, _idwt_axis,
+from blockprnu import noise
+from blockprnu.noise import (_DEC_HI, _DEC_LO, _dwt_axis, _idwt_rows,
                              wavedec2, waverec2, wiener_spatial)
 
 
@@ -54,6 +55,8 @@ def reference_idwt_axis(lo, hi, axis):
 
 
 @settings(max_examples=60, deadline=None)
+@example(half=1, other=3, axis=0, seed=0)
+@example(half=2, other=5, axis=1, seed=1)   # fewer rows than the wrap
 @given(half=st.integers(1, 32), other=st.integers(1, 12),
        axis=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
 def test_dwt_kernels_match_reference(half, other, axis, seed):
@@ -66,7 +69,12 @@ def test_dwt_kernels_match_reference(half, other, axis, seed):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
     lo, hi = rng.normal(size=(2,) + want.shape)
-    got = _idwt_axis(lo, hi, axis)
+    # synthesis runs along axis 0 of (rows, band, ...); along axis 1 it is
+    # handed the transposed, non-contiguous view
+    bands = np.stack((lo, hi), axis=1) if axis == 0 else \
+        np.stack((lo, hi)).transpose(2, 0, 1)
+    got = _idwt_rows(bands).reshape(2 * half, other)
+    got = got if axis == 0 else got.T
     want = reference_idwt_axis(lo, hi, axis)
     assert got.shape == want.shape == shape
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -147,6 +155,64 @@ def test_wiener_filters_match_uniform_filter_oracle(h, w, stack, scale, seed):
     assert np.max(np.abs(wiener_spatial(pixels, 3.0) - want)) <= 1e-12 * 255
 
 
+@pytest.mark.parametrize("shape", [(3, 300, 200), (3, 329, 200), (2000, 80)])
+@pytest.mark.parametrize("tile", [noise.TILE_COEFFS, 1])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_wiener_adaptive_tile_seams(shape, tile, in_place, monkeypatch):
+    # at the default tile size each span at least 3 tiles; (3, 329, 200)
+    # ends in a tile of 2 rows, whose reflection reaches into the tile
+    # before it. A tile of 1 coefficient gives the smallest tiles allowed
+    rng = np.random.default_rng(sum(shape))
+    coeffs = 3 * rng.normal(size=shape)
+    stack = coeffs.reshape((-1,) + shape[-2:])
+    with monkeypatch.context() as m:
+        m.setattr(noise, "TILE_COEFFS", coeffs.size)
+        whole = wiener_adaptive(coeffs, 3.0)
+    monkeypatch.setattr(noise, "TILE_COEFFS", tile)
+    data = coeffs.copy()
+    got = wiener_adaptive(data, 3.0, out=data if in_place else None)
+    assert (got is data) == in_place
+    assert np.array_equal(got, whole)
+    if not in_place:
+        assert np.array_equal(data, coeffs)
+    for band, out in zip(stack, got.reshape(stack.shape)):
+        want = scipy_wiener_adaptive(band, 3.0)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(band))
+
+
+def test_720p_extraction_peaks_under_six_planes():
+    # room for the wavelet pyramid (4/3 of a plane), one level's synthesis
+    # transients and the residual, not for Wiener transients of whole planes
+    rng = np.random.default_rng(15)
+    luma = rng.integers(0, 256, size=(720, 1280), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        residual = extract_residual(luma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual.shape == luma.shape
+    assert peak <= 6 * residual.nbytes
+
+
+def test_extraction_calls_each_kernel_by_module_name(monkeypatch):
+    # the benchmark's tracer times the DWT, the Wiener filter and the IDWT
+    # by rebinding these module attributes; a kernel reached another way
+    # would read 0 there
+    calls = {}
+    for name in ("wavedec2", "wiener_adaptive", "waverec2"):
+        kernel = getattr(noise, name)
+
+        def counted(*args, _kernel=kernel, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(noise, name, counted)
+    rng = np.random.default_rng(16)
+    extract_residual(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
+    # 64 -> 32 -> 16 -> 8 -> 4: four levels, each filtered once
+    assert calls == {"wavedec2": 1, "wiener_adaptive": 4, "waverec2": 1}
+
+
 def test_720p_residual_matches_scipy_kernels():
     rng = np.random.default_rng(12)
     yy, xx = np.mgrid[0:720, 0:1280]
@@ -171,32 +237,38 @@ def test_constant_frame_degenerate_for_spatial_too():
 
 def test_wavedec2_waverec2_perfect_reconstruction():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(64, 64))
-    approx, details = wavedec2(x, levels=4)
-    assert len(details) == 4
-    y = waverec2(approx, details)
+    x = rng.normal(size=(64, 48))
+    levels = wavedec2(x, levels=4)
+    assert len(levels) == 4
+    y = waverec2(levels)
     assert y.shape == x.shape
     assert np.max(np.abs(y - x)) < 1e-10
+    # each level was synthesized into the LL of the next finer one
+    for coarse, fine in zip(levels, levels[1:]):
+        assert np.array_equal(fine[0], waverec2([coarse]))
 
 
 def test_wavedec2_stops_when_extent_goes_odd():
     # 24 -> 12 -> 6 -> 3; the 3-wide approximation cannot split again
     rng = np.random.default_rng(4)
     x = rng.normal(size=(24, 24))
-    approx, details = wavedec2(x, levels=4)
-    assert len(details) == 3
-    assert approx.shape == (3, 3)
-    y = waverec2(approx, details)
+    levels = wavedec2(x, levels=4)
+    assert len(levels) == 3
+    assert levels[0][0].shape == (3, 3)
+    y = waverec2(levels)
     assert np.max(np.abs(y - x)) < 1e-10
+    assert wavedec2(rng.normal(size=(5, 8)), levels=4) == []
 
 
 def test_wavedec2_subband_shapes_halve():
-    x = np.arange(32 * 32, dtype=np.float64).reshape(32, 32)
-    approx, details = wavedec2(x, levels=2)
-    assert approx.shape == (8, 8)
-    # details come coarse to fine
-    assert all(band.shape == (8, 8) for band in details[0])
-    assert all(band.shape == (16, 16) for band in details[1])
+    x = np.arange(32 * 16, dtype=np.float64).reshape(32, 16)
+    levels = wavedec2(x, levels=2)
+    # levels come coarse to fine, each one contiguous (LL, LH, HL, HH)
+    assert [level.shape for level in levels] == [(4, 8, 4), (4, 16, 8)]
+    assert all(level.flags.c_contiguous for level in levels)
+    # the LL of the finer level is the plane the coarser one splits
+    [coarse] = wavedec2(levels[1][0], levels=1)
+    assert np.array_equal(coarse, levels[0])
 
 
 def test_residual_invariant_to_constant_offset():

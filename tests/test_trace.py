@@ -327,10 +327,10 @@ def test_header_claiming_many_frames_fails_at_the_first_empty_one():
 
 @pytest.mark.parametrize("text, empty", [
     ("#w=48000 h=48000 mb=16 frames=1\n", "(frame 0, 0, 0)"),
-    (f"#w=16 h=16 mb=16 frames={10 ** 20}\n0,0,0,I,20,10\n", "(frame 1, 0, 0)"),
+    (f"#w=16 h=16 mb=16 frames={10 ** 18}\n0,0,0,I,20,10\n", "(frame 1, 0, 0)"),
 ])
 def test_header_claiming_a_huge_grid_costs_no_map_of_it(text, empty):
-    # 3000 x 3000 positions, or 10**20 frames, claimed: the first empty
+    # 3000 x 3000 positions, or 10**18 frames, claimed: the first empty
     # position is found from the block keys, not from a map of the grid
     tracemalloc.start()
     try:
@@ -341,6 +341,18 @@ def test_header_claiming_a_huge_grid_costs_no_map_of_it(text, empty):
         tracemalloc.stop()
     assert str(err.value) == f"no record for {empty}"
     assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("header", [
+    "#w=1000000000000000000000000 h=16 mb=16 frames=1",
+    f"#w=16 h=16 mb=16 frames={10 ** 20}",
+    # each extent fits int64, but 2 x 2**36 x 2**36 keys would wrap
+    f"#w={2 ** 40} h={2 ** 40} mb=16 frames=2",
+])
+def test_header_with_more_positions_than_int64_is_refused(header):
+    with pytest.raises(SchemaError, match="trace header claims .* more than "
+                                          "int64 positions"):
+        load_trace_text(header + "\n0,0,0,I,20,10\n")
 
 
 def test_records_are_checked_when_the_trace_is_built():
