@@ -15,6 +15,7 @@ by their mean lambda*rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -104,6 +105,7 @@ def splice_by_lambda_rate(residuals: Iterable[np.ndarray],
             ys, xs = np.nonzero(np.isfinite(lr[count]))
             spliced[rank[count, ys, xs], ys, xs] = frame_blocks[ys, xs]
         count += 1
+        del residual        # not held while the next one is extracted
     if count != n:
         raise InsufficientFrames(f"{count} residuals vs {n} trace frames")
     return SplicedVideo(values=values, filled=filled, mean_lambda_rate=mean_lr)
@@ -286,7 +288,8 @@ def calibrate_lambda_rate(videos: Sequence[Video],
         _splice_frames(video.trace)
 
     def spliced_frames(video, frames):
-        spliced = splice_by_lambda_rate((residual for _, residual in frames),
+        # map keeps no residual between frames, as a generator would
+        spliced = splice_by_lambda_rate(map(itemgetter(1), frames),
                                         video.trace, include_skip)
         return [(float(mean_lr), values) for values, mean_lr
                 in zip(spliced.values, spliced.mean_lambda_rate)

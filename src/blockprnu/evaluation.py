@@ -86,12 +86,13 @@ def match_videos(videos: Sequence[Video], references: dict[str, Fingerprint],
     """The per-video match pass of `run_grid` and both calibrations.
 
     Each video's frames stream once, as (luma, residual) pairs in frame
-    order and through one worker pool for the whole call, into
+    order and through one `residual_extractor` for the whole call, into
     ``planes(video, frames)``, which returns (key, plane or
     BlockPrnuError) pairs; every plane is matched against one transform
     of the camera's reference. Yields (video,
     [(key, MatchReport or the plane's or `pce`'s BlockPrnuError)]). The
-    pool shuts down when the iteration ends or the generator is closed.
+    extractor's pools shut down when the iteration ends or the generator
+    is closed.
     """
     with residual_extractor(denoise_config, workers) as extract:
         for video in videos:

@@ -12,9 +12,11 @@ A video is one (frames, H, W) uint8 luma stack. `read_yuv420` returns a
 `YuvLuma`, a stack that reads a raw file's planes only when it is
 indexed, sliced or iterated, so a video is never held whole in memory
 unless asked for with ``stack[:]``. `extract_residual` takes one (H, W)
-plane of it and returns that frame's residual as a float64 (H, W) array.
-At 720p it peaks at 32 MB (4.4 planes); the Wiener filter works in place,
-a tile of rows at a time, and no buffer is kept from one frame to the next.
+plane of it, or a (k, H, W) run of planes, and returns the residuals as
+float64 of the same shape; every kernel works on the last two axes, so a
+plane's residual is bit for bit the same alone or in a run. At 720p one
+plane peaks at 32 MB (4.4 planes); the Wiener filter works in place, a
+tile of rows at a time, and no buffer is kept from one call to the next.
 """
 from __future__ import annotations
 
@@ -116,38 +118,41 @@ def _dwt_axis(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _idwt_rows(bands: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodized synthesis along axis 0 of (h, lo/hi band, ...) into
-    (h, output phase, m), which reshapes to 2h rows for free.
+    """Periodized synthesis along axis 1 of (k, h, lo/hi band, ...) into
+    (k, h, output phase, m), which reshapes to 2h rows for free.
 
     The exact adjoint of _dwt_axis, so orthogonality makes it the inverse.
     In polyphase form out[2p + r] = sum_q F[2q + r] * band[(p - q) % h]
     over both bands, so rows p-3 .. p of the bands, interleaved, times one
     (phase, 8) matrix give both outputs of pair p.
     """
-    h, wrap = bands.shape[0], _HALF_LEN - 1
+    k, h, wrap = bands.shape[0], bands.shape[1], _HALF_LEN - 1
     # rows -3 .. h-1 in one C-ordered array, whatever the strides of bands
-    rows = np.empty((h + wrap,) + bands.shape[1:])
-    rows[:wrap] = bands[_cyclic(h, -wrap, 0)]
-    rows[wrap:] = bands
-    windows = _windows(rows.reshape(2 * (h + wrap), -1), _TAPS, step=2)
+    rows = np.empty((k, h + wrap) + bands.shape[2:])
+    rows[:, :wrap] = bands[:, _cyclic(h, -wrap, 0)]
+    rows[:, wrap:] = bands
+    windows = _windows(rows.reshape(k, 2 * (h + wrap), -1), _TAPS, step=2)
     return np.matmul(_SYNTHESIS, windows, out=out)
 
 
 def wavedec2(x: np.ndarray, levels: int) -> list[np.ndarray]:
-    """Multi-level 2-D DWT. Stops early if an extent goes odd.
+    """Multi-level 2-D DWT over the last two axes of a plane or a stack of
+    planes. Stops early if an extent goes odd.
 
-    Returns the levels coarse to fine, each one contiguous (4, h, w) array
-    that unpacks as (LL, LH, HL, HH). A level's LL is the plane the next
-    coarser level splits; the coarsest LL is the approximation.
+    Returns the levels coarse to fine, each one contiguous (4, ..., h, w)
+    array that unpacks as (LL, LH, HL, HH), with the stack's leading axes
+    after the band. A level's LL is what the next coarser level splits;
+    the coarsest LL is the approximation.
     """
     out: list[np.ndarray] = []
     cur = np.asarray(x, dtype=np.float64)
     for _ in range(levels):
-        if cur.shape[0] % 2 or cur.shape[1] % 2 or min(cur.shape) < 2:
+        h, w = cur.shape[-2:]
+        if h % 2 or w % 2 or min(h, w) < 2:
             break
         # rows, then columns: indexed [column band][row band], the stack
         # is [[LL, LH], [HL, HH]]
-        bands = _dwt_axis(_dwt_axis(cur, 0), -1)
+        bands = _dwt_axis(_dwt_axis(cur, -2), -1)
         out.append(np.ascontiguousarray(bands.reshape((4,) + bands.shape[2:])))
         cur = out[-1][0]
     out.reverse()
@@ -157,15 +162,18 @@ def wavedec2(x: np.ndarray, levels: int) -> list[np.ndarray]:
 def waverec2(levels: list[np.ndarray]) -> np.ndarray:
     """Inverse of wavedec2, given at least one level. Each level is
     synthesized into the LL of the next finer one, which is overwritten;
-    the finest gives a new plane."""
+    the finest gives a new plane or stack."""
     for i, level in enumerate(levels):
-        _, h, w = level.shape
-        out = levels[i + 1][0] if i + 1 < len(levels) else np.empty((2 * h, 2 * w))
+        *lead, h, w = level.shape[1:]
+        out = (levels[i + 1][0] if i + 1 < len(levels)
+               else np.empty((*lead, 2 * h, 2 * w)))
+        k = level[0].size // (h * w)          # planes in the stack
         # columns, then rows: the inverse of wavedec2's order; columns are
-        # the rows of the bands transposed to [column][col band][row band][row]
-        cols = _idwt_rows(level.reshape(2, 2, h, w).transpose(3, 0, 1, 2))
-        _idwt_rows(cols.reshape(2 * w, 2, h).transpose(2, 1, 0),
-                   out=out.reshape(h, 2, 2 * w))
+        # the rows of the bands transposed to
+        # [plane][column][col band][row band][row]
+        cols = _idwt_rows(level.reshape(2, 2, k, h, w).transpose(2, 4, 0, 1, 3))
+        _idwt_rows(cols.reshape(k, 2 * w, 2, h).transpose(0, 3, 2, 1),
+                   out=out.reshape(k, h, 2, 2 * w))
         del cols
     return out
 
@@ -266,25 +274,33 @@ def wiener_spatial(x: np.ndarray, noise_var: float) -> np.ndarray:
 
 
 def zero_mean_rows_cols(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Remove per-row then per-column means (both end up exactly zero);
-    `out` may be `w` itself."""
-    out = np.subtract(w, w.mean(axis=1, keepdims=True), out=out)
-    return np.subtract(out, out.mean(axis=0, keepdims=True), out=out)
+    """Remove per-row then per-column means of each plane (both end up
+    exactly zero); `out` may be `w` itself."""
+    out = np.subtract(w, w.mean(axis=-1, keepdims=True), out=out)
+    return np.subtract(out, out.mean(axis=-2, keepdims=True), out=out)
 
 
 def extract_residual(luma: np.ndarray,
                      config: DenoiseConfig = DenoiseConfig()) -> np.ndarray:
-    """Noise residual of one (H, W) luma plane: luma minus its denoised
-    version, as float64.
+    """Noise residual of one (H, W) luma plane, or of each plane of a
+    (k, H, W) stack: luma minus its denoised version, as float64. A plane
+    of a stack gets exactly the residual it gets alone.
 
     A constant plane has no usable noise; its residual is all zeros.
     """
-    if luma.size == 0 or luma.max() == luma.min():
+    if luma.size == 0:
+        return np.zeros(luma.shape)
+    planes = luma.reshape(luma.shape[:-2] + (-1,))
+    constant = planes.max(axis=-1) == planes.min(axis=-1)
+    if constant.all():
         return np.zeros(luma.shape)
     noise = _wavelet_noise(luma, config) if config.method == "wavelet" else None
     if noise is None:
         noise = luma - wiener_spatial(luma.astype(np.float64), config.noise_var)
-    return zero_mean_rows_cols(noise, out=noise)
+    noise = zero_mean_rows_cols(noise, out=noise)
+    if constant.any():
+        noise[constant] = 0.0
+    return noise
 
 
 def saturation_mask(luma: np.ndarray) -> np.ndarray:

@@ -16,7 +16,11 @@ read a plane at a time as it is used. `residual_extractor` reads each
 plane once and streams it in frame order with its residual W, a float64
 (H, W) array, as one (luma, residual) pair into `stream_fingerprints`,
 which feeds one accumulator per weighting scheme in lockstep; no caller
-holds a video's residuals or luma at once.
+holds a video's residuals or luma at once, nor the last frame's while
+the next is extracted. With several workers, frames smaller than
+TASK_PIXELS are extracted in threads, a stacked run of frames per task,
+and larger frames in a forked process pool, one frame per task; the
+process pool, and `multiprocessing`, are loaded only for such frames.
 
 Apart from those residuals, no frame-sized temporary is made while a
 video streams: a frame is added one strip of rows at a time. `finalize`
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -45,9 +50,11 @@ from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
 _MAGIC = b"BPFP\x01"
 DENOMINATOR_FLOOR_SCALE = 1e-3
-# a pool task extracts a run of frames of about this many pixels: at
-# 128x128 one task per frame lost 14% of a calibrate-and-evaluate pass to
-# task overhead, and at 720p a task is still one frame
+# frames smaller than this are extracted in threads, a stacked run of
+# about this many pixels per task (at 128x128 one task per frame lost 14%
+# of a calibrate-and-evaluate pass to task overhead); larger frames go to
+# a process pool one frame per task, since threads at 720p raised a
+# command's peak RSS by more than half
 TASK_PIXELS = 1 << 18
 # a frame is added in strips of whole macroblock rows of about this many
 # pixels (a 128x128 frame is one strip, a 720p strip is 16 rows), so no
@@ -318,18 +325,34 @@ def require_inputs(videos: Sequence[Video], references: dict[str, Fingerprint],
             raise InsufficientData(f"video {name} has no trace")
 
 
-def _extract_run(job, planes: np.ndarray) -> list[np.ndarray]:
-    """One pool task: the residuals of a run of planes."""
-    return [job(luma) for luma in planes]
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported when it is first read, so that
+    `concurrent.futures.process` and `multiprocessing` load only with the
+    first pool; setting the name replaces the class a pool is built from."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _drain(planes: np.ndarray, task):
-    """(luma, residual) pairs of a finished task, each residual dropped
-    as it is yielded."""
-    run = task.result()     # the task's own list, so no other holds them
-    run.reverse()
-    for luma in planes:
-        yield luma, run.pop()
+    """(luma, residual) pairs of a finished task's run of planes; the task
+    and its residuals are let go when the last pair has been taken."""
+    yield from zip(planes, task.result())
+
+
+def _in_order(pool, job, pictures, size: int, window: int):
+    """(luma, residual) pairs of a luma stack in frame order, each run of
+    `size` planes extracted as one stacked pool task, with at most
+    `window` tasks pending beyond the one being read."""
+    pending = deque()
+    for start in range(0, len(pictures), size):
+        planes = pictures[start:start + size]
+        pending.append((planes, pool.submit(job, planes)))
+        if len(pending) > window:
+            yield from _drain(*pending.popleft())
+    while pending:
+        yield from _drain(*pending.popleft())
 
 
 @contextmanager
@@ -339,37 +362,52 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
     pair per (H, W) plane of a luma stack, in frame order. Each plane is
     read once, and its residual computed as it is read.
 
-    `workers` is capped at the usable CPUs by `resolve_workers`, since a
-    forked pool starts all its processes at once. With more than one, one
-    process pool serves every call made inside the with block, so a
-    command that extracts several videos starts one pool. A pool task is a
-    run of frames of about TASK_PIXELS pixels (one frame at 720p), at most
-    a 1/(2 * workers) share of the video so that every worker gets one;
-    the run of planes read for a task is kept beside it until its pairs
-    are yielded. At most 2 * workers tasks are pending beyond the one
-    being read: a video's residuals are never held at once. Residuals are
-    the same for any worker count.
+    `workers` is capped at the usable CPUs by `resolve_workers`; at one,
+    each plane is extracted inline. With more, a video goes one of two
+    ways, by its frame size:
+
+    - Frames smaller than TASK_PIXELS go to a pool of `workers` threads
+      that lasts as long as the video's pairs. A task extracts a run of
+      planes as one (k, H, W) stack, of about TASK_PIXELS pixels and at
+      most ceil(frames / workers) frames, and at most `workers` tasks are
+      pending beyond the one being read. Nothing is forked or pickled.
+    - Frames of TASK_PIXELS or more go to a forked process pool, one frame
+      per task, with at most 2 * workers tasks pending beyond the one
+      being read. Threads would hold every in-flight extraction in one
+      process, which at 720p raised the peak RSS of a command by more
+      than half. The pool is built for the first such video and serves
+      every later call made inside the with block. A thread pool is shut
+      down when its video's pairs end, so a finished video leaves no
+      thread alive to be forked.
+
+    The run of planes read for a task is kept beside it until its pairs
+    are yielded, and a video's residuals are never held at once.
+    Residuals are the same for any worker count.
     """
     job = partial(extract_residual, config=denoise_config)
     workers = resolve_workers(workers)
     if workers <= 1:
         yield lambda pictures: ((luma, job(luma)) for luma in pictures)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ExitStack() as stack:
+        processes = None
+
         def extract(pictures):
+            nonlocal processes
             pictures = _stack(pictures)
-            pixels = int(np.prod(pictures.shape[1:])) or 1
-            size = max(1, min(TASK_PIXELS // pixels,
-                              len(pictures) // (2 * workers)))
-            pending = []
-            for start in range(0, len(pictures), size):
-                planes = pictures[start:start + size]
-                pending.append((planes, pool.submit(_extract_run, job,
-                                                    planes)))
-                if len(pending) > 2 * workers:
-                    yield from _drain(*pending.pop(0))
-            while pending:
-                yield from _drain(*pending.pop(0))
+            frames, h, w = pictures.shape
+            if h * w < TASK_PIXELS:
+                size = max(1, min(TASK_PIXELS // max(h * w, 1),
+                                  -(-frames // workers)))
+                with ThreadPoolExecutor(max_workers=workers) as threads:
+                    yield from _in_order(threads, job, pictures, size, workers)
+            else:
+                if processes is None:
+                    # a class set on the module replaces the one it imports
+                    pool = (globals().get("ProcessPoolExecutor")
+                            or __getattr__("ProcessPoolExecutor"))
+                    processes = stack.enter_context(pool(max_workers=workers))
+                yield from _in_order(processes, job, pictures, 1, 2 * workers)
         yield extract
 
 
@@ -429,6 +467,8 @@ def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
         acc, mask = feeds[0]
         acc.accumulate(luma, residual, mask, feeds[1:])
         count += 1
+        # none of this frame is held while the next one is extracted
+        del luma, residual, feeds, acc, mask
     if count < length or next(frames, None) is not None:
         raise DimensionMismatch(f"{length} pictures vs "
                                 f"{count if count < length else 'more'} residuals")

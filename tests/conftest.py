@@ -53,16 +53,22 @@ def rate_encode(moving_capture):
 
 @pytest.fixture
 def pool_spawns(monkeypatch):
-    """Count the worker pools blockprnu creates during one test, with two
-    CPUs visible, so that a pool of 2 is built on any host."""
+    """Record the residual pools blockprnu builds during one test, as
+    ("processes" or "threads", size), with two CPUs visible, so that a
+    pool of 2 is built on any host."""
     spawns = []
 
-    class CountingPool(prnu.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            spawns.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    def counting(kind, base):
+        class CountingPool(base):
+            def __init__(self, *args, **kwargs):
+                spawns.append((kind, kwargs.get("max_workers")))
+                super().__init__(*args, **kwargs)
+        return CountingPool
 
-    monkeypatch.setattr(prnu, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(prnu, "ProcessPoolExecutor",
+                        counting("processes", prnu.ProcessPoolExecutor))
+    monkeypatch.setattr(prnu, "ThreadPoolExecutor",
+                        counting("threads", prnu.ThreadPoolExecutor))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     return spawns

@@ -515,6 +515,48 @@ def test_evaluate_cli(calib, calib_tables):
     assert means["ratio_conventional"] == "1"
 
 
+def test_small_frame_commands_fork_no_pool(sim, calib, calib_tables,
+                                           tmp_path, pool_spawns):
+    # 64x64 frames are smaller than a pool task: at --workers 2 each
+    # command extracts them in a thread pool per video, forks no process
+    # and writes the bytes --workers 1 writes
+    root, manifest, refs = calib
+    videos = root / "eval_workers.csv"
+    videos.write_text("v15,cam,v15.yuv,v15.trace\n"
+                      "v28,cam,v28.yuv,v28.trace\n")
+    calibrate = ("calibrate", "--manifest", manifest, "--references", refs)
+    commands = {
+        "estimate": lambda out: (
+            "estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
+            "--scheme", "skip_eliminate", "--source-id", "cam",
+            "--out", out / "cam.bpf"),
+        "calibrate_qp": lambda out: (
+            *calibrate, "--mode", "qp", "--out", out / "qp.wt",
+            "--report", out / "report.txt"),
+        "calibrate_qp_all": lambda out: (
+            *calibrate, "--mode", "qp", "--include-skip",
+            "--out", out / "qp_all.wt"),
+        "calibrate_lambda_r": lambda out: (
+            *calibrate, "--mode", "lambda_r", "--buckets", 4,
+            "--out", out / "lr.wt"),
+        "evaluate": lambda out: (
+            "evaluate", "--manifest", videos, "--references", refs,
+            "--schemes", "conventional,skip_eliminate,qp_noskip,lambda_r",
+            "--qp-noskip-table", root / "qp.wt",
+            "--lambda-table", root / "lr.wt", "--out-prefix", out / "out"),
+    }
+    for name, argv in commands.items():
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"{name}-{workers}"
+            out.mkdir()
+            assert run(*argv(out), "--workers", workers) == 0, name
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] and outputs[0] == outputs[1], name
+    # one video to estimate, two to calibrate or evaluate
+    assert pool_spawns == [("threads", 2)] * (1 + 2 * (len(commands) - 1))
+
+
 def test_evaluate_duplicate_video_id_exit_3_before_extracting(
         calib, tmp_path, capsys, extractions):
     root, _, refs = calib

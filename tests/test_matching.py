@@ -683,7 +683,7 @@ def test_every_parallel_section_is_capped_at_the_usable_cpus(monkeypatch,
                                                  dtype=np.uint8)
     estimate_fingerprint(pictures, None, SchemeConfig("conventional"),
                          workers=resolve_workers())
-    assert pool_spawns == [2]
+    assert pool_spawns == [("threads", 2)]
     threads = []
 
     class RecordingPool(ThreadPoolExecutor):

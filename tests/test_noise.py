@@ -69,11 +69,11 @@ def test_dwt_kernels_match_reference(half, other, axis, seed):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
     lo, hi = rng.normal(size=(2,) + want.shape)
-    # synthesis runs along axis 0 of (rows, band, ...); along axis 1 it is
-    # handed the transposed, non-contiguous view
+    # synthesis runs along axis 1 of (planes, rows, band, ...); along axis 1
+    # of the plane it is handed the transposed, non-contiguous view
     bands = np.stack((lo, hi), axis=1) if axis == 0 else \
         np.stack((lo, hi)).transpose(2, 0, 1)
-    got = _idwt_rows(bands).reshape(2 * half, other)
+    got = _idwt_rows(bands[None]).reshape(2 * half, other)
     got = got if axis == 0 else got.T
     want = reference_idwt_axis(lo, hi, axis)
     assert got.shape == want.shape == shape
@@ -233,6 +233,39 @@ def test_constant_frame_degenerate_for_spatial_too():
     res = extract_residual(np.full((32, 32), 7, dtype=np.uint8),
                            DenoiseConfig(method="spatial"))
     assert np.all(res == 0.0)
+
+
+@pytest.mark.parametrize("method", ["wavelet", "spatial"])
+@pytest.mark.parametrize("shape", [(6, 128, 128), (3, 48, 80), (3, 40, 72),
+                                   (4, 8, 8), (1, 720, 1280)])
+def test_stacked_extraction_equals_per_plane_calls(method, shape):
+    # 48x80 takes all 4 levels down to 3x5; 40x72 and 8x8 stop the DWT
+    # after 3 (5x9 is odd, 1x1 too small). A constant plane inside a stack
+    # still gets zeros, and its neighbours are untouched by it
+    config = DenoiseConfig(method=method)
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    if shape[0] > 1:
+        stack[1] = 93
+    got = extract_residual(stack, config)
+    assert got.shape == shape and got.dtype == np.float64
+    for plane, residual in zip(stack, got):
+        assert residual.tobytes() == extract_residual(plane, config).tobytes()
+    if shape[0] > 1:
+        assert not got[1].any()
+
+
+def test_stacked_levels_put_the_band_first():
+    # a (k, H, W) stack gives (4, k, h, w) levels, each the plane's own
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(3, 32, 16))
+    levels = wavedec2(stack, levels=2)
+    assert [level.shape for level in levels] == [(4, 3, 8, 4), (4, 3, 16, 8)]
+    for k, plane in enumerate(stack):
+        for level, alone in zip(levels, wavedec2(plane, levels=2)):
+            assert level[:, k].tobytes() == alone.tobytes()
+    assert waverec2(levels).tobytes() == np.stack(
+        [waverec2(wavedec2(plane, levels=2)) for plane in stack]).tobytes()
 
 
 def test_wavedec2_waverec2_perfect_reconstruction():

@@ -457,35 +457,44 @@ def test_grid_and_calibrations_refuse_a_bad_video_before_extracting(
 
 class StreamWatch:
     """Wraps `residual_extractor` wherever a driver reads it. At each
-    (luma, residual) pair the stream yields it records how many of the
-    residuals yielded so far are still alive and how many pixels the pool
-    has been handed beyond the frame yielded."""
+    (luma, residual) pair the stream yields it records how many residual
+    planes yielded so far are still alive, counting every plane of a
+    task's stacked result while any of them is held, and how many pixels
+    the pools have been handed beyond the frame yielded."""
 
     def __init__(self, monkeypatch):
         self.yielded = self.alive = self.ahead = self.submitted = 0
         watch, real = self, prnu.residual_extractor
 
-        class CountingPool(prnu.ProcessPoolExecutor):
-            def submit(self, fn, job, planes):
-                watch.submitted += len(planes)
-                watch.pixels = planes[0].size
-                return super().submit(fn, job, planes)
+        def counting(base):
+            class CountingPool(base):
+                def submit(self, job, planes):
+                    watch.submitted += len(planes)
+                    watch.pixels = planes[0].size
+                    return super().submit(job, planes)
+            return CountingPool
 
         @contextmanager
         def watched(*args, **kwargs):
             with real(*args, **kwargs) as extract:
                 yield lambda pictures: self._stream(extract(pictures))
 
-        monkeypatch.setattr(prnu, "ProcessPoolExecutor", CountingPool)
+        for name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            monkeypatch.setattr(prnu, name, counting(getattr(prnu, name)))
         for module in (prnu, evaluation):
             monkeypatch.setattr(module, "residual_extractor", watched)
 
     def _stream(self, frames):
-        refs = []
+        tasks = []
         for luma, residual in frames:
-            refs.append(weakref.ref(residual))
+            task = residual if residual.base is None else residual.base
+            if not any(ref() is task for ref in tasks):
+                tasks.append(weakref.ref(task))
             self.yielded += 1
-            self.alive = max(self.alive, sum(r() is not None for r in refs))
+            held = [ref() for ref in tasks]
+            self.alive = max(self.alive, sum(t.size for t in held
+                                             if t is not None) // luma.size)
+            del task, held
             if self.submitted:
                 self.ahead = max(self.ahead, (self.submitted - self.yielded)
                                  * self.pixels)
@@ -509,6 +518,11 @@ def _random_video(frames):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
                                                     frames):
+    # 32x32 frames go to threads in runs of at most 2 frames here: once a
+    # run's frames are used no driver holds its residuals, and at most
+    # `workers` runs are pending beyond the one being read
+    monkeypatch.setattr(prnu, "TASK_PIXELS", 2 * 32 * 32)
+    run_frames = 1 if workers == 1 else min(2, -(-frames // workers))
     pictures, trace, references = _random_video(frames)
     schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
     drivers = {
@@ -526,9 +540,45 @@ def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
             watch = StreamWatch(patch)
             run()
         assert watch.yielded == frames, name
-        assert watch.alive <= 2 * workers + 1, name
-        # at most 2 * workers pending tasks of about TASK_PIXELS each
-        assert watch.ahead <= 2 * workers * prnu.TASK_PIXELS, name
+        assert watch.alive <= run_frames, name
+        assert watch.ahead <= ((workers + 1) * run_frames - 1) * 32 * 32, name
+
+
+def test_no_driver_holds_a_residual_while_the_next_is_extracted(monkeypatch):
+    # one worker: each frame is extracted as the driver asks for it, and
+    # by then every earlier residual has been used and dropped
+    frames = 4
+    pictures, trace, references = _random_video(frames)
+    schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
+    residuals, alive = [], []
+    real = prnu.extract_residual
+
+    def watched(luma, config):
+        alive.append(sum(ref() is not None for ref in residuals))
+        residual = real(luma, config=config)
+        residuals.append(weakref.ref(residual))
+        return residual
+
+    monkeypatch.setattr(prnu, "extract_residual", watched)
+
+    def videos():
+        return [Video(pictures, trace, "cam", "v", qp=15)]
+
+    drivers = {
+        "estimate_fingerprint": lambda: estimate_fingerprint(
+            pictures, trace, schemes[0], workers=1),
+        "run_grid": lambda: run_grid(videos(), schemes, references,
+                                     workers=1),
+        "calibrate_qp": lambda: calibrate_qp(videos(), references,
+                                             include_skip=False, workers=1),
+        "calibrate_lambda_rate": lambda: calibrate_lambda_rate(
+            videos(), references, n_buckets=1, workers=1),
+    }
+    for name, run in drivers.items():
+        residuals.clear()
+        alive.clear()
+        run()
+        assert alive == [0] * frames, name
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -701,49 +751,92 @@ def test_estimate_memory_does_not_grow_with_video_length(tmp_path, workers,
     assert abs(peaks[24] - peaks[4]) < 512 * 512 * 8, peaks
 
 
+class PoolLog:
+    """`pool` stands in for a pool class: it records each pool built, the
+    planes of each task and how many tasks were pending when it was
+    submitted. A task runs when its result is read, as in `InlinePool`."""
+
+    def __init__(self):
+        self.built, self.sizes, self.pending, self.read = [], [], [], []
+        log = self
+
+        class RecordingPool(InlinePool):
+            def __init__(self, max_workers):
+                log.built.append(max_workers)
+
+            def submit(self, fn, planes):
+                log.sizes.append(len(planes))
+                log.pending.append(len(log.sizes) - len(log.read))
+
+                def run():
+                    log.read.append(planes)
+                    return fn(planes)
+                return Deferred(run, ())
+
+        self.pool = RecordingPool
+
+
 @pytest.mark.parametrize("cpus", [{0, 1}, {3}])
 def test_residual_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
-    # a forked pool starts every process at its first task, so 64 workers
-    # asked for on 2 usable CPUs build a pool of 2, whose tasks and pending
-    # window follow from 2; on one CPU the residuals are extracted inline.
-    # The fake pool starts no process.
-    built, sizes, pending, read = [], [], [], []
-
-    class RecordingPool(InlinePool):
+    # 64 workers asked for on 2 usable CPUs build a thread pool of 2, as
+    # a forked pool would start all of its processes at once, and its
+    # runs and pending window follow from 2; on one CPU the residuals are
+    # extracted inline. Frames this small never reach a process pool.
+    class NoProcesses:
         def __init__(self, max_workers):
-            built.append(max_workers)
+            raise AssertionError("32x32 frames started a process pool")
 
-        def submit(self, fn, *args):
-            sizes.append(len(args[1]))
-            pending.append(len(sizes) - len(read))
-
-            def run():
-                read.append(args)
-                return fn(*args)
-            return Deferred(run, ())
-
-    monkeypatch.setattr(prnu, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(prnu, "ProcessPoolExecutor", NoProcesses)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
-    monkeypatch.setattr(prnu, "TASK_PIXELS", 3 * 32 * 32)
     pictures = np.random.default_rng(49).integers(20, 230, size=(24, 32, 32),
                                                   dtype=np.uint8)
     with prnu.residual_extractor(workers=1) as extract:
         expected = list(extract(pictures))
-    with prnu.residual_extractor(workers=64) as extract:
-        got = list(extract(pictures))
-    assert len(got) == len(expected) == 24
+    for task_pixels, runs in ((prnu.TASK_PIXELS, [12, 12]),
+                              (3 * 32 * 32, [3] * 8)):
+        log = PoolLog()
+        monkeypatch.setattr(prnu, "ThreadPoolExecutor", log.pool)
+        monkeypatch.setattr(prnu, "TASK_PIXELS", task_pixels)
+        with prnu.residual_extractor(workers=64) as extract:
+            got = list(extract(pictures))
+        assert len(got) == len(expected) == 24
+        for (luma, residual), (want_luma, want) in zip(got, expected):
+            assert np.array_equal(luma, want_luma)
+            assert residual.tobytes() == want.tobytes()
+        if len(cpus) == 1:
+            assert log.built == log.sizes == []
+        else:
+            # runs of 2^18 pixels, at most 24 / 2 frames each, or of the
+            # 3 frames a smaller TASK_PIXELS allows; at most 2 runs
+            # pending beyond the one being read
+            assert log.built == [2]
+            assert log.sizes == runs
+            assert max(log.pending) == min(len(runs), 2 + 1)
+
+
+def test_frames_of_a_task_or_more_go_to_the_process_pool(monkeypatch):
+    # one frame per process task, at most 2 * workers pending beyond the
+    # one being read, and one pool for every call; the fake pool starts
+    # no process
+    log = PoolLog()
+    monkeypatch.setattr(prnu, "ProcessPoolExecutor", log.pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(prnu, "TASK_PIXELS", 32 * 32)
+    pictures = np.random.default_rng(50).integers(20, 230, size=(8, 32, 32),
+                                                  dtype=np.uint8)
+    with prnu.residual_extractor(workers=1) as extract:
+        expected = list(extract(pictures)) + list(extract(pictures[:3]))
+    with prnu.residual_extractor(workers=2) as extract:
+        got = list(extract(pictures)) + list(extract(pictures[:3]))
+    assert len(got) == len(expected) == 11
     for (luma, residual), (want_luma, want) in zip(got, expected):
         assert np.array_equal(luma, want_luma)
         assert residual.tobytes() == want.tobytes()
-    if len(cpus) == 1:
-        assert built == sizes == []
-    else:
-        # tasks of 3 frames, at most 24 / (2 * 2) each, and at most
-        # 2 * 2 tasks pending beyond the one being read
-        assert built == [2]
-        assert sizes == [3] * 8
-        assert max(pending) == 2 * 2 + 1
+    assert log.built == [2]
+    assert log.sizes == [1] * 11
+    assert max(log.pending) == 2 * 2 + 1
 
 
 def _skipped_trace_of(rng, frames, h, w, grid_h=None):

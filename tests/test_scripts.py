@@ -155,6 +155,36 @@ def test_analysis_commands_run_without_scipy(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
+def test_small_frame_evaluate_imports_no_multiprocessing(tmp_path):
+    # with 2 CPUs visible, `evaluate --workers 2` extracts 32x32 frames in
+    # threads, so the process pool and multiprocessing stay unimported
+    # until something reads prnu.ProcessPoolExecutor
+    t = str(tmp_path)
+    assert main(["simulate", "--width", "32", "--height", "32", "--frames",
+                 "6", "--seed", "5", "--qp", "18",
+                 "--out-prefix", f"{t}/v"]) == 0
+    assert main(["estimate", "--frames", f"{t}/v.yuv", "--trace",
+                 f"{t}/v.trace", "--scheme", "conventional", "--source-id",
+                 "cam", "--out", f"{t}/refs/cam.bpf", "--workers", "1"]) == 0
+    (tmp_path / "eval.csv").write_text("v,cam,v.yuv,v.trace\n")
+    out = _python("""
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from blockprnu import prnu
+from blockprnu.cli import main
+def loaded():
+    return [m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
+            or m == "concurrent.futures.process"]
+print(main(sys.argv[1:]), loaded())
+prnu.ProcessPoolExecutor
+print(sorted(loaded())[:1])
+""", "evaluate", "--manifest", f"{t}/eval.csv", "--references",
+                  f"{t}/refs", "--schemes", "conventional,skip_eliminate",
+                  "--out-prefix", f"{t}/grid", "--workers", "2")
+    assert out.splitlines() == ["0 []", "['concurrent.futures.process']"]
+    assert (tmp_path / "grid.cells.csv").stat().st_size > 0
+
+
 def test_simulator_names_resolve_on_first_use():
     out = _python(f"""
 import sys
