@@ -19,10 +19,13 @@ is held as a `ReferenceSpectrum`: its complex128 spectrum alone, computed
 once, so it is transformed once however many tests meet it.
 
 Planes are matched at the float32 or float64 they are given in; a print
-read from a file is float32. Every transform runs on float64, so a float32
-plane is first widened into the workspace's product buffer, which is free
-while a plane is transformed, and every PCE equals that of the float64
-widening of the same planes.
+read from a file is float32. Every transform runs on float64: a plane's
+rows are transformed a chunk at a time, a float32 chunk widened into the
+workspace's chunk buffer first, and then its columns in place, so every
+PCE equals that of the float64 widening of the same planes and no
+transform allocates a plane. A reference met once, given as a plain
+array, is transformed straight into the product buffer, so a one-off
+`pce` holds two spectra, not three.
 """
 from __future__ import annotations
 
@@ -145,17 +148,23 @@ class _Workspace:
             self.row_energy = np.empty(h)
 
     def rfft2(self, plane: _Plane, out: np.ndarray) -> None:
-        """Write the real spectrum of `plane` into `out`. A float32 plane
-        is widened into the product buffer first: transformed directly,
-        numpy would widen it into a new plane of its own. The product
-        spectrum viewed as float64 is at least w + 1 values wide."""
+        """Write the real spectrum of `plane` into `out`, bit for bit
+        numpy's rfft2 of its float64 widening: the rows a chunk at a time,
+        a float32 chunk widened into the chunk buffer first (transformed
+        directly, numpy would widen the plane into a new one of its own),
+        then the columns in place. `out` may be any spectrum buffer."""
         self._fit(plane.shape)
-        values = plane.values
-        if values.dtype != np.float64:
-            wide = self.product.view(np.float64)[:, :plane.shape[1]]
-            np.copyto(wide, values)
-            values = wide
-        sfft.rfft2(values, out=out)
+        step = len(self.chunk)
+        for r0 in range(0, plane.shape[0], step):
+            rows = plane.values[r0:r0 + step]
+            if rows.dtype != np.float64:
+                wide = self.chunk[:len(rows)]
+                np.copyto(wide, rows)
+                rows = wide
+            sfft.rfft(rows, axis=1, out=out[r0:r0 + len(rows)])
+        # fft2 over axis 0 alone is the column pass of the 2-D transform:
+        # one forward 2-D call per plane, as an FFT counter expects
+        sfft.fft2(out, axes=(0,), out=out)
 
     def hold(self, test: _Plane) -> _Workspace:
         """Point the workspace at `test`, whose spectrum is computed on
@@ -164,15 +173,21 @@ class _Workspace:
         self._transformed = False
         return self
 
-    def correlate(self, reference: ReferenceSpectrum) -> None:
+    def correlate(self, reference: _Plane) -> None:
         """Leave the product spectrum of the held test with `reference`,
-        inverse-transformed along columns, ready for `chunks` and `band`."""
+        inverse-transformed along columns, ready for `chunks` and `band`.
+        A `ReferenceSpectrum` keeps its own spectrum; any other plane is
+        transformed straight into the product buffer."""
         if not self._transformed:
             self._fit(self.test.shape)
             self.rfft2(self.test, self.conj)
             np.conjugate(self.conj, out=self.conj)
             self._transformed = True
-        np.multiply(reference.transform(self), self.conj, out=self.product)
+        if isinstance(reference, ReferenceSpectrum):
+            np.multiply(reference.transform(self), self.conj, out=self.product)
+        else:
+            self.rfft2(reference, self.product)
+            np.multiply(self.product, self.conj, out=self.product)
         sfft.ifft(self.product, axis=0, out=self.product)
 
     def chunks(self):
@@ -238,7 +253,7 @@ def pce(test, reference, config: PceConfig = PceConfig(),
           else _Workspace().hold(_Plane(test)))
     t = ws.test
     r = (reference if isinstance(reference, ReferenceSpectrum)
-         else ReferenceSpectrum(reference))
+         else _Plane(reference))
     if t.shape != r.shape:
         raise DimensionMismatch(f"{t.shape} vs {r.shape}")
     t.check()

@@ -14,15 +14,24 @@ indexed, sliced or iterated, so a video is never held whole in memory
 unless asked for with ``stack[:]``. `extract_residual` takes one (H, W)
 plane of it, or a (k, H, W) run of planes, and returns the residuals as
 float64 of the same shape; every kernel works on the last two axes, so a
-plane's residual is bit for bit the same alone or in a run. At 720p one
-plane peaks at 32 MB (4.4 planes); the Wiener filter works in place, a
-tile of rows at a time, and no buffer is kept from one call to the next.
+plane's residual is bit for bit the same alone or in a run.
+
+Each wavelet stage (analysis, Wiener filter, synthesis) works a strip of
+rows at a time, written straight into its level or into the residual,
+and hands its strips to a `spread` function, which computes them on
+several threads, when it is given one; the strips follow from the
+level's shape alone, so the bytes do not depend on the threads. At 720p
+one extraction peaks at 2.2 planes of float64 (16.0 MB of tracemalloc)
+on one thread and about 2.4 planes (17.5-18.1 MB) on two: the pyramid,
+the residual and a few strips. No buffer is kept from one call to the
+next.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +54,7 @@ _SYNTHESIS = np.array([[f[r::2][::-1] for f in (_DEC_LO, _DEC_HI)]
 
 WAVELET_LEVELS = 4
 WIENER_WINDOWS = (3, 5, 7, 9)     # every odd size up to the largest
-TILE_COEFFS = 1 << 16             # coefficients per row tile of wiener_adaptive
+TILE_COEFFS = 1 << 16             # coefficients per strip of rows
 SATURATION_HIGH = 250
 SATURATION_LOW = 5
 
@@ -63,7 +72,7 @@ class DenoiseConfig:
 
 
 # ---------------------------------------------------------------------------
-# periodized orthogonal DWT
+# periodized orthogonal DWT, a strip of rows at a time
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
@@ -86,6 +95,32 @@ def _mirror(n: int, pad: int) -> np.ndarray:
     return index
 
 
+def _strips(h: int, row_coeffs: int) -> list[slice]:
+    """Row slices covering h rows of `row_coeffs` coefficients each, about
+    TILE_COEFFS coefficients per slice: whole groups of 4 rows, the last
+    slice taking the rows left over, so none is shorter than 4 rows unless
+    all h are.
+
+    The wavelet transforms size strips by one plane's level row (4w), so
+    they follow from the plane's shape alone, not from the worker count or
+    the frames in a run: BLAS may round an output by the length of its pass
+    (OpenBLAS rounds the last n % 4 outputs of n, and a pass of one, its
+    own way), and the same strips give a plane the same bytes. The Wiener
+    filter's output does not depend on its strips, which it sizes by all
+    the planes and bands of a row."""
+    step = 4 * max(1, TILE_COEFFS // (4 * max(row_coeffs, 1)))
+    starts = range(0, max(h - 4, 1), step)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], h])]
+
+
+def _each(spread, fn, items: list) -> list:
+    """[fn(item) for item in items], by `spread` if it is given and there
+    is more than one item."""
+    if spread is None or len(items) < 2:
+        return [fn(item) for item in items]
+    return spread(fn, items)
+
+
 def _windows(a: np.ndarray, length: int, step: int = 1) -> np.ndarray:
     """Read-only view of the `length`-sample windows of a C-contiguous
     array along axis -2, one every `step` samples, with shape
@@ -100,81 +135,120 @@ def _windows(a: np.ndarray, length: int, step: int = 1) -> np.ndarray:
     return view
 
 
-def _dwt_axis(x: np.ndarray, axis: int) -> np.ndarray:
-    """Periodized analysis along `axis`; returns the lo and hi bands
-    stacked on a new leading axis.
-
-    band[k] = sum_m F[m] * x[(2k + m) % n]: the axis is wrapped by one
-    filter length less one, and only the kept even outputs are computed,
-    each as one 8-tap window times the lo and the hi filter.
-    """
-    axis %= x.ndim
-    rows = x.swapaxes(axis, -2)
-    n = rows.shape[-2]
-    windows = _windows(rows.take(_cyclic(n, 0, n + _TAPS - 1), axis=-2),
-                       _TAPS, step=2)
+def _dwt_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Analysis down axis -2 of rows already wrapped by the filter length
+    less one: band[j] = sum_m F[m] * rows[2j + m], for the lo and the hi
+    filter, stacked on a new leading axis, as (2, ..., j, 1, m) in `out`
+    (new when None). Only the kept even outputs are computed, each as one
+    8-tap window times both filters; returns (2, ..., j, m)."""
+    windows = _windows(rows, _TAPS, step=2)
     analysis = _ANALYSIS.reshape((2,) + (1,) * (windows.ndim - 2) + (1, _TAPS))
-    return (analysis @ windows)[..., 0, :].swapaxes(axis + 1, -2)
+    return np.matmul(analysis, windows, out=out)[..., 0, :]
 
 
-def _idwt_rows(bands: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Periodized synthesis along axis 1 of (k, h, lo/hi band, ...) into
-    (k, h, output phase, m), which reshapes to 2h rows for free.
+def _analyze(plane: np.ndarray, level: np.ndarray, rows: slice) -> None:
+    """Rows `rows` of the four bands of `level`, (4, ..., h, w), from the
+    (..., 2h, 2w) plane they split: rows, then columns. The columns are
+    filtered as the rows of the strip transposed, and the bands written
+    back into the level in its own C order."""
+    n, m = plane.shape[-2:]
+    strip = plane.take(_cyclic(n, 2 * rows.start, 2 * rows.stop + _TAPS - 2),
+                       axis=-2)
+    lohi = _dwt_rows(strip.astype(np.float64, copy=False)).swapaxes(-1, -2)
+    del strip
+    cols = np.empty(lohi.shape[:-2] + (m + _TAPS - 1, lohi.shape[-1]))
+    cols[..., :m, :] = lohi
+    cols[..., m:, :] = lohi[..., _cyclic(m, 0, _TAPS - 1), :]
+    del lohi
+    # indexed [column band][row band]: [[LL, LH], [HL, HH]]; BLAS writes
+    # each column of the strip into the level's rows with a stride
+    _dwt_rows(cols, out=level.reshape((2, 2) + level.shape[1:])[..., rows, :]
+              .swapaxes(-1, -2)[..., None, :])
 
-    The exact adjoint of _dwt_axis, so orthogonality makes it the inverse.
-    In polyphase form out[2p + r] = sum_q F[2q + r] * band[(p - q) % h]
+
+def _synthesis(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodized synthesis along axis 1 of (k, n, lo/hi band, ...) rows
+    that start 3 rows early, into (k, n - 3, output phase, m), which
+    reshapes to 2(n - 3) rows for free.
+
+    The exact adjoint of the analysis, so orthogonality makes it the
+    inverse. In polyphase form out[2p + r] = sum_q F[2q + r] * band[p - q]
     over both bands, so rows p-3 .. p of the bands, interleaved, times one
     (phase, 8) matrix give both outputs of pair p.
     """
-    k, h, wrap = bands.shape[0], bands.shape[1], _HALF_LEN - 1
-    # rows -3 .. h-1 in one C-ordered array, whatever the strides of bands
-    rows = np.empty((k, h + wrap) + bands.shape[2:])
-    rows[:, :wrap] = bands[:, _cyclic(h, -wrap, 0)]
-    rows[:, wrap:] = bands
-    windows = _windows(rows.reshape(k, 2 * (h + wrap), -1), _TAPS, step=2)
+    k, n = rows.shape[:2]
+    rows = np.ascontiguousarray(rows)
+    windows = _windows(rows.reshape(k, 2 * n, -1), _TAPS, step=2)
     return np.matmul(_SYNTHESIS, windows, out=out)
 
 
-def wavedec2(x: np.ndarray, levels: int) -> list[np.ndarray]:
+def _synthesize(level: np.ndarray, out: np.ndarray, rows: slice) -> None:
+    """Rows 2 * rows.start .. 2 * rows.stop of the (..., 2h, 2w) `out`
+    from rows `rows` of the four bands of `level`, (4, ..., h, w), and the
+    3 rows before them: columns, then rows, the inverse of the analysis."""
+    h, w = level.shape[-2:]
+    k = level[0].size // (h * w)          # planes in the stack
+    bands, wrap = level.reshape(2, 2, k, h, w), _HALF_LEN - 1
+
+    def columns(index):
+        """Band rows `index` synthesized along their columns, indexed
+        [plane][row][row band][column]."""
+        # the bands transposed to [plane][column][col band][row band][row],
+        # their last 3 columns wrapped before the first
+        cols = bands[:, :, :, index].transpose(2, 4, 0, 1, 3)
+        wrapped = np.empty((k, wrap + w) + cols.shape[2:])
+        wrapped[:, :wrap] = cols[:, _cyclic(w, -wrap, 0)]
+        wrapped[:, wrap:] = cols
+        cols = _synthesis(wrapped).reshape(k, 2 * w, 2, -1)
+        return cols.transpose(0, 3, 2, 1)
+
+    strip = columns(rows)
+    # the strip's rows after the 3 rows, wrapped, that its first ones read
+    lines = np.empty((k, wrap + strip.shape[1], 2, 2 * w))
+    lines[:, :wrap] = columns(_cyclic(h, rows.start - wrap, rows.start))
+    lines[:, wrap:] = strip
+    del strip
+    _synthesis(lines, out=out.reshape(k, 2 * h, 2 * w)
+               [:, 2 * rows.start:2 * rows.stop].reshape(k, -1, 2, 2 * w))
+
+
+def wavedec2(x: np.ndarray, levels: int,
+             spread: Callable | None = None) -> list[np.ndarray]:
     """Multi-level 2-D DWT over the last two axes of a plane or a stack of
     planes. Stops early if an extent goes odd.
 
     Returns the levels coarse to fine, each one contiguous (4, ..., h, w)
     array that unpacks as (LL, LH, HL, HH), with the stack's leading axes
     after the band. A level's LL is what the next coarser level splits;
-    the coarsest LL is the approximation.
+    the coarsest LL is the approximation. Each level is written a strip of
+    rows at a time (`_strips`), by `spread` if given.
     """
     out: list[np.ndarray] = []
-    cur = np.asarray(x, dtype=np.float64)
+    cur = np.asarray(x)
     for _ in range(levels):
-        h, w = cur.shape[-2:]
+        *lead, h, w = cur.shape
         if h % 2 or w % 2 or min(h, w) < 2:
             break
-        # rows, then columns: indexed [column band][row band], the stack
-        # is [[LL, LH], [HL, HH]]
-        bands = _dwt_axis(_dwt_axis(cur, -2), -1)
-        out.append(np.ascontiguousarray(bands.reshape((4,) + bands.shape[2:])))
-        cur = out[-1][0]
+        level = np.empty((4, *lead, h // 2, w // 2))
+        _each(spread, partial(_analyze, cur, level), _strips(h // 2, 2 * w))
+        out.append(level)
+        cur = level[0]
     out.reverse()
     return out
 
 
-def waverec2(levels: list[np.ndarray]) -> np.ndarray:
+def waverec2(levels: list[np.ndarray],
+             spread: Callable | None = None) -> np.ndarray:
     """Inverse of wavedec2, given at least one level. Each level is
-    synthesized into the LL of the next finer one, which is overwritten;
-    the finest gives a new plane or stack."""
-    for i, level in enumerate(levels):
+    synthesized into the LL of the next finer one, which is overwritten,
+    and taken out of the list, which ends empty: no coarser level is held
+    while the finest is synthesized into a new plane or stack. A level is
+    read a strip of rows at a time (`_strips`), by `spread` if given."""
+    while levels:
+        level = levels.pop(0)
         *lead, h, w = level.shape[1:]
-        out = (levels[i + 1][0] if i + 1 < len(levels)
-               else np.empty((*lead, 2 * h, 2 * w)))
-        k = level[0].size // (h * w)          # planes in the stack
-        # columns, then rows: the inverse of wavedec2's order; columns are
-        # the rows of the bands transposed to
-        # [plane][column][col band][row band][row]
-        cols = _idwt_rows(level.reshape(2, 2, k, h, w).transpose(2, 4, 0, 1, 3))
-        _idwt_rows(cols.reshape(k, 2 * w, 2, h).transpose(0, 3, 2, 1),
-                   out=out.reshape(k, h, 2, 2 * w))
-        del cols
+        out = levels[0][0] if levels else np.empty((*lead, 2 * h, 2 * w))
+        _each(spread, partial(_synthesize, level, out), _strips(h, 4 * w))
     return out
 
 
@@ -217,51 +291,70 @@ def _box_sums(padded: np.ndarray, p: int):
         yield r, box
 
 
+def _wiener_strip(coeffs: np.ndarray, noise_var: float, out: np.ndarray,
+                  rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Filter rows `rows` of `coeffs` into `out`, except the p rows next to
+    each neighbouring strip, which its window reads: those come back
+    filtered, as (head, tail), for the caller to write once every strip
+    has read its window. Strips are at least p rows long, so the rows one
+    strip reads of another are all among those held back."""
+    p, h = WIENER_WINDOWS[-1] // 2, coeffs.shape[-2]
+    sq = _reflected(coeffs, p, rows.start, rows.stop)
+    local = None
+    for r, box in _box_sums(np.square(sq, out=sq), p):
+        mean = box / (2 * r + 1) ** 2
+        local = mean if local is None else np.minimum(local, mean, out=local)
+    local -= noise_var
+    signal_var = np.maximum(local, 0.0, out=local)
+    tile = coeffs[..., rows, :] * signal_var / (signal_var + noise_var)
+    n = rows.stop - rows.start
+    head, tail = (p if rows.start else 0), (p if rows.stop < h else 0)
+    inner = slice(rows.start + head, rows.stop - tail)
+    out[..., inner, :] = tile[..., head:n - tail, :]
+    return tile[..., :head, :].copy(), tile[..., n - tail:, :].copy()
+
+
 def wiener_adaptive(coeffs: np.ndarray, noise_var: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None,
+                    spread: Callable | None = None) -> np.ndarray:
     """Minimum-variance adaptive Wiener attenuation of one subband, or of
     a stack of subbands along leading axes: the local energy is estimated
     over each square window of WIENER_WINDOWS, and the smallest estimate
     wins per coefficient.
 
-    It runs a tile of rows of about TILE_COEFFS coefficients at a time and
-    writes a tile once the next has read its neighbours, so the float64
-    `out` (new when None) may be `coeffs` itself.
+    It runs a strip of rows at a time (`_strips`), by `spread` if given.
+    The rows a strip shares with its neighbours' windows are written after
+    every strip has run, so the float64 `out` (new when None) may be
+    `coeffs` itself.
 
     :param coeffs: detail coefficients, assumed zero-mean
     :param noise_var: variance attributed to sensor noise
     """
-    p, h = WIENER_WINDOWS[-1] // 2, coeffs.shape[-2]
-    # p rows or more, so that a tile reads back no further than the last one
-    step = max(p, TILE_COEFFS * h // max(coeffs.size, 1))
     out = np.empty(coeffs.shape) if out is None else out
-    sq = _reflected(coeffs, p, 0, step)
-    for start in range(0, h, step):
-        local = None
-        for r, box in _box_sums(np.square(sq, out=sq), p):
-            mean = box / (2 * r + 1) ** 2
-            local = mean if local is None else np.minimum(local, mean, out=local)
-        local -= noise_var
-        signal_var = np.maximum(local, 0.0, out=local)
-        rows = slice(start, start + step)
-        tile = coeffs[..., rows, :] * signal_var / (signal_var + noise_var)
-        sq = _reflected(coeffs, p, start + step, start + 2 * step)
-        out[..., rows, :] = tile
+    h = coeffs.shape[-2]
+    strips = _strips(h, coeffs.size // max(h, 1))
+    shared = _each(spread, partial(_wiener_strip, coeffs, noise_var, out),
+                   strips)
+    for rows, (head, tail) in zip(strips, shared):
+        out[..., rows.start:rows.start + head.shape[-2], :] = head
+        out[..., rows.stop - tail.shape[-2]:rows.stop, :] = tail
     return out
 
 
-def _wavelet_noise(x: np.ndarray, config: DenoiseConfig) -> np.ndarray | None:
+def _wavelet_noise(x: np.ndarray, config: DenoiseConfig,
+                   spread: Callable | None) -> np.ndarray | None:
     """Noise estimate: reconstruct from Wiener-filtered details only.
 
     Returns None when the picture is too small for even one level.
     """
-    levels = wavedec2(x, WAVELET_LEVELS)
+    levels = wavedec2(x, WAVELET_LEVELS, spread)
     if not levels:
         return None
     levels[0][0] = 0.0
     for level in levels:
-        wiener_adaptive(level[1:], config.noise_var, out=level[1:])
-    return waverec2(levels)
+        wiener_adaptive(level[1:], config.noise_var, out=level[1:],
+                        spread=spread)
+    return waverec2(levels, spread)
 
 
 def wiener_spatial(x: np.ndarray, noise_var: float) -> np.ndarray:
@@ -281,10 +374,17 @@ def zero_mean_rows_cols(w: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 
 
 def extract_residual(luma: np.ndarray,
-                     config: DenoiseConfig = DenoiseConfig()) -> np.ndarray:
+                     config: DenoiseConfig = DenoiseConfig(),
+                     spread: Callable | None = None) -> np.ndarray:
     """Noise residual of one (H, W) luma plane, or of each plane of a
     (k, H, W) stack: luma minus its denoised version, as float64. A plane
-    of a stack gets exactly the residual it gets alone.
+    of a stack gets exactly the residual it gets alone, and the same with
+    or without `spread`.
+
+    :param spread: None, or a function that returns ``[fn(item) for item
+        in items]`` for ``spread(fn, items)`` and computes the items on
+        several threads, in any order; the wavelet kernels pass it the
+        strips of rows of each stage
 
     A constant plane has no usable noise; its residual is all zeros.
     """
@@ -294,7 +394,8 @@ def extract_residual(luma: np.ndarray,
     constant = planes.max(axis=-1) == planes.min(axis=-1)
     if constant.all():
         return np.zeros(luma.shape)
-    noise = _wavelet_noise(luma, config) if config.method == "wavelet" else None
+    noise = (_wavelet_noise(luma, config, spread)
+             if config.method == "wavelet" else None)
     if noise is None:
         noise = luma - wiener_spatial(luma.astype(np.float64), config.noise_var)
     noise = zero_mean_rows_cols(noise, out=noise)

@@ -17,10 +17,12 @@ plane once and streams it in frame order with its residual W, a float64
 (H, W) array, as one (luma, residual) pair into `stream_fingerprints`,
 which feeds one accumulator per weighting scheme in lockstep; no caller
 holds a video's residuals or luma at once, nor the last frame's while
-the next is extracted. With several workers, frames smaller than
-TASK_PIXELS are extracted in threads, a stacked run of frames per task,
-and larger frames in a forked process pool, one frame per task; the
-process pool, and `multiprocessing`, are loaded only for such frames.
+the next is extracted. With several workers, one pool of threads serves
+each `residual_extractor` block: frames smaller than TASK_PIXELS are
+extracted on it a stacked run of frames per task, and larger frames one
+at a time in the calling thread, the strips of rows of each wavelet
+stage shared between that thread and the pool. Nothing is forked, and
+no residual is pickled.
 
 Apart from those residuals, no frame-sized temporary is made while a
 video streams: a frame is added one strip of rows at a time. `finalize`
@@ -31,8 +33,8 @@ from __future__ import annotations
 import os
 import struct
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -50,11 +52,12 @@ from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
 _MAGIC = b"BPFP\x01"
 DENOMINATOR_FLOOR_SCALE = 1e-3
-# frames smaller than this are extracted in threads, a stacked run of
-# about this many pixels per task (at 128x128 one task per frame lost 14%
-# of a calibrate-and-evaluate pass to task overhead); larger frames go to
-# a process pool one frame per task, since threads at 720p raised a
-# command's peak RSS by more than half
+# frames smaller than this are extracted on the pool's threads, a stacked
+# run of about this many pixels per task (at 128x128 one task per frame
+# lost 14% of a calibrate-and-evaluate pass to task overhead); larger
+# frames one at a time, their strips of rows spread over the threads,
+# since whole 720p frames in flight on two threads raised a command's peak
+# RSS by more than half
 TASK_PIXELS = 1 << 18
 # a frame is added in strips of whole macroblock rows of about this many
 # pixels (a 128x128 frame is one strip, a 720p strip is 16 rows), so no
@@ -325,16 +328,6 @@ def require_inputs(videos: Sequence[Video], references: dict[str, Fingerprint],
             raise InsufficientData(f"video {name} has no trace")
 
 
-def __getattr__(name: str):
-    """`ProcessPoolExecutor`, imported when it is first read, so that
-    `concurrent.futures.process` and `multiprocessing` load only with the
-    first pool; setting the name replaces the class a pool is built from."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor
-
-
 def _drain(planes: np.ndarray, task):
     """(luma, residual) pairs of a finished task's run of planes; the task
     and its residuals are let go when the last pair has been taken."""
@@ -355,6 +348,27 @@ def _in_order(pool, job, pictures, size: int, window: int):
         yield from _drain(*pending.popleft())
 
 
+def _spread(pool: ThreadPoolExecutor, helpers: int, fn, items: list) -> list:
+    """[fn(item) for item in items], computed by the calling thread and by
+    `helpers` tasks on `pool`, each taking the next item left until none
+    is. The caller works rather than waits, no task waits on another, and
+    a pool that serves nothing else starts only `helpers` threads."""
+    results = [None] * len(items)
+    left = iter(range(len(items)))      # next() on it is atomic (GIL)
+
+    def run():
+        for i in left:
+            results[i] = fn(items[i])
+    tasks = [pool.submit(run) for _ in range(min(helpers, len(items) - 1))]
+    try:
+        run()
+    finally:
+        wait(tasks)
+    for task in tasks:
+        task.result()
+    return results
+
+
 @contextmanager
 def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
                        workers: int = 1):
@@ -363,51 +377,41 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
     read once, and its residual computed as it is read.
 
     `workers` is capped at the usable CPUs by `resolve_workers`; at one,
-    each plane is extracted inline. With more, a video goes one of two
-    ways, by its frame size:
+    each plane is extracted inline. With more, one pool of `workers`
+    threads serves every call made inside the with block, and a video
+    goes one of two ways, by its frame size:
 
-    - Frames smaller than TASK_PIXELS go to a pool of `workers` threads
-      that lasts as long as the video's pairs. A task extracts a run of
-      planes as one (k, H, W) stack, of about TASK_PIXELS pixels and at
-      most ceil(frames / workers) frames, and at most `workers` tasks are
-      pending beyond the one being read. Nothing is forked or pickled.
-    - Frames of TASK_PIXELS or more go to a forked process pool, one frame
-      per task, with at most 2 * workers tasks pending beyond the one
-      being read. Threads would hold every in-flight extraction in one
-      process, which at 720p raised the peak RSS of a command by more
-      than half. The pool is built for the first such video and serves
-      every later call made inside the with block. A thread pool is shut
-      down when its video's pairs end, so a finished video leaves no
-      thread alive to be forked.
+    - A frame of TASK_PIXELS or more is extracted in the calling thread,
+      one frame at a time, and the strips of rows of each wavelet stage
+      are computed by that thread and `workers` - 1 tasks on the pool
+      (`_spread`).
+    - Smaller frames are extracted as stacked (k, H, W) runs of about
+      TASK_PIXELS pixels and at most ceil(frames / workers) frames, one
+      run per pool task, with at most `workers` tasks pending beyond the
+      one being read; the run read for a task is kept beside it until its
+      pairs are yielded.
 
-    The run of planes read for a task is kept beside it until its pairs
-    are yielded, and a video's residuals are never held at once.
-    Residuals are the same for any worker count.
+    Nothing is forked or pickled, and a video's residuals are never held
+    at once. Residuals are the same for any worker count.
     """
     job = partial(extract_residual, config=denoise_config)
     workers = resolve_workers(workers)
     if workers <= 1:
         yield lambda pictures: ((luma, job(luma)) for luma in pictures)
         return
-    with ExitStack() as stack:
-        processes = None
-
+    with ThreadPoolExecutor(max_workers=workers) as threads:
         def extract(pictures):
-            nonlocal processes
             pictures = _stack(pictures)
             frames, h, w = pictures.shape
-            if h * w < TASK_PIXELS:
-                size = max(1, min(TASK_PIXELS // max(h * w, 1),
-                                  -(-frames // workers)))
-                with ThreadPoolExecutor(max_workers=workers) as threads:
-                    yield from _in_order(threads, job, pictures, size, workers)
-            else:
-                if processes is None:
-                    # a class set on the module replaces the one it imports
-                    pool = (globals().get("ProcessPoolExecutor")
-                            or __getattr__("ProcessPoolExecutor"))
-                    processes = stack.enter_context(pool(max_workers=workers))
-                yield from _in_order(processes, job, pictures, 1, 2 * workers)
+            if h * w >= TASK_PIXELS:
+                spread = partial(_spread, threads, workers - 1)
+                for luma in pictures:
+                    yield luma, extract_residual(luma, denoise_config,
+                                                 spread=spread)
+                return
+            size = max(1, min(TASK_PIXELS // max(h * w, 1),
+                              -(-frames // workers)))
+            yield from _in_order(threads, job, pictures, size, workers)
         yield extract
 
 

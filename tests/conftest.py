@@ -53,22 +53,17 @@ def rate_encode(moving_capture):
 
 @pytest.fixture
 def pool_spawns(monkeypatch):
-    """Record the residual pools blockprnu builds during one test, as
-    ("processes" or "threads", size), with two CPUs visible, so that a
-    pool of 2 is built on any host."""
+    """Record the size of each residual thread pool blockprnu builds
+    during one test, with two CPUs visible, so that a pool of 2 is built
+    on any host."""
     spawns = []
 
-    def counting(kind, base):
-        class CountingPool(base):
-            def __init__(self, *args, **kwargs):
-                spawns.append((kind, kwargs.get("max_workers")))
-                super().__init__(*args, **kwargs)
-        return CountingPool
+    class CountingPool(prnu.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            spawns.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(prnu, "ProcessPoolExecutor",
-                        counting("processes", prnu.ProcessPoolExecutor))
-    monkeypatch.setattr(prnu, "ThreadPoolExecutor",
-                        counting("threads", prnu.ThreadPoolExecutor))
+    monkeypatch.setattr(prnu, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     return spawns

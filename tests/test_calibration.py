@@ -467,7 +467,7 @@ def test_calibrate_qp_worker_invariance(camera_setup, pool_spawns,
         table.save(path)
         outputs.append((path.read_bytes(), report))
     assert outputs[0] == outputs[1]
-    assert pool_spawns == [("threads", 2)] * 2  # per video, none at 1
+    assert pool_spawns == [2]  # one per call, none at 1
 
 
 def test_calibrate_qp_raises_the_first_error_before_the_next_video(
@@ -563,7 +563,7 @@ def test_calibrate_lambda_rate_worker_invariance(camera_setup, pool_spawns,
         table.save(path)
         outputs.append((path.read_bytes(), report))
     assert outputs[0] == outputs[1]
-    assert pool_spawns == [("threads", 2)] * 2  # per video, none at 1
+    assert pool_spawns == [2]  # one per call, none at 1
 
 
 def test_calibrate_lambda_rate_transforms_each_reference_once_per_video(

@@ -518,8 +518,8 @@ def test_evaluate_cli(calib, calib_tables):
 def test_small_frame_commands_fork_no_pool(sim, calib, calib_tables,
                                            tmp_path, pool_spawns):
     # 64x64 frames are smaller than a pool task: at --workers 2 each
-    # command extracts them in a thread pool per video, forks no process
-    # and writes the bytes --workers 1 writes
+    # command extracts them in stacked runs on one thread pool, forks no
+    # process and writes the bytes --workers 1 writes
     root, manifest, refs = calib
     videos = root / "eval_workers.csv"
     videos.write_text("v15,cam,v15.yuv,v15.trace\n"
@@ -553,8 +553,8 @@ def test_small_frame_commands_fork_no_pool(sim, calib, calib_tables,
             assert run(*argv(out), "--workers", workers) == 0, name
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] and outputs[0] == outputs[1], name
-    # one video to estimate, two to calibrate or evaluate
-    assert pool_spawns == [("threads", 2)] * (1 + 2 * (len(commands) - 1))
+    # one pool per command, however many videos it reads
+    assert pool_spawns == [2] * len(commands)
 
 
 def test_evaluate_duplicate_video_id_exit_3_before_extracting(

@@ -110,7 +110,7 @@ def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
         SchemeConfig("lambda_r", neutral_lr_table()),
     ]
     grid = run_grid([video, twin], configs, references, workers=2)
-    assert pool_spawns == [("threads", 2)] * 2
+    assert pool_spawns == [2]
     for config in configs:
         fp = estimate_fingerprint(video.pictures, video.trace, config)
         expected = pce(fp, references["cam"])

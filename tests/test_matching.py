@@ -464,6 +464,27 @@ def test_reference_spectrum_is_transformed_once(monkeypatch):
         assert errors[0] is not errors[1]
 
 
+def test_one_off_pce_holds_two_spectra_and_a_chunk():
+    # a reference given as a plain array is met once, so it is transformed
+    # straight into the product buffer beside the conjugated test: a 720p
+    # float32 pair holds two spectra and one chunk of rows, with room for
+    # small arrays but not for a third spectrum or a widened plane
+    h, w = 720, 1280
+    test = unit_noise((h, w), 90).astype(np.float32)
+    reference = test + unit_noise((h, w), 91).astype(np.float32)
+    spectrum = 16 * h * (w // 2 + 1)
+    chunk = 8 * matching.CHUNK_ROWS * w
+    want = pce(test, reference)                 # FFT plans
+    tracemalloc.start()
+    try:
+        got = pce(test, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == pce(test, ReferenceSpectrum(reference))
+    assert peak <= 2 * spectrum + chunk + spectrum // 16, peak
+
+
 # ---------------------------------------------------------------------------
 # float32 planes, as read from a file
 # ---------------------------------------------------------------------------
@@ -471,8 +492,8 @@ def test_reference_spectrum_is_transformed_once(monkeypatch):
 @pytest.mark.parametrize("shape", [(32, 40), (33, 41), (32, 41), (33, 40),
                                    (130, 29), (12, 13)])
 def test_float32_planes_match_as_their_float64_widening(shape, workers):
-    # an odd width leaves the product spectrum, viewed as float64, one
-    # value wider than the plane widened into it
+    # odd widths and heights; 130 rows are widened in three chunks, the
+    # last one short
     h, w = shape
     config = PceConfig(exclusion_half_width=min(5, (h - 2) // 2))
     tests = [unit_noise(shape, 130 + i).astype(np.float32) for i in range(3)]
@@ -683,7 +704,7 @@ def test_every_parallel_section_is_capped_at_the_usable_cpus(monkeypatch,
                                                  dtype=np.uint8)
     estimate_fingerprint(pictures, None, SchemeConfig("conventional"),
                          workers=resolve_workers())
-    assert pool_spawns == [("threads", 2)]
+    assert pool_spawns == [2]
     threads = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -708,8 +729,8 @@ def test_every_parallel_section_is_capped_at_the_usable_cpus(monkeypatch,
 
 
 def test_no_pair_allocates_a_plane(workers):
-    # float32 planes are widened into the workspace; an odd width leaves
-    # the product buffer one value wider than the plane
+    # float32 planes are widened a chunk of rows at a time into the
+    # workspace; 255 rows leave a short last chunk
     for (h, w), dtype in itertools.product([(256, 250), (255, 251)],
                                            [np.float64, np.float32]):
         plane = 8 * h * w

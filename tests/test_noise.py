@@ -5,6 +5,8 @@ import os
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from blockprnu import (
     zero_mean_rows_cols,
 )
 from blockprnu import noise
-from blockprnu.noise import (_DEC_HI, _DEC_LO, _dwt_axis, _idwt_rows,
-                             wavedec2, waverec2, wiener_spatial)
+from blockprnu.noise import (_DEC_HI, _DEC_LO, wavedec2, waverec2,
+                             wiener_spatial)
 
 
 def reference_dwt_axis(x, axis):
@@ -55,29 +57,39 @@ def reference_idwt_axis(lo, hi, axis):
 
 
 @settings(max_examples=60, deadline=None)
-@example(half=1, other=3, axis=0, seed=0)
-@example(half=2, other=5, axis=1, seed=1)   # fewer rows than the wrap
+@example(half=1, other=3, axis=0, tile=1, seed=0)
+@example(half=2, other=5, axis=1, tile=1, seed=1)   # fewer rows than the wrap
+@example(half=23, other=4, axis=0, tile=1, seed=2)  # last strip of 7 rows
 @given(half=st.integers(1, 32), other=st.integers(1, 12),
-       axis=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
-def test_dwt_kernels_match_reference(half, other, axis, seed):
+       axis=st.sampled_from([0, 1]), tile=st.sampled_from([1, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dwt_kernels_match_reference(half, other, axis, tile, seed):
     # even transform lengths 2-64, shorter and longer than the 8-tap filter,
-    # on either axis of a non-square array
+    # on either axis of a non-square plane; a tile of 1 coefficient cuts a
+    # level into strips of 4 rows (the last one takes what is left), the
+    # default tile leaves it whole
     rng = np.random.default_rng(seed)
-    shape = (2 * half, other) if axis == 0 else (other, 2 * half)
+    shape = (2 * half, 2 * other) if axis == 0 else (2 * other, 2 * half)
     x = rng.normal(size=shape)
-    for got, want in zip(_dwt_axis(x, axis), reference_dwt_axis(x, axis)):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12
-    lo, hi = rng.normal(size=(2,) + want.shape)
-    # synthesis runs along axis 1 of (planes, rows, band, ...); along axis 1
-    # of the plane it is handed the transposed, non-contiguous view
-    bands = np.stack((lo, hi), axis=1) if axis == 0 else \
-        np.stack((lo, hi)).transpose(2, 0, 1)
-    got = _idwt_rows(bands[None]).reshape(2 * half, other)
-    got = got if axis == 0 else got.T
-    want = reference_idwt_axis(lo, hi, axis)
+    rows = reference_dwt_axis(x, 0)
+    # [column band][row band]: LL, LH, HL, HH
+    want = [reference_dwt_axis(band, 1)[col] for col in (0, 1) for band in rows]
+    bands = rng.normal(size=(4, shape[0] // 2, shape[1] // 2))
+    with patch.object(noise, "TILE_COEFFS", tile):
+        [level] = wavedec2(x, 1)
+        got = waverec2([bands])
+    assert level.shape == bands.shape
+    assert np.max(np.abs(level - np.stack(want))) <= 1e-12
+    # synthesis: columns, then rows
+    cols = [reference_idwt_axis(bands[row], bands[2 + row], 1) for row in (0, 1)]
+    want = reference_idwt_axis(*cols, 0)
     assert got.shape == want.shape == shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def on_threads(pool):
+    """A `spread` that computes every item on the pool's threads."""
+    return lambda fn, items: list(pool.map(fn, items))
 
 
 # The scipy.ndimage kernels the package used before its numpy ones. They
@@ -159,40 +171,47 @@ def test_wiener_filters_match_uniform_filter_oracle(h, w, stack, scale, seed):
 @pytest.mark.parametrize("tile", [noise.TILE_COEFFS, 1])
 @pytest.mark.parametrize("in_place", [False, True])
 def test_wiener_adaptive_tile_seams(shape, tile, in_place, monkeypatch):
-    # at the default tile size each span at least 3 tiles; (3, 329, 200)
-    # ends in a tile of 2 rows, whose reflection reaches into the tile
-    # before it. A tile of 1 coefficient gives the smallest tiles allowed
+    # at the default tile size each spans 3 or 4 strips; (3, 329, 200)
+    # ends in a strip of 5 rows. A tile of 1 coefficient gives strips of 4
+    # rows, the fewest allowed, so the rows a strip shares with each
+    # neighbour's window are all of its rows. On 2 threads the strips run
+    # in any order, and none may read a row another has written
     rng = np.random.default_rng(sum(shape))
     coeffs = 3 * rng.normal(size=shape)
     stack = coeffs.reshape((-1,) + shape[-2:])
     with monkeypatch.context() as m:
-        m.setattr(noise, "TILE_COEFFS", coeffs.size)
+        m.setattr(noise, "TILE_COEFFS", coeffs.size * 16)
         whole = wiener_adaptive(coeffs, 3.0)
     monkeypatch.setattr(noise, "TILE_COEFFS", tile)
-    data = coeffs.copy()
-    got = wiener_adaptive(data, 3.0, out=data if in_place else None)
-    assert (got is data) == in_place
-    assert np.array_equal(got, whole)
-    if not in_place:
-        assert np.array_equal(data, coeffs)
+    with ThreadPoolExecutor(2) as pool:
+        for spread in (None, on_threads(pool)):
+            data = coeffs.copy()
+            got = wiener_adaptive(data, 3.0, out=data if in_place else None,
+                                  spread=spread)
+            assert (got is data) == in_place
+            assert np.array_equal(got, whole)
+            if not in_place:
+                assert np.array_equal(data, coeffs)
     for band, out in zip(stack, got.reshape(stack.shape)):
         want = scipy_wiener_adaptive(band, 3.0)
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(band))
 
 
-def test_720p_extraction_peaks_under_six_planes():
-    # room for the wavelet pyramid (4/3 of a plane), one level's synthesis
-    # transients and the residual, not for Wiener transients of whole planes
+def test_720p_extraction_peaks_under_three_planes():
+    # room for the wavelet pyramid (4/3 of a plane), the residual and a few
+    # strips of rows per thread, not for a frame-sized temporary
     rng = np.random.default_rng(15)
     luma = rng.integers(0, 256, size=(720, 1280), dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        residual = extract_residual(luma)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert residual.shape == luma.shape
-    assert peak <= 6 * residual.nbytes
+    with ThreadPoolExecutor(2) as pool:
+        for spread in (None, on_threads(pool)):
+            tracemalloc.start()
+            try:
+                residual = extract_residual(luma, spread=spread)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert residual.shape == luma.shape
+            assert peak <= 3 * residual.nbytes
 
 
 def test_extraction_calls_each_kernel_by_module_name(monkeypatch):
@@ -237,22 +256,33 @@ def test_constant_frame_degenerate_for_spatial_too():
 
 @pytest.mark.parametrize("method", ["wavelet", "spatial"])
 @pytest.mark.parametrize("shape", [(6, 128, 128), (3, 48, 80), (3, 40, 72),
-                                   (4, 8, 8), (1, 720, 1280)])
-def test_stacked_extraction_equals_per_plane_calls(method, shape):
+                                   (4, 8, 8), (3, 720, 1280)])
+def test_stacked_extraction_equals_per_plane_calls(method, shape, monkeypatch):
     # 48x80 takes all 4 levels down to 3x5; 40x72 and 8x8 stop the DWT
     # after 3 (5x9 is odd, 1x1 too small). A constant plane inside a stack
-    # still gets zeros, and its neighbours are untouched by it
+    # still gets zeros, and its neighbours are untouched by it. At 720p the
+    # second level's strips leave a short last one; a tile of 1 coefficient
+    # cuts every level into strips of 4 rows and a longer last one (40x72:
+    # 4, 4, 4, 8 rows). Strips computed on threads give the same bytes,
+    # and so do strips of 4 rows: OpenBLAS computes each group of 4
+    # outputs of a pass the same, however long the pass
     config = DenoiseConfig(method=method)
     rng = np.random.default_rng(sum(shape))
     stack = rng.integers(0, 256, size=shape, dtype=np.uint8)
-    if shape[0] > 1:
-        stack[1] = 93
-    got = extract_residual(stack, config)
-    assert got.shape == shape and got.dtype == np.float64
-    for plane, residual in zip(stack, got):
-        assert residual.tobytes() == extract_residual(plane, config).tobytes()
-    if shape[0] > 1:
-        assert not got[1].any()
+    stack[1] = 93
+    first = None
+    with ThreadPoolExecutor(2) as pool:
+        for tile in (noise.TILE_COEFFS, 1):
+            monkeypatch.setattr(noise, "TILE_COEFFS", tile)
+            got = extract_residual(stack, config)
+            first = got.tobytes() if first is None else first
+            assert got.tobytes() == first
+            assert got.shape == shape and got.dtype == np.float64
+            assert not got[1].any()
+            for plane, residual in zip(stack, got):
+                for spread in (None, on_threads(pool)):
+                    alone = extract_residual(plane, config, spread=spread)
+                    assert residual.tobytes() == alone.tobytes()
 
 
 def test_stacked_levels_put_the_band_first():
@@ -273,7 +303,9 @@ def test_wavedec2_waverec2_perfect_reconstruction():
     x = rng.normal(size=(64, 48))
     levels = wavedec2(x, levels=4)
     assert len(levels) == 4
-    y = waverec2(levels)
+    taken = list(levels)
+    y = waverec2(taken)
+    assert taken == []
     assert y.shape == x.shape
     assert np.max(np.abs(y - x)) < 1e-10
     # each level was synthesized into the LL of the next finer one

@@ -2,8 +2,11 @@
 
 import os
 import struct
+import sys
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -479,8 +482,8 @@ class StreamWatch:
             with real(*args, **kwargs) as extract:
                 yield lambda pictures: self._stream(extract(pictures))
 
-        for name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
-            monkeypatch.setattr(prnu, name, counting(getattr(prnu, name)))
+        monkeypatch.setattr(prnu, "ThreadPoolExecutor",
+                            counting(prnu.ThreadPoolExecutor))
         for module in (prnu, evaluation):
             monkeypatch.setattr(module, "residual_extractor", watched)
 
@@ -706,24 +709,6 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-class InlinePool:
-    """Stands in for the process pool: a task runs in this process when
-    its result is read, so one residual is in flight however the real
-    workers would be scheduled, and tracemalloc sees every array."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        return Deferred(fn, args)
-
-
 class Deferred:
     def __init__(self, fn, args):
         self.fn, self.args = fn, args
@@ -734,13 +719,12 @@ class Deferred:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimate_memory_does_not_grow_with_video_length(tmp_path, workers,
-                                                         monkeypatch):
-    # at 512x512 a pool task is one frame and a float64 plane is 2 MiB. A
-    # real pool holds up to 2 * workers + 1 residuals, fewer in a shorter
-    # video, and how many depends on scheduling; that bound is
-    # test_drivers_hold_a_bounded_number_of_residuals's
+                                                         pool_spawns):
+    # at 512x512 a frame is TASK_PIXELS, so at 2 workers each frame is
+    # extracted in this thread, its strips shared with one pool task, and
+    # one residual is alive at a time however long the video; a float64
+    # plane is 2 MiB
     assert 512 * 512 == prnu.TASK_PIXELS
-    monkeypatch.setattr(prnu, "ProcessPoolExecutor", InlinePool)
     conventional = SchemeConfig("conventional")
     peaks = {}
     for frames in (4, 24):
@@ -749,20 +733,27 @@ def test_estimate_memory_does_not_grow_with_video_length(tmp_path, workers,
             read_yuv420(path, 512, 512), None, conventional,
             workers=workers))
     assert abs(peaks[24] - peaks[4]) < 512 * 512 * 8, peaks
+    assert pool_spawns == [2] * (2 if workers == 2 else 0)
 
 
 class PoolLog:
-    """`pool` stands in for a pool class: it records each pool built, the
-    planes of each task and how many tasks were pending when it was
-    submitted. A task runs when its result is read, as in `InlinePool`."""
+    """`pool` stands in for the thread pool class: it records each pool
+    built, the planes of each task and how many tasks were pending when it
+    was submitted. A task runs in the caller when its result is read."""
 
     def __init__(self):
         self.built, self.sizes, self.pending, self.read = [], [], [], []
         log = self
 
-        class RecordingPool(InlinePool):
+        class RecordingPool:
             def __init__(self, max_workers):
                 log.built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
 
             def submit(self, fn, planes):
                 log.sizes.append(len(planes))
@@ -778,15 +769,9 @@ class PoolLog:
 
 @pytest.mark.parametrize("cpus", [{0, 1}, {3}])
 def test_residual_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
-    # 64 workers asked for on 2 usable CPUs build a thread pool of 2, as
-    # a forked pool would start all of its processes at once, and its
-    # runs and pending window follow from 2; on one CPU the residuals are
-    # extracted inline. Frames this small never reach a process pool.
-    class NoProcesses:
-        def __init__(self, max_workers):
-            raise AssertionError("32x32 frames started a process pool")
-
-    monkeypatch.setattr(prnu, "ProcessPoolExecutor", NoProcesses)
+    # 64 workers asked for on 2 usable CPUs build a thread pool of 2, and
+    # its runs and pending window follow from 2; on one CPU the residuals
+    # are extracted inline
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
     pictures = np.random.default_rng(49).integers(20, 230, size=(24, 32, 32),
@@ -815,28 +800,35 @@ def test_residual_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
             assert max(log.pending) == min(len(runs), 2 + 1)
 
 
-def test_frames_of_a_task_or_more_go_to_the_process_pool(monkeypatch):
-    # one frame per process task, at most 2 * workers pending beyond the
-    # one being read, and one pool for every call; the fake pool starts
-    # no process
-    log = PoolLog()
-    monkeypatch.setattr(prnu, "ProcessPoolExecutor", log.pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    monkeypatch.setattr(prnu, "TASK_PIXELS", 32 * 32)
-    pictures = np.random.default_rng(50).integers(20, 230, size=(8, 32, 32),
-                                                  dtype=np.uint8)
-    with prnu.residual_extractor(workers=1) as extract:
-        expected = list(extract(pictures)) + list(extract(pictures[:3]))
-    with prnu.residual_extractor(workers=2) as extract:
-        got = list(extract(pictures)) + list(extract(pictures[:3]))
-    assert len(got) == len(expected) == 11
-    for (luma, residual), (want_luma, want) in zip(got, expected):
-        assert np.array_equal(luma, want_luma)
-        assert residual.tobytes() == want.tobytes()
-    assert log.built == [2]
-    assert log.sizes == [1] * 11
-    assert max(log.pending) == 2 * 2 + 1
+def test_spread_computes_each_item_once_on_the_caller_and_its_helpers():
+    # the calling thread and its helpers take the items from one iterator:
+    # under a short switch interval, with more threads than CPUs, each item
+    # is still computed once and the results come back in item order. A
+    # failing item raises once the helpers are done
+    counts, lock = [0] * 400, threading.Lock()
+
+    def square(i):
+        with lock:
+            counts[i] += 1
+        return i * i
+
+    def fail(i):
+        if i == 3:
+            raise ValueError(i)
+        return i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool, ThreadPoolExecutor(1) as caller:
+            got = caller.submit(prnu._spread, pool, 7, square,
+                                list(range(400)))
+            assert got.result(timeout=60) == [i * i for i in range(400)]
+            assert counts == [1] * 400
+            with pytest.raises(ValueError):
+                prnu._spread(pool, 1, fail, list(range(8)))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _skipped_trace_of(rng, frames, h, w, grid_h=None):

@@ -155,10 +155,35 @@ def test_analysis_commands_run_without_scipy(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
+# Runs `python -m blockprnu.cli ARGS` with 2 CPUs visible, then prints its
+# exit code, the residual thread pools it built, the forks it made, the
+# process-pool modules it loaded and the peak RSS of any child it reaped.
+NO_FORK_RUN = """
+import os, resource, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, pools = [], []
+os.register_at_fork(before=lambda: forks.append(1))
+from blockprnu import prnu
+from blockprnu.cli import main
+
+class Pool(prnu.ThreadPoolExecutor):
+    def __init__(self, max_workers):
+        pools.append(max_workers)
+        super().__init__(max_workers)
+
+prnu.ThreadPoolExecutor = Pool
+code = main(sys.argv[1:])
+loaded = [m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
+          or m == "concurrent.futures.process"]
+print(code, pools, forks, loaded,
+      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
 def test_small_frame_evaluate_imports_no_multiprocessing(tmp_path):
     # with 2 CPUs visible, `evaluate --workers 2` extracts 32x32 frames in
-    # threads, so the process pool and multiprocessing stay unimported
-    # until something reads prnu.ProcessPoolExecutor
+    # stacked runs on one thread pool, so nothing is forked and
+    # multiprocessing stays unimported
     t = str(tmp_path)
     assert main(["simulate", "--width", "32", "--height", "32", "--frames",
                  "6", "--seed", "5", "--qp", "18",
@@ -167,22 +192,33 @@ def test_small_frame_evaluate_imports_no_multiprocessing(tmp_path):
                  f"{t}/v.trace", "--scheme", "conventional", "--source-id",
                  "cam", "--out", f"{t}/refs/cam.bpf", "--workers", "1"]) == 0
     (tmp_path / "eval.csv").write_text("v,cam,v.yuv,v.trace\n")
-    out = _python("""
-import os, sys
-os.sched_getaffinity = lambda pid: {0, 1}
-from blockprnu import prnu
-from blockprnu.cli import main
-def loaded():
-    return [m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
-            or m == "concurrent.futures.process"]
-print(main(sys.argv[1:]), loaded())
-prnu.ProcessPoolExecutor
-print(sorted(loaded())[:1])
-""", "evaluate", "--manifest", f"{t}/eval.csv", "--references",
-                  f"{t}/refs", "--schemes", "conventional,skip_eliminate",
-                  "--out-prefix", f"{t}/grid", "--workers", "2")
-    assert out.splitlines() == ["0 []", "['concurrent.futures.process']"]
+    out = _python(NO_FORK_RUN, "evaluate", "--manifest", f"{t}/eval.csv",
+                  "--references", f"{t}/refs", "--schemes",
+                  "conventional,skip_eliminate", "--out-prefix", f"{t}/grid",
+                  "--workers", "2")
+    assert out.strip() == "0 [2] [] [] 0"
     assert (tmp_path / "grid.cells.csv").stat().st_size > 0
+
+
+def test_720p_estimate_forks_nothing_and_writes_the_one_worker_bytes(
+        tmp_path):
+    # with 2 CPUs visible, `estimate --workers 2` extracts each 720p frame
+    # in the command's own thread, with its strips of rows on one pool of
+    # 2 threads: nothing is forked, multiprocessing stays unimported, and
+    # the print and its sidecar are the bytes `--workers 1` writes
+    t = str(tmp_path)
+    assert main(["simulate", "--width", "1280", "--height", "720",
+                 "--frames", "2", "--seed", "7", "--qp", "24",
+                 "--out-prefix", f"{t}/v"]) == 0
+    estimate = ["estimate", "--frames", f"{t}/v.yuv", "--trace",
+                f"{t}/v.trace", "--scheme", "conventional", "--source-id",
+                "cam", "--out"]
+    assert main(estimate + [f"{t}/w1/cam.bpf", "--workers", "1"]) == 0
+    out = _python(NO_FORK_RUN, *estimate, f"{t}/w2/cam.bpf", "--workers", "2")
+    assert out.strip() == "0 [2] [] [] 0"
+    for name in ("cam.bpf", "cam.bpf.json"):
+        assert ((tmp_path / "w1" / name).read_bytes()
+                == (tmp_path / "w2" / name).read_bytes())
 
 
 def test_simulator_names_resolve_on_first_use():
