@@ -170,12 +170,13 @@ def cmd_estimate(args, parser) -> int:
     except UnicodeEncodeError as exc:   # undecodable bytes in the argument
         raise ConfigError(f"source id {source_id!r} is not UTF-8 text") from exc
     scheme = _scheme_config(parser, args.scheme, args.table)
+    denoise = _denoise_config(args)
+    workers = resolve_workers(args.workers)
     video = _load_video(args.frames, args.trace)
     fp = estimate_fingerprint(video.pictures, video.trace, scheme,
-                              denoise_config=_denoise_config(args),
+                              denoise_config=denoise,
                               denominator_floor=args.floor,
-                              source_id=source_id,
-                              workers=resolve_workers(args.workers))
+                              source_id=source_id, workers=workers)
     write_fingerprint(fp, _outpath(args.out))
     meta = {
         "denoise": args.denoise,
@@ -247,6 +248,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    denoise = _denoise_config(args)
+    pce_config = _pce_config(args)
+    workers = resolve_workers(args.workers)
     if args.mode == "qp":
         rows = _read_manifest(args.manifest,
                               ("camera_id", "frames_path", "trace_path", "qp"))
@@ -257,9 +261,6 @@ def cmd_calibrate(args) -> int:
     videos = [_load_video(**row) for row in rows]
     references = _load_references(args.references,
                                   (v.camera_id for v in videos))
-    denoise = _denoise_config(args)
-    pce_config = _pce_config(args)
-    workers = resolve_workers(args.workers)
     if args.mode == "qp":
         table, report = calibrate_qp(videos, references,
                                      include_skip=args.include_skip,
@@ -292,6 +293,9 @@ def cmd_evaluate(args, parser) -> int:
         raise ConfigError(f"--edges {args.edges!r} is not a comma-separated "
                           f"list of numbers") from exc
     group_labels_for_edges(edges)   # checks the edges before the grid runs
+    denoise = _denoise_config(args)
+    pce_config = _pce_config(args)
+    workers = resolve_workers(args.workers)
 
     rows = _read_manifest(args.manifest,
                           ("video_id", "camera_id", "frames_path",
@@ -299,11 +303,9 @@ def cmd_evaluate(args, parser) -> int:
     videos = [_load_video(**row) for row in rows]
     references = _load_references(args.references,
                                   (v.camera_id for v in videos))
-    grid = run_grid(videos, configs, references,
-                    denoise_config=_denoise_config(args),
-                    pce_config=_pce_config(args),
-                    threshold=args.threshold,
-                    workers=resolve_workers(args.workers))
+    grid = run_grid(videos, configs, references, denoise_config=denoise,
+                    pce_config=pce_config, threshold=args.threshold,
+                    workers=workers)
 
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,6 @@ array, is transformed straight into the product buffer, so a one-off
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +38,7 @@ from numpy import fft as sfft
 
 from .errors import (BlockPrnuError, ConfigError, DegenerateFingerprint,
                      DimensionMismatch)
-from .prnu import Fingerprint, resolve_workers
+from .prnu import Fingerprint, _spreader, resolve_workers
 
 DEFAULT_THRESHOLD = 60.0
 CHUNK_ROWS = 64
@@ -299,11 +298,13 @@ def batch_match(tests: Iterable, references: Iterable,
     Each test is transformed once for its whole row. So T tests against R
     references take T + R validations and T + R forward FFTs. With n
     workers (`resolve_workers()`, so at most the usable CPUs, and at most
-    the rows) thread k transforms references k, k+n, ... and then takes
-    rows k, k+n, ..., both with a workspace of its own, which holds each
-    of its tests in turn and is passed to `pce`; numpy's FFTs and
-    reductions release the GIL. The matrix is the same at any worker count, and no
-    thread outlives the call.
+    the rows) the calling thread and n - 1 helper threads
+    (`prnu._spreader`) first transform the references, part k being
+    references k, k+n, ..., and then compute the rows, part k being rows
+    k, k+n, ...; each part has a workspace of its own, which holds each of
+    its tests in turn and is passed to `pce`. numpy's FFTs and reductions
+    release the GIL. The matrix is the same at any worker count; at one
+    worker no thread is started, and no thread outlives the call.
     """
     check_threshold(threshold)
     n = resolve_workers()
@@ -333,13 +334,11 @@ def batch_match(tests: Iterable, references: Iterable,
             out.append(row)
         return out
 
-    if n == 1:
-        transform(0)
-        return rows(0)
     matrix: list[list] = [[] for _ in tests]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        list(pool.map(transform, range(n)))
-        for k, part in enumerate(pool.map(rows, range(n))):
+    parts = list(range(n))
+    with _spreader(n) as spread:
+        spread(transform, parts)
+        for k, part in enumerate(spread(rows, parts)):
             matrix[k::n] = part
     return matrix
 

@@ -12,17 +12,17 @@ evidence and are dropped from the support.
 
 A `Video` is the luma I of a decoded video as one checked (frames, H, W)
 uint8 stack, plus its block trace; a `.yuv` stack from `read_yuv420` is
-read a plane at a time as it is used. `residual_extractor` reads each
-plane once and streams it in frame order with its residual W, a float64
-(H, W) array, as one (luma, residual) pair into `stream_fingerprints`,
-which feeds one accumulator per weighting scheme in lockstep; no caller
-holds a video's residuals or luma at once, nor the last frame's while
-the next is extracted. With several workers, one pool of threads serves
-each `residual_extractor` block: frames smaller than TASK_PIXELS are
-extracted on it a stacked run of frames per task, and larger frames one
-at a time in the calling thread, the strips of rows of each wavelet
-stage shared between that thread and the pool. Nothing is forked, and
-no residual is pickled.
+read a run of planes at a time as it is used. `residual_extractor` reads
+each plane once and streams it in frame order with its residual W, a
+float64 (H, W) array, as one (luma, residual) pair into
+`stream_fingerprints`, which feeds one accumulator per weighting scheme
+in lockstep. A video is extracted a run of frames at a time, by the
+calling thread and `workers` - 1 helper threads (`_spreader`): each thread
+takes a stacked part of frames smaller than TASK_PIXELS, and a larger
+frame is a run of its own, whose strips of rows are shared among the
+threads. No caller holds a video's residuals or luma at once, nor one
+run's while the next is extracted. Nothing is forked, and no residual
+is pickled.
 
 Apart from those residuals, no frame-sized temporary is made while a
 video streams: a frame is added one strip of rows at a time. `finalize`
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import struct
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -52,12 +51,12 @@ from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
 _MAGIC = b"BPFP\x01"
 DENOMINATOR_FLOOR_SCALE = 1e-3
-# frames smaller than this are extracted on the pool's threads, a stacked
-# run of about this many pixels per task (at 128x128 one task per frame
-# lost 14% of a calibrate-and-evaluate pass to task overhead); larger
-# frames one at a time, their strips of rows spread over the threads,
-# since whole 720p frames in flight on two threads raised a command's peak
-# RSS by more than half
+# a part of a video, a stack of frames that one thread extracts, has about
+# this many pixels (at 128x128 one part per frame lost 14% of a
+# calibrate-and-evaluate pass to task overhead); a larger frame is a run
+# of its own, its strips of rows spread over the threads, since whole
+# 720p frames in flight on two threads raised a command's peak RSS by
+# more than half
 TASK_PIXELS = 1 << 18
 # a frame is added in strips of whole macroblock rows of about this many
 # pixels (a 128x128 frame is one strip, a 720p strip is 16 rows), so no
@@ -328,31 +327,12 @@ def require_inputs(videos: Sequence[Video], references: dict[str, Fingerprint],
             raise InsufficientData(f"video {name} has no trace")
 
 
-def _drain(planes: np.ndarray, task):
-    """(luma, residual) pairs of a finished task's run of planes; the task
-    and its residuals are let go when the last pair has been taken."""
-    yield from zip(planes, task.result())
-
-
-def _in_order(pool, job, pictures, size: int, window: int):
-    """(luma, residual) pairs of a luma stack in frame order, each run of
-    `size` planes extracted as one stacked pool task, with at most
-    `window` tasks pending beyond the one being read."""
-    pending = deque()
-    for start in range(0, len(pictures), size):
-        planes = pictures[start:start + size]
-        pending.append((planes, pool.submit(job, planes)))
-        if len(pending) > window:
-            yield from _drain(*pending.popleft())
-    while pending:
-        yield from _drain(*pending.popleft())
-
-
 def _spread(pool: ThreadPoolExecutor, helpers: int, fn, items: list) -> list:
     """[fn(item) for item in items], computed by the calling thread and by
     `helpers` tasks on `pool`, each taking the next item left until none
-    is. The caller works rather than waits, no task waits on another, and
-    a pool that serves nothing else starts only `helpers` threads."""
+    is. The caller works rather than waits, and no task waits on another;
+    a pool of max(1, helpers) threads then never starts more than
+    `helpers`."""
     results = [None] * len(items)
     left = iter(range(len(items)))      # next() on it is atomic (GIL)
 
@@ -370,48 +350,61 @@ def _spread(pool: ThreadPoolExecutor, helpers: int, fn, items: list) -> list:
 
 
 @contextmanager
+def _spreader(workers: int):
+    """Yield ``spread(fn, items)``, which is ``[fn(item) for item in
+    items]`` computed by the calling thread and `workers` - 1 helpers
+    (`_spread`): the package's one way to share work among threads. One
+    pool serves every call made inside the with block; it starts at most
+    `workers` - 1 threads, none at one worker, and joins them on exit."""
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        yield partial(_spread, pool, workers - 1)
+
+
+@contextmanager
 def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
                        workers: int = 1):
     """Yield ``extract(pictures)``: an iterator over one (luma, residual)
     pair per (H, W) plane of a luma stack, in frame order. Each plane is
     read once, and its residual computed as it is read.
 
-    `workers` is capped at the usable CPUs by `resolve_workers`; at one,
-    each plane is extracted inline. With more, one pool of `workers`
-    threads serves every call made inside the with block, and a video
-    goes one of two ways, by its frame size:
+    `workers` is capped at the usable CPUs by `resolve_workers`. One
+    `_spreader` serves every call made inside the with block, and a video
+    is extracted a run at a time, the calling thread working beside
+    `workers` - 1 helper threads, none at one worker:
 
-    - A frame of TASK_PIXELS or more is extracted in the calling thread,
-      one frame at a time, and the strips of rows of each wavelet stage
-      are computed by that thread and `workers` - 1 tasks on the pool
-      (`_spread`).
-    - Smaller frames are extracted as stacked (k, H, W) runs of about
-      TASK_PIXELS pixels and at most ceil(frames / workers) frames, one
-      run per pool task, with at most `workers` tasks pending beyond the
-      one being read; the run read for a task is kept beside it until its
-      pairs are yielded.
+    - A part is a (k, H, W) stack of frames of about TASK_PIXELS pixels,
+      at most ceil(frames / workers) frames and at least one.
+    - A run is `workers` consecutive parts, each extracted on one thread;
+      a frame of TASK_PIXELS or more is a run of its own, and the strips
+      of rows of each of its wavelet stages are shared among the threads.
+    - A run's pairs are yielded, and all its residuals let go, before the
+      next run is read.
 
-    Nothing is forked or pickled, and a video's residuals are never held
-    at once. Residuals are the same for any worker count.
+    Nothing is forked or pickled, and at most one run of residuals is
+    alive. Residuals are the same for any worker count.
     """
-    job = partial(extract_residual, config=denoise_config)
     workers = resolve_workers(workers)
-    if workers <= 1:
-        yield lambda pictures: ((luma, job(luma)) for luma in pictures)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as threads:
+    with _spreader(workers) as spread:
+        def pairs(planes, size: int):
+            parts = [planes[i:i + size] for i in range(0, len(planes), size)]
+            # a lone part shares its strips; parts of a run do not, so no
+            # helper waits on the pool it runs on
+            job = partial(extract_residual, config=denoise_config,
+                          spread=spread if len(parts) == 1 else None)
+            for part, residuals in zip(parts, spread(job, parts)):
+                yield from zip(part, residuals)
+
         def extract(pictures):
             pictures = _stack(pictures)
             frames, h, w = pictures.shape
-            if h * w >= TASK_PIXELS:
-                spread = partial(_spread, threads, workers - 1)
-                for luma in pictures:
-                    yield luma, extract_residual(luma, denoise_config,
-                                                 spread=spread)
-                return
             size = max(1, min(TASK_PIXELS // max(h * w, 1),
                               -(-frames // workers)))
-            yield from _in_order(threads, job, pictures, size, workers)
+            run = size * workers if h * w < TASK_PIXELS else 1
+            for start in range(0, frames, run):
+                # a run is bound only in the frame of `pairs`, which ends
+                # with its last pair, so none of it is held while the next
+                # run is read
+                yield from pairs(pictures[start:start + run], size)
         yield extract
 
 

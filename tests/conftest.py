@@ -4,7 +4,6 @@ import threading
 import numpy as np
 import pytest
 
-from blockprnu import prnu
 from blockprnu import (BlockRecord, CodecConfig, SensorModel, TraceFile,
                        encode_sequence, simulate_capture,
                        synthetic_clean_frames)
@@ -52,21 +51,22 @@ def rate_encode(moving_capture):
 
 
 @pytest.fixture
-def pool_spawns(monkeypatch):
-    """Record the size of each residual thread pool blockprnu builds
-    during one test, with two CPUs visible, so that a pool of 2 is built
-    on any host."""
-    spawns = []
+def helper_threads(monkeypatch):
+    """Record each thread started during one test, with two CPUs visible
+    so that two workers are usable on any host, and check at its end that
+    none of them is still running."""
+    started = []
+    start = threading.Thread.start
 
-    class CountingPool(prnu.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            spawns.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
 
-    monkeypatch.setattr(prnu, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    return spawns
+    yield started
+    assert not any(thread.is_alive() for thread in started)
 
 
 class CountingFft:

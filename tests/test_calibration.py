@@ -454,7 +454,7 @@ def test_calibrate_qp_end_to_end(camera_setup):
     assert all_blocks.scheme == "qp_all"
 
 
-def test_calibrate_qp_worker_invariance(camera_setup, pool_spawns,
+def test_calibrate_qp_worker_invariance(camera_setup, helper_threads,
                                        tmp_path):
     model, clean, reference = camera_setup
     videos = [video_at_qp(model, clean, 15, 33),
@@ -467,7 +467,8 @@ def test_calibrate_qp_worker_invariance(camera_setup, pool_spawns,
         table.save(path)
         outputs.append((path.read_bytes(), report))
     assert outputs[0] == outputs[1]
-    assert pool_spawns == [2]  # one per call, none at 1
+    # one helper thread at 2 workers, none at 1
+    assert len(helper_threads) == 1
 
 
 def test_calibrate_qp_raises_the_first_error_before_the_next_video(
@@ -480,11 +481,12 @@ def test_calibrate_qp_raises_the_first_error_before_the_next_video(
     extracted = []
     real = prnu.extract_residual
     monkeypatch.setattr(prnu, "extract_residual",
-                        lambda luma, config: extracted.append(luma)
-                        or real(luma, config))
+                        lambda luma, config, spread: extracted.append(luma)
+                        or real(luma, config, spread))
     with pytest.raises(AllMaskedOut):
         calibrate_qp([skipped, video], {"cam": reference}, include_skip=False)
-    assert len(extracted) == len(skipped.pictures)
+    # the first video's planes, a stacked part at a time, and no more
+    assert sum(map(len, extracted)) == len(skipped.pictures)
 
 
 def test_calibrate_qp_input_checks(camera_setup):
@@ -504,7 +506,7 @@ def test_calibrate_qp_checks_every_condition_before_extracting(
     bare = Video(video.pictures, video.trace, "cam")
     extracted = []
     monkeypatch.setattr(prnu, "extract_residual",
-                        lambda pic, config: extracted.append(pic))
+                        lambda pic, config, spread: extracted.append(pic))
     with pytest.raises(InsufficientData, match="no fixed-QP condition"):
         calibrate_qp([video, bare], {"cam": reference}, include_skip=False)
     at_30 = Video(video.pictures, video.trace, "cam", qp=30)
@@ -550,7 +552,7 @@ def test_calibrate_lambda_rate_end_to_end(camera_setup):
         calibrate_lambda_rate(videos, {}, n_buckets=3)
 
 
-def test_calibrate_lambda_rate_worker_invariance(camera_setup, pool_spawns,
+def test_calibrate_lambda_rate_worker_invariance(camera_setup, helper_threads,
                                                  tmp_path):
     model, clean, reference = camera_setup
     videos = [video_at_qp(model, clean, 10, 36),
@@ -563,7 +565,8 @@ def test_calibrate_lambda_rate_worker_invariance(camera_setup, pool_spawns,
         table.save(path)
         outputs.append((path.read_bytes(), report))
     assert outputs[0] == outputs[1]
-    assert pool_spawns == [2]  # one per call, none at 1
+    # one helper thread at 2 workers, none at 1
+    assert len(helper_threads) == 1
 
 
 def test_calibrate_lambda_rate_transforms_each_reference_once_per_video(

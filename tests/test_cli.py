@@ -227,6 +227,36 @@ def test_out_of_domain_values_exit_2(sim, tmp_path, capsys):
     assert not (tmp_path / "x.bpf").exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("calibrate", ("--mode", "qp", "--exclusion", 4), "exclusion"),
+    ("calibrate", ("--mode", "qp", "--noise-var", 0), "noise variance"),
+    ("calibrate", ("--mode", "qp", "--workers", 0), "workers"),
+    ("evaluate", ("--schemes", "conventional", "--exclusion", 4),
+     "exclusion"),
+    ("estimate", ("--noise-var", 0), "noise variance"),
+])
+def test_bad_flags_exit_2_before_any_input_is_read(tmp_path, capsys, command,
+                                                   flags, message):
+    # every input named is missing, which would exit 3 if it were read
+    manifest = tmp_path / "videos.csv"
+    manifest.write_text("v,cam,missing.yuv,missing.trace\n"
+                        if command == "evaluate"
+                        else "cam,missing.yuv,missing.trace,15\n")
+    inputs = {
+        "calibrate": ("--manifest", manifest, "--references", tmp_path,
+                      "--out", tmp_path / "t.wt"),
+        "evaluate": ("--manifest", manifest, "--references", tmp_path,
+                     "--out-prefix", tmp_path / "grid"),
+        "estimate": ("--frames", tmp_path / "missing.yuv", "--trace",
+                     tmp_path / "missing.trace", "--scheme", "conventional",
+                     "--out", tmp_path / "x.bpf"),
+    }
+    capsys.readouterr()
+    assert run(command, *inputs[command], *flags) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["videos.csv"]
+
+
 def test_degenerate_inputs_exit_4(tmp_path):
     flat = np.full((4, 64, 64), 128, dtype=np.uint8)
     write_yuv420(flat, tmp_path / "flat.yuv")
@@ -407,12 +437,12 @@ def test_calibrate_empty_qp_field_exit_3(calib, tmp_path, capsys,
 
 @pytest.fixture
 def extractions(monkeypatch):
-    """Planes handed to extract_residual (run in-process: --workers 1)."""
+    """Stacked parts handed to extract_residual (run in-process)."""
     planes = []
     real = prnu.extract_residual
     monkeypatch.setattr(prnu, "extract_residual",
-                        lambda luma, config: planes.append(luma)
-                        or real(luma, config))
+                        lambda luma, config, spread: planes.append(luma)
+                        or real(luma, config, spread))
     return planes
 
 
@@ -516,10 +546,10 @@ def test_evaluate_cli(calib, calib_tables):
 
 
 def test_small_frame_commands_fork_no_pool(sim, calib, calib_tables,
-                                           tmp_path, pool_spawns):
-    # 64x64 frames are smaller than a pool task: at --workers 2 each
-    # command extracts them in stacked runs on one thread pool, forks no
-    # process and writes the bytes --workers 1 writes
+                                           tmp_path, helper_threads):
+    # 64x64 frames are smaller than a part: at --workers 2 each command
+    # extracts them in stacked runs on its own thread and one helper
+    # thread, forks no process and writes the bytes --workers 1 writes
     root, manifest, refs = calib
     videos = root / "eval_workers.csv"
     videos.write_text("v15,cam,v15.yuv,v15.trace\n"
@@ -550,11 +580,14 @@ def test_small_frame_commands_fork_no_pool(sim, calib, calib_tables,
         for workers in (1, 2):
             out = tmp_path / f"{name}-{workers}"
             out.mkdir()
+            started = len(helper_threads)
             assert run(*argv(out), "--workers", workers) == 0, name
+            # no thread at one worker, one helper at two, however many
+            # videos the command reads, and none outlives the command
+            assert len(helper_threads) - started == workers - 1, name
+            assert not any(t.is_alive() for t in helper_threads), name
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] and outputs[0] == outputs[1], name
-    # one pool per command, however many videos it reads
-    assert pool_spawns == [2] * len(commands)
 
 
 def test_evaluate_duplicate_video_id_exit_3_before_extracting(

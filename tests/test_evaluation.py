@@ -98,9 +98,10 @@ def test_run_grid_all_schemes(eval_setup):
     assert grid.cells[("v0", "qp_all")].pce == pytest.approx(conv, rel=1e-9)
 
 
-def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
+def test_run_grid_cells_equal_per_cell_estimates(eval_setup,
+                                                 helper_threads):
     # residuals are shared across schemes and videos come through one
-    # pool, yet every cell is exactly what a lone estimate would give
+    # extractor, whose pool starts one helper thread, yet every cell is exactly what a lone estimate would give
     video, references = eval_setup
     twin = Video(video.pictures, video.trace, "cam", "v1")
     configs = [
@@ -110,7 +111,7 @@ def test_run_grid_cells_equal_per_cell_estimates(eval_setup, pool_spawns):
         SchemeConfig("lambda_r", neutral_lr_table()),
     ]
     grid = run_grid([video, twin], configs, references, workers=2)
-    assert pool_spawns == [2]
+    assert len(helper_threads) == 1
     for config in configs:
         fp = estimate_fingerprint(video.pictures, video.trace, config)
         expected = pce(fp, references["cam"])

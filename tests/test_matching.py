@@ -4,9 +4,7 @@ import itertools
 import os
 import re
 import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -657,37 +655,34 @@ def test_batch_match_threads_under_fast_switching(workers):
         sys.setswitchinterval(interval)
 
 
-def test_batch_match_worker_count(monkeypatch):
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(matching, "ThreadPoolExecutor", RecordingPool)
+def test_batch_match_worker_count(monkeypatch, helper_threads):
     monkeypatch.delenv("BLOCKPRNU_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
                         raising=False)
     tests = [unit_noise((24, 30), 90 + i) for i in range(5)]
     refs = [np.roll(tests[1], (3, 4), axis=(0, 1)), unit_noise((24, 30), 99)]
-    threads = threading.active_count()
 
-    expected = batch_match(tests, refs)
-    assert pools == [3]                         # the affinity mask
+    def started(*args):
+        """batch_match's matrix and the threads it started, none of which
+        outlives the call."""
+        before = len(helper_threads)
+        matrix = batch_match(*args)
+        assert not any(t.is_alive() for t in helper_threads)
+        return matrix, len(helper_threads) - before
+
+    # 3 workers from the affinity mask: the calling thread and at most 2
+    # helpers, of which the first part's submit always starts one
+    expected, threads = started(tests, refs)
+    assert 1 <= threads <= 2
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "1")
-    assert batch_match(tests, refs) == expected
-    assert pools == [3]                         # one worker runs inline
+    assert started(tests, refs) == (expected, 0)     # none at one worker
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "2")
-    assert batch_match(tests, refs) == expected
-    assert pools == [3, 2]
+    assert started(tests, refs) == (expected, 1)
     # no more threads than usable CPUs, nor than rows, are started
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "9")
-    assert batch_match((t for t in tests), iter(refs)) == expected
-    assert pools == [3, 2, 3]
-    assert batch_match(tests[:2], refs) == expected[:2]
-    assert pools == [3, 2, 3, 2]
-    assert threading.active_count() == threads  # no thread outlives a call
+    matrix, threads = started((t for t in tests), iter(refs))
+    assert matrix == expected and 1 <= threads <= 2
+    assert started(tests[:2], refs) == (expected[:2], 1)
 
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "0")
     with pytest.raises(ConfigError):
@@ -695,24 +690,16 @@ def test_batch_match_worker_count(monkeypatch):
 
 
 def test_every_parallel_section_is_capped_at_the_usable_cpus(monkeypatch,
-                                                             pool_spawns):
-    # BLOCKPRNU_WORKERS=8 on the 2 CPUs pool_spawns shows: the residual
-    # pool and the matching threads are both built for 2, so batch_match
-    # holds 2 workspaces, not 8
+                                                             helper_threads):
+    # BLOCKPRNU_WORKERS=8 on the 2 CPUs helper_threads shows: residual
+    # extraction and matching each start one helper thread beside the
+    # calling one, so batch_match holds 2 workspaces, not 8
     monkeypatch.setenv("BLOCKPRNU_WORKERS", "8")
     pictures = np.random.default_rng(7).integers(20, 230, size=(4, 32, 32),
                                                  dtype=np.uint8)
     estimate_fingerprint(pictures, None, SchemeConfig("conventional"),
                          workers=resolve_workers())
-    assert pool_spawns == [2]
-    threads = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            threads.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(matching, "ThreadPoolExecutor", RecordingPool)
+    assert len(helper_threads) == 1
     h, w = 256, 256
     tests = [unit_noise((h, w), 200 + i) for i in range(8)]
     refs = [unit_noise((h, w), 300)]
@@ -724,7 +711,7 @@ def test_every_parallel_section_is_capped_at_the_usable_cpus(monkeypatch,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert threads == [2]
+    assert len(helper_threads) == 2
     assert peak < spectrum + 3 * workspace, peak
 
 

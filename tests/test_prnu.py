@@ -206,7 +206,7 @@ def test_estimate_fingerprint_argument_checks(monkeypatch):
     pics = np.full((1, 32, 32), 100, dtype=np.uint8)
     extracted = []
     monkeypatch.setattr(prnu, "extract_residual",
-                        lambda luma, config: extracted.append(luma))
+                        lambda luma, config, spread: extracted.append(luma))
     varied = np.random.default_rng(7).integers(20, 230, size=(5, 32, 32),
                                                dtype=np.uint8)
     for floor in (-1.0, 0.0, float("nan")):
@@ -398,7 +398,7 @@ def test_missing_qp_is_raised_before_any_frame_is_accumulated(monkeypatch):
 def test_stack_trace_and_table_are_checked_before_any_extraction(monkeypatch):
     extracted = []
     monkeypatch.setattr(prnu, "extract_residual",
-                        lambda luma, config: extracted.append(luma))
+                        lambda luma, config, spread: extracted.append(luma))
     conventional = SchemeConfig("conventional")
     with pytest.raises(DimensionMismatch, match="2-D"):
         estimate_fingerprint(np.zeros((32, 32), np.uint8), None, conventional)
@@ -419,7 +419,7 @@ def test_grid_and_calibrations_refuse_a_bad_video_before_extracting(
         monkeypatch):
     extracted = []
     monkeypatch.setattr(prnu, "extract_residual",
-                        lambda luma, config: extracted.append(luma))
+                        lambda luma, config, spread: extracted.append(luma))
     conventional = SchemeConfig("conventional")
     references = {"cam": Fingerprint(k_values=np.ones((128, 128)),
                                      support=np.ones((128, 128), bool))}
@@ -462,45 +462,31 @@ class StreamWatch:
     """Wraps `residual_extractor` wherever a driver reads it. At each
     (luma, residual) pair the stream yields it records how many residual
     planes yielded so far are still alive, counting every plane of a
-    task's stacked result while any of them is held, and how many pixels
-    the pools have been handed beyond the frame yielded."""
+    part's stacked result while any of them is held."""
 
     def __init__(self, monkeypatch):
-        self.yielded = self.alive = self.ahead = self.submitted = 0
-        watch, real = self, prnu.residual_extractor
-
-        def counting(base):
-            class CountingPool(base):
-                def submit(self, job, planes):
-                    watch.submitted += len(planes)
-                    watch.pixels = planes[0].size
-                    return super().submit(job, planes)
-            return CountingPool
+        self.yielded = self.alive = 0
+        real = prnu.residual_extractor
 
         @contextmanager
         def watched(*args, **kwargs):
             with real(*args, **kwargs) as extract:
                 yield lambda pictures: self._stream(extract(pictures))
 
-        monkeypatch.setattr(prnu, "ThreadPoolExecutor",
-                            counting(prnu.ThreadPoolExecutor))
         for module in (prnu, evaluation):
             monkeypatch.setattr(module, "residual_extractor", watched)
 
     def _stream(self, frames):
-        tasks = []
+        parts = []
         for luma, residual in frames:
-            task = residual if residual.base is None else residual.base
-            if not any(ref() is task for ref in tasks):
-                tasks.append(weakref.ref(task))
+            part = residual if residual.base is None else residual.base
+            if not any(ref() is part for ref in parts):
+                parts.append(weakref.ref(part))
             self.yielded += 1
-            held = [ref() for ref in tasks]
-            self.alive = max(self.alive, sum(t.size for t in held
-                                             if t is not None) // luma.size)
-            del task, held
-            if self.submitted:
-                self.ahead = max(self.ahead, (self.submitted - self.yielded)
-                                 * self.pixels)
+            held = [ref() for ref in parts]
+            self.alive = max(self.alive, sum(p.size for p in held
+                                             if p is not None) // luma.size)
+            del part, held
             yield luma, residual
 
 
@@ -520,12 +506,12 @@ def _random_video(frames):
 @pytest.mark.parametrize("frames", [4, 16])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
-                                                    frames):
-    # 32x32 frames go to threads in runs of at most 2 frames here: once a
-    # run's frames are used no driver holds its residuals, and at most
-    # `workers` runs are pending beyond the one being read
+                                                    frames, helper_threads):
+    # 32x32 frames come in parts of 2 frames here, and runs of `workers`
+    # parts: once a run's frames are used no driver holds its residuals,
+    # so at most one run of residuals is alive
     monkeypatch.setattr(prnu, "TASK_PIXELS", 2 * 32 * 32)
-    run_frames = 1 if workers == 1 else min(2, -(-frames // workers))
+    run_frames = 2 * workers
     pictures, trace, references = _random_video(frames)
     schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
     drivers = {
@@ -543,23 +529,31 @@ def test_drivers_hold_a_bounded_number_of_residuals(monkeypatch, workers,
             watch = StreamWatch(patch)
             run()
         assert watch.yielded == frames, name
-        assert watch.alive <= run_frames, name
-        assert watch.ahead <= ((workers + 1) * run_frames - 1) * 32 * 32, name
+        assert 0 < watch.alive <= run_frames, name
 
 
-def test_no_driver_holds_a_residual_while_the_next_is_extracted(monkeypatch):
-    # one worker: each frame is extracted as the driver asks for it, and
-    # by then every earlier residual has been used and dropped
+def test_no_driver_holds_a_residual_while_the_next_is_extracted(
+        monkeypatch, helper_threads):
+    # 32x32 frames below a TASK_PIXELS of one frame and a pixel come in
+    # parts of one frame and runs of `workers` parts: when any part of a
+    # run is extracted, every residual of the runs before it has been used
+    # and dropped, at one worker and at two
+    monkeypatch.setattr(prnu, "TASK_PIXELS", 32 * 32 + 1)
     frames = 4
     pictures, trace, references = _random_video(frames)
+    index = {plane.tobytes(): i for i, plane in enumerate(pictures)}
     schemes = [SchemeConfig("conventional"), SchemeConfig("skip_eliminate")]
-    residuals, alive = [], []
+    residuals, alive, lock = [], [], threading.Lock()
     real = prnu.extract_residual
 
-    def watched(luma, config):
-        alive.append(sum(ref() is not None for ref in residuals))
-        residual = real(luma, config=config)
-        residuals.append(weakref.ref(residual))
+    def watched(luma, config, spread):
+        [run] = {index[plane.tobytes()] // workers for plane in luma}
+        with lock:
+            alive.append(sum(ref() is not None for earlier, ref in residuals
+                             if earlier < run))
+        residual = real(luma, config, spread)
+        with lock:
+            residuals.append((run, weakref.ref(residual)))
         return residual
 
     monkeypatch.setattr(prnu, "extract_residual", watched)
@@ -569,19 +563,23 @@ def test_no_driver_holds_a_residual_while_the_next_is_extracted(monkeypatch):
 
     drivers = {
         "estimate_fingerprint": lambda: estimate_fingerprint(
-            pictures, trace, schemes[0], workers=1),
+            pictures, trace, schemes[0], workers=workers),
         "run_grid": lambda: run_grid(videos(), schemes, references,
-                                     workers=1),
+                                     workers=workers),
         "calibrate_qp": lambda: calibrate_qp(videos(), references,
-                                             include_skip=False, workers=1),
+                                             include_skip=False,
+                                             workers=workers),
         "calibrate_lambda_rate": lambda: calibrate_lambda_rate(
-            videos(), references, n_buckets=1, workers=1),
+            videos(), references, n_buckets=1, workers=workers),
     }
-    for name, run in drivers.items():
-        residuals.clear()
-        alive.clear()
-        run()
-        assert alive == [0] * frames, name
+    for workers in (1, 2):
+        for name, run in drivers.items():
+            residuals.clear()
+            alive.clear()
+            run()
+            assert alive == [0] * frames, (name, workers)
+        # one helper thread a call at two workers, none at one
+        assert len(helper_threads) == (workers - 1) * len(drivers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -709,21 +707,13 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-class Deferred:
-    def __init__(self, fn, args):
-        self.fn, self.args = fn, args
-
-    def result(self):
-        return self.fn(*self.args)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_estimate_memory_does_not_grow_with_video_length(tmp_path, workers,
-                                                         pool_spawns):
-    # at 512x512 a frame is TASK_PIXELS, so at 2 workers each frame is
-    # extracted in this thread, its strips shared with one pool task, and
-    # one residual is alive at a time however long the video; a float64
-    # plane is 2 MiB
+                                                         helper_threads):
+    # at 512x512 a frame is TASK_PIXELS, so each frame is a run of its own,
+    # extracted in this thread with its strips shared with one helper at 2
+    # workers, and one residual is alive at a time however long the video;
+    # a float64 plane is 2 MiB
     assert 512 * 512 == prnu.TASK_PIXELS
     conventional = SchemeConfig("conventional")
     peaks = {}
@@ -733,71 +723,44 @@ def test_estimate_memory_does_not_grow_with_video_length(tmp_path, workers,
             read_yuv420(path, 512, 512), None, conventional,
             workers=workers))
     assert abs(peaks[24] - peaks[4]) < 512 * 512 * 8, peaks
-    assert pool_spawns == [2] * (2 if workers == 2 else 0)
-
-
-class PoolLog:
-    """`pool` stands in for the thread pool class: it records each pool
-    built, the planes of each task and how many tasks were pending when it
-    was submitted. A task runs in the caller when its result is read."""
-
-    def __init__(self):
-        self.built, self.sizes, self.pending, self.read = [], [], [], []
-        log = self
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                log.built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, planes):
-                log.sizes.append(len(planes))
-                log.pending.append(len(log.sizes) - len(log.read))
-
-                def run():
-                    log.read.append(planes)
-                    return fn(planes)
-                return Deferred(run, ())
-
-        self.pool = RecordingPool
+    # one helper thread a call at two workers, none at one
+    assert len(helper_threads) == (2 if workers == 2 else 0)
 
 
 @pytest.mark.parametrize("cpus", [{0, 1}, {3}])
-def test_residual_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
-    # 64 workers asked for on 2 usable CPUs build a thread pool of 2, and
-    # its runs and pending window follow from 2; on one CPU the residuals
-    # are extracted inline
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
-                        raising=False)
+def test_residual_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus,
+                                                    helper_threads):
+    # 64 workers asked for on 2 usable CPUs are 2: parts of 2^18 pixels and
+    # at most 24 / 2 frames, or of the 3 frames a smaller TASK_PIXELS
+    # allows, and one helper thread. On one CPU no thread starts. The
+    # residuals are those of one worker either way
     pictures = np.random.default_rng(49).integers(20, 230, size=(24, 32, 32),
                                                   dtype=np.uint8)
     with prnu.residual_extractor(workers=1) as extract:
         expected = list(extract(pictures))
-    for task_pixels, runs in ((prnu.TASK_PIXELS, [12, 12]),
-                              (3 * 32 * 32, [3] * 8)):
-        log = PoolLog()
-        monkeypatch.setattr(prnu, "ThreadPoolExecutor", log.pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    parts = []
+    real = prnu.extract_residual
+
+    def recorded(luma, config, spread):
+        parts.append(len(luma))
+        return real(luma, config, spread)
+
+    monkeypatch.setattr(prnu, "extract_residual", recorded)
+    two = len(cpus) == 2
+    for task_pixels, sizes in ((prnu.TASK_PIXELS, [12, 12] if two else [24]),
+                               (3 * 32 * 32, [3] * 8)):
         monkeypatch.setattr(prnu, "TASK_PIXELS", task_pixels)
+        parts.clear()
         with prnu.residual_extractor(workers=64) as extract:
             got = list(extract(pictures))
+        assert parts == sizes
         assert len(got) == len(expected) == 24
         for (luma, residual), (want_luma, want) in zip(got, expected):
             assert np.array_equal(luma, want_luma)
             assert residual.tobytes() == want.tobytes()
-        if len(cpus) == 1:
-            assert log.built == log.sizes == []
-        else:
-            # runs of 2^18 pixels, at most 24 / 2 frames each, or of the
-            # 3 frames a smaller TASK_PIXELS allows; at most 2 runs
-            # pending beyond the one being read
-            assert log.built == [2]
-            assert log.sizes == runs
-            assert max(log.pending) == min(len(runs), 2 + 1)
+    assert len(helper_threads) == (2 if two else 0)
 
 
 def test_spread_computes_each_item_once_on_the_caller_and_its_helpers():

@@ -156,34 +156,30 @@ def test_analysis_commands_run_without_scipy(tmp_path):
 
 
 # Runs `python -m blockprnu.cli ARGS` with 2 CPUs visible, then prints its
-# exit code, the residual thread pools it built, the forks it made, the
-# process-pool modules it loaded and the peak RSS of any child it reaped.
+# exit code, the threads it started, those of them still running, the forks
+# it made, the process-pool modules it loaded and the peak RSS of any child
+# it reaped.
 NO_FORK_RUN = """
-import os, resource, sys
+import os, resource, sys, threading
 os.sched_getaffinity = lambda pid: {0, 1}
-forks, pools = [], []
+forks, started = [], []
 os.register_at_fork(before=lambda: forks.append(1))
-from blockprnu import prnu
+start = threading.Thread.start
+threading.Thread.start = lambda thread: started.append(thread) or start(thread)
 from blockprnu.cli import main
 
-class Pool(prnu.ThreadPoolExecutor):
-    def __init__(self, max_workers):
-        pools.append(max_workers)
-        super().__init__(max_workers)
-
-prnu.ThreadPoolExecutor = Pool
 code = main(sys.argv[1:])
 loaded = [m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
           or m == "concurrent.futures.process"]
-print(code, pools, forks, loaded,
-      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(code, len(started), [t for t in started if t.is_alive()], forks,
+      loaded, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
 def test_small_frame_evaluate_imports_no_multiprocessing(tmp_path):
     # with 2 CPUs visible, `evaluate --workers 2` extracts 32x32 frames in
-    # stacked runs on one thread pool, so nothing is forked and
-    # multiprocessing stays unimported
+    # stacked parts on its own thread and one helper thread, so nothing is
+    # forked, multiprocessing stays unimported and no thread outlives it
     t = str(tmp_path)
     assert main(["simulate", "--width", "32", "--height", "32", "--frames",
                  "6", "--seed", "5", "--qp", "18",
@@ -196,16 +192,16 @@ def test_small_frame_evaluate_imports_no_multiprocessing(tmp_path):
                   "--references", f"{t}/refs", "--schemes",
                   "conventional,skip_eliminate", "--out-prefix", f"{t}/grid",
                   "--workers", "2")
-    assert out.strip() == "0 [2] [] [] 0"
+    assert out.strip() == "0 1 [] [] [] 0"
     assert (tmp_path / "grid.cells.csv").stat().st_size > 0
 
 
 def test_720p_estimate_forks_nothing_and_writes_the_one_worker_bytes(
         tmp_path):
     # with 2 CPUs visible, `estimate --workers 2` extracts each 720p frame
-    # in the command's own thread, with its strips of rows on one pool of
-    # 2 threads: nothing is forked, multiprocessing stays unimported, and
-    # the print and its sidecar are the bytes `--workers 1` writes
+    # in the command's own thread, sharing its strips of rows with one
+    # helper thread: nothing is forked, multiprocessing stays unimported,
+    # and the print and its sidecar are the bytes `--workers 1` writes
     t = str(tmp_path)
     assert main(["simulate", "--width", "1280", "--height", "720",
                  "--frames", "2", "--seed", "7", "--qp", "24",
@@ -215,7 +211,7 @@ def test_720p_estimate_forks_nothing_and_writes_the_one_worker_bytes(
                 "cam", "--out"]
     assert main(estimate + [f"{t}/w1/cam.bpf", "--workers", "1"]) == 0
     out = _python(NO_FORK_RUN, *estimate, f"{t}/w2/cam.bpf", "--workers", "2")
-    assert out.strip() == "0 [2] [] [] 0"
+    assert out.strip() == "0 1 [] [] [] 0"
     for name in ("cam.bpf", "cam.bpf.json"):
         assert ((tmp_path / "w1" / name).read_bytes()
                 == (tmp_path / "w2" / name).read_bytes())

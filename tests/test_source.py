@@ -325,3 +325,35 @@ def test_hand_block_layouts_finds_macroblock_reshapes_and_repeats():
 def test_block_views_go_through_trace_blocks(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert hand_block_layouts(tree) == []
+
+
+def pool_calls(tree: ast.AST) -> list[str]:
+    """Calls of a `submit` or `map` attribute, as on an executor, outside
+    any function named `_spread`, by name and line in source order: work
+    handed to threads other than through the one helper."""
+    found = []
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "_spread":
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("submit", "map")):
+            found.append((node.lineno, node.func.attr))
+        todo.extend(ast.iter_child_nodes(node))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_pool_calls_finds_submit_and_map_outside_spread():
+    tree = ast.parse(
+        "def _spread(pool, fn, items):\n    return pool.submit(fn)\n"
+        "def rows(pool):\n    list(pool.map(f, range(2)))\n"
+        "    executor.submit(g).result()\n    map(f, range(2))\n"
+        "    _spread(pool, f, [1])\n")
+    assert pool_calls(tree) == ["map (line 4)", "submit (line 5)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_threads_share_work_only_through_spread(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert pool_calls(tree) == []
