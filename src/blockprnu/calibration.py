@@ -173,13 +173,18 @@ def build_qp_table(runs: Sequence[CalibrationRun],
     return table, report
 
 
+def check_buckets(n_buckets: int) -> None:
+    """ConfigError unless there is at least one lambda*rate bucket."""
+    if n_buckets < 1:
+        raise ConfigError(f"need at least one bucket, got {n_buckets}")
+
+
 def quantile_bucket_edges(values: Sequence[float], n_buckets: int = 20) -> np.ndarray:
     """Equal-population bucket edges (length n_buckets + 1)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise InsufficientData("no values to bucket")
-    if n_buckets < 1:
-        raise ConfigError(f"need at least one bucket, got {n_buckets}")
+    check_buckets(n_buckets)
     return np.quantile(values, np.linspace(0.0, 1.0, n_buckets + 1))
 
 
@@ -281,8 +286,7 @@ def calibrate_lambda_rate(videos: Sequence[Video],
     camera (InsufficientData) and at least 2 frames (InsufficientFrames),
     checked before any extraction.
     """
-    if n_buckets < 1:
-        raise ConfigError(f"need at least one bucket, got {n_buckets}")
+    check_buckets(n_buckets)
     require_inputs(videos, references, traced=True)
     for video in videos:
         _splice_frames(video.trace)

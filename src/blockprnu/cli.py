@@ -15,21 +15,22 @@ import hashlib
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .bitstream import load_trace, save_trace
-from .calibration import calibrate_lambda_rate, calibrate_qp
+from .calibration import calibrate_lambda_rate, calibrate_qp, check_buckets
 from .errors import (BlockPrnuError, ConfigError, DimensionMismatch,
-                     InputError, SchemaError, decode_text)
-from .evaluation import (BPP_GROUP_EDGES, format_ratio,
+                     EmptyInput, InputError, SchemaError, decode_text)
+from .evaluation import (BPP_GROUP_EDGES, check_grid, format_ratio,
                          group_labels_for_edges, improvement_ratios,
-                         run_grid, scheme_mean_pce, threshold_table)
+                         run_grid, scheme_means, threshold_table)
 from .matching import (DEFAULT_THRESHOLD, PceConfig, format_report_records,
                        pce)
 from .noise import DenoiseConfig, read_yuv420, write_yuv420
-from .prnu import (Fingerprint, Video, estimate_fingerprint,
+from .prnu import (Fingerprint, Video, check_floor, estimate_fingerprint,
                    read_fingerprint, resolve_workers, write_fingerprint)
 from .trace import BLOCK_TYPES, bits_per_pixel, skipped_block_rate
 from .weighting import ALL_SCHEMES, SchemeConfig, WeightTable
@@ -126,15 +127,11 @@ def _load_references(directory: str, camera_ids) -> dict[str, Fingerprint]:
     return refs
 
 
-def _scheme_config(parser: argparse.ArgumentParser, scheme: str,
-                   path: str | None) -> SchemeConfig:
+def _scheme_config(scheme: str, path: str | None) -> SchemeConfig:
     """The scheme with the table at `path`; an unknown scheme, or a table
-    missing or given where the scheme takes none, is a usage error."""
+    missing or given where the scheme takes none, is a ConfigError."""
     table = None if path is None else WeightTable.load(path)
-    try:
-        config = SchemeConfig(scheme, table)
-    except ConfigError as exc:
-        parser.error(str(exc))
+    config = SchemeConfig(scheme, table)
     if table is not None and table.scheme != scheme:
         raise SchemaError(f"{path} holds a {table.scheme} table, "
                           f"not {scheme}")
@@ -163,15 +160,16 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def cmd_estimate(args, parser) -> int:
+def cmd_estimate(args) -> int:
     source_id = args.source_id if args.source_id else Path(args.out).stem
     try:
         source_id.encode("utf-8")
     except UnicodeEncodeError as exc:   # undecodable bytes in the argument
         raise ConfigError(f"source id {source_id!r} is not UTF-8 text") from exc
-    scheme = _scheme_config(parser, args.scheme, args.table)
+    check_floor(args.floor)
     denoise = _denoise_config(args)
     workers = resolve_workers(args.workers)
+    scheme = _scheme_config(args.scheme, args.table)
     video = _load_video(args.frames, args.trace)
     fp = estimate_fingerprint(video.pictures, video.trace, scheme,
                               denoise_config=denoise,
@@ -248,45 +246,35 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    denoise = _denoise_config(args)
-    pce_config = _pce_config(args)
-    workers = resolve_workers(args.workers)
+    settings = dict(include_skip=args.include_skip,
+                    denoise_config=_denoise_config(args),
+                    pce_config=_pce_config(args),
+                    workers=resolve_workers(args.workers))
+    fields = ("camera_id", "frames_path", "trace_path")
     if args.mode == "qp":
-        rows = _read_manifest(args.manifest,
-                              ("camera_id", "frames_path", "trace_path", "qp"))
+        fields, optional = (*fields, "qp"), ()
+        calibrate = partial(calibrate_qp, **settings)
     else:
-        rows = _read_manifest(args.manifest,
-                              ("camera_id", "frames_path", "trace_path"),
-                              optional=("qp",))
+        check_buckets(args.buckets)
+        optional = ("qp",)
+        calibrate = partial(calibrate_lambda_rate, n_buckets=args.buckets,
+                            **settings)
+    rows = _read_manifest(args.manifest, fields, optional)
     videos = [_load_video(**row) for row in rows]
     references = _load_references(args.references,
                                   (v.camera_id for v in videos))
-    if args.mode == "qp":
-        table, report = calibrate_qp(videos, references,
-                                     include_skip=args.include_skip,
-                                     denoise_config=denoise,
-                                     pce_config=pce_config,
-                                     workers=workers)
-    else:
-        table, report = calibrate_lambda_rate(videos, references,
-                                              n_buckets=args.buckets,
-                                              include_skip=args.include_skip,
-                                              denoise_config=denoise,
-                                              pce_config=pce_config,
-                                              workers=workers)
+    table, report = calibrate(videos, references)
     table.save(_outpath(args.out))
     if args.report:
         _outpath(args.report).write_text("\n".join(report) + "\n")
     return 0
 
 
-def cmd_evaluate(args, parser) -> int:
+def cmd_evaluate(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
-        parser.error("no schemes requested")
-    # a table scheme reads its table from its --<scheme>-table option
-    configs = [_scheme_config(parser, s, getattr(args, f"{s}_table", None))
-               for s in schemes]
+        raise ConfigError("no schemes requested")
+    check_grid(schemes, args.threshold)
     try:
         edges = tuple(float(e) for e in args.edges.split(","))
     except ValueError as exc:
@@ -296,6 +284,9 @@ def cmd_evaluate(args, parser) -> int:
     denoise = _denoise_config(args)
     pce_config = _pce_config(args)
     workers = resolve_workers(args.workers)
+    # a table scheme reads its table from its --<scheme>-table option
+    configs = [_scheme_config(s, getattr(args, f"{s}_table", None))
+               for s in schemes]
 
     rows = _read_manifest(args.manifest,
                           ("video_id", "camera_id", "frames_path",
@@ -318,10 +309,13 @@ def cmd_evaluate(args, parser) -> int:
         cell_lines += format_report_records(matrix, [vid], grid.schemes)
     Path(f"{prefix}.cells.csv").write_text("\n".join(cell_lines) + "\n")
 
-    means = scheme_mean_pce(grid)
+    means = scheme_means(grid)
     mean_lines = [f"{s},{means[s]!r}" for s in grid.schemes]
     if "conventional" in means:
-        ratios = improvement_ratios(means)
+        try:
+            ratios = improvement_ratios(means)
+        except EmptyInput:      # the baseline mean is nan or not positive
+            ratios = dict.fromkeys(means, np.nan)
         mean_lines += [f"ratio_{s},{format_ratio(ratios[s])}"
                        for s in grid.schemes]
     Path(f"{prefix}.means.txt").write_text("\n".join(mean_lines) + "\n")
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                 "next to it")
     _add_denoise_flags(p)
     _add_workers_flag(p)
-    p.set_defaults(func=lambda a: cmd_estimate(a, parser))
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("match", help="PCE match one fingerprint against "
                                      "another")
@@ -466,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_denoise_flags(p)
     _add_match_flags(p)
     _add_workers_flag(p)
-    p.set_defaults(func=lambda a: cmd_evaluate(a, parser))
+    p.set_defaults(func=cmd_evaluate)
 
     return parser
 

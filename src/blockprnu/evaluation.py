@@ -52,10 +52,8 @@ def run_grid(videos: Sequence[Video],
     matches them against one transform of the camera reference. A failing
     cell stores its error and the rest of the grid proceeds.
     """
-    check_threshold(threshold)
     schemes = [c.scheme for c in scheme_configs]
-    if len(set(schemes)) != len(schemes):
-        raise ConfigError("duplicate schemes in grid")
+    check_grid(schemes, threshold)
     ids = [v.video_id for v in videos]
     for i, vid in enumerate(ids):
         if vid in ids[:i]:
@@ -80,6 +78,13 @@ def run_grid(videos: Sequence[Video],
     return grid
 
 
+def check_grid(schemes: Sequence[str], threshold: float) -> None:
+    """ConfigError for a NaN threshold or a repeated scheme in a grid."""
+    check_threshold(threshold)
+    if len(set(schemes)) != len(schemes):
+        raise ConfigError("duplicate schemes in grid")
+
+
 def match_videos(videos: Sequence[Video], references: dict[str, Fingerprint],
                  planes, denoise_config: DenoiseConfig, pce_config: PceConfig,
                  threshold: float = DEFAULT_THRESHOLD, workers: int = 1):
@@ -91,7 +96,7 @@ def match_videos(videos: Sequence[Video], references: dict[str, Fingerprint],
     BlockPrnuError) pairs; every plane is matched against one transform
     of the camera's reference. Yields (video,
     [(key, MatchReport or the plane's or `pce`'s BlockPrnuError)]). The
-    extractor's pools shut down when the iteration ends or the generator
+    extractor's pool shuts down when the iteration ends or the generator
     is closed.
     """
     with residual_extractor(denoise_config, workers) as extract:
@@ -111,26 +116,37 @@ def _match(plane, reference, pce_config, threshold):
         return exc
 
 
-def scheme_mean_pce(grid: ExperimentGrid,
-                    video_ids: Sequence[str] | None = None) -> dict[str, float]:
-    """Mean PCE per scheme over (optionally a subset of) grid videos."""
+def scheme_means(grid: ExperimentGrid,
+                 video_ids: Sequence[str] | None = None) -> dict[str, float]:
+    """Mean PCE per scheme over (optionally a subset of) grid videos; nan
+    for a scheme without a successful cell."""
     ids = list(video_ids) if video_ids is not None else grid.video_ids
     out = {}
     for scheme in grid.schemes:
         values = [grid.cells[(vid, scheme)].pce for vid in ids
                   if isinstance(grid.cells.get((vid, scheme)), MatchReport)]
-        if not values:
-            raise EmptyInput(f"no successful cells for scheme {scheme}")
-        out[scheme] = float(np.mean(values))
+        out[scheme] = float(np.mean(values)) if values else np.nan
     return out
 
 
+def scheme_mean_pce(grid: ExperimentGrid,
+                    video_ids: Sequence[str] | None = None) -> dict[str, float]:
+    """`scheme_means`, or EmptyInput for the first scheme without a
+    successful cell."""
+    means = scheme_means(grid, video_ids)
+    for scheme, mean in means.items():
+        if np.isnan(mean):
+            raise EmptyInput(f"no successful cells for scheme {scheme}")
+    return means
+
+
 def improvement_ratios(mean_pces: dict[str, float]) -> dict[str, float]:
-    """Each scheme's mean PCE over that of `conventional`."""
+    """Each scheme's mean PCE over that of `conventional`, which must be
+    positive (EmptyInput)."""
     if "conventional" not in mean_pces:
         raise ConfigError("baseline conventional not in grid")
     base = mean_pces["conventional"]
-    if base <= 0:
+    if not base > 0:
         raise EmptyInput("baseline mean PCE is not positive")
     return {s: v / base for s, v in mean_pces.items()}
 

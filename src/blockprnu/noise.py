@@ -404,10 +404,14 @@ def extract_residual(luma: np.ndarray,
     return noise
 
 
+def unsaturated(luma: np.ndarray) -> np.ndarray:
+    """True where a sample is trustworthy, False where it is near-clipped."""
+    return (luma > SATURATION_LOW) & (luma < SATURATION_HIGH)
+
+
 def saturation_mask(luma: np.ndarray) -> np.ndarray:
-    """1.0 where the sample is trustworthy, 0.0 at clipped/near-clipped values."""
-    ok = (luma > SATURATION_LOW) & (luma < SATURATION_HIGH)
-    return ok.astype(np.float64)
+    """`unsaturated` as 1.0 and 0.0."""
+    return unsaturated(luma).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ threads. No caller holds a video's residuals or luma at once, nor one
 run's while the next is extracted. Nothing is forked, and no residual
 is pickled.
 
-Apart from those residuals, no frame-sized temporary is made while a
-video streams: a frame is added one strip of rows at a time. `finalize`
+Apart from those residuals and a copy of each frame's luma, made once for
+every scheme, a frame is added one strip of rows at a time. `finalize`
 then turns each scheme's sums into its fingerprint in place.
 """
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import (AllMaskedOut, BlockPrnuError, ConfigError,
                      DimensionMismatch, EmptyAccumulator, InsufficientData,
                      RangeError, SchemaError, decode_text)
-from .noise import DenoiseConfig, YuvLuma, extract_residual, saturation_mask
+from .noise import DenoiseConfig, YuvLuma, extract_residual, unsaturated
 from .trace import MACROBLOCK, QP_MAX, QP_MIN, TraceFile
 from .weighting import SCHEMES, SchemeConfig, build_mask, paint_blocks
 
@@ -166,7 +166,7 @@ def finalize(acc: FingerprintAccumulator,
             raise AllMaskedOut("denominator is zero everywhere")
         denominator_floor = DENOMINATOR_FLOOR_SCALE * float(nonzero.mean())
         del nonzero
-    _check_floor(denominator_floor)
+    check_floor(denominator_floor)
     support = den >= denominator_floor
     if not support.any():
         raise AllMaskedOut("no pixel cleared the denominator floor")
@@ -181,8 +181,9 @@ def finalize(acc: FingerprintAccumulator,
     return Fingerprint(k_values=k, support=support, source_id=source_id)
 
 
-def _check_floor(denominator_floor: float) -> None:
-    if not denominator_floor > 0:
+def check_floor(denominator_floor: float | None) -> None:
+    """ConfigError unless the floor is None, for the default, or positive."""
+    if denominator_floor is not None and not denominator_floor > 0:
         raise ConfigError(f"denominator floor must be positive, "
                           f"got {denominator_floor}")
 
@@ -408,16 +409,10 @@ def residual_extractor(denoise_config: DenoiseConfig = DenoiseConfig(),
         yield extract
 
 
-def _strip_mask(luma: np.ndarray, block_weights: np.ndarray | None,
-                rows: slice) -> np.ndarray:
-    """The mask of a strip of one frame's rows: its saturation mask, times
-    the frame's block weights painted over the strip if there are any."""
-    sat = saturation_mask(luma[rows])
-    if block_weights is None:
-        return sat
+def _painted(block_weights: np.ndarray, width: int, rows: slice) -> np.ndarray:
+    """A frame's block weights painted over a strip of its rows."""
     blocks = block_weights[rows.start // MACROBLOCK:-(-rows.stop // MACROBLOCK)]
-    painted = paint_blocks(blocks, (rows.stop - rows.start, luma.shape[1]))
-    return np.multiply(painted, sat, out=painted)
+    return paint_blocks(blocks, (rows.stop - rows.start, width))
 
 
 def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
@@ -432,50 +427,51 @@ def stream_fingerprints(video: Video, schemes: Sequence[SchemeConfig],
 
     A floor that is not positive (ConfigError) and every scheme's block
     weights are checked before the first pair is read, and none is read if
-    no scheme can use them. Without a trace only the schemes that ignore
-    block metadata (neither a table nor zeroed skips in `SCHEMES`) can.
-    Each frame enters every accumulator through one `accumulate` call, a
-    strip of rows at a time, and each strip's mask is painted from its own
-    macroblock rows.
+    no scheme can use them; without a trace every block weighs 1, which
+    only the schemes that ignore block metadata can use. A frame's
+    saturated luma is zeroed once, in a copy, which takes those pixels out
+    of both sums as a weight of 0 would. Each frame enters every
+    accumulator through one `accumulate` call, a strip of rows at a time.
     """
-    if denominator_floor is not None:
-        _check_floor(denominator_floor)
-    trace = video.trace
-    results: list = [None] * len(schemes)
-    weights = {}
-    for i, scheme in enumerate(schemes):
+    check_floor(denominator_floor)
+    trace, (length, h, w) = video.trace, video.pictures.shape
+    ones = np.broadcast_to(1.0, (length, -(-h // MACROBLOCK),
+                                 -(-w // MACROBLOCK)))
+    feeds: list = []    # (accumulator, block weights) or error per scheme
+    for scheme in schemes:
         rule = SCHEMES[scheme.scheme]
         try:
             if trace is None and (rule.lookup or rule.zero_skip):
                 raise DimensionMismatch(f"scheme {scheme.scheme} needs a trace")
-            weights[i] = None if trace is None else build_mask(trace, scheme)
+            weights = ones if trace is None else build_mask(trace, scheme)
+            feeds.append((FingerprintAccumulator(h, w), weights))
         except BlockPrnuError as exc:
-            results[i] = exc
-    if not weights:
-        return results
-    length, h, w = video.pictures.shape
-    accumulators = {i: FingerprintAccumulator(h, w) for i in weights}
+            feeds.append(exc)
+    live = [feed for feed in feeds if not isinstance(feed, BlockPrnuError)]
+    if not live:
+        return feeds
     frames = iter(frames)
     count = 0
     for luma, residual in islice(frames, length):
-        feeds = [(acc, partial(_strip_mask, luma, None if weights[i] is None
-                               else weights[i][count]))
-                 for i, acc in accumulators.items()]
-        acc, mask = feeds[0]
-        acc.accumulate(luma, residual, mask, feeds[1:])
+        luma = np.where(unsaturated(luma), luma, 0)
+        masks = [(acc, partial(_painted, weights[count], w))
+                 for acc, weights in live]
+        acc, mask = masks[0]
+        acc.accumulate(luma, residual, mask, masks[1:])
         count += 1
         # none of this frame is held while the next one is extracted
-        del luma, residual, feeds, acc, mask
+        del luma, residual, masks, acc, mask
     if count < length or next(frames, None) is not None:
         raise DimensionMismatch(f"{length} pictures vs "
                                 f"{count if count < length else 'more'} residuals")
-    for i, acc in accumulators.items():
+    for i, feed in enumerate(feeds):
         try:
-            results[i] = finalize(acc, denominator_floor=denominator_floor,
-                                  source_id=source_id)
+            if not isinstance(feed, BlockPrnuError):
+                feeds[i] = finalize(feed[0], denominator_floor=denominator_floor,
+                                    source_id=source_id)
         except BlockPrnuError as exc:
-            results[i] = exc
-    return results
+            feeds[i] = exc
+    return feeds
 
 
 def estimate_fingerprint(pictures: np.ndarray | YuvLuma,

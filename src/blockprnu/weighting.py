@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, MissingKey, SchemaError, decode_text
-from .trace import QP_MAX, QP_MIN, TraceFile, block_canvas
+from .trace import TraceFile, block_canvas
 
 ANCHOR_QP = 15
 ANCHOR_LAMBDA_RATE = 60.0
@@ -54,11 +54,18 @@ class WeightTable:
         if abs(self.weights[hits[0]] - 1.0) > 1e-9:
             raise ConfigError("anchor weight must be 1.0")
 
-    def weight_exact(self, key: float) -> float:
-        hits = np.flatnonzero(self.keys == key)
-        if hits.size == 0:
-            raise MissingKey(f"no table entry for key {key}")
-        return float(self.weights[hits[0]])
+    def weight_exact(self, key):
+        """The weight at a key, or the weights at an array of keys;
+        MissingKey names the smallest one missing (no cue to interpolate)."""
+        keys = np.asarray(key)
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        missing = self.keys[pos] != keys
+        if missing.any():
+            name = "lambda*rate" if self.scheme == "lambda_r" else "qp"
+            raise MissingKey(f"table has no weight for {name} "
+                             f"{keys[missing].min()}")
+        weights = self.weights[pos]
+        return float(weights) if weights.ndim == 0 else weights
 
     def weight_interp(self, x) -> np.ndarray:
         """Piecewise-linear weight, clamped to the end weights outside the keys."""
@@ -137,20 +144,6 @@ def paint_blocks(block_weights: np.ndarray,
     return plane
 
 
-def _qp_weights(trace: TraceFile, table: WeightTable) -> np.ndarray:
-    """Table weight at each block's QP. QP tables are dense by construction,
-    so a missing entry is an error, not a cue to interpolate."""
-    lut = np.full(QP_MAX + 1, np.nan)  # table weights are finite
-    for k, w in zip(table.keys, table.weights):
-        if k == int(k) and QP_MIN <= k <= QP_MAX:
-            lut[int(k)] = w
-    weights = lut[trace.qp]
-    missing = np.isnan(weights)
-    if missing.any():
-        raise MissingKey(f"table has no weight for qp {trace.qp[missing].min()}")
-    return weights
-
-
 class Scheme(NamedTuple):
     """How a scheme weighs a block: `lookup` gives the block weights from
     the scheme's table, keyed by QP or lambda*rate (None: the scheme takes
@@ -165,8 +158,8 @@ SCHEMES = {
     "conventional": Scheme(None, False),
     "loop_filter_only": Scheme(None, False),
     "skip_eliminate": Scheme(None, True),
-    "qp_all": Scheme(_qp_weights, False),
-    "qp_noskip": Scheme(_qp_weights, True),
+    "qp_all": Scheme(lambda trace, table: table.weight_exact(trace.qp), False),
+    "qp_noskip": Scheme(lambda trace, table: table.weight_exact(trace.qp), True),
     "lambda_r": Scheme(lambda trace, table: table.weight_interp(trace.lambda_rate),
                        True),
 }

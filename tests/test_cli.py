@@ -165,19 +165,20 @@ def test_estimate_source_id_defaults_to_output_stem(sim, tmp_path):
     assert read_fingerprint(tmp_path / "cam7.bpf").source_id == "cam7"
 
 
-def test_estimate_table_flag_validation(sim, tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
-            "--scheme", "lambda_r", "--out", tmp_path / "x.bpf")
-    assert err.value.code == 2
+def test_estimate_table_flag_validation(sim, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
+               "--scheme", "lambda_r", "--out", tmp_path / "x.bpf") == 2
+    assert (capsys.readouterr().err
+            == "error: scheme lambda_r needs a weight table\n")
     table = tmp_path / "t.wt"
     WeightTable(scheme="qp_noskip", keys=np.arange(52, dtype=np.float64),
                 weights=np.ones(52), anchor_key=15.0).save(table)
-    with pytest.raises(SystemExit) as err:
-        run("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
-            "--scheme", "conventional", "--table", table,
-            "--out", tmp_path / "x.bpf")
-    assert err.value.code == 2
+    assert run("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
+               "--scheme", "conventional", "--table", table,
+               "--out", tmp_path / "x.bpf") == 2
+    assert (capsys.readouterr().err
+            == "error: scheme conventional does not take a weight table\n")
     # right flag, wrong table kind: input error, not usage
     rc = run("estimate", "--frames", sim["yuv"], "--trace", sim["trace"],
              "--scheme", "qp_all", "--table", table,
@@ -234,6 +235,11 @@ def test_out_of_domain_values_exit_2(sim, tmp_path, capsys):
     ("evaluate", ("--schemes", "conventional", "--exclusion", 4),
      "exclusion"),
     ("estimate", ("--noise-var", 0), "noise variance"),
+    ("estimate", ("--floor", 0), "denominator floor"),
+    ("calibrate", ("--mode", "lambda_r", "--buckets", 0), "bucket"),
+    ("evaluate", ("--threshold", "nan"), "threshold"),
+    ("evaluate", ("--schemes", "conventional,conventional"),
+     "duplicate schemes"),
 ])
 def test_bad_flags_exit_2_before_any_input_is_read(tmp_path, capsys, command,
                                                    flags, message):
@@ -545,6 +551,43 @@ def test_evaluate_cli(calib, calib_tables):
     assert means["ratio_conventional"] == "1"
 
 
+def test_evaluate_scheme_without_a_successful_cell_writes_nan_means(
+        calib, tmp_path):
+    # a table without the videos' QPs fails every qp_noskip cell, which is
+    # data like any failing cell: all three files are written
+    root, _, refs = calib
+    manifest = root / "eval.csv"
+    manifest.write_text("v15,cam,v15.yuv,v15.trace\n"
+                        "v28,cam,v28.yuv,v28.trace\n")
+    table = tmp_path / "sparse.wt"
+    WeightTable(scheme="qp_noskip", keys=np.array([0.0, 1.0]),
+                weights=np.array([1.0, 0.5]), anchor_key=0.0).save(table)
+    rc = run("evaluate", "--manifest", manifest, "--references", refs,
+             "--schemes", "conventional,qp_noskip", "--qp-noskip-table", table,
+             "--out-prefix", tmp_path / "out", "--workers", 1)
+    assert rc == 0
+    cells = (tmp_path / "out.cells.csv").read_text().splitlines()
+    assert [c.split(",", 2)[2] for c in cells if ",qp_noskip," in c] == [
+        "nan,0,0,error:MissingKey"] * 2
+    assert (tmp_path / "out.table.txt").exists()
+    means = dict(ln.split(",") for ln in
+                 (tmp_path / "out.means.txt").read_text().splitlines())
+    assert float(means["conventional"]) > 0
+    assert means["qp_noskip"] == "nan"
+    assert means["ratio_conventional"] == "1"
+    assert means["ratio_qp_noskip"] == "nan"
+
+    # without a successful baseline cell every ratio is nan
+    rc = run("evaluate", "--manifest", manifest, "--references", refs,
+             "--schemes", "qp_noskip,conventional", "--qp-noskip-table", table,
+             "--out-prefix", tmp_path / "base", "--workers", 1,
+             "--exclusion", 999)
+    assert rc == 0
+    assert (tmp_path / "base.means.txt").read_text() == (
+        "qp_noskip,nan\nconventional,nan\n"
+        "ratio_qp_noskip,nan\nratio_conventional,nan\n")
+
+
 def test_small_frame_commands_fork_no_pool(sim, calib, calib_tables,
                                            tmp_path, helper_threads):
     # 64x64 frames are smaller than a part: at --workers 2 each command
@@ -605,17 +648,18 @@ def test_evaluate_duplicate_video_id_exit_3_before_extracting(
     assert not (tmp_path / "out.table.txt").exists()
 
 
-def test_evaluate_scheme_validation(calib):
+def test_evaluate_scheme_validation(calib, capsys):
     root, _, refs = calib
     manifest = root / "eval.csv"
-    with pytest.raises(SystemExit) as err:
-        run("evaluate", "--manifest", manifest, "--references", refs,
-            "--schemes", "conventional,warp", "--out-prefix", root / "bad")
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        run("evaluate", "--manifest", manifest, "--references", refs,
-            "--schemes", "lambda_r", "--out-prefix", root / "bad")
-    assert err.value.code == 2
+    capsys.readouterr()
+    for schemes, message in (("conventional,warp", "unknown scheme 'warp'"),
+                             ("lambda_r", "scheme lambda_r needs a weight "
+                                          "table"),
+                             (" , ", "no schemes requested")):
+        assert run("evaluate", "--manifest", manifest, "--references", refs,
+                   "--schemes", schemes, "--out-prefix", root / "bad") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(root.glob("bad.*"))
 
 
 def test_main_requires_subcommand():

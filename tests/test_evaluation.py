@@ -33,7 +33,8 @@ from blockprnu import (
     synthetic_clean_frames,
     threshold_table,
 )
-from blockprnu import evaluation, matching
+from blockprnu import evaluation, matching, prnu
+from blockprnu.evaluation import scheme_means
 from conftest import CountingFft, grid_records, uniform_trace
 
 
@@ -174,6 +175,28 @@ def test_run_grid_stores_cell_errors(eval_setup):
     assert isinstance(grid.cells[("v0", "qp_all")], MissingKey)
 
 
+def test_saturation_is_tested_once_per_frame_on_a_six_scheme_grid(
+        eval_setup, monkeypatch):
+    video, references = eval_setup
+    tested = []
+
+    def unsaturated(luma):
+        tested.append(luma.shape)
+        return real(luma)
+    real = prnu.unsaturated
+    monkeypatch.setattr(prnu, "unsaturated", unsaturated)
+    videos = [video, Video(video.pictures, video.trace, "cam", "v1")]
+    configs = [SchemeConfig("conventional"), SchemeConfig("loop_filter_only"),
+               SchemeConfig("skip_eliminate"),
+               SchemeConfig("qp_all", neutral_qp_table("qp_all")),
+               SchemeConfig("qp_noskip", neutral_qp_table("qp_noskip")),
+               SchemeConfig("lambda_r", neutral_lr_table())]
+    grid = run_grid(videos, configs, references, workers=2)
+    assert all(isinstance(c, MatchReport) for c in grid.cells.values())
+    # one test per frame, not one per scheme and strip
+    assert tested == [(64, 64)] * 16
+
+
 def fake_grid():
     cells = {
         ("v0", "conventional"): report(100.0),
@@ -195,6 +218,9 @@ def test_scheme_mean_pce_ignores_error_cells():
     assert subset == {"conventional": 100.0, "lambda_r": 200.0}
     with pytest.raises(EmptyInput):
         scheme_mean_pce(grid, video_ids=["v1"])  # lambda_r has only an error
+    # the evaluate command writes such a scheme's mean as nan
+    subset = scheme_means(grid, video_ids=["v1"])
+    assert subset["conventional"] == 50.0 and np.isnan(subset["lambda_r"])
 
 
 def test_improvement_ratios():
@@ -204,6 +230,8 @@ def test_improvement_ratios():
         improvement_ratios({"lambda_r": 10.0})
     with pytest.raises(EmptyInput):
         improvement_ratios({"conventional": 0.0, "lambda_r": 5.0})
+    with pytest.raises(EmptyInput):
+        improvement_ratios({"conventional": np.nan, "lambda_r": 5.0})
 
 
 def test_format_ratio_three_significant_digits():

@@ -242,6 +242,24 @@ def test_estimate_worker_count_does_not_change_result():
     assert np.array_equal(one.support, two.support)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimation_never_writes_the_callers_luma(workers):
+    # a Video keeps the caller's stack uncopied, so the saturated samples
+    # it zeroes are zeroed in a copy
+    rng = np.random.default_rng(50)
+    pictures = rng.integers(0, 256, size=(4, 64, 64), dtype=np.uint8)
+    pictures[:, :16] = rng.integers(0, 6, size=(4, 16, 64))
+    pictures[:, -16:] = rng.integers(250, 256, size=(4, 16, 64))
+    assert Video(pictures).pictures is pictures
+    before = pictures.tobytes()
+    for config in (SchemeConfig("conventional"),
+                   SchemeConfig("skip_eliminate")):
+        trace = None if config.scheme == "conventional" else uniform_trace(4, 4, 4)
+        fp = estimate_fingerprint(pictures, trace, config, workers=workers)
+        assert not fp.support[:16].any() and fp.support[16:-16].all()
+        assert pictures.tobytes() == before
+
+
 def test_fingerprint_file_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     # float32-representable samples survive the on-disk cast unchanged

@@ -357,3 +357,83 @@ def test_pool_calls_finds_submit_and_map_outside_spread():
 def test_threads_share_work_only_through_spread(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert pool_calls(tree) == []
+
+
+def readers(tree: ast.AST, names: set[str]) -> list[str]:
+    """The functions that read any of `names`, as a name or an attribute,
+    by their name, or "<module>" for a read outside every function, in
+    source order. A nested function is listed by its own name."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr in names)):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return list(dict.fromkeys(scope for _, scope in sorted(found)))
+
+
+def test_readers_finds_each_function_reading_a_name_once():
+    tree = ast.parse("A = 1\nB = A\ndef f():\n    return A + A\n"
+                     "def g():\n    def h():\n        return m.A\n"
+                     "    return 0\ndef k(A):\n    A = 2\n")
+    # k's A is a parameter and a store, and neither is a read
+    assert readers(tree, {"A"}) == ["<module>", "f", "h"]
+
+
+SATURATION_BOUNDS = {"SATURATION_LOW", "SATURATION_HIGH"}
+
+
+def test_one_function_reads_the_saturation_bounds():
+    package, _ = package_and_readers()
+    found = [f"{module}.{scope}" for module, tree in package.items()
+             for scope in readers(tree, SATURATION_BOUNDS)]
+    assert found == ["noise.unsaturated"]
+
+
+def commands(tree: ast.AST) -> dict[str, list[str]]:
+    """The commands a module hands to ``set_defaults(func=...)``, each
+    with the parameters it takes: a function by its name and a lambda as
+    "<lambda>"."""
+    defined = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee(node.func) == "set_defaults":
+            for keyword in node.keywords:
+                if keyword.arg != "func":
+                    continue
+                func = keyword.value
+                if isinstance(func, ast.Name):
+                    func = defined[func.id]
+                    name = func.name
+                else:
+                    name = "<lambda>"
+                found[name] = [a.arg for a in func.args.args]
+    return found
+
+
+def test_commands_lists_each_command_with_its_parameters():
+    tree = ast.parse("def run(args):\n    pass\n"
+                     "def cmd(args, parser):\n    pass\n"
+                     "p.set_defaults(func=run)\n"
+                     "q.set_defaults(func=lambda a: cmd(a, parser), x=1)\n")
+    assert commands(tree) == {"run": ["args"], "<lambda>": ["a"]}
+
+
+def test_no_command_takes_the_parser():
+    # a command refuses a setting by raising ConfigError, as the library
+    # does, never by calling the parser's error method
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = commands(tree)
+    assert len(found) == 6
+    assert all(name.startswith("cmd_") for name in found)
+    assert set(map(tuple, found.values())) == {("args",)}
+    assert "error" not in {node.attr for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute)}

@@ -184,11 +184,30 @@ def test_weight_lookup():
     table = qp_table([10, 15, 20], [0.7, 1.0, 0.4])
     assert table.weight_exact(10) == 0.7
     assert table.weight_exact(15.0) == 1.0
-    with pytest.raises(MissingKey):
+    with pytest.raises(MissingKey, match="^table has no weight for qp 11$"):
         table.weight_exact(11)
     # interpolation clamps at both ends
     got = table.weight_interp([5.0, 12.5, 17.5, 99.0])
     assert np.allclose(got, [0.7, 0.85, 0.7, 0.4])
+
+
+def test_weight_lookup_over_an_array_equals_the_scalar_lookups():
+    rng = np.random.default_rng(7)
+    weights = rng.uniform(0.2, 1.5, size=21)
+    weights[5] = 1.0
+    table = qp_table(range(10, 31), weights)
+    keys = rng.integers(10, 31, size=(3, 4, 5))     # (frames, gh, gw)
+    got = table.weight_exact(keys)
+    want = [table.weight_exact(int(k)) for k in keys.ravel()]
+    assert got.shape == keys.shape
+    assert np.array_equal(got.ravel(), want)
+    # keys missing above, below and inside the table's range
+    keys[0, 1, 2], keys[1, 0, 0], keys[2, 3, 4] = 40, 9, 31
+    with pytest.raises(MissingKey, match="^table has no weight for qp 9$"):
+        table.weight_exact(keys)
+    lr = WeightTable("lambda_r", [10.0, 60.0], [0.5, 1.0], 60.0)
+    with pytest.raises(MissingKey, match="lambda\\*rate 25.5$"):
+        lr.weight_exact(np.array([60.0, 25.5, 99.0]))
 
 
 def test_table_text_round_trip():
