@@ -27,13 +27,13 @@ from .errors import (BlockPrnuError, ConfigError, DimensionMismatch,
 from .evaluation import (BPP_GROUP_EDGES, check_grid, format_ratio,
                          group_labels_for_edges, improvement_ratios,
                          run_grid, scheme_means, threshold_table)
-from .matching import (DEFAULT_THRESHOLD, PceConfig, format_report_records,
-                       pce)
+from .matching import (DEFAULT_THRESHOLD, PceConfig, check_threshold,
+                       format_report_records, pce)
 from .noise import DenoiseConfig, read_yuv420, write_yuv420
 from .prnu import (Fingerprint, Video, check_floor, estimate_fingerprint,
                    read_fingerprint, resolve_workers, write_fingerprint)
 from .trace import BLOCK_TYPES, bits_per_pixel, skipped_block_rate
-from .weighting import ALL_SCHEMES, SchemeConfig, WeightTable
+from .weighting import ALL_SCHEMES, SCHEMES, SchemeConfig, WeightTable
 
 
 def _outpath(path: str | Path) -> Path:
@@ -129,13 +129,16 @@ def _load_references(directory: str, camera_ids) -> dict[str, Fingerprint]:
 
 def _scheme_config(scheme: str, path: str | None) -> SchemeConfig:
     """The scheme with the table at `path`; an unknown scheme, or a table
-    missing or given where the scheme takes none, is a ConfigError."""
+    missing or given where the scheme takes none, is a ConfigError. A path
+    comes only with a scheme the parser knows, and whether that scheme
+    takes a table is decided before the file is read."""
+    if path is not None and SCHEMES[scheme].lookup is None:
+        raise ConfigError(f"scheme {scheme} does not take a weight table")
     table = None if path is None else WeightTable.load(path)
-    config = SchemeConfig(scheme, table)
     if table is not None and table.scheme != scheme:
         raise SchemaError(f"{path} holds a {table.scheme} table, "
                           f"not {scheme}")
-    return config
+    return SchemeConfig(scheme, table)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +198,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_match(args) -> int:
+    config = _pce_config(args)
+    check_threshold(args.threshold)
     test = read_fingerprint(args.test)
     reference = read_fingerprint(args.reference)
-    report = pce(test, reference, _pce_config(args),
-                 args.threshold)
+    report = pce(test, reference, config, args.threshold)
     test_id = test.source_id or Path(args.test).stem
     ref_id = reference.source_id or Path(args.reference).stem
     lines = format_report_records([[report]], [test_id], [ref_id])

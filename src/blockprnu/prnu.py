@@ -71,20 +71,42 @@ def _strips(height: int, width: int) -> list[slice]:
     return [slice(r, min(r + step, height)) for r in range(0, height, step)]
 
 
-@dataclass
 class Fingerprint:
     """Finalized sensor pattern estimate plus its valid-pixel support.
 
     `k_values` is float64 as `finalize` makes it, and float32, exactly as
-    stored, when `read_fingerprint` reads it from a file; `support` is a
-    bool plane of the same shape."""
-    k_values: np.ndarray
-    support: np.ndarray
-    source_id: str = ""
+    stored, when `read_fingerprint` reads it from a file. The support is
+    given as a bool plane of the same shape and held as its `np.packbits`
+    bitmap in C order, the bytes a `.bpf` file stores (0.11 MB at 720p,
+    not 0.92); each access to `support` unpacks a new read-only plane."""
+
+    def __init__(self, k_values: np.ndarray, support: np.ndarray,
+                 source_id: str = ""):
+        if np.shape(support) != np.shape(k_values):
+            raise DimensionMismatch(f"support shape {np.shape(support)} vs "
+                                    f"values {np.shape(k_values)}")
+        self.k_values, self.source_id = k_values, source_id
+        self._packed = np.packbits(support)
+
+    @classmethod
+    def _from_packed(cls, k_values: np.ndarray, packed: np.ndarray,
+                     source_id: str) -> "Fingerprint":
+        """A print whose support is already the packed bitmap of its
+        plane, pad bits zero, as `read_fingerprint` reads it."""
+        fp = cls.__new__(cls)
+        fp.k_values, fp.source_id, fp._packed = k_values, source_id, packed
+        return fp
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.k_values.shape
+
+    @property
+    def support(self) -> np.ndarray:
+        plane = np.unpackbits(self._packed, count=self.k_values.size)
+        plane = plane.view(bool).reshape(self.shape)
+        plane.flags.writeable = False
+        return plane
 
 
 class FingerprintAccumulator:
@@ -200,19 +222,21 @@ def _check_unspent(acc: FingerprintAccumulator) -> None:
 
 def write_fingerprint(fp: Fingerprint, path: str | Path) -> None:
     """magic, width, height, source id, float32 K row-major, packed support.
-    A print read by `read_fingerprint` is written without a copy of K."""
+    A print read by `read_fingerprint` is written without a copy of K, and
+    every print's support as the bitmap it holds."""
     sid = fp.source_id.encode("utf-8")
     h, w = fp.shape
     with open(path, "wb") as f:
         f.write(_MAGIC + struct.pack("<III", w, h, len(sid)) + sid)
         f.write(np.ascontiguousarray(fp.k_values, dtype="<f4"))
-        f.write(np.packbits(fp.support))
+        f.write(fp._packed)
 
 
 def read_fingerprint(path: str | Path) -> Fingerprint:
     """The print in a file from `write_fingerprint`. K is read straight
     into the float32 array returned, with exactly the values stored, and
-    the support is unpacked once; the file is never held whole."""
+    the support bitmap into the print as it is stored, with its pad bits
+    cleared; the file is never held whole."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         head = f.read(len(_MAGIC) + 12)
@@ -239,11 +263,12 @@ def read_fingerprint(path: str | Path) -> Fingerprint:
         k = np.empty((h, w), dtype="<f4")
         if f.readinto(k) != 4 * n:
             raise SchemaError(f"{path}: truncated sample data")
-        packed = np.frombuffer(f.read(packed_len), dtype=np.uint8)
-    if packed.size != packed_len:
-        raise SchemaError(f"{path}: support bitmap size mismatch")
-    support = np.unpackbits(packed, count=n).view(bool).reshape(h, w)
-    return Fingerprint(k_values=k, support=support, source_id=sid)
+        packed = np.empty(packed_len, dtype=np.uint8)
+        if f.readinto(packed) != packed_len:
+            raise SchemaError(f"{path}: support bitmap size mismatch")
+    # the bits past the last pixel are written as zeros, whatever was read
+    packed[-1] &= 0xFF << (-n % 8) & 0xFF
+    return Fingerprint._from_packed(k, packed, sid)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ class WeightTable:
         pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
         missing = self.keys[pos] != keys
         if missing.any():
-            name = "lambda*rate" if self.scheme == "lambda_r" else "qp"
+            name = SCHEMES[self.scheme].key
             raise MissingKey(f"table has no weight for {name} "
                              f"{keys[missing].min()}")
         weights = self.weights[pos]
@@ -125,10 +125,17 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if (SCHEMES[self.scheme].lookup is None) != (self.table is None):
+        rule = SCHEMES[self.scheme]
+        if (rule.lookup is None) != (self.table is None):
             raise ConfigError(f"scheme {self.scheme} " + (
                 "needs a weight table" if self.table is None
                 else "does not take a weight table"))
+        # the two QP schemes share their tables
+        table = self.table
+        if table is not None and SCHEMES[table.scheme].key != rule.key:
+            raise SchemaError(f"scheme {self.scheme} looks weights up by "
+                              f"{rule.key}, but a {table.scheme} table is "
+                              f"keyed by {SCHEMES[table.scheme].key}")
 
 
 def paint_blocks(block_weights: np.ndarray,
@@ -146,10 +153,12 @@ def paint_blocks(block_weights: np.ndarray,
 
 class Scheme(NamedTuple):
     """How a scheme weighs a block: `lookup` gives the block weights from
-    the scheme's table, keyed by QP or lambda*rate (None: the scheme takes
-    no table and every block weighs 1); with `zero_skip` skips weigh 0."""
+    the scheme's table, keyed by `key`, "qp" or "lambda*rate" (both None:
+    the scheme takes no table and every block weighs 1); with `zero_skip`
+    skips weigh 0."""
     lookup: Callable[[TraceFile, WeightTable], np.ndarray] | None
     zero_skip: bool
+    key: str | None = None
 
 
 # loop_filter_only has no block-metadata effect of its own; in grids fed by
@@ -158,10 +167,12 @@ SCHEMES = {
     "conventional": Scheme(None, False),
     "loop_filter_only": Scheme(None, False),
     "skip_eliminate": Scheme(None, True),
-    "qp_all": Scheme(lambda trace, table: table.weight_exact(trace.qp), False),
-    "qp_noskip": Scheme(lambda trace, table: table.weight_exact(trace.qp), True),
+    "qp_all": Scheme(lambda trace, table: table.weight_exact(trace.qp), False,
+                     "qp"),
+    "qp_noskip": Scheme(lambda trace, table: table.weight_exact(trace.qp), True,
+                        "qp"),
     "lambda_r": Scheme(lambda trace, table: table.weight_interp(trace.lambda_rate),
-                       True),
+                       True, "lambda*rate"),
 }
 ALL_SCHEMES = tuple(SCHEMES)
 TABLE_SCHEMES = tuple(s for s, rule in SCHEMES.items() if rule.lookup)

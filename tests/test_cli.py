@@ -240,6 +240,9 @@ def test_out_of_domain_values_exit_2(sim, tmp_path, capsys):
     ("evaluate", ("--threshold", "nan"), "threshold"),
     ("evaluate", ("--schemes", "conventional,conventional"),
      "duplicate schemes"),
+    ("match", ("--threshold", "nan"), "threshold"),
+    ("match", ("--exclusion", 4), "exclusion"),
+    ("estimate", ("--table", "missing.wt"), "does not take a weight table"),
 ])
 def test_bad_flags_exit_2_before_any_input_is_read(tmp_path, capsys, command,
                                                    flags, message):
@@ -256,6 +259,8 @@ def test_bad_flags_exit_2_before_any_input_is_read(tmp_path, capsys, command,
         "estimate": ("--frames", tmp_path / "missing.yuv", "--trace",
                      tmp_path / "missing.trace", "--scheme", "conventional",
                      "--out", tmp_path / "x.bpf"),
+        "match": ("--test", tmp_path / "missing.bpf", "--reference",
+                  tmp_path / "missing.bpf", "--out", tmp_path / "m.txt"),
     }
     capsys.readouterr()
     assert run(command, *inputs[command], *flags) == 2

@@ -262,21 +262,44 @@ def test_estimation_never_writes_the_callers_luma(workers):
 
 def test_fingerprint_file_round_trip(tmp_path):
     rng = np.random.default_rng(7)
-    # float32-representable samples survive the on-disk cast unchanged
-    k = rng.normal(size=(5, 5)).astype(np.float32).astype(np.float64)
-    support = rng.uniform(size=(5, 5)) > 0.3  # 25 bits, not byte-aligned
-    fp = Fingerprint(k_values=k, support=support, source_id="camera-α")
-    path = tmp_path / "fp.bpf"
-    write_fingerprint(fp, path)
-    back = read_fingerprint(path)
-    assert back.k_values.dtype == np.float32
-    assert np.array_equal(back.k_values, k)
-    assert np.array_equal(back.support, support)
-    assert back.source_id == "camera-α"
-    # a second write of the reread print is byte-identical
-    again = tmp_path / "fp2.bpf"
-    write_fingerprint(back, again)
-    assert path.read_bytes() == again.read_bytes()
+    cases = {
+        "5x5": rng.uniform(size=(5, 5)) > 0.3,     # 25 bits, not byte-aligned
+        "4x6": rng.uniform(size=(4, 6)) > 0.3,     # 24 bits, byte-aligned
+        "1x1": np.ones((1, 1), bool),
+        "empty": np.zeros((3, 7), bool),
+    }
+    for name, support in cases.items():
+        # float32-representable samples survive the on-disk cast unchanged
+        k = rng.normal(size=support.shape).astype(np.float32).astype(np.float64)
+        fp = Fingerprint(k_values=k, support=support, source_id="camera-α")
+        path = tmp_path / f"{name}.bpf"
+        write_fingerprint(fp, path)
+        back = read_fingerprint(path)
+        assert back.k_values.dtype == np.float32
+        assert np.array_equal(back.k_values, k)
+        assert back.source_id == "camera-α"
+        # the support is held as the file's bitmap, and unpacked on access
+        assert back._packed.nbytes == -(-support.size // 8), name
+        for held in (fp, back):
+            plane = held.support
+            assert plane.dtype == bool and plane.shape == support.shape
+            assert np.array_equal(plane, support), name
+            with pytest.raises(ValueError):
+                plane[0, 0] = not plane[0, 0]
+            with pytest.raises(AttributeError):
+                held.support = support
+        # a second write of the reread print is byte-identical
+        again = tmp_path / f"{name}.again.bpf"
+        write_fingerprint(back, again)
+        assert path.read_bytes() == again.read_bytes(), name
+    with pytest.raises(DimensionMismatch):
+        Fingerprint(k_values=np.zeros((4, 6)), support=cases["4x6"].T)
+    # set bits past the last pixel are read as zeros, and written so
+    blob = (tmp_path / "5x5.bpf").read_bytes()
+    (tmp_path / "pad.bpf").write_bytes(blob[:-1] + bytes([blob[-1] | 0x7F]))
+    write_fingerprint(read_fingerprint(tmp_path / "pad.bpf"),
+                      tmp_path / "unpadded.bpf")
+    assert (tmp_path / "unpadded.bpf").read_bytes() == blob
 
 
 def test_fingerprint_file_errors(tmp_path):

@@ -305,6 +305,22 @@ def test_scheme_config_rejects_a_table_the_scheme_cannot_use():
             SchemeConfig(scheme, table)
 
 
+def test_scheme_config_refuses_a_table_keyed_by_another_quantity():
+    qp = qp_table([10, 15, 20], [0.7, 1.0, 0.4])
+    lr = WeightTable(scheme="lambda_r", keys=np.array([20.0, 60.0]),
+                     weights=np.array([0.5, 1.0]), anchor_key=60.0)
+    for scheme in ("qp_all", "qp_noskip"):
+        with pytest.raises(SchemaError, match=f"scheme {scheme} looks weights "
+                           r"up by qp, but a lambda_r table is keyed by "
+                           r"lambda\*rate"):
+            SchemeConfig(scheme, lr)
+    with pytest.raises(SchemaError, match=r"scheme lambda_r looks weights up "
+                       r"by lambda\*rate, but a qp_noskip table is keyed by qp"):
+        SchemeConfig("lambda_r", qp)
+    # a QP table serves both QP schemes
+    SchemeConfig("qp_all", qp)
+
+
 def test_skip_eliminate_tables_no_longer_load():
     with pytest.raises(ConfigError):
         WeightTable("skip_eliminate", [15.0], [1.0], 15.0)
